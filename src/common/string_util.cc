@@ -1,5 +1,8 @@
 #include "common/string_util.h"
 
+#include <charconv>
+#include <cctype>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <iomanip>
@@ -31,7 +34,7 @@ std::string Join(const std::vector<std::string>& tokens, const std::string& deli
   return out;
 }
 
-std::string Trim(const std::string& input) {
+std::string_view Trim(std::string_view input) {
   size_t begin = 0;
   size_t end = input.size();
   while (begin < end && std::isspace(static_cast<unsigned char>(input[begin]))) ++begin;
@@ -63,6 +66,25 @@ std::string StrFormat(const char* fmt, ...) {
   }
   va_end(args_copy);
   return out;
+}
+
+bool ParseFiniteDecimal(std::string_view text, double* value) {
+  const char* first = text.data();
+  const char* const last = first + text.size();
+  // from_chars takes no '+'; strtod takes one, but not before another sign.
+  if (first != last && *first == '+') {
+    ++first;
+    if (first != last && *first == '-') return false;
+  }
+  double parsed = 0.0;
+  const auto [end, error] = std::from_chars(first, last, parsed);
+  if (error != std::errc() || end != last || !std::isfinite(parsed)) return false;
+  *value = parsed;
+  return true;
+}
+
+char* AppendDouble17(char* out, double value) {
+  return std::to_chars(out, out + kMaxDouble17Chars, value, std::chars_format::general, 17).ptr;
 }
 
 }  // namespace otfair::common

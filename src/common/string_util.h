@@ -1,7 +1,9 @@
 #ifndef OTFAIR_COMMON_STRING_UTIL_H_
 #define OTFAIR_COMMON_STRING_UTIL_H_
 
+#include <cstddef>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace otfair::common {
@@ -12,8 +14,8 @@ std::vector<std::string> Split(const std::string& input, char delimiter);
 /// Joins tokens with `delimiter`.
 std::string Join(const std::vector<std::string>& tokens, const std::string& delimiter);
 
-/// Removes leading and trailing ASCII whitespace.
-std::string Trim(const std::string& input);
+/// Removes leading and trailing ASCII whitespace; the result views `input`.
+std::string_view Trim(std::string_view input);
 
 /// True if `input` begins with `prefix`.
 bool StartsWith(const std::string& input, const std::string& prefix);
@@ -23,6 +25,25 @@ std::string FormatDouble(double value, int precision = 4);
 
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
+
+// The round-trip number format shared by the CSV files, the serving
+// protocol and the metrics exposition: values are written as %.17g and
+// read back with ParseFiniteDecimal, which gives the same bits.
+
+/// Parses all of `text` as a finite decimal number: an optional sign,
+/// digits with an optional '.', and an optional exponent. Whitespace, hex,
+/// inf/nan spellings, values that overflow and nonzero values that round
+/// to zero are rejected; subnormals are accepted. An accepted token reads
+/// to the bits strtod gives it.
+bool ParseFiniteDecimal(std::string_view text, double* value);
+
+/// The longest %.17g rendering of a double ("-2.2250738585072009e-308").
+inline constexpr size_t kMaxDouble17Chars = 24;
+
+/// Writes `value` exactly as printf("%.17g") would, with no terminator,
+/// into `out`, which must have room for kMaxDouble17Chars bytes. Returns
+/// one past the last byte written.
+char* AppendDouble17(char* out, double value);
 
 }  // namespace otfair::common
 

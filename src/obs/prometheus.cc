@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <cstdint>
 
+#include "common/string_util.h"
+
 namespace otfair::obs {
 
 namespace {
@@ -31,9 +33,8 @@ std::string FormatValue(double v) {
     std::snprintf(buf, sizeof(buf), "%" PRId64, static_cast<int64_t>(v));
     return buf;
   }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
+  char buf[common::kMaxDouble17Chars];
+  return std::string(buf, common::AppendDouble17(buf, v));
 }
 
 /// Escapes a HELP text: backslash and newline per the exposition format.

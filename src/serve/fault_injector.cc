@@ -54,7 +54,7 @@ Result<FaultInjector> FaultInjector::Parse(const std::string& spec) {
   if (spec.empty()) return injector;
   size_t entries = 0;
   for (const std::string& raw : common::Split(spec, ',')) {
-    const std::string entry = common::Trim(raw);
+    const std::string entry(common::Trim(raw));
     if (entry.empty()) continue;
     ++entries;
     const size_t colon = entry.find(':');

@@ -1,8 +1,6 @@
 #include "serve/protocol.h"
 
 #include <cerrno>
-#include <cmath>
-#include <cstdio>
 #include <cstdlib>
 
 #include "common/string_util.h"
@@ -36,20 +34,6 @@ bool ParseU64(const std::string& text, uint64_t* out) {
   const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
   if (errno != 0 || end == text.c_str() || *end != '\0') return false;
   *out = static_cast<uint64_t>(v);
-  return true;
-}
-
-bool ParseDouble(const std::string& text, double* out) {
-  if (text.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  if (errno != 0 || end == text.c_str() || *end != '\0') return false;
-  // strtod accepts "nan"/"inf" spellings; a non-finite feature would
-  // poison the repair tables and the drift/sketch accumulators, so the
-  // protocol rejects it at the boundary.
-  if (!std::isfinite(v)) return false;
-  *out = v;
   return true;
 }
 
@@ -117,8 +101,10 @@ Result<ProtocolRequest> ParseRequestLine(const std::string& line, size_t dim, si
     request.row.u = static_cast<int>(u);
     request.row.s = static_cast<int>(s);
     request.row.features.resize(dim);
+    // A non-finite feature would poison the repair tables and the
+    // drift/sketch accumulators, so the protocol rejects it at the boundary.
     for (size_t k = 0; k < dim; ++k) {
-      if (!ParseDouble(tokens[5 + k], &request.row.features[k]))
+      if (!common::ParseFiniteDecimal(tokens[5 + k], &request.row.features[k]))
         return Status::InvalidArgument("bad feature value '" +
                                        SanitizeToken(tokens[5 + k]) +
                                        "' (must be a finite number)");
@@ -135,11 +121,8 @@ std::string FormatRowResponse(const RowResponse& response) {
   line += std::to_string(response.session_id);
   line += ' ';
   line += std::to_string(response.row_index);
-  char buf[32];
-  for (const double v : response.repaired) {
-    std::snprintf(buf, sizeof(buf), " %.17g", v);
-    line += buf;
-  }
+  char buf[1 + common::kMaxDouble17Chars] = {' '};
+  for (const double v : response.repaired) line.append(buf, common::AppendDouble17(buf + 1, v));
   return line;
 }
 

@@ -1,6 +1,15 @@
 #include "common/string_util.h"
 
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <limits>
+
 #include <gtest/gtest.h>
+
+#include "common/rng.h"
 
 namespace otfair::common {
 namespace {
@@ -59,6 +68,35 @@ TEST(StringUtilTest, StrFormatBasics) {
 TEST(StringUtilTest, StrFormatLongOutput) {
   const std::string long_str(500, 'x');
   EXPECT_EQ(StrFormat("%s", long_str.c_str()).size(), 500u);
+}
+
+/// Checks that `value` formats as printf("%.17g") and parses back to the
+/// same bits.
+void ExpectDouble17RoundTrip(double value) {
+  char printed[32];
+  std::snprintf(printed, sizeof(printed), "%.17g", value);
+  char buf[kMaxDouble17Chars];
+  const std::string formatted(buf, AppendDouble17(buf, value));
+  ASSERT_EQ(formatted, printed);
+  double parsed = 0.0;
+  ASSERT_TRUE(ParseFiniteDecimal(formatted, &parsed)) << formatted;
+  ASSERT_EQ(std::memcmp(&parsed, &value, sizeof(value)), 0) << formatted;
+}
+
+TEST(StringUtilTest, Double17MatchesPrintfAndRoundTripsBitExact) {
+  constexpr double kDenormMin = std::numeric_limits<double>::denorm_min();
+  for (const double value :
+       {0.0, -0.0, 1.0, -1.0, 42.0, 1e15, 1e16, 1e17, 9007199254740993.0, -123456789.0, 0.1,
+        1.0 / 3.0, DBL_EPSILON, DBL_MIN, -DBL_MIN, DBL_MAX, -DBL_MAX, kDenormMin, -kDenormMin,
+        DBL_MIN / 3.0, std::nextafter(DBL_MIN, 0.0), -std::nextafter(DBL_MIN, 0.0)})
+    ExpectDouble17RoundTrip(value);
+  Rng rng(17);
+  for (int i = 0; i < 200000; ++i) {
+    const uint64_t bits = rng.Next64();
+    double value = 0.0;
+    std::memcpy(&value, &bits, sizeof(value));
+    if (std::isfinite(value)) ExpectDouble17RoundTrip(value);
+  }
 }
 
 }  // namespace

@@ -1,0 +1,88 @@
+// libFuzzer differential harness for the round-trip number codec in
+// common/string_util (ParseFiniteDecimal, AppendDouble17), with strtod and
+// printf("%.17g") as the references. Any trap is a finding:
+//
+//   1. a token ParseFiniteDecimal accepts reads to a finite value, and
+//      strtod also reads it in full, to the same bits;
+//   2. a token strtod reads in full but ParseFiniteDecimal rejects falls
+//      in one of the grammar's deliberate exclusions (see Excluded);
+//   3. the first 8 bytes of the input, read as a finite double, format
+//      exactly as %.17g and parse back to the same bits.
+//
+// Build (needs Clang; the target is skipped under GCC):
+//   cmake -B build-fuzz -DCMAKE_CXX_COMPILER=clang++ -DOTFAIR_BUILD_FUZZERS=ON
+//   cmake --build build-fuzz --target otfair_decimal_fuzzer
+// Run with the token dictionary:
+//   build-fuzz/tests/fuzz/otfair_decimal_fuzzer -dict=tests/fuzz/decimal.dict
+
+#include <cctype>
+#include <cerrno>
+#include <cmath>
+#include <cstddef>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <string>
+#include <string_view>
+
+#include "common/string_util.h"
+
+namespace {
+
+using otfair::common::AppendDouble17;
+using otfair::common::kMaxDouble17Chars;
+using otfair::common::ParseFiniteDecimal;
+
+/// True when strtod's full reading of `token` (to `value`, with `error`
+/// its errno) is one the grammar rejects on purpose.
+bool Excluded(const std::string& token, double value, int error) {
+  // strtod skips leading whitespace; callers trim or split it away first.
+  if (std::isspace(static_cast<unsigned char>(token[0]))) return true;
+  // inf/nan spellings, and decimals that overflow to infinity.
+  if (!std::isfinite(value)) return true;
+  // A nonzero decimal that rounds to zero.
+  if (value == 0.0 && error == ERANGE) return true;
+  // Hex floats.
+  const size_t digits = token[0] == '+' || token[0] == '-' ? 1 : 0;
+  return token.size() > digits + 1 && token[digits] == '0' &&
+         (token[digits + 1] == 'x' || token[digits + 1] == 'X');
+}
+
+void CheckToken(const uint8_t* data, size_t size) {
+  const std::string token(reinterpret_cast<const char*>(data), size);
+  double ours = 0.0;
+  const bool accepted = ParseFiniteDecimal(token, &ours);
+  errno = 0;
+  char* end = nullptr;
+  const double reference = std::strtod(token.c_str(), &end);
+  const int error = errno;
+  const bool reference_accepted = size > 0 && end == token.c_str() + size;
+  if (accepted && (!std::isfinite(ours) || !reference_accepted ||
+                   std::memcmp(&ours, &reference, sizeof(ours)) != 0))
+    __builtin_trap();
+  if (!accepted && reference_accepted && !Excluded(token, reference, error)) __builtin_trap();
+}
+
+void CheckDouble(const uint8_t* data) {
+  double value = 0.0;
+  std::memcpy(&value, data, sizeof(value));
+  if (!std::isfinite(value)) return;
+  char printed[32];
+  const int n = std::snprintf(printed, sizeof(printed), "%.17g", value);
+  char buf[kMaxDouble17Chars];
+  const std::string_view formatted(buf, static_cast<size_t>(AppendDouble17(buf, value) - buf));
+  if (formatted != std::string_view(printed, static_cast<size_t>(n))) __builtin_trap();
+  double parsed = 0.0;
+  if (!ParseFiniteDecimal(formatted, &parsed) ||
+      std::memcmp(&parsed, &value, sizeof(value)) != 0)
+    __builtin_trap();
+}
+
+}  // namespace
+
+extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
+  CheckToken(data, size);
+  if (size >= sizeof(double)) CheckDouble(data);
+  return 0;
+}

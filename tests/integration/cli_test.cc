@@ -285,6 +285,23 @@ TEST_F(CliTest, BadInvocationsFailCleanly) {
             2);
 }
 
+TEST_F(CliTest, RepairRejectsNonFiniteArchiveCells) {
+  ASSERT_EQ(Run("design --research=" + research_path_ + " --plan=" + plan_path_), 0);
+  const std::string bad_path = dir_ + "/non_finite.csv";
+  for (const std::string cell : {"nan", "-inf", "1e400"}) {
+    std::FILE* f = std::fopen(bad_path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fprintf(f, "s,u,x1,x2\n0,1,0.5,1.5\n1,0,%s,0.25\n", cell.c_str());
+    std::fclose(f);
+    std::remove(repaired_path_.c_str());
+    EXPECT_EQ(Run("repair --plan=" + plan_path_ + " --input=" + bad_path +
+                  " --output=" + repaired_path_),
+              1)
+        << cell;
+    EXPECT_EQ(ReadFileOrEmpty(repaired_path_), "") << cell;
+  }
+}
+
 TEST_F(CliTest, UsageAndPerCommandHelp) {
   // Top-level help exits 0 and lists every subcommand.
   int exit_code = -1;

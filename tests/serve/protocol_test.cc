@@ -1,5 +1,8 @@
 #include "serve/protocol.h"
 
+#include <cfloat>
+#include <cmath>
+#include <limits>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -66,6 +69,24 @@ TEST(ProtocolTest, FormatsOkResponseWithRoundTripPrecision) {
   double parsed = 0.0;
   ASSERT_EQ(std::sscanf(line.c_str(), "ok 4 9 %lf", &parsed), 1);
   EXPECT_EQ(parsed, 0.1);
+}
+
+TEST(ProtocolTest, FeaturesUseTheCsvNumberGrammar) {
+  // Hex, which strtod read, is rejected.
+  EXPECT_FALSE(ParseRequestLine("repair 0 0 0 1 0x1p3 2.0", 2).ok());
+  // Subnormals, on which strtod set ERANGE, are accepted, and a response
+  // prints them back exactly.
+  auto request =
+      ParseRequestLine("repair 5 6 0 1 4.9406564584124654e-324 -2.2250738585072009e-308", 2);
+  ASSERT_TRUE(request.ok()) << request.status();
+  EXPECT_EQ(request->row.features[0], std::numeric_limits<double>::denorm_min());
+  EXPECT_EQ(request->row.features[1], -std::nextafter(DBL_MIN, 0.0));
+  RowResponse response;
+  response.session_id = 5;
+  response.row_index = 6;
+  response.repaired = request->row.features;
+  EXPECT_EQ(FormatRowResponse(response),
+            "ok 5 6 4.9406564584124654e-324 -2.2250738585072009e-308");
 }
 
 TEST(ProtocolTest, FormatsErrorResponses) {

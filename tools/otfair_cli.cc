@@ -373,7 +373,7 @@ int RunDesign(const FlagParser& flags) {
     for (const std::string& cell :
          otfair::common::Split(flags.GetString("lambdas", ""), ',')) {
       char* end = nullptr;
-      const std::string trimmed = otfair::common::Trim(cell);
+      const std::string trimmed(otfair::common::Trim(cell));
       const double value = std::strtod(trimmed.c_str(), &end);
       if (trimmed.empty() || end == trimmed.c_str() || *end != '\0')
         return Fail(Status::InvalidArgument("--lambdas must be a comma-separated list of "
