@@ -34,6 +34,10 @@ constexpr uint32_t kVersionMultiGroup = 3;
 // files keep loading without one.
 constexpr uint32_t kVersionChecksummed = 4;
 
+size_t MeasureBytes(const ot::DiscreteMeasure& m) {
+  return sizeof(uint64_t) + 2 * m.size() * sizeof(double);
+}
+
 void WriteMeasure(ByteWriter& out, const ot::DiscreteMeasure& m) {
   out.U64(m.size());
   out.Doubles(m.support().data(), m.size());
@@ -167,8 +171,28 @@ Status RepairPlanSet::Validate(double tolerance) const {
   return Status::Ok();
 }
 
+size_t RepairPlanSet::SerializedSize() const {
+  // Mirrors SerializeToString field by field.
+  size_t size = 2 * sizeof(uint32_t) + sizeof(uint64_t) + sizeof(double) +
+                2 * sizeof(uint32_t) + lambdas_.size() * sizeof(double);
+  for (const std::string& name : feature_names_) size += sizeof(uint64_t) + name.size();
+  for (const ChannelPlan& channel : channels_) {
+    size += sizeof(uint64_t) + 2 * sizeof(double);
+    for (size_t s = 0; s < s_levels_; ++s) size += MeasureBytes(channel.marginal[s]);
+    size += MeasureBytes(channel.barycenter);
+    for (size_t s = 0; s < s_levels_; ++s) {
+      const ot::SparsePlan& pi = channel.plan[s];
+      size += sizeof(uint64_t) + pi.row_offsets().size() * sizeof(uint64_t) +
+              pi.nnz() * (sizeof(uint32_t) + sizeof(double));
+    }
+  }
+  return size + sizeof(uint32_t);  // trailing CRC32
+}
+
 std::string RepairPlanSet::SerializeToString() const {
+  const size_t expected_size = SerializedSize();
   std::string bytes;
+  bytes.reserve(expected_size);
   ByteWriter out(&bytes);
   out.U32(kMagic);
   out.U32(kVersionChecksummed);
@@ -201,6 +225,7 @@ std::string RepairPlanSet::SerializeToString() const {
     }
   }
   out.U32(common::Crc32(bytes.data(), bytes.size()));
+  OTFAIR_CHECK_EQ(bytes.size(), expected_size);
   return bytes;
 }
 

@@ -104,6 +104,9 @@ class RepairPlanSet {
   /// parser behind LoadFromFile, checkpoint recovery, and the fuzzers.
   /// `context` labels error messages (a path or "checkpoint").
   std::string SerializeToString() const;
+  /// Exact length of SerializeToString()'s output, computed from the
+  /// shapes alone (the serializer reserves it once and checks it).
+  size_t SerializedSize() const;
   static common::Result<RepairPlanSet> ParseFromBuffer(const char* data, size_t size,
                                                        const std::string& context);
 

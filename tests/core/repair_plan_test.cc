@@ -235,6 +235,25 @@ TEST(RepairPlanTest, SerializeParseRoundTripIsBitIdentical) {
   EXPECT_EQ(parsed->SerializeToString(), bytes);
 }
 
+TEST(RepairPlanTest, SerializedSizeIsExact) {
+  // Binary plan set, and a K = 4, M = 3 one with custom lambdas.
+  const RepairPlanSet binary = DesignedPlans(12);
+  EXPECT_EQ(binary.SerializeToString().size(), binary.SerializedSize());
+
+  common::Rng rng(13);
+  auto research = sim::SimulateMultiGroupGaussian(
+      1200, sim::MultiGroupSimConfig::Default(/*s_levels=*/4, /*u_levels=*/3), rng);
+  ASSERT_TRUE(research.ok()) << research.status().ToString();
+  DesignOptions options;
+  options.n_q = 20;
+  options.lambdas = {0.1, 0.2, 0.3, 0.4};
+  auto multi = DesignDistributionalRepair(*research, options);
+  ASSERT_TRUE(multi.ok()) << multi.status().ToString();
+  ASSERT_EQ(multi->s_levels(), 4u);
+  ASSERT_EQ(multi->u_levels(), 3u);
+  EXPECT_EQ(multi->SerializeToString().size(), multi->SerializedSize());
+}
+
 TEST(RepairPlanTest, SaveEmptyPlanFails) {
   RepairPlanSet empty;
   EXPECT_FALSE(empty.SaveToFile(TempPath("empty.bin")).ok());

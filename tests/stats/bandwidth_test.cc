@@ -56,6 +56,13 @@ TEST(BandwidthTest, DegenerateSampleStillPositive) {
   EXPECT_GT(SilvermanBandwidth({3.0, 3.0, 3.0}), 0.0);
   EXPECT_GT(SilvermanBandwidth({42.0}), 0.0);
   EXPECT_GT(ScottBandwidth({1.0, 1.0}), 0.0);
+  // 150 copies of 1.7: StdDev rounds to 4.7e-15, not 0, yet the sample has
+  // no spread, so both rules take the degenerate bandwidth, as they do for
+  // 3.0 (StdDev exactly 0).
+  const std::vector<double> copies(150, 1.7);
+  EXPECT_EQ(SilvermanBandwidth(copies), SilvermanBandwidth({3.0, 3.0, 3.0}));
+  EXPECT_EQ(ScottBandwidth(copies), ScottBandwidth({1.0, 1.0}));
+  EXPECT_EQ(SilvermanBandwidth(copies), 1e-3);
 }
 
 TEST(BandwidthTest, HeavilyDuplicatedDataFallsBackToSigma) {
