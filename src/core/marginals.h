@@ -17,7 +17,9 @@ struct MarginalOptions {
 
 /// Interpolates an empirical channel marginal onto the shared support Q via
 /// Gaussian KDE (paper Eq. 11): `p_q ∝ sum_i K(zeta_q - x_i, h)`, returned
-/// as a normalized discrete measure on the grid points.
+/// as a normalized discrete measure on the grid points. Evaluated with the
+/// uniform-grid kernel of `stats::GaussianKde::PmfOnGrid` (see its error
+/// bound); traced as the `marginal_kde` span.
 common::Result<ot::DiscreteMeasure> InterpolateMarginal(const std::vector<double>& samples,
                                                         const SupportGrid& grid,
                                                         const MarginalOptions& options = {});

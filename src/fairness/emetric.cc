@@ -16,7 +16,7 @@ using common::Status;
 namespace {
 
 /// Uniform grid of `count` points over [lo, hi] (single midpoint when
-/// degenerate).
+/// degenerate), as GaussianKde::PmfOnGrid requires.
 std::vector<double> UniformGrid(double lo, double hi, size_t count) {
   std::vector<double> grid;
   grid.reserve(count);

@@ -1,6 +1,8 @@
 #include "stats/kde.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numbers>
 
 #include "common/status.h"
@@ -10,6 +12,56 @@ namespace otfair::stats {
 
 using common::Result;
 using common::Status;
+
+namespace {
+
+// exp(-z^2 / 2) rounds to exactly 0.0 for |z| > 38.61 (past the smallest
+// subnormal), so a walk can stop at this distance without dropping a term.
+constexpr double kZeroBeyond = 38.7;
+
+// How far a grid point may sit from lo + q * step and still count as
+// uniform: a few ulps of the grid's magnitude, the rounding either grid
+// formula leaves.
+constexpr double kUniformUlps = 16.0;
+
+// Number of walk steps m >= 0 whose term exp(-(z + m d)^2 / 2) can be
+// non-zero, capped at the `room` grid points left in that direction. A z
+// rounded a hair below 0 counts as 0, so no walk outruns the G table.
+size_t WalkLength(double z, double d, size_t room) {
+  if (!(z <= kZeroBeyond)) return 0;
+  z = std::max(z, 0.0);
+  const double last = (kZeroBeyond - z) / d;  // largest useful m
+  return last >= static_cast<double>(room) ? room : static_cast<size_t>(last) + 1;
+}
+
+// out[kDir * m] += e * g^m * G[m] for m in [0, count): one sample's outward
+// walk from one bracket point. g^m runs in four interleaved sub-chains of
+// stride g^4, so consecutive terms do not wait on each other's multiply.
+template <int kDir>
+void Walk(double e, double g, const double* G, size_t count, double* out) {
+  const double g2 = g * g;
+  const double g4 = g2 * g2;
+  double c0 = e;
+  double c1 = e * g;
+  double c2 = e * g2;
+  double c3 = c1 * g2;
+  size_t m = 0;
+  for (; m + 4 <= count; m += 4) {
+    out[kDir * static_cast<ptrdiff_t>(m)] += c0 * G[m];
+    out[kDir * static_cast<ptrdiff_t>(m + 1)] += c1 * G[m + 1];
+    out[kDir * static_cast<ptrdiff_t>(m + 2)] += c2 * G[m + 2];
+    out[kDir * static_cast<ptrdiff_t>(m + 3)] += c3 * G[m + 3];
+    c0 *= g4;
+    c1 *= g4;
+    c2 *= g4;
+    c3 *= g4;
+  }
+  const double tail[3] = {c0, c1, c2};
+  for (size_t r = 0; m + r < count; ++r)
+    out[kDir * static_cast<ptrdiff_t>(m + r)] += tail[r] * G[m + r];
+}
+
+}  // namespace
 
 Result<GaussianKde> GaussianKde::Fit(std::vector<double> samples, double bandwidth) {
   if (samples.empty()) return Status::InvalidArgument("KDE needs at least one sample");
@@ -38,15 +90,60 @@ double GaussianKde::Evaluate(double x) const {
   return acc * norm;
 }
 
-std::vector<double> GaussianKde::EvaluateOnGrid(const std::vector<double>& grid) const {
-  std::vector<double> out(grid.size());
-  for (size_t q = 0; q < grid.size(); ++q) out[q] = Evaluate(grid[q]);
-  return out;
-}
-
 Result<std::vector<double>> GaussianKde::PmfOnGrid(const std::vector<double>& grid) const {
   if (grid.empty()) return Status::InvalidArgument("empty grid");
-  std::vector<double> pmf = EvaluateOnGrid(grid);
+  const double h = bandwidth_;
+  const size_t nq = grid.size();
+  std::vector<double> pmf(nq, 0.0);
+  if (nq == 1) {
+    for (double x : samples_) {
+      const double z = (grid[0] - x) / h;
+      pmf[0] += std::exp(-0.5 * z * z);
+    }
+  } else {
+    const double lo = grid.front();
+    const double step = (grid.back() - lo) / static_cast<double>(nq - 1);
+    if (!(step > 0.0) || !std::isfinite(step))
+      return Status::InvalidArgument("KDE grid must be increasing and finite");
+    const double slack = kUniformUlps * std::numeric_limits<double>::epsilon() *
+                         std::max(std::fabs(lo), std::fabs(grid.back()));
+    for (size_t q = 0; q < nq; ++q) {
+      if (!(std::fabs(grid[q] - (lo + static_cast<double>(q) * step)) <= slack))
+        return Status::InvalidArgument("KDE grid must be uniform");
+    }
+
+    const double d = step / h;
+    std::vector<double> G(WalkLength(0.0, d, nq));
+    G[0] = 1.0;  // explicit: 0 * d is NaN when d overflows
+    for (size_t m = 1; m < G.size(); ++m) {
+      const double md = static_cast<double>(m) * d;
+      G[m] = std::exp(-0.5 * md * md);
+    }
+    for (double x : samples_) {
+      // Bracket x: right walk from the first grid point at or above x,
+      // left walk from the one below it. Points outside [lo, hi] walk
+      // only one way.
+      const double t = (x - lo) / step;
+      size_t right = 0;
+      if (t > static_cast<double>(nq - 1)) {
+        right = nq;
+      } else if (t > 0.0) {
+        right = static_cast<size_t>(std::ceil(t));
+      }
+      if (right < nq) {
+        const double z = (grid[right] - x) / h;
+        const size_t count = WalkLength(z, d, nq - right);
+        if (count > 0)
+          Walk<1>(std::exp(-0.5 * z * z), std::exp(-z * d), G.data(), count, &pmf[right]);
+      }
+      if (right > 0) {
+        const double z = (x - grid[right - 1]) / h;
+        const size_t count = WalkLength(z, d, right);
+        if (count > 0)
+          Walk<-1>(std::exp(-0.5 * z * z), std::exp(-z * d), G.data(), count, &pmf[right - 1]);
+      }
+    }
+  }
   double total = 0.0;
   for (double p : pmf) total += p;
   if (!(total > 0.0))
