@@ -41,24 +41,13 @@ template <int kDir>
 void Walk(double e, double g, const double* G, size_t count, double* out) {
   const double g2 = g * g;
   const double g4 = g2 * g2;
-  double c0 = e;
-  double c1 = e * g;
-  double c2 = e * g2;
-  double c3 = c1 * g2;
+  double c[4] = {e, e * g, e * g2, e * g * g2};
   size_t m = 0;
   for (; m + 4 <= count; m += 4) {
-    out[kDir * static_cast<ptrdiff_t>(m)] += c0 * G[m];
-    out[kDir * static_cast<ptrdiff_t>(m + 1)] += c1 * G[m + 1];
-    out[kDir * static_cast<ptrdiff_t>(m + 2)] += c2 * G[m + 2];
-    out[kDir * static_cast<ptrdiff_t>(m + 3)] += c3 * G[m + 3];
-    c0 *= g4;
-    c1 *= g4;
-    c2 *= g4;
-    c3 *= g4;
+    for (size_t k = 0; k < 4; ++k) out[kDir * static_cast<ptrdiff_t>(m + k)] += c[k] * G[m + k];
+    for (size_t k = 0; k < 4; ++k) c[k] *= g4;
   }
-  const double tail[3] = {c0, c1, c2};
-  for (size_t r = 0; m + r < count; ++r)
-    out[kDir * static_cast<ptrdiff_t>(m + r)] += tail[r] * G[m + r];
+  for (size_t k = 0; m + k < count; ++k) out[kDir * static_cast<ptrdiff_t>(m + k)] += c[k] * G[m + k];
 }
 
 }  // namespace
