@@ -121,15 +121,13 @@ Result<std::vector<double>> GaussianKde::PmfOnGrid(const std::vector<double>& gr
       }
       if (right < nq) {
         const double z = (grid[right] - x) / h;
-        const size_t count = WalkLength(z, d, nq - right);
-        if (count > 0)
-          Walk<1>(std::exp(-0.5 * z * z), std::exp(-z * d), G.data(), count, &pmf[right]);
+        Walk<1>(std::exp(-0.5 * z * z), std::exp(-z * d), G.data(), WalkLength(z, d, nq - right),
+                &pmf[right]);
       }
       if (right > 0) {
         const double z = (x - grid[right - 1]) / h;
-        const size_t count = WalkLength(z, d, right);
-        if (count > 0)
-          Walk<-1>(std::exp(-0.5 * z * z), std::exp(-z * d), G.data(), count, &pmf[right - 1]);
+        Walk<-1>(std::exp(-0.5 * z * z), std::exp(-z * d), G.data(), WalkLength(z, d, right),
+                 &pmf[right - 1]);
       }
     }
   }
