@@ -47,7 +47,7 @@ class GaussianKde {
   ///     |p_hat - p| <= (1e-12 + 128 * 2^-52 * max(|lo|, |hi|) / h) * p
   ///
   /// The second term is the exact KDE's own sensitivity to few-ulp moves
-  /// of the grid points (<= 6e-13 on the benchmark's data);
+  /// of the grid points (about 6e-13 on the benchmark's data);
   /// tests/stats/kde_test.cc enforces the bound.
   common::Result<std::vector<double>> PmfOnGrid(const std::vector<double>& grid) const;
 
