@@ -43,11 +43,12 @@ void Walk(double e, double g, const double* G, size_t count, double* out) {
   const double g4 = g2 * g2;
   double c[4] = {e, e * g, e * g2, e * g * g2};
   size_t m = 0;
+  auto add = [&](size_t k) { out[kDir * static_cast<ptrdiff_t>(m + k)] += c[k] * G[m + k]; };
   for (; m + 4 <= count; m += 4) {
-    for (size_t k = 0; k < 4; ++k) out[kDir * static_cast<ptrdiff_t>(m + k)] += c[k] * G[m + k];
+    for (size_t k = 0; k < 4; ++k) add(k);
     for (size_t k = 0; k < 4; ++k) c[k] *= g4;
   }
-  for (size_t k = 0; m + k < count; ++k) out[kDir * static_cast<ptrdiff_t>(m + k)] += c[k] * G[m + k];
+  for (size_t k = 0; m + k < count; ++k) add(k);
 }
 
 }  // namespace

@@ -42,7 +42,8 @@ class GaussianKde {
   /// of an exp. Every factor is <= 1, so no factor overflows or underflows
   /// before the term itself does, whatever step / h is: the walk visits
   /// every grid point whose term is representable. Error bound against
-  /// the exact KDE on the same grid, for entries p >= 1e-290:
+  /// the exact KDE on the same grid, for every entry whose exact density
+  /// is >= 1e-290 (below that the exact KDE itself rounds to subnormals):
   ///
   ///     |p_hat - p| <= (1e-12 + 128 * 2^-52 * max(|lo|, |hi|) / h) * p
   ///
