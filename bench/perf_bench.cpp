@@ -6,10 +6,14 @@
 // Benchmarks:
 //   design_step        DesignDistributionalRepair wall time, per thread
 //                      count (the paper's Algorithm 1: 2*dim channels).
-//   repair_throughput  OffSampleRepairer::RepairDataset rows/sec, per
-//                      thread count (Algorithm 2 batch path).
+//   repair_throughput_soa  OffSampleRepairer::RepairDataset rows/sec, per
+//                      thread count (Algorithm 2's batch routine: rows
+//                      grouped by (u, s), channel-major RepairSpan with
+//                      prefetch). The name predates the removal of the
+//                      row-by-row path and is kept so earlier snapshots
+//                      stay comparable.
 //   design_step_s4     the same stages on a 4-level protected attribute
-//   repair_throughput_s4  (|S| = 4): the multi-group K-scaling rows —
+//   repair_throughput_s4_soa  (|S| = 4): the multi-group K-scaling rows —
 //                      design does |S| solves per channel, repair carries
 //                      |S| x |U| x dim tables.
 //   sinkhorn_standard  single-thread entropic solve, n x n, standard
@@ -18,16 +22,12 @@
 //   exact_solver       successive-shortest-path Kantorovich solve, n x n.
 //   table_build        OffSampleRepairer::Create on CSR plans — the live
 //                      O(nnz) repair-table path.
-//   table_build_dense  the pre-sparse dense path (full n_Q-row scans +
-//                      alias tables over every state), emulated against
-//                      the same plans: the committed baseline for the
-//                      sparse speedup claim.
 //   plan_memory        resident CSR bytes and nnz per channel plan vs the
 //                      dense n_Q x n_Q equivalent (not timed).
 //   serve_throughput   rows/sec through the serving stack (RepairService
 //                      + micro-batching Batcher, replay workload), per
 //                      thread count — measures batching overhead against
-//                      repair_throughput.
+//                      repair_throughput_soa.
 //   serve_p99_latency_us  request latency quantiles from the serving
 //                      metrics histogram on the same replay workload.
 //   serve_net_throughput  rows/sec through the epoll TCP front end
@@ -36,11 +36,6 @@
 //                      network hop against serve_throughput.
 //   serve_net_p99_us   client-observed round-trip latency quantiles for
 //                      the same runs, per connection count.
-//   repair_throughput_soa     the default SoA batch-repair path (rows
-//   repair_throughput_s4_soa  grouped by (u, s), channel-major RepairSpan
-//                      with prefetch); the plain repair_throughput rows
-//                      force soa_batch=false, so the pair isolates the
-//                      layout win. _s4 again tracks K-scaling.
 //   lse_reduction      the fused log-sum-exp kernel (simd::LseDiff) on an
 //                      n-length row — the log-domain Sinkhorn inner loop
 //                      in isolation.
@@ -71,7 +66,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -233,46 +227,40 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "design_step       threads=%d  %10.2f ms\n", t, ms);
   }
 
-  // --- repair_throughput: thread scaling ----------------------------------
+  // --- repair_throughput_soa: thread scaling ------------------------------
   {
     otfair::core::DesignOptions design_options;
     design_options.n_q = design_nq;
     auto plans = otfair::core::DesignDistributionalRepair(*research, design_options);
     if (!plans.ok()) Die(plans.status().ToString());
-    // soa_batch=false is the row-by-row baseline; the _soa row is the
-    // default SoA batch path — same tables, same output, layout isolated.
-    for (const bool soa : {false, true}) {
-      for (int t : thread_counts) {
-        otfair::core::RepairOptions options;
-        options.threads = t;
-        options.soa_batch = soa;
-        auto repairer = otfair::core::OffSampleRepairer::Create(*plans, options);
-        if (!repairer.ok()) Die(repairer.status().ToString());
-        const double ms = BestWallMs(repeats, [&] {
-          auto repaired = repairer->RepairDataset(*archive);
-          if (!repaired.ok()) Die(repaired.status().ToString());
-        });
-        BenchCase c;
-        c.name = soa ? "repair_throughput_soa" : "repair_throughput";
-        c.threads = t;
-        std::snprintf(params, sizeof(params),
-                      "{\"dim\": %zu, \"n_archive\": %zu, \"n_q\": %zu, \"soa\": %s}", dim,
-                      n_archive, design_nq, soa ? "true" : "false");
-        c.params_json = params;
-        c.repeats = repeats;
-        c.wall_ms = ms;
-        c.rows_per_sec = static_cast<double>(n_archive) / (ms / 1e3);
-        cases.push_back(c);
-        std::fprintf(stderr, "%-21s threads=%d  %8.2f ms  (%.0f rows/s)\n", c.name.c_str(), t,
-                     ms, c.rows_per_sec);
-      }
+    for (int t : thread_counts) {
+      otfair::core::RepairOptions options;
+      options.threads = t;
+      auto repairer = otfair::core::OffSampleRepairer::Create(*plans, options);
+      if (!repairer.ok()) Die(repairer.status().ToString());
+      const double ms = BestWallMs(repeats, [&] {
+        auto repaired = repairer->RepairDataset(*archive);
+        if (!repaired.ok()) Die(repaired.status().ToString());
+      });
+      BenchCase c;
+      c.name = "repair_throughput_soa";
+      c.threads = t;
+      std::snprintf(params, sizeof(params), "{\"dim\": %zu, \"n_archive\": %zu, \"n_q\": %zu}",
+                    dim, n_archive, design_nq);
+      c.params_json = params;
+      c.repeats = repeats;
+      c.wall_ms = ms;
+      c.rows_per_sec = static_cast<double>(n_archive) / (ms / 1e3);
+      cases.push_back(c);
+      std::fprintf(stderr, "%-21s threads=%d  %8.2f ms  (%.0f rows/s)\n", c.name.c_str(), t, ms,
+                   c.rows_per_sec);
     }
   }
 
   // --- multi-group scaling: |S| = 4 design / repair ------------------------
   // The K-group pipeline does |S| OT solves per (u, k) channel and |S| x
   // |U| x dim repair tables, so these rows track the K-scaling cost
-  // against the binary design_step/repair_throughput rows above.
+  // against the binary design_step/repair_throughput_soa rows above.
   {
     Rng mg_rng(0xbe9d);
     const otfair::sim::MultiGroupSimConfig mg_config =
@@ -308,32 +296,28 @@ int main(int argc, char** argv) {
     design_options.n_q = design_nq;
     auto plans = otfair::core::DesignDistributionalRepair(*mg_research, design_options);
     if (!plans.ok()) Die(plans.status().ToString());
-    for (const bool soa : {false, true}) {
-      for (int t : thread_counts) {
-        otfair::core::RepairOptions options;
-        options.threads = t;
-        options.soa_batch = soa;
-        auto repairer = otfair::core::OffSampleRepairer::Create(*plans, options);
-        if (!repairer.ok()) Die(repairer.status().ToString());
-        const double ms = BestWallMs(repeats, [&] {
-          auto repaired = repairer->RepairDataset(*mg_archive);
-          if (!repaired.ok()) Die(repaired.status().ToString());
-        });
-        BenchCase c;
-        c.name = soa ? "repair_throughput_s4_soa" : "repair_throughput_s4";
-        c.threads = t;
-        std::snprintf(
-            params, sizeof(params),
-            "{\"dim\": %zu, \"n_archive\": %zu, \"n_q\": %zu, \"s_levels\": 4, \"soa\": %s}",
-            dim, n_archive, design_nq, soa ? "true" : "false");
-        c.params_json = params;
-        c.repeats = repeats;
-        c.wall_ms = ms;
-        c.rows_per_sec = static_cast<double>(n_archive) / (ms / 1e3);
-        cases.push_back(c);
-        std::fprintf(stderr, "%-24s threads=%d %8.2f ms  (%.0f rows/s)\n", c.name.c_str(), t,
-                     ms, c.rows_per_sec);
-      }
+    for (int t : thread_counts) {
+      otfair::core::RepairOptions options;
+      options.threads = t;
+      auto repairer = otfair::core::OffSampleRepairer::Create(*plans, options);
+      if (!repairer.ok()) Die(repairer.status().ToString());
+      const double ms = BestWallMs(repeats, [&] {
+        auto repaired = repairer->RepairDataset(*mg_archive);
+        if (!repaired.ok()) Die(repaired.status().ToString());
+      });
+      BenchCase c;
+      c.name = "repair_throughput_s4_soa";
+      c.threads = t;
+      std::snprintf(params, sizeof(params),
+                    "{\"dim\": %zu, \"n_archive\": %zu, \"n_q\": %zu, \"s_levels\": 4}", dim,
+                    n_archive, design_nq);
+      c.params_json = params;
+      c.repeats = repeats;
+      c.wall_ms = ms;
+      c.rows_per_sec = static_cast<double>(n_archive) / (ms / 1e3);
+      cases.push_back(c);
+      std::fprintf(stderr, "%-24s threads=%d %8.2f ms  (%.0f rows/s)\n", c.name.c_str(), t, ms,
+                   c.rows_per_sec);
     }
   }
 
@@ -713,7 +697,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "redesign_to_reload threads=1 %10.2f ms\n", best);
   }
 
-  // --- table_build / plan_memory: sparse vs dense repair tables -----------
+  // --- table_build / plan_memory: CSR repair tables ------------------------
   {
     otfair::common::parallel::SetThreadCount(1);
     otfair::core::DesignOptions design_options;
@@ -739,82 +723,6 @@ int main(int argc, char** argv) {
     c.wall_ms = sparse_ms;
     cases.push_back(c);
     std::fprintf(stderr, "table_build       threads=1  %10.2f ms\n", sparse_ms);
-
-    // The pre-sparse baseline, emulated against the same plans: dense
-    // n_Q x n_Q matrices scanned row by row, one alias table over all
-    // n_Q states per massive row (weights copied into a fresh vector, as
-    // the old call sites did). Densification itself is untimed — the old
-    // path received dense matrices from the solver.
-    std::vector<otfair::common::Matrix> dense_plans;
-    std::vector<const otfair::core::ChannelPlan*> dense_channels;
-    dense_plans.reserve(plan_count);
-    dense_channels.reserve(plan_count);
-    for (int u = 0; u <= 1; ++u) {
-      for (int s = 0; s <= 1; ++s) {
-        for (size_t k = 0; k < dim; ++k) {
-          const auto& channel = plans->At(u, k);
-          dense_plans.push_back(channel.plan[static_cast<size_t>(s)].ToDense());
-          dense_channels.push_back(&channel);
-        }
-      }
-    }
-    const double dense_ms = BestWallMs(repeats, [&] {
-      for (size_t p = 0; p < dense_plans.size(); ++p) {
-        const otfair::common::Matrix& pi = dense_plans[p];
-        const auto& grid = dense_channels[p]->grid;
-        const size_t nq = grid.size();
-        std::vector<std::optional<otfair::stats::AliasTable>> alias(nq);
-        std::vector<double> conditional_mean(nq, 0.0);
-        std::vector<char> has_mass(nq, 0);
-        for (size_t q = 0; q < nq; ++q) {
-          const double* row = pi.row(q);
-          double mass = 0.0;
-          double mean = 0.0;
-          for (size_t j = 0; j < nq; ++j) {
-            mass += row[j];
-            mean += row[j] * grid.point(j);
-          }
-          if (mass > 1e-300) {
-            has_mass[q] = 1;
-            conditional_mean[q] = mean / mass;
-            auto table =
-                otfair::stats::AliasTable::Build(std::vector<double>(row, row + nq));
-            if (!table.ok()) Die(table.status().ToString());
-            alias[q] = std::move(*table);
-          }
-        }
-        // Keep the emulation honest: same fallback construction as the
-        // live path.
-        std::vector<size_t> fallback(nq, 0);
-        for (size_t q = 0; q < nq; ++q) {
-          if (has_mass[q]) {
-            fallback[q] = q;
-            continue;
-          }
-          for (size_t delta = 1; delta < nq; ++delta) {
-            if (q >= delta && has_mass[q - delta]) {
-              fallback[q] = q - delta;
-              break;
-            }
-            if (q + delta < nq && has_mass[q + delta]) {
-              fallback[q] = q + delta;
-              break;
-            }
-          }
-        }
-      }
-    });
-    c = BenchCase{};
-    c.name = "table_build_dense";
-    c.threads = 1;
-    std::snprintf(params, sizeof(params), "{\"dim\": %zu, \"n_q\": %zu, \"solver\": \"monotone\"}",
-                  dim, design_nq);
-    c.params_json = params;
-    c.repeats = repeats;
-    c.wall_ms = dense_ms;
-    cases.push_back(c);
-    std::fprintf(stderr, "table_build_dense threads=1  %10.2f ms  (sparse speedup %.1fx)\n",
-                 dense_ms, sparse_ms > 0.0 ? dense_ms / sparse_ms : 0.0);
 
     // plan_memory: resident bytes of the CSR arrays per channel plan
     // against the dense n_Q x n_Q footprint the plans used to occupy.

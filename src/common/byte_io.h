@@ -85,6 +85,9 @@ class ByteReader {
 
  private:
   bool Raw(void* out, size_t len) {
+    // An empty array's data() may be null, and memcpy to null is undefined
+    // even for zero bytes.
+    if (len == 0) return true;
     if (len > remaining()) {
       data_ = end_;  // poison: every later read fails too
       return false;

@@ -1,12 +1,10 @@
 #include "core/repairer.h"
 
-#include <atomic>
 #include <cmath>
 #include <utility>
 #include <vector>
 
 #include "common/check.h"
-#include "common/parallel.h"
 #include "common/status.h"
 #include "obs/trace.h"
 
@@ -19,24 +17,30 @@ namespace {
 // Row mass below this is treated as empty (KDE tails can underflow).
 constexpr double kRowMassFloor = 1e-300;
 
-/// Schedule-independent batch stats accumulator: per-row tallies fold in
-/// through commutative atomic integer adds, so the totals match the
-/// serial path at any thread count without a per-row stats buffer.
-struct StatCounters {
-  std::atomic<size_t> repaired{0};
-  std::atomic<size_t> clamped{0};
-  std::atomic<size_t> fallbacks{0};
+/// RepairRows' accessor over a dataset with separately supplied s-labels:
+/// row i is repaired in place in `out` from `Rng::ForStream(seed, i)`.
+struct DatasetRows {
+  const data::Dataset& in;
+  const std::vector<int>& s_labels;
+  data::Dataset& out;
+  uint64_t seed;
 
-  void Add(const RepairStats& local) {
-    repaired.fetch_add(local.values_repaired, std::memory_order_relaxed);
-    clamped.fetch_add(local.values_clamped, std::memory_order_relaxed);
-    fallbacks.fetch_add(local.empty_row_fallbacks, std::memory_order_relaxed);
-  }
+  bool skip(size_t) const { return false; }
+  int u(size_t i) const { return in.u(i); }
+  int s(size_t i) const { return s_labels[i]; }
+  double feature(size_t i, size_t k) const { return in.feature(i, k); }
+  void set_feature(size_t i, size_t k, double value) const { out.set_feature(i, k, value); }
+  common::Rng rng(size_t i) const { return common::Rng::ForStream(seed, i); }
+};
 
-  void FlushInto(RepairStats& stats) const {
-    stats.values_repaired += repaired.load();
-    stats.values_clamped += clamped.load();
-    stats.empty_row_fallbacks += fallbacks.load();
+/// Soft repair: row i's generator resumes after its class draw.
+struct SoftRows : DatasetRows {
+  const std::vector<double>& pr_s1;
+
+  common::Rng rng(size_t i) const {
+    common::Rng rng = common::Rng::ForStream(seed, i);
+    rng.Bernoulli(pr_s1[i]);
+    return rng;
   }
 };
 }  // namespace
@@ -139,28 +143,29 @@ const OffSampleRepairer::ChannelTables& OffSampleRepairer::TablesFor(int u, int 
 }
 
 double OffSampleRepairer::RepairValue(int u, int s, size_t k, double x) {
-  return RepairValueImpl(u, s, k, x, rng_, stats_);
+  return RepairValue(u, s, k, x, rng_);
 }
 
 double OffSampleRepairer::RepairValue(int u, int s, size_t k, double x, common::Rng& rng) {
-  return RepairValueImpl(u, s, k, x, rng, stats_);
-}
-
-double OffSampleRepairer::RepairValueImpl(int u, int s, size_t k, double x, common::Rng& rng,
-                                          RepairStats& stats) const {
   const ChannelPlan& channel = plans_.At(u, k);
   const ChannelTables& tables = TablesFor(u, s, k);
   const SupportGrid::Location loc = channel.grid.Locate(x);
-  ++stats.values_repaired;
-  if (loc.clamped) ++stats.values_clamped;
+  ++stats_.values_repaired;
+  if (loc.clamped) ++stats_.values_clamped;
+  return Transport(channel, tables, loc.lower, loc.tau, x, rng, stats_);
+}
 
+double OffSampleRepairer::Transport(const ChannelPlan& channel, const ChannelTables& tables,
+                                    size_t lower, double tau, double x, common::Rng& rng,
+                                    RepairStats& stats) const {
+  const size_t nq = channel.grid.size();
   double transported;
   if (options_.mode == TransportMode::kStochastic) {
     // Algorithm 2 lines 6-9: Bernoulli neighbour choice, then one draw from
     // the normalized plan row (Eq. 15). The arena slot carries the grid
     // column payload, so the draw is one slot load.
-    size_t q = loc.lower;
-    if (rng.Bernoulli(loc.tau) && q + 1 < channel.grid.size()) ++q;
+    size_t q = lower;
+    if (rng.Bernoulli(tau) && q + 1 < nq) ++q;
     if (!tables.alias.RowHasMass(q)) {
       ++stats.empty_row_fallbacks;
       q = tables.fallback_row[q];
@@ -169,8 +174,8 @@ double OffSampleRepairer::RepairValueImpl(int u, int s, size_t k, double x, comm
   } else {
     // Deterministic ablation: tau-weighted mix of neighbouring rows'
     // conditional means.
-    size_t q0 = loc.lower;
-    size_t q1 = std::min(q0 + 1, channel.grid.size() - 1);
+    size_t q0 = lower;
+    size_t q1 = std::min(q0 + 1, nq - 1);
     if (!tables.alias.RowHasMass(q0)) {
       ++stats.empty_row_fallbacks;
       q0 = tables.fallback_row[q0];
@@ -179,8 +184,7 @@ double OffSampleRepairer::RepairValueImpl(int u, int s, size_t k, double x, comm
       ++stats.empty_row_fallbacks;
       q1 = tables.fallback_row[q1];
     }
-    transported = (1.0 - loc.tau) * tables.conditional_mean[q0] +
-                  loc.tau * tables.conditional_mean[q1];
+    transported = (1.0 - tau) * tables.conditional_mean[q0] + tau * tables.conditional_mean[q1];
   }
 
   // Partial repair (strength < 1) interpolates toward the transported
@@ -194,8 +198,6 @@ void OffSampleRepairer::RepairSpan(int u, int s, size_t k, const double* xs, siz
   OTFAIR_TRACE_SPAN("repair_span");
   const ChannelPlan& channel = plans_.At(u, k);
   const ChannelTables& tables = TablesFor(u, s, k);
-  const size_t nq = channel.grid.size();
-  const double strength = options_.strength;
 
   // Pass 1: locate every record on the grid. Pure arithmetic, no table
   // traffic, so it pipelines independently of the lookup pass.
@@ -209,43 +211,15 @@ void OffSampleRepairer::RepairSpan(int u, int s, size_t k, const double* xs, siz
     if (loc.clamped) ++stats.values_clamped;
   }
 
-  if (options_.mode == TransportMode::kStochastic) {
-    // Pass 2: alias draws with the slot row of record t+8 prefetched —
-    // far enough ahead to cover an L2 miss, close enough that the line
-    // is still resident when its draw executes. The prefetch targets the
-    // located lower row; the Bernoulli neighbour bump moves at most one
-    // row over, which in the slot-major arena is the adjacent span.
-    constexpr size_t kPrefetchAhead = 8;
-    for (size_t t = 0; t < count; ++t) {
-      if (t + kPrefetchAhead < count)
-        tables.alias.PrefetchRow(scratch.q[t + kPrefetchAhead]);
-      common::Rng& rng = rngs[t];
-      size_t q = scratch.q[t];
-      if (rng.Bernoulli(scratch.tau[t]) && q + 1 < nq) ++q;
-      if (!tables.alias.RowHasMass(q)) {
-        ++stats.empty_row_fallbacks;
-        q = tables.fallback_row[q];
-      }
-      const double transported = channel.grid.point(tables.alias.SampleCol(q, rng));
-      out[t] = (1.0 - strength) * xs[t] + strength * transported;
-    }
-  } else {
-    for (size_t t = 0; t < count; ++t) {
-      const double tau = scratch.tau[t];
-      size_t q0 = scratch.q[t];
-      size_t q1 = std::min(q0 + 1, nq - 1);
-      if (!tables.alias.RowHasMass(q0)) {
-        ++stats.empty_row_fallbacks;
-        q0 = tables.fallback_row[q0];
-      }
-      if (!tables.alias.RowHasMass(q1)) {
-        ++stats.empty_row_fallbacks;
-        q1 = tables.fallback_row[q1];
-      }
-      const double transported =
-          (1.0 - tau) * tables.conditional_mean[q0] + tau * tables.conditional_mean[q1];
-      out[t] = (1.0 - strength) * xs[t] + strength * transported;
-    }
+  // Pass 2: transport with the slot row of record t+8 prefetched — far
+  // enough ahead to cover an L2 miss, close enough that the line is still
+  // resident when its draw executes. The prefetch targets the located
+  // lower row; the Bernoulli neighbour bump moves at most one row over,
+  // which in the slot-major arena is the adjacent span.
+  constexpr size_t kPrefetchAhead = 8;
+  for (size_t t = 0; t < count; ++t) {
+    if (t + kPrefetchAhead < count) tables.alias.PrefetchRow(scratch.q[t + kPrefetchAhead]);
+    out[t] = Transport(channel, tables, scratch.q[t], scratch.tau[t], xs[t], rngs[t], stats);
   }
 }
 
@@ -278,84 +252,7 @@ Result<data::Dataset> OffSampleRepairer::RepairDatasetWithLabels(
       return Status::InvalidArgument("dataset u labels exceed the plan's u levels");
   }
   data::Dataset repaired = dataset.Clone();
-  const size_t n = dataset.size();
-  const size_t dim = dataset.dim();
-  // Per-row RNG sub-stream and a per-row local stats tally: rows are
-  // order-independent, so the parallel schedule cannot change the output
-  // (see RepairDataset). The tallies fold into shared counters with
-  // commutative integer adds — totals are schedule-independent too.
-  StatCounters counters;
-  if (options_.soa_batch) {
-    // SoA batch path: bucket rows by their (u, s) label pair, then repair
-    // fixed-size chunks channel by channel through RepairSpan, so every
-    // lookup run stays inside one channel's slot-major arena. Chunks are
-    // the parallel work unit; per-row ForStream generators make the
-    // output independent of the chunk schedule — and bit-identical to
-    // the row-by-row path below, which replays the same per-row draws.
-    const size_t s_levels = plans_.s_levels();
-    std::vector<std::vector<uint32_t>> buckets(plans_.u_levels() * s_levels);
-    for (size_t i = 0; i < n; ++i) {
-      buckets[static_cast<size_t>(dataset.u(i)) * s_levels + static_cast<size_t>(s_labels[i])]
-          .push_back(static_cast<uint32_t>(i));
-    }
-    constexpr size_t kChunk = 256;
-    struct Chunk {
-      uint32_t bucket;
-      uint32_t begin;
-      uint32_t end;
-    };
-    std::vector<Chunk> chunks;
-    for (size_t b = 0; b < buckets.size(); ++b) {
-      for (size_t begin = 0; begin < buckets[b].size(); begin += kChunk) {
-        const size_t end = std::min(begin + kChunk, buckets[b].size());
-        chunks.push_back(Chunk{static_cast<uint32_t>(b), static_cast<uint32_t>(begin),
-                               static_cast<uint32_t>(end)});
-      }
-    }
-    common::parallel::ParallelFor(
-        0, chunks.size(),
-        [&](size_t ci) {
-          const Chunk& c = chunks[ci];
-          const uint32_t* ids = buckets[c.bucket].data() + c.begin;
-          const int u = static_cast<int>(c.bucket / s_levels);
-          const int s = static_cast<int>(c.bucket % s_levels);
-          const size_t m = c.end - c.begin;
-          // k-major gather: channel k's values for the whole chunk form
-          // one contiguous span, repaired in place by RepairSpan.
-          std::vector<double> buf(m * dim);
-          std::vector<common::Rng> rngs;
-          rngs.reserve(m);
-          for (size_t t = 0; t < m; ++t)
-            rngs.push_back(common::Rng::ForStream(options_.seed, ids[t]));
-          for (size_t k = 0; k < dim; ++k)
-            for (size_t t = 0; t < m; ++t) buf[k * m + t] = dataset.feature(ids[t], k);
-          RepairStats local;
-          SpanScratch scratch;
-          for (size_t k = 0; k < dim; ++k)
-            RepairSpan(u, s, k, buf.data() + k * m, m, rngs.data(), buf.data() + k * m, local,
-                       scratch);
-          for (size_t k = 0; k < dim; ++k)
-            for (size_t t = 0; t < m; ++t) repaired.set_feature(ids[t], k, buf[k * m + t]);
-          counters.Add(local);
-        },
-        static_cast<size_t>(options_.threads));
-  } else {
-    common::parallel::ParallelFor(
-        0, n,
-        [&](size_t i) {
-          common::Rng rng = common::Rng::ForStream(options_.seed, i);
-          const int u = dataset.u(i);
-          const int s = s_labels[i];
-          RepairStats local;
-          for (size_t k = 0; k < dim; ++k) {
-            repaired.set_feature(i, k,
-                                 RepairValueImpl(u, s, k, dataset.feature(i, k), rng, local));
-          }
-          counters.Add(local);
-        },
-        static_cast<size_t>(options_.threads));
-  }
-  counters.FlushInto(stats_);
+  stats_ += RepairRows(dataset.size(), DatasetRows{dataset, s_labels, repaired, options_.seed});
   return repaired;
 }
 
@@ -372,26 +269,14 @@ Result<data::Dataset> OffSampleRepairer::RepairDatasetSoft(const data::Dataset& 
     if (!(p >= 0.0 && p <= 1.0))
       return Status::InvalidArgument("posteriors must lie in [0, 1]");
   }
+  // One class draw per row, shared by all channels: a record is repaired
+  // coherently under a single imputed protected label.
+  std::vector<int> s_labels(dataset.size());
+  for (size_t i = 0; i < s_labels.size(); ++i)
+    s_labels[i] = common::Rng::ForStream(options_.seed, i).Bernoulli(pr_s1[i]) ? 1 : 0;
   data::Dataset repaired = dataset.Clone();
-  const size_t n = dataset.size();
-  const size_t dim = dataset.dim();
-  StatCounters counters;
-  common::parallel::ParallelFor(
-      0, n,
-      [&](size_t i) {
-        common::Rng rng = common::Rng::ForStream(options_.seed, i);
-        // One class draw per row, shared by all channels: a record is
-        // repaired coherently under a single imputed protected label.
-        const int s = rng.Bernoulli(pr_s1[i]) ? 1 : 0;
-        RepairStats local;
-        for (size_t k = 0; k < dim; ++k) {
-          repaired.set_feature(
-              i, k, RepairValueImpl(dataset.u(i), s, k, dataset.feature(i, k), rng, local));
-        }
-        counters.Add(local);
-      },
-      static_cast<size_t>(options_.threads));
-  counters.FlushInto(stats_);
+  stats_ += RepairRows(dataset.size(),
+                       SoftRows{{dataset, s_labels, repaired, options_.seed}, pr_s1});
   return repaired;
 }
 

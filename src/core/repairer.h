@@ -1,9 +1,11 @@
 #ifndef OTFAIR_CORE_REPAIRER_H_
 #define OTFAIR_CORE_REPAIRER_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
+#include "common/parallel.h"
 #include "common/result.h"
 #include "common/rng.h"
 #include "core/repair_plan.h"
@@ -38,13 +40,6 @@ struct RepairOptions {
   /// Batch output is bit-identical across thread counts (see the row
   /// sub-stream note on RepairDataset).
   int threads = 0;
-  /// Structure-of-arrays batch path: RepairDataset* gathers rows sharing
-  /// a (u, s) label pair into contiguous chunks and repairs them channel
-  /// by channel through RepairSpan (prefetched slot-major table lookups)
-  /// instead of row by row. Output is bit-identical either way — the SoA
-  /// path replays the exact per-row RNG schedule — so this knob exists
-  /// only for benchmarking the layout win and as an escape hatch.
-  bool soa_batch = true;
 };
 
 /// Statistics accumulated while repairing.
@@ -56,6 +51,13 @@ struct RepairStats {
   /// Plan rows with (numerically) zero mass that fell back to the nearest
   /// massive row.
   size_t empty_row_fallbacks = 0;
+
+  RepairStats& operator+=(const RepairStats& other) {
+    values_repaired += other.values_repaired;
+    values_clamped += other.values_clamped;
+    empty_row_fallbacks += other.empty_row_fallbacks;
+    return *this;
+  }
 };
 
 /// Algorithm 2: off-sample (archival) repair driven by the plans designed
@@ -79,48 +81,13 @@ class OffSampleRepairer {
   /// out-of-range u/s/k (programmer error).
   double RepairValue(int u, int s, size_t k, double x);
 
-  /// As above but drawing from an externally supplied generator. This is
-  /// the batch path's primitive: row i of RepairDataset* is repaired with
-  /// `common::Rng::ForStream(options.seed, i)`, channels in k order, so a
-  /// caller can replay any subset of rows, in any order, and reproduce
-  /// the batch output bit-for-bit. Not safe to call concurrently on one
-  /// repairer (it updates the shared stats() counters); for parallel
-  /// repair use the RepairDataset* batch entry points, which shard rows
-  /// internally with per-row stats slots.
+  /// As above but drawing from an externally supplied generator. Row i of
+  /// RepairDataset* is repaired with `common::Rng::ForStream(options.seed,
+  /// i)`, channels in k order, so a caller can replay any subset of rows,
+  /// in any order, and reproduce the batch output bit-for-bit. Not safe to
+  /// call concurrently on one repairer (it updates the shared stats()
+  /// counters); for parallel repair use the batch entry points.
   double RepairValue(int u, int s, size_t k, double x, common::Rng& rng);
-
-  /// Const, schedule-free streaming repair against caller-owned rng and
-  /// stats slots — the serving layer's primitive. Unlike the non-const
-  /// RepairValue overloads it touches no repairer state, so any number of
-  /// threads may call it concurrently on one shared repairer; repairing
-  /// row i of a dataset with `Rng::ForStream(seed, i)` (channels in k
-  /// order) reproduces the RepairDataset batch output bit-for-bit.
-  double RepairValueAt(int u, int s, size_t k, double x, common::Rng& rng,
-                       RepairStats& stats) const {
-    return RepairValueImpl(u, s, k, x, rng, stats);
-  }
-
-  /// Reusable locate-pass scratch for RepairSpan, so span calls allocate
-  /// nothing after the first. One instance per calling thread.
-  struct SpanScratch {
-    std::vector<uint32_t> q;    // located lower grid row per record
-    std::vector<double> tau;    // neighbour interpolation weight per record
-  };
-
-  /// Structure-of-arrays batch primitive: repairs `count` values of the
-  /// single channel (u, s, k), reading xs[t] and writing out[t] (the
-  /// spans may alias). rngs[t] is record t's generator and is advanced
-  /// exactly as the scalar RepairValueAt would advance it for channel k,
-  /// so calling RepairSpan for k = 0..dim-1 over per-row
-  /// `Rng::ForStream(seed, row)` generators reproduces the row-by-row
-  /// batch output bit-for-bit. Const and state-free like RepairValueAt:
-  /// concurrent calls on one repairer are safe with distinct out/rngs/
-  /// stats/scratch. The two-pass structure (locate all records, then
-  /// sample with the alias row of record t+8 prefetched) is what the
-  /// batch entry points use to hide table-lookup latency.
-  void RepairSpan(int u, int s, size_t k, const double* xs, size_t count,
-                  common::Rng* rngs, double* out, RepairStats& stats,
-                  SpanScratch& scratch) const;
 
   /// Soft-label streaming repair for probabilistic protected attributes
   /// (§VI / ref. [39]): draws s ~ Bernoulli(pr_s1) and repairs under the
@@ -145,9 +112,31 @@ class OffSampleRepairer {
                                                         const std::vector<int>& s_labels);
 
   /// As RepairDataset but with per-row posteriors Pr[s = 1 | row] instead
-  /// of hard labels.
+  /// of hard labels. Row i first draws its class s ~ Bernoulli(pr_s1[i])
+  /// from `Rng::ForStream(options.seed, i)`, then repairs every channel
+  /// under s from the same generator.
   common::Result<data::Dataset> RepairDatasetSoft(const data::Dataset& dataset,
                                                   const std::vector<double>& pr_s1);
+
+  /// The batch routine of Algorithm 2 behind every RepairDataset* entry
+  /// point and serving's RepairBatch. Rows are bucketed by their (u, s)
+  /// label pair and cut into chunks of at most 256; each chunk is gathered
+  /// channel-major, repaired one (u, s, k) channel at a time (so every
+  /// table lookup run stays inside one channel's alias arena) and
+  /// scattered back. Chunks spread over `options.threads` lanes.
+  ///
+  /// `rows` says how row i < count is found, through const members:
+  ///   bool skip(size_t i)                        true leaves row i alone
+  ///   int u(size_t i), int s(size_t i)           in-range group labels
+  ///   double feature(size_t i, size_t k)         the value to repair
+  ///   void set_feature(size_t i, size_t k, double repaired)
+  ///   common::Rng rng(size_t i)                  row i's generator
+  /// Row i's channels draw from rng(i) in k order, exactly as RepairValue
+  /// would, so the output is independent of bucketing and schedule. Const
+  /// and state-free: concurrent calls on one repairer are safe when their
+  /// outputs are disjoint. Returns the batch's stats.
+  template <typename Rows>
+  RepairStats RepairRows(size_t count, const Rows& rows) const;
 
   const RepairStats& stats() const { return stats_; }
   const RepairPlanSet& plans() const { return plans_; }
@@ -169,13 +158,30 @@ class OffSampleRepairer {
     std::vector<uint32_t> fallback_row;    // per grid row
   };
 
+  /// Locate-pass scratch for RepairSpan, reused across a chunk's channels.
+  struct SpanScratch {
+    std::vector<uint32_t> q;    // located lower grid row per record
+    std::vector<double> tau;    // neighbour interpolation weight per record
+  };
+
   common::Status BuildTables();
   const ChannelTables& TablesFor(int u, int s, size_t k) const;
 
-  /// The transport itself; pure given (rng, stats) slots, so batch rows
-  /// can run concurrently with per-row rng/stats.
-  double RepairValueImpl(int u, int s, size_t k, double x, common::Rng& rng,
-                         RepairStats& stats) const;
+  /// The transport of one located record (lower grid row, neighbour
+  /// weight tau) of value x: Algorithm 2's draw or the conditional-mean
+  /// ablation, then the partial-repair blend. Shared by RepairValue and
+  /// RepairSpan.
+  double Transport(const ChannelPlan& channel, const ChannelTables& tables, size_t lower,
+                   double tau, double x, common::Rng& rng, RepairStats& stats) const;
+
+  /// Repairs `count` values of the single channel (u, s, k), reading
+  /// xs[t] and writing out[t] (the spans may alias); rngs[t] is record
+  /// t's generator. Two passes: locate every record, then transport them
+  /// with the alias row of record t+8 prefetched to hide table-lookup
+  /// latency.
+  void RepairSpan(int u, int s, size_t k, const double* xs, size_t count,
+                  common::Rng* rngs, double* out, RepairStats& stats,
+                  SpanScratch& scratch) const;
 
   RepairPlanSet plans_;
   RepairOptions options_;
@@ -183,6 +189,64 @@ class OffSampleRepairer {
   RepairStats stats_;
   std::vector<ChannelTables> tables_;  // index: (u * |S| + s) * dim + k
 };
+
+template <typename Rows>
+RepairStats OffSampleRepairer::RepairRows(size_t count, const Rows& rows) const {
+  constexpr size_t kChunk = 256;
+  const size_t s_levels = plans_.s_levels();
+  const size_t dim = plans_.dim();
+  std::vector<std::vector<uint32_t>> buckets(plans_.u_levels() * s_levels);
+  for (size_t i = 0; i < count; ++i) {
+    if (rows.skip(i)) continue;
+    buckets[static_cast<size_t>(rows.u(i)) * s_levels + static_cast<size_t>(rows.s(i))]
+        .push_back(static_cast<uint32_t>(i));
+  }
+  struct Chunk {
+    uint32_t bucket;
+    uint32_t begin;
+    uint32_t end;
+  };
+  std::vector<Chunk> chunks;
+  for (size_t b = 0; b < buckets.size(); ++b) {
+    for (size_t begin = 0; begin < buckets[b].size(); begin += kChunk) {
+      const size_t end = std::min(begin + kChunk, buckets[b].size());
+      chunks.push_back(Chunk{static_cast<uint32_t>(b), static_cast<uint32_t>(begin),
+                             static_cast<uint32_t>(end)});
+    }
+  }
+  // Per-chunk stats slots, summed after the loop: the totals cannot
+  // depend on the schedule.
+  std::vector<RepairStats> chunk_stats(chunks.size());
+  common::parallel::ParallelFor(
+      0, chunks.size(),
+      [&](size_t ci) {
+        const Chunk& c = chunks[ci];
+        const uint32_t* ids = buckets[c.bucket].data() + c.begin;
+        const int u = static_cast<int>(c.bucket / s_levels);
+        const int s = static_cast<int>(c.bucket % s_levels);
+        const size_t m = c.end - c.begin;
+        // k-major gather: channel k's values for the whole chunk form one
+        // contiguous span, repaired in place by RepairSpan.
+        std::vector<double> buf(m * dim);
+        std::vector<common::Rng> rngs;
+        rngs.reserve(m);
+        for (size_t t = 0; t < m; ++t) rngs.push_back(rows.rng(ids[t]));
+        for (size_t k = 0; k < dim; ++k)
+          for (size_t t = 0; t < m; ++t) buf[k * m + t] = rows.feature(ids[t], k);
+        RepairStats local;
+        SpanScratch scratch;
+        for (size_t k = 0; k < dim; ++k)
+          RepairSpan(u, s, k, buf.data() + k * m, m, rngs.data(), buf.data() + k * m, local,
+                     scratch);
+        for (size_t k = 0; k < dim; ++k)
+          for (size_t t = 0; t < m; ++t) rows.set_feature(ids[t], k, buf[k * m + t]);
+        chunk_stats[ci] = local;
+      },
+      static_cast<size_t>(options_.threads));
+  RepairStats total;
+  for (const RepairStats& stats : chunk_stats) total += stats;
+  return total;
+}
 
 }  // namespace otfair::core
 

@@ -4,7 +4,6 @@
 
 #include "common/byte_io.h"
 #include "common/json_writer.h"
-#include "common/parallel.h"
 #include "common/rng.h"
 #include "obs/trace.h"
 
@@ -57,14 +56,62 @@ struct RepairService::Snapshot {
 
   Snapshot(core::OffSampleRepairer r, uint64_t v) : repairer(std::move(r)), version(v) {}
 
-  /// Stable shard choice for a request identity (any deterministic spread
-  /// works — this only balances lock contention).
-  size_t ShardFor(uint64_t session_id, uint64_t row_index) const {
-    uint64_t h = row_index * 0x9e3779b97f4a7c15ULL + session_id;
-    h ^= h >> 29;
-    return static_cast<size_t>(h % drift_shards.size());
+  /// The drift shards merged into one monitor. Same plan set by
+  /// construction, so no merge can fail.
+  core::DriftMonitor MergedDrift() const {
+    core::DriftMonitor merged = [&] {
+      std::lock_guard<std::mutex> lock(drift_shards[0]->mu);
+      return drift_shards[0]->monitor;  // copy under the shard lock
+    }();
+    for (size_t i = 1; i < drift_shards.size(); ++i) {
+      std::lock_guard<std::mutex> lock(drift_shards[i]->mu);
+      merged.MergeFrom(drift_shards[i]->monitor);
+    }
+    return merged;
+  }
+
+  /// The shards' channel sketches merged channel-wise; empty when
+  /// sketching is disabled. Identical bucket geometry by construction, so
+  /// no merge can fail.
+  std::vector<stats::QuantileSketch> MergedSketches() const {
+    std::vector<stats::QuantileSketch> merged;
+    for (const auto& shard : drift_shards) {
+      std::lock_guard<std::mutex> lock(shard->mu);
+      if (shard->sketches.empty()) continue;
+      if (merged.empty()) {
+        merged = shard->sketches;  // copy under the shard lock
+        continue;
+      }
+      for (size_t c = 0; c < merged.size(); ++c) {
+        Status merge_status = merged[c].Merge(shard->sketches[c]);
+        (void)merge_status;
+      }
+    }
+    return merged;
   }
 };
+
+namespace {
+/// RepairRows' accessor over one batch of requests: row i is request i,
+/// skipped when validation failed, with the session's row generator.
+struct RequestRows {
+  const RepairService& service;
+  const RowRequest* requests;
+  RowResponse* responses;
+
+  bool skip(size_t i) const { return !responses[i].status.ok(); }
+  int u(size_t i) const { return requests[i].u; }
+  int s(size_t i) const { return requests[i].s; }
+  double feature(size_t i, size_t k) const { return requests[i].features[k]; }
+  void set_feature(size_t i, size_t k, double value) const { responses[i].repaired[k] = value; }
+  common::Rng rng(size_t i) const {
+    // The determinism contract: randomness is a pure function of
+    // (seed, session, row) — see RowRequest.
+    return common::Rng::ForStream(service.SessionSeed(requests[i].session_id),
+                                  requests[i].row_index);
+  }
+};
+}  // namespace
 
 std::string ServiceHealth::ToJson() const {
   common::JsonWriter w;
@@ -206,37 +253,10 @@ bool RepairService::ValidateRequest(const RowRequest& request, RowResponse* resp
   return true;
 }
 
-bool RepairService::RepairRowOnSnapshot(const Snapshot& snap, const RowRequest& request,
-                                        RowResponse* response) const {
-  if (!ValidateRequest(request, response)) return false;
-  // The determinism contract: randomness is a pure function of
-  // (seed, session, row) — see RowRequest.
-  common::Rng rng = common::Rng::ForStream(SessionSeed(request.session_id), request.row_index);
-  core::RepairStats stats;
-  response->repaired.resize(dim_);
-  for (size_t k = 0; k < dim_; ++k) {
-    response->repaired[k] =
-        snap.repairer.RepairValueAt(request.u, request.s, k, request.features[k], rng, stats);
-  }
-  response->status = Status::Ok();
-  return true;
-}
-
 Status RepairService::RepairRow(const RowRequest& request, RowResponse* response) {
-  std::shared_ptr<Snapshot> snap = snapshot_.load(std::memory_order_acquire);
-  metrics_.AddAccepted(1);
-  metrics_.AddBatch();
-  if (RepairRowOnSnapshot(*snap, request, response)) {
-    metrics_.AddRepaired(1);
-    // Feed the (pre-repair) values into the drift accumulator: drift is a
-    // property of the incoming archival stream vs the design marginals.
-    Snapshot::DriftShard& shard =
-        *snap->drift_shards[snap->ShardFor(request.session_id, request.row_index)];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.ObserveRow(request, dim_, s_levels_, options_.sketch_sample_every);
-  } else {
-    metrics_.AddInvalid(1);
-  }
+  std::vector<RowResponse> responses;
+  RepairBatch(&request, 1, &responses);
+  *response = std::move(responses[0]);
   return response->status;
 }
 
@@ -250,21 +270,14 @@ void RepairService::RepairBatch(const RowRequest* requests, size_t count,
   metrics_.AddAccepted(count);
   metrics_.AddBatch();
 
-  // Validation pass, serial and cheap, doubling as the SoA grouping pass:
-  // valid rows are bucketed by their (u, s) label pair so the repair pass
-  // can run channel-major through OffSampleRepairer::RepairSpan — every
-  // table lookup run stays inside one channel's slot-major alias arena
-  // instead of cycling through all dim_ channels per row. Per-row
-  // (session, row) generators keep each response a pure function of the
-  // request, so regrouping cannot change any output (the single-row path
-  // and this batch path agree bit-for-bit).
+  // Validation pass: a failed row keeps its error status and is skipped by
+  // the repair; a valid one gets its output slot.
   uint64_t bad = 0;
-  std::vector<std::vector<uint32_t>> buckets(u_levels_ * s_levels_);
   for (size_t i = 0; i < count; ++i) {
-    if (ValidateRequest(requests[i], &(*responses)[i])) {
-      buckets[static_cast<size_t>(requests[i].u) * s_levels_ +
-              static_cast<size_t>(requests[i].s)]
-          .push_back(static_cast<uint32_t>(i));
+    RowResponse& response = (*responses)[i];
+    if (ValidateRequest(requests[i], &response)) {
+      response.repaired.resize(dim_);
+      response.status = Status::Ok();
     } else {
       ++bad;
     }
@@ -272,51 +285,10 @@ void RepairService::RepairBatch(const RowRequest* requests, size_t count,
   metrics_.AddRepaired(count - bad);
   if (bad > 0) metrics_.AddInvalid(bad);
 
-  constexpr size_t kChunk = 256;
-  struct Chunk {
-    uint32_t bucket;
-    uint32_t begin;
-    uint32_t end;
-  };
-  std::vector<Chunk> chunks;
-  for (size_t b = 0; b < buckets.size(); ++b) {
-    for (size_t begin = 0; begin < buckets[b].size(); begin += kChunk) {
-      const size_t end = std::min(begin + kChunk, buckets[b].size());
-      chunks.push_back(Chunk{static_cast<uint32_t>(b), static_cast<uint32_t>(begin),
-                             static_cast<uint32_t>(end)});
-    }
-  }
-  common::parallel::ParallelFor(
-      0, chunks.size(),
-      [&](size_t ci) {
-        const Chunk& c = chunks[ci];
-        const uint32_t* ids = buckets[c.bucket].data() + c.begin;
-        const int u = static_cast<int>(c.bucket / s_levels_);
-        const int s = static_cast<int>(c.bucket % s_levels_);
-        const size_t m = c.end - c.begin;
-        std::vector<double> buf(m * dim_);
-        std::vector<common::Rng> rngs;
-        rngs.reserve(m);
-        for (size_t t = 0; t < m; ++t) {
-          const RowRequest& request = requests[ids[t]];
-          rngs.push_back(
-              common::Rng::ForStream(SessionSeed(request.session_id), request.row_index));
-        }
-        for (size_t k = 0; k < dim_; ++k)
-          for (size_t t = 0; t < m; ++t) buf[k * m + t] = requests[ids[t]].features[k];
-        core::RepairStats stats;
-        core::OffSampleRepairer::SpanScratch scratch;
-        for (size_t k = 0; k < dim_; ++k)
-          snap->repairer.RepairSpan(u, s, k, buf.data() + k * m, m, rngs.data(),
-                                    buf.data() + k * m, stats, scratch);
-        for (size_t t = 0; t < m; ++t) {
-          RowResponse& response = (*responses)[ids[t]];
-          response.repaired.resize(dim_);
-          for (size_t k = 0; k < dim_; ++k) response.repaired[k] = buf[k * m + t];
-          response.status = Status::Ok();
-        }
-      },
-      static_cast<size_t>(options_.threads));
+  // The offline batch routine: per-row (session, row) generators keep
+  // each response a pure function of its request, so a served row is
+  // bit-identical to the same row of an offline RepairDataset.
+  snap->repairer.RepairRows(count, RequestRows{*this, requests, responses->data()});
 
   // Drift observation, amortized: the whole batch lands in one shard
   // (rotating across batches), so the serial pass takes the shard lock
@@ -391,36 +363,11 @@ RepairService::PlanGeometry RepairService::Geometry() const {
 }
 
 core::DriftReport RepairService::DriftSnapshot() const {
-  std::shared_ptr<Snapshot> snap = snapshot_.load(std::memory_order_acquire);
-  core::DriftMonitor merged = [&] {
-    std::lock_guard<std::mutex> lock(snap->drift_shards[0]->mu);
-    return snap->drift_shards[0]->monitor;  // copy under the shard lock
-  }();
-  for (size_t i = 1; i < snap->drift_shards.size(); ++i) {
-    std::lock_guard<std::mutex> lock(snap->drift_shards[i]->mu);
-    // Same plan set by construction; merge cannot fail.
-    merged.MergeFrom(snap->drift_shards[i]->monitor);
-  }
-  return merged.SnapshotReport();
+  return snapshot_.load(std::memory_order_acquire)->MergedDrift().SnapshotReport();
 }
 
 std::vector<stats::QuantileSketch> RepairService::SketchSnapshot() const {
-  std::shared_ptr<Snapshot> snap = snapshot_.load(std::memory_order_acquire);
-  std::vector<stats::QuantileSketch> merged;
-  for (const auto& shard : snap->drift_shards) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    if (shard->sketches.empty()) continue;
-    if (merged.empty()) {
-      merged = shard->sketches;  // copy under the shard lock
-      continue;
-    }
-    // Identical bucket geometry by construction; Merge cannot fail.
-    for (size_t c = 0; c < merged.size(); ++c) {
-      Status merge_status = merged[c].Merge(shard->sketches[c]);
-      (void)merge_status;
-    }
-  }
-  return merged;
+  return snapshot_.load(std::memory_order_acquire)->MergedSketches();
 }
 
 void RepairService::ResetSketches() {
@@ -439,27 +386,8 @@ RepairService::CheckpointState RepairService::StateForCheckpoint() const {
   state.plan_version = snap->version;
   state.degraded = degraded();
   state.plans = snap->repairer.plans();
-  state.drift = [&] {
-    std::lock_guard<std::mutex> lock(snap->drift_shards[0]->mu);
-    return snap->drift_shards[0]->monitor;  // copy under the shard lock
-  }();
-  for (size_t i = 1; i < snap->drift_shards.size(); ++i) {
-    std::lock_guard<std::mutex> lock(snap->drift_shards[i]->mu);
-    // Same plan set by construction; merge cannot fail.
-    state.drift->MergeFrom(snap->drift_shards[i]->monitor);
-  }
-  for (const auto& shard : snap->drift_shards) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    if (shard->sketches.empty()) continue;
-    if (state.sketches.empty()) {
-      state.sketches = shard->sketches;  // copy under the shard lock
-      continue;
-    }
-    for (size_t c = 0; c < state.sketches.size(); ++c) {
-      Status merge_status = state.sketches[c].Merge(shard->sketches[c]);
-      (void)merge_status;
-    }
-  }
+  state.drift = snap->MergedDrift();
+  state.sketches = snap->MergedSketches();
   return state;
 }
 

@@ -156,7 +156,7 @@ class RepairService {
   /// clients can construct the equivalent offline repairer.
   uint64_t SessionSeed(uint64_t session_id) const;
 
-  /// Repairs one row. Lock-free on the plan path; thread-safe.
+  /// Repairs one row: a RepairBatch of one. Thread-safe.
   common::Status RepairRow(const RowRequest& request, RowResponse* response);
 
   /// Repairs a batch of rows, fanning out over `options.threads` lanes on
@@ -286,15 +286,8 @@ class RepairService {
       core::RepairPlanSet plans, const ServiceOptions& options, uint64_t version);
 
   /// Checks feature count and label ranges, stamping the response's
-  /// identity and (on failure) its error status. Shared by the single-row
-  /// path and RepairBatch's grouping pass.
+  /// identity and (on failure) its error status.
   bool ValidateRequest(const RowRequest& request, RowResponse* response) const;
-
-  /// The shared inner row repair; returns false on validation failure.
-  /// Drift observation is the caller's job (per-row for RepairRow, one
-  /// amortized shard pass per batch for RepairBatch).
-  bool RepairRowOnSnapshot(const Snapshot& snap, const RowRequest& request,
-                           RowResponse* response) const;
 
   size_t dim_ = 0;
   size_t s_levels_ = 2;

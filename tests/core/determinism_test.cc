@@ -335,9 +335,9 @@ TEST(SparseDenseParityTest, RepairBitIdenticalUnderDenseRoundtrippedPlans) {
 
 // PR 6 regression: repair output is a pure function of (plans, seed,
 // dataset) across every execution configuration the SIMD pass touched —
-// scalar vs vector dispatch, SoA batch vs row-by-row, serial vs
-// multi-threaded. Only table lookups and reductions were vectorized,
-// never the RNG streams, so all 2x2x2 combinations must agree bit-exactly.
+// scalar vs vector dispatch, serial vs multi-threaded. Only table lookups
+// and reductions were vectorized, never the RNG streams, so all 2x3
+// combinations must agree bit-exactly.
 TEST(DeterminismTest, RepairBitIdenticalAcrossSimdSoaAndThreadConfigs) {
   Fixture fx = MakeFixture(29, 500, 1200);
   DesignOptions design;
@@ -346,12 +346,11 @@ TEST(DeterminismTest, RepairBitIdenticalAcrossSimdSoaAndThreadConfigs) {
   ASSERT_TRUE(plans.ok());
 
   const bool was_forced = common::simd::ForcedScalar();
-  auto repair_once = [&](bool force_scalar, bool soa, int threads) {
+  auto repair_once = [&](bool force_scalar, int threads) {
     common::simd::SetForceScalar(force_scalar);
     RepairOptions options;
     options.seed = 6161;
     options.threads = threads;
-    options.soa_batch = soa;
     auto repairer = OffSampleRepairer::Create(*plans, options);
     EXPECT_TRUE(repairer.ok());
     auto repaired = repairer->RepairDataset(fx.archive);
@@ -360,16 +359,13 @@ TEST(DeterminismTest, RepairBitIdenticalAcrossSimdSoaAndThreadConfigs) {
     return std::move(*repaired);
   };
 
-  const data::Dataset reference = repair_once(/*force_scalar=*/true, /*soa=*/false,
-                                              /*threads=*/1);
+  const data::Dataset reference = repair_once(/*force_scalar=*/true, /*threads=*/1);
   for (bool force_scalar : {true, false}) {
-    for (bool soa : {false, true}) {
-      for (int threads : {1, 3, 8}) {
-        const data::Dataset repaired = repair_once(force_scalar, soa, threads);
-        SCOPED_TRACE("scalar=" + std::to_string(force_scalar) + " soa=" +
-                     std::to_string(soa) + " threads=" + std::to_string(threads));
-        ExpectDatasetsIdentical(reference, repaired);
-      }
+    for (int threads : {1, 3, 8}) {
+      const data::Dataset repaired = repair_once(force_scalar, threads);
+      SCOPED_TRACE("scalar=" + std::to_string(force_scalar) +
+                   " threads=" + std::to_string(threads));
+      ExpectDatasetsIdentical(reference, repaired);
     }
   }
 }

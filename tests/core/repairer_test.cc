@@ -122,23 +122,37 @@ TEST(RepairerTest, DeterministicGivenSeed) {
 
 TEST(RepairerTest, StreamingMatchesBatchGivenRowSubStreams) {
   Fixture fx = MakeFixture(7, 300, 500);
-  RepairOptions options;
-  options.seed = 777;
-  auto batch = OffSampleRepairer::Create(fx.plans, options);
-  auto stream = OffSampleRepairer::Create(fx.plans, options);
-  ASSERT_TRUE(batch.ok() && stream.ok());
-  auto batch_out = batch->RepairDataset(fx.archive);
-  ASSERT_TRUE(batch_out.ok());
-  // Batch repair gives row i the sub-stream Rng::ForStream(seed, i) and
-  // repairs channels in k order, so record-at-a-time replay under the
-  // same scheme reproduces the batch output — in any row order; walk the
-  // rows backwards to prove order independence.
-  for (size_t r = fx.archive.size(); r-- > 0;) {
-    common::Rng rng = common::Rng::ForStream(777, r);
-    for (size_t k = 0; k < fx.archive.dim(); ++k) {
-      const double value = stream->RepairValue(fx.archive.u(r), fx.archive.s(r), k,
-                                               fx.archive.feature(r, k), rng);
-      EXPECT_DOUBLE_EQ(value, batch_out->feature(r, k)) << "row " << r << " k " << k;
+  // Soft posteriors covering [0, 1], both certain ends included.
+  std::vector<double> pr_s1(fx.archive.size());
+  for (size_t r = 0; r < pr_s1.size(); ++r) pr_s1[r] = static_cast<double>(r % 11) / 10.0;
+  for (TransportMode mode : {TransportMode::kStochastic, TransportMode::kConditionalMean}) {
+    RepairOptions options;
+    options.seed = 777;
+    options.mode = mode;
+    auto batch = OffSampleRepairer::Create(fx.plans, options);
+    auto stream = OffSampleRepairer::Create(fx.plans, options);
+    ASSERT_TRUE(batch.ok() && stream.ok());
+    auto batch_out = batch->RepairDataset(fx.archive);
+    auto soft_out = batch->RepairDatasetSoft(fx.archive, pr_s1);
+    ASSERT_TRUE(batch_out.ok() && soft_out.ok());
+    // Batch repair gives row i the sub-stream Rng::ForStream(seed, i) and
+    // repairs channels in k order, so record-at-a-time replay under the
+    // same scheme reproduces the batch output — in any row order; walk the
+    // rows backwards to prove order independence. A soft row first draws
+    // its class s ~ Bernoulli(pr_i) from the same sub-stream.
+    for (size_t r = fx.archive.size(); r-- > 0;) {
+      common::Rng rng = common::Rng::ForStream(777, r);
+      common::Rng soft_rng = common::Rng::ForStream(777, r);
+      const int soft_s = soft_rng.Bernoulli(pr_s1[r]) ? 1 : 0;
+      for (size_t k = 0; k < fx.archive.dim(); ++k) {
+        const double x = fx.archive.feature(r, k);
+        EXPECT_EQ(stream->RepairValue(fx.archive.u(r), fx.archive.s(r), k, x, rng),
+                  batch_out->feature(r, k))
+            << "row " << r << " k " << k;
+        EXPECT_EQ(stream->RepairValue(fx.archive.u(r), soft_s, k, x, soft_rng),
+                  soft_out->feature(r, k))
+            << "soft row " << r << " k " << k;
+      }
     }
   }
 }

@@ -34,10 +34,10 @@
 #     regardless of flags; pass --no_simd to measure the scalar
 #     baseline, and check the "simd_isa" field in the JSON meta to see
 #     what actually dispatched.
-#   * Paired rows isolate one effect each: repair_throughput vs
-#     repair_throughput_soa (memory layout), sinkhorn_standard across
-#     snapshots (kernel vectorization), table_build vs
-#     table_build_dense (sparsity). Compare like against like.
+#   * Compare like against like: the same row name and thread count
+#     across snapshots (e.g. sinkhorn_standard for kernel
+#     vectorization). repair_throughput_soa keeps the name it had when
+#     a row-by-row repair_throughput row sat beside it.
 #   * serve_net_* rows run real TCP loadgen client threads against the
 #     in-process epoll server, so they contend with the server for this
 #     machine's cores. On a many-core host the 64/256-connection rows
