@@ -28,16 +28,13 @@ TEST(ByteReaderTest, ZeroLengthReadsIntoNullSucceed) {
   uint32_t v = 0;
   ASSERT_TRUE(reader.U32(&v));
   EXPECT_EQ(v, 7u);
-  // At the end of the buffer.
+  // At the end of the buffer, and over no buffer at all.
   EXPECT_TRUE(reader.exhausted());
   ExpectZeroLengthReadsSucceed(reader);
   EXPECT_TRUE(reader.exhausted());
-}
-
-TEST(ByteReaderTest, ZeroLengthReadsOfAnEmptyBufferSucceed) {
-  ByteReader reader(nullptr, 0);
-  ExpectZeroLengthReadsSucceed(reader);
-  EXPECT_TRUE(reader.exhausted());
+  ByteReader empty(nullptr, 0);
+  ExpectZeroLengthReadsSucceed(empty);
+  EXPECT_TRUE(empty.exhausted());
 }
 
 TEST(ByteReaderTest, OverlongReadFailsAndPoisonsLaterReads) {
