@@ -4,8 +4,8 @@
 // method's structural invariants.
 
 #include <cmath>
+#include <ostream>
 #include <string>
-#include <tuple>
 
 #include <gtest/gtest.h>
 
@@ -19,8 +19,21 @@
 namespace otfair::core {
 namespace {
 
-// (n_q, solver registry name, mode, strength, seed)
-using ParamType = std::tuple<size_t, const char*, TransportMode, double, uint64_t>;
+struct ParamType {
+  size_t n_q;
+  const char* solver;  // registry name
+  TransportMode mode;
+  double strength;
+  uint64_t seed;
+};
+
+// Prints the solver by name, not by address: the printed value becomes
+// part of each discovered ctest name, which must be the same on every run.
+void PrintTo(const ParamType& p, std::ostream* os) {
+  *os << "(" << p.n_q << ", " << p.solver << ", "
+      << (p.mode == TransportMode::kConditionalMean ? "mean" : "stochastic")
+      << ", " << p.strength << ", " << p.seed << ")";
+}
 
 class RepairPropertyTest : public ::testing::TestWithParam<ParamType> {
  protected:
@@ -64,7 +77,7 @@ class RepairPropertyTest : public ::testing::TestWithParam<ParamType> {
 };
 
 TEST_P(RepairPropertyTest, PlansSatisfyMarginalConstraints) {
-  const std::string solver = std::get<1>(GetParam());
+  const std::string solver = GetParam().solver;
   // Sinkhorn plans meet the constraints approximately; exact solvers
   // tightly.
   const double tolerance = solver == "sinkhorn" ? 1e-4 : 1e-8;
@@ -81,7 +94,7 @@ TEST_P(RepairPropertyTest, CardinalityAndLabelsPreserved) {
 }
 
 TEST_P(RepairPropertyTest, RepairedValuesFiniteAndBounded) {
-  const auto strength = std::get<3>(GetParam());
+  const auto strength = GetParam().strength;
   for (size_t i = 0; i < repaired_.size(); ++i) {
     for (size_t k = 0; k < repaired_.dim(); ++k) {
       const double value = repaired_.feature(i, k);
@@ -103,7 +116,7 @@ TEST_P(RepairPropertyTest, RepairedValuesFiniteAndBounded) {
 }
 
 TEST_P(RepairPropertyTest, DependenceNeverIncreasesMaterially) {
-  const auto strength = std::get<3>(GetParam());
+  const auto strength = GetParam().strength;
   auto before = fairness::AggregateE(archive_);
   auto after = fairness::AggregateE(repaired_);
   ASSERT_TRUE(before.ok() && after.ok());
