@@ -21,7 +21,7 @@
 //                      schedule-independent metric.
 //   exact_solver       successive-shortest-path Kantorovich solve, n x n.
 //   table_build        OffSampleRepairer::Create on CSR plans — the live
-//                      O(nnz) repair-table path.
+//                      O(nnz) repair-table path, per thread count.
 //   plan_memory        resident CSR bytes and nnz per channel plan vs the
 //                      dense n_Q x n_Q equivalent (not timed).
 //   serve_throughput   rows/sec through the serving stack (RepairService
@@ -707,22 +707,28 @@ int main(int argc, char** argv) {
     if (!plans.ok()) Die(plans.status().ToString());
     const size_t plan_count = 4 * dim;  // (u, s) x k
 
-    // The live path: OffSampleRepairer::Create = plan validation + alias
-    // tables, both O(nnz) over the CSR rows.
-    const double sparse_ms = BestWallMs(repeats, [&] {
-      auto repairer = otfair::core::OffSampleRepairer::Create(*plans, {});
-      if (!repairer.ok()) Die(repairer.status().ToString());
-    });
+    // The live path: OffSampleRepairer::Create = plan validation (serial)
+    // + alias tables (one channel per task over the thread lanes), both
+    // O(nnz) over the CSR rows.
     BenchCase c;
-    c.name = "table_build";
-    c.threads = 1;
-    std::snprintf(params, sizeof(params), "{\"dim\": %zu, \"n_q\": %zu, \"solver\": \"monotone\"}",
-                  dim, design_nq);
-    c.params_json = params;
-    c.repeats = repeats;
-    c.wall_ms = sparse_ms;
-    cases.push_back(c);
-    std::fprintf(stderr, "table_build       threads=1  %10.2f ms\n", sparse_ms);
+    for (int t : thread_counts) {
+      otfair::core::RepairOptions repair_options;
+      repair_options.threads = t;
+      const double sparse_ms = BestWallMs(repeats, [&] {
+        auto repairer = otfair::core::OffSampleRepairer::Create(*plans, repair_options);
+        if (!repairer.ok()) Die(repairer.status().ToString());
+      });
+      c = BenchCase{};
+      c.name = "table_build";
+      c.threads = t;
+      std::snprintf(params, sizeof(params),
+                    "{\"dim\": %zu, \"n_q\": %zu, \"solver\": \"monotone\"}", dim, design_nq);
+      c.params_json = params;
+      c.repeats = repeats;
+      c.wall_ms = sparse_ms;
+      cases.push_back(c);
+      std::fprintf(stderr, "table_build       threads=%d  %10.2f ms\n", t, sparse_ms);
+    }
 
     // plan_memory: resident bytes of the CSR arrays per channel plan
     // against the dense n_Q x n_Q footprint the plans used to occupy.

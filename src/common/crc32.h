@@ -8,9 +8,11 @@
 namespace otfair::common {
 
 /// IEEE 802.3 CRC-32 (the zlib/gzip polynomial 0xEDB88320, reflected,
-/// init/final-xor 0xFFFFFFFF). Used as the integrity check on checkpoint
-/// payloads: it catches the bit-flips and truncations the chaos harness
-/// injects, without pulling in any external dependency.
+/// init/final-xor 0xFFFFFFFF). Used as the integrity check on plan files
+/// and checkpoint payloads: it catches the bit-flips and truncations the
+/// chaos harness injects, without pulling in any external dependency. The
+/// kernel is common::simd's `crc32_update` (slicing-by-8, or a PCLMULQDQ
+/// fold on x86-64 CPUs with AVX2); every kernel returns the same CRC.
 uint32_t Crc32(const void* data, size_t len);
 
 inline uint32_t Crc32(const std::string& bytes) {

@@ -1,7 +1,9 @@
 #include "common/simd.h"
 
+#include <array>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <limits>
 
@@ -74,9 +76,82 @@ double ScalarLseDiff(const double* x, const double* y, size_t n) {
   return hi + std::log(acc);
 }
 
+// out[kDir * m] += e * g^m * G[m] for m in [0, count): one sample's outward
+// KDE walk from one bracket point. g^m runs in four interleaved sub-chains
+// of stride g^4, so consecutive terms do not wait on each other's multiply.
+template <int kDir>
+void Walk(double e, double g, const double* G, size_t count, double* out) {
+  const double g2 = g * g;
+  const double g4 = g2 * g2;
+  double c[4] = {e, e * g, e * g2, e * g * g2};
+  size_t m = 0;
+  auto add = [&](size_t k) { out[kDir * static_cast<ptrdiff_t>(m + k)] += c[k] * G[m + k]; };
+  for (; m + 4 <= count; m += 4) {
+    for (size_t k = 0; k < 4; ++k) add(k);
+    for (size_t k = 0; k < 4; ++k) c[k] *= g4;
+  }
+  for (size_t k = 0; m + k < count; ++k) add(k);
+}
+
+void ScalarKdeWalk(double e, double g, const double* G, size_t count, double* out, int dir) {
+  if (dir > 0) {
+    Walk<1>(e, g, G, count, out);
+  } else {
+    Walk<-1>(e, g, G, count, out);
+  }
+}
+
+constexpr uint32_t kCrcPolynomial = 0xEDB88320u;
+
+// Slicing-by-8 tables: kCrcTables[0] is the classic bytewise table, and
+// kCrcTables[k][b] is the CRC of byte b followed by k zero bytes, so eight
+// lookups fold eight input bytes at once.
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr CrcTables BuildCrcTables() {
+  CrcTables tables{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t crc = i;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1u) ? kCrcPolynomial : 0u);
+    }
+    tables[0][i] = crc;
+  }
+  for (size_t k = 1; k < 8; ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      const uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xFFu];
+    }
+  }
+  return tables;
+}
+
+constexpr CrcTables kCrcTables = BuildCrcTables();
+
+// Little-endian load, independent of the host byte order.
+inline uint32_t Load32(const unsigned char* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
+}
+
+uint32_t ScalarCrc32Update(uint32_t crc, const unsigned char* bytes, size_t len) {
+  const CrcTables& t = kCrcTables;
+  for (; len >= 8; bytes += 8, len -= 8) {
+    const uint32_t a = Load32(bytes) ^ crc;
+    const uint32_t b = Load32(bytes + 4);
+    crc = t[7][a & 0xFFu] ^ t[6][(a >> 8) & 0xFFu] ^ t[5][(a >> 16) & 0xFFu] ^ t[4][a >> 24] ^
+          t[3][b & 0xFFu] ^ t[2][(b >> 8) & 0xFFu] ^ t[1][(b >> 16) & 0xFFu] ^ t[0][b >> 24];
+  }
+  for (; len > 0; ++bytes, --len) {
+    crc = t[0][(crc ^ *bytes) & 0xFFu] ^ (crc >> 8);
+  }
+  return crc;
+}
+
 constexpr Ops kScalarOps = {
-    "scalar",        ScalarSum,        ScalarDot,      ScalarMax,
+    "scalar",         ScalarSum,        ScalarDot,       ScalarMax,
     ScalarMaxAbsDiff, ScalarAddInPlace, ScalarScaledMul, ScalarLseDiff,
+    ScalarKdeWalk,    ScalarCrc32Update,
 };
 
 #if defined(OTFAIR_SIMD_X86)
@@ -289,11 +364,109 @@ OTFAIR_AVX2 double Avx2LseDiff(const double* x, const double* y, size_t n) {
   return hi + std::log(acc);
 }
 
+// The KDE walk with the four sub-chains as the lanes of one vector. Its
+// target has no FMA, so nothing can fuse the multiply and the add; each
+// step is the scalar Walk's four terms c[k] * G[m + k] added into out and
+// then c[k] *= g^4, lane for lane. The left walk stores lane k at
+// out[-(m + k)], so its block is written lane-reversed.
+template <int kDir>
+__attribute__((target("avx2"))) void Avx2Walk(double e, double g, const double* G, size_t count,
+                                              double* out) {
+  const double g2 = g * g;
+  const double g4 = g2 * g2;
+  __m256d c = _mm256_setr_pd(e, e * g, e * g2, e * g * g2);
+  const __m256d step = _mm256_set1_pd(g4);
+  size_t m = 0;
+  for (; m + 4 <= count; m += 4) {
+    const __m256d term = _mm256_mul_pd(c, _mm256_loadu_pd(G + m));
+    if constexpr (kDir > 0) {
+      double* p = out + m;
+      _mm256_storeu_pd(p, _mm256_add_pd(_mm256_loadu_pd(p), term));
+    } else {
+      double* p = out - (m + 3);
+      const __m256d reversed = _mm256_permute4x64_pd(term, _MM_SHUFFLE(0, 1, 2, 3));
+      _mm256_storeu_pd(p, _mm256_add_pd(_mm256_loadu_pd(p), reversed));
+    }
+    c = _mm256_mul_pd(c, step);
+  }
+  // The count % 4 tail: the scalar Walk's last loop from the lanes' c.
+  double lanes[4];
+  _mm256_storeu_pd(lanes, c);
+  for (size_t k = 0; m + k < count; ++k)
+    out[kDir * static_cast<ptrdiff_t>(m + k)] += lanes[k] * G[m + k];
+}
+
+void Avx2KdeWalk(double e, double g, const double* G, size_t count, double* out, int dir) {
+  if (dir > 0) {
+    Avx2Walk<1>(e, g, G, count, out);
+  } else {
+    Avx2Walk<-1>(e, g, G, count, out);
+  }
+}
+
+// CRC-32 by carry-less multiplication (Gopal et al., "Fast CRC Computation
+// for Generic Polynomials Using PCLMULQDQ Instruction", Intel 2009), in the
+// bit-reflected domain of zlib's polynomial. Four 128-bit accumulators fold
+// 64-byte blocks, then fold into one, which takes 16-byte blocks; a Barrett
+// reduction turns the remaining 64 bits into the 32-bit register. The
+// constants are x^k mod P for the fold distances (reflected, shifted by
+// one), and P' and mu = floor(x^64 / P) for the reduction.
+#define OTFAIR_PCLMUL __attribute__((target("pclmul,sse4.1")))
+
+OTFAIR_PCLMUL inline __m128i Load128(const unsigned char* p) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+
+// acc carried forward by the fold distance whose constants k holds, plus
+// the block that follows it.
+OTFAIR_PCLMUL inline __m128i Fold(__m128i acc, __m128i k, __m128i next) {
+  const __m128i lo = _mm_clmulepi64_si128(acc, k, 0x00);
+  const __m128i hi = _mm_clmulepi64_si128(acc, k, 0x11);
+  return _mm_xor_si128(_mm_xor_si128(hi, lo), next);
+}
+
+OTFAIR_PCLMUL uint32_t PclmulCrc32Update(uint32_t crc, const unsigned char* bytes, size_t len) {
+  if (len < 64) return ScalarCrc32Update(crc, bytes, len);
+  const __m128i k1k2 = _mm_set_epi64x(0x01c6e41596, 0x0154442bd4);  // 512 bits
+  const __m128i k3k4 = _mm_set_epi64x(0x00ccaa009e, 0x01751997d0);  // 128 bits
+  const __m128i k5 = _mm_set_epi64x(0, 0x0163cd6124);                // 64 -> 32 bits
+  const __m128i poly_mu = _mm_set_epi64x(0x01f7011641, 0x01db710641);
+  const __m128i low32 = _mm_setr_epi32(-1, 0, -1, 0);
+
+  __m128i x1 = _mm_xor_si128(Load128(bytes), _mm_cvtsi32_si128(static_cast<int>(crc)));
+  __m128i x2 = Load128(bytes + 16);
+  __m128i x3 = Load128(bytes + 32);
+  __m128i x4 = Load128(bytes + 48);
+  bytes += 64;
+  len -= 64;
+  for (; len >= 64; bytes += 64, len -= 64) {
+    x1 = Fold(x1, k1k2, Load128(bytes));
+    x2 = Fold(x2, k1k2, Load128(bytes + 16));
+    x3 = Fold(x3, k1k2, Load128(bytes + 32));
+    x4 = Fold(x4, k1k2, Load128(bytes + 48));
+  }
+  x1 = Fold(x1, k3k4, x2);
+  x1 = Fold(x1, k3k4, x3);
+  x1 = Fold(x1, k3k4, x4);
+  for (; len >= 16; bytes += 16, len -= 16) x1 = Fold(x1, k3k4, Load128(bytes));
+
+  // 128 -> 64 bits, then Barrett-reduce to the 32-bit register.
+  __m128i x = _mm_xor_si128(_mm_srli_si128(x1, 8), _mm_clmulepi64_si128(x1, k3k4, 0x10));
+  x = _mm_xor_si128(_mm_srli_si128(x, 4),
+                    _mm_clmulepi64_si128(_mm_and_si128(x, low32), k5, 0x00));
+  __m128i t = _mm_clmulepi64_si128(_mm_and_si128(x, low32), poly_mu, 0x10);
+  t = _mm_clmulepi64_si128(_mm_and_si128(t, low32), poly_mu, 0x00);
+  crc = static_cast<uint32_t>(_mm_extract_epi32(_mm_xor_si128(x, t), 1));
+  return ScalarCrc32Update(crc, bytes, len);
+}
+
+#undef OTFAIR_PCLMUL
 #undef OTFAIR_AVX2
 
 constexpr Ops kAvx2Ops = {
-    "avx2",         Avx2Sum,        Avx2Dot,      Avx2Max,
+    "avx2",         Avx2Sum,        Avx2Dot,       Avx2Max,
     Avx2MaxAbsDiff, Avx2AddInPlace, Avx2ScaledMul, Avx2LseDiff,
+    Avx2KdeWalk,    PclmulCrc32Update,
 };
 
 #endif  // OTFAIR_SIMD_X86
@@ -398,15 +571,17 @@ double NeonLseDiff(const double* x, const double* y, size_t n) {
 }
 
 constexpr Ops kNeonOps = {
-    "neon",         NeonSum,        NeonDot,      NeonMax,
+    "neon",         NeonSum,        NeonDot,       NeonMax,
     NeonMaxAbsDiff, NeonAddInPlace, NeonScaledMul, NeonLseDiff,
+    ScalarKdeWalk,  ScalarCrc32Update,
 };
 
 #endif  // OTFAIR_SIMD_NEON
 
 const Ops* DetectBest() {
 #if defined(OTFAIR_SIMD_X86)
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
+  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma") &&
+      __builtin_cpu_supports("pclmul")) {
     return &kAvx2Ops;
   }
 #elif defined(OTFAIR_SIMD_NEON)

@@ -2,14 +2,16 @@
 #define OTFAIR_COMMON_SIMD_H_
 
 #include <cstddef>
+#include <cstdint>
 
 namespace otfair::common::simd {
 
-/// Thin SIMD wrapper for the repair/Sinkhorn hot paths.
+/// Thin SIMD wrapper for the design, repair and Sinkhorn hot paths and the
+/// plan/checkpoint CRC.
 ///
-/// One kernel table per instruction set (AVX2+FMA on x86-64, NEON on
-/// aarch64, plus a portable scalar fallback) is compiled in; which table
-/// actually runs is decided once, at first use, by a runtime check:
+/// One kernel table per instruction set (AVX2+FMA+PCLMULQDQ on x86-64,
+/// NEON on aarch64, plus a portable scalar fallback) is compiled in; which
+/// table actually runs is decided once, at first use, by a runtime check:
 /// the CPU must support the compiled ISA (`__builtin_cpu_supports`) and
 /// the `OTFAIR_NO_SIMD` environment variable (or a `SetForceScalar`
 /// call — the CLI `--no-simd` flag lands there) must not force the
@@ -22,11 +24,13 @@ namespace otfair::common::simd {
 /// Dot, LseDiff) accumulate in lane-parallel partials, so their results
 /// may differ from the scalar path in the last bits — they are only
 /// used in tolerance-checked contexts (Sinkhorn iterations, plan
-/// validation). Element-wise kernels (AddInPlace, ScaledMul) and the
-/// exact comparisons (Max, and the repair table *lookup* paths built on
-/// this layer) are bit-identical to scalar. Nothing here touches RNG
-/// streams, so repair output is bit-identical across scalar/SIMD — the
-/// determinism suite asserts exactly that.
+/// validation). Element-wise kernels (AddInPlace, ScaledMul), the KDE
+/// grid walk (`kde_walk`), the CRC-32 (`crc32_update`) and the exact
+/// comparisons (Max, and the repair table *lookup* paths built on this
+/// layer) are bit-identical to scalar, so plan bytes and their CRC do not
+/// depend on the table. Nothing here touches RNG streams, so repair output is
+/// bit-identical across scalar/SIMD — the determinism suite asserts
+/// exactly that.
 struct Ops {
   /// Short ISA tag: "avx2", "neon", or "scalar".
   const char* isa;
@@ -49,6 +53,19 @@ struct Ops {
   /// log-sum-exp over a difference; -inf when n == 0 or every term is
   /// -inf. The AVX2 path uses a Cephes-style vector exp (< 2 ulp).
   double (*lse_diff)(const double* x, const double* y, size_t n);
+  /// The KDE grid walk of stats::GaussianKde::PmfOnGrid, with dir = +1 or
+  /// -1: out[dir * m] += c_m * G[m] for m in [0, count), where c_m = e * g^m
+  /// runs in four interleaved sub-chains of stride g^4 (c_0..c_3 = e, e*g,
+  /// e*g^2, e*g*g^2, then each times g^4 per step). Bit-identical to
+  /// scalar: every term is the same two rounded multiplies (no FMA), and
+  /// every out[] entry receives its one term in the same order.
+  void (*kde_walk)(double e, double g, const double* G, size_t count, double* out, int dir);
+  /// CRC-32 register update over `len` bytes (zlib's reflected 0xEDB88320;
+  /// see common/crc32.h). Scalar: slicing-by-8. AVX2 table: a PCLMULQDQ
+  /// carry-less-multiply fold (Gopal et al., Intel 2009) over 64-byte
+  /// blocks, finishing tails under 16 bytes, and inputs under 64, with
+  /// slicing-by-8. Exact integer arithmetic: bit-identical to scalar.
+  uint32_t (*crc32_update)(uint32_t crc, const unsigned char* data, size_t len);
 };
 
 /// The portable scalar reference table (always available).

@@ -11,7 +11,9 @@ namespace otfair::core {
 
 /// Marginal-estimation options for Algorithm 1 line 8.
 struct MarginalOptions {
-  /// KDE bandwidth; 0 selects Silverman's rule (the paper's choice, Eq. 12).
+  /// KDE bandwidth; 0 selects Silverman's rule (the paper's choice, Eq. 12),
+  /// with a zero-spread channel's bandwidth at least an eighth of the grid
+  /// step.
   double bandwidth = 0.0;
 };
 

@@ -64,18 +64,32 @@ OffSampleRepairer::OffSampleRepairer(RepairPlanSet plans, const RepairOptions& o
 Status OffSampleRepairer::BuildTables() {
   const size_t dim = plans_.dim();
   const size_t s_levels = plans_.s_levels();
-  const size_t u_levels = plans_.u_levels();
-  tables_.resize(u_levels * s_levels * dim);
-  for (size_t u = 0; u < u_levels; ++u) {
-    for (size_t s = 0; s < s_levels; ++s) {
-      for (size_t k = 0; k < dim; ++k) {
-        const ChannelPlan& channel = plans_.At(static_cast<int>(u), k);
-        const ot::SparsePlan& pi = channel.plan[s];
+  tables_.resize(plans_.u_levels() * s_levels * dim);
+  // Slot i holds channel (u, s, k) with i = (u * |S| + s) * dim + k.
+  auto channel_of = [&](size_t i) -> const ChannelPlan& {
+    return plans_.At(static_cast<int>(i / (s_levels * dim)), i % dim);
+  };
+  auto plan_of = [&](size_t i) -> const ot::SparsePlan& {
+    return channel_of(i).plan[(i / dim) % s_levels];
+  };
+  // Every slot's storage is allocated here, on the calling thread: blocks
+  // the pool workers allocate come from their own malloc arenas, which
+  // raised a design's peak RSS by 7-12 %.
+  for (size_t i = 0; i < tables_.size(); ++i) {
+    const size_t nq = channel_of(i).grid.size();
+    tables_[i].alias.Reserve(nq, plan_of(i).nnz());
+    tables_[i].conditional_mean.assign(nq, 0.0);
+    tables_[i].fallback_row.assign(nq, 0);
+  }
+  // Each task fills only its own slot, and the first failure in slot
+  // order is returned, so neither depends on the schedule.
+  return common::parallel::ParallelForStatus(
+      0, tables_.size(),
+      [&](size_t i) -> Status {
+        const ChannelPlan& channel = channel_of(i);
+        const ot::SparsePlan& pi = plan_of(i);
+        ChannelTables& tables = tables_[i];
         const size_t nq = channel.grid.size();
-        ChannelTables tables;
-        tables.alias.Reserve(nq, pi.nnz());
-        tables.conditional_mean.assign(nq, 0.0);
-        tables.fallback_row.assign(nq, 0);
 
         // One pass over the CSR support per row — O(nnz) for the whole
         // channel instead of the dense O(n_Q^2) scan. Each massive row
@@ -83,7 +97,6 @@ Status OffSampleRepairer::BuildTables() {
         // builder reads the CSR value span in place), with the grid
         // columns stored as slot payloads so a draw never touches the
         // plan again.
-        std::vector<char> has_mass(nq, 0);
         for (size_t q = 0; q < nq; ++q) {
           const ot::SparsePlan::RowView row = pi.Row(q);
           double mass = 0.0;
@@ -93,7 +106,6 @@ Status OffSampleRepairer::BuildTables() {
             mean += row.values[t] * channel.grid.point(row.cols[t]);
           }
           if (mass > kRowMassFloor) {
-            has_mass[q] = 1;
             tables.conditional_mean[q] = mean / mass;
             Status alias = tables.alias.AppendRow(row.values, row.cols, row.nnz);
             if (!alias.ok())
@@ -105,31 +117,30 @@ Status OffSampleRepairer::BuildTables() {
         }
 
         // Nearest massive row for each empty row (outward scan).
+        const stats::AliasArena& arena = tables.alias;
         bool any_mass = false;
-        for (size_t q = 0; q < nq; ++q) any_mass = any_mass || has_mass[q];
+        for (size_t q = 0; q < nq; ++q) any_mass = any_mass || arena.RowHasMass(q);
         if (!any_mass)
           return Status::FailedPrecondition("plan channel has no transportable mass");
         for (size_t q = 0; q < nq; ++q) {
-          if (has_mass[q]) {
+          if (arena.RowHasMass(q)) {
             tables.fallback_row[q] = static_cast<uint32_t>(q);
             continue;
           }
           for (size_t delta = 1; delta < nq; ++delta) {
-            if (q >= delta && has_mass[q - delta]) {
+            if (q >= delta && arena.RowHasMass(q - delta)) {
               tables.fallback_row[q] = static_cast<uint32_t>(q - delta);
               break;
             }
-            if (q + delta < nq && has_mass[q + delta]) {
+            if (q + delta < nq && arena.RowHasMass(q + delta)) {
               tables.fallback_row[q] = static_cast<uint32_t>(q + delta);
               break;
             }
           }
         }
-        tables_[(u * s_levels + s) * dim + k] = std::move(tables);
-      }
-    }
-  }
-  return Status::Ok();
+        return Status::Ok();
+      },
+      static_cast<size_t>(options_.threads));
 }
 
 const OffSampleRepairer::ChannelTables& OffSampleRepairer::TablesFor(int u, int s,

@@ -5,6 +5,7 @@
 #include <limits>
 #include <numbers>
 
+#include "common/simd.h"
 #include "common/status.h"
 #include "stats/bandwidth.h"
 
@@ -32,23 +33,6 @@ size_t WalkLength(double z, double d, size_t room) {
   z = std::max(z, 0.0);
   const double last = (kZeroBeyond - z) / d;  // largest useful m
   return last >= static_cast<double>(room) ? room : static_cast<size_t>(last) + 1;
-}
-
-// out[kDir * m] += e * g^m * G[m] for m in [0, count): one sample's outward
-// walk from one bracket point. g^m runs in four interleaved sub-chains of
-// stride g^4, so consecutive terms do not wait on each other's multiply.
-template <int kDir>
-void Walk(double e, double g, const double* G, size_t count, double* out) {
-  const double g2 = g * g;
-  const double g4 = g2 * g2;
-  double c[4] = {e, e * g, e * g2, e * g * g2};
-  size_t m = 0;
-  auto add = [&](size_t k) { out[kDir * static_cast<ptrdiff_t>(m + k)] += c[k] * G[m + k]; };
-  for (; m + 4 <= count; m += 4) {
-    for (size_t k = 0; k < 4; ++k) add(k);
-    for (size_t k = 0; k < 4; ++k) c[k] *= g4;
-  }
-  for (size_t k = 0; m + k < count; ++k) add(k);
 }
 
 }  // namespace
@@ -109,6 +93,7 @@ Result<std::vector<double>> GaussianKde::PmfOnGrid(const std::vector<double>& gr
       const double md = static_cast<double>(m) * d;
       G[m] = std::exp(-0.5 * md * md);
     }
+    const auto walk = common::simd::Active().kde_walk;
     for (double x : samples_) {
       // Bracket x: right walk from the first grid point at or above x,
       // left walk from the one below it. Points outside [lo, hi] walk
@@ -122,13 +107,13 @@ Result<std::vector<double>> GaussianKde::PmfOnGrid(const std::vector<double>& gr
       }
       if (right < nq) {
         const double z = (grid[right] - x) / h;
-        Walk<1>(std::exp(-0.5 * z * z), std::exp(-z * d), G.data(), WalkLength(z, d, nq - right),
-                &pmf[right]);
+        walk(std::exp(-0.5 * z * z), std::exp(-z * d), G.data(), WalkLength(z, d, nq - right),
+             &pmf[right], 1);
       }
       if (right > 0) {
         const double z = (x - grid[right - 1]) / h;
-        Walk<-1>(std::exp(-0.5 * z * z), std::exp(-z * d), G.data(), WalkLength(z, d, right),
-                 &pmf[right - 1]);
+        walk(std::exp(-0.5 * z * z), std::exp(-z * d), G.data(), WalkLength(z, d, right),
+             &pmf[right - 1], -1);
       }
     }
   }

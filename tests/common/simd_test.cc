@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -116,6 +117,38 @@ INSTANTIATE_TEST_SUITE_P(UnalignedLengths, SimdParityTest,
 INSTANTIATE_TEST_SUITE_P(UnrolledLengths, SimdParityTest,
                          ::testing::Values<size_t>(kUnrollLen, kUnrollLen + 1,
                                                    kUnrollLen + 2, 256));
+
+TEST(SimdTest, KdeWalkBitIdenticalToScalar) {
+  // Every tail length of the four-lane loop, and walks across a 512-point
+  // grid, in both directions. g = 0.2 drives the chain through subnormals
+  // to zero within 512 steps. The cells around the walk must stay as they
+  // were.
+  constexpr size_t kGuard = 4;
+  std::vector<size_t> counts;
+  for (size_t n = 0; n <= 9; ++n) counts.push_back(n);
+  for (size_t n = 510; n <= 512; ++n) counts.push_back(n);
+  Rng rng(77);
+  for (size_t count : counts) {
+    const auto G = RandomVec(rng, count, 0.0, 1.0);
+    for (double g : {0.2, 0.9 + 0.1 * rng.Uniform()}) {
+      for (int dir : {1, -1}) {
+        const double e = rng.Uniform();
+        const auto before = RandomVec(rng, count + 2 * kGuard, 0.0, 1e-3);
+        auto scalar = before;
+        auto vector = before;
+        const size_t start = dir > 0 ? kGuard : kGuard + count - 1;
+        ScalarOps().kde_walk(e, g, G.data(), count, scalar.data() + start, dir);
+        BestOps().kde_walk(e, g, G.data(), count, vector.data() + start, dir);
+        EXPECT_EQ(0, std::memcmp(scalar.data(), vector.data(), scalar.size() * sizeof(double)))
+            << "count " << count << " g " << g << " dir " << dir;
+        for (size_t i = 0; i < kGuard; ++i) {
+          EXPECT_EQ(vector[i], before[i]);
+          EXPECT_EQ(vector[kGuard + count + i], before[kGuard + count + i]);
+        }
+      }
+    }
+  }
+}
 
 TEST(SimdTest, EmptyInputs) {
   const Ops& best = BestOps();

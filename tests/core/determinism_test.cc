@@ -82,6 +82,39 @@ TEST(DeterminismTest, DesignBitIdenticalAcrossThreadCounts) {
   }
 }
 
+// Plan bytes are a pure function of the research data: the KDE walk's
+// vector and scalar kernels, and any thread count, serialize to the same
+// bytes (the CRC inside them included), at |S| = 2 and |S| = 4.
+TEST(DeterminismTest, DesignBitIdenticalAcrossSimdAndThreadConfigs) {
+  common::Rng rng(30);
+  auto multi = sim::SimulateMultiGroupGaussian(
+      1200, sim::MultiGroupSimConfig::Default(/*s_levels=*/4, /*u_levels=*/3), rng);
+  ASSERT_TRUE(multi.ok()) << multi.status().ToString();
+  Fixture binary = MakeFixture(30, 600, 1);
+  const bool was_forced = common::simd::ForcedScalar();
+  for (const data::Dataset* research : {&binary.research, &*multi}) {
+    SCOPED_TRACE("s_levels=" + std::to_string(research->s_levels()));
+    auto design_bytes = [&](bool force_scalar, int threads) {
+      common::simd::SetForceScalar(force_scalar);
+      DesignOptions options;
+      options.n_q = 64;
+      options.threads = threads;
+      auto plans = DesignDistributionalRepair(*research, options);
+      common::simd::SetForceScalar(was_forced);
+      EXPECT_TRUE(plans.ok()) << plans.status().ToString();
+      return plans.ok() ? plans->SerializeToString() : std::string();
+    };
+    const std::string reference = design_bytes(/*force_scalar=*/true, /*threads=*/1);
+    ASSERT_FALSE(reference.empty());
+    for (bool force_scalar : {true, false}) {
+      for (int threads : {1, 3, 8}) {
+        EXPECT_TRUE(design_bytes(force_scalar, threads) == reference)
+            << "scalar=" << force_scalar << " threads=" << threads;
+      }
+    }
+  }
+}
+
 TEST(DeterminismTest, RepairDatasetBitIdenticalAcrossThreadCounts) {
   Fixture fx = MakeFixture(22);
   DesignOptions design;

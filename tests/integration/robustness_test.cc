@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -34,33 +35,39 @@ TEST(RobustnessTest, ConstantFeatureChannelSurvivesPipeline) {
   // A channel where every research value is identical: the grid widens the
   // degenerate range, KDE falls back to a positive bandwidth, and repair
   // must stay finite. 7.0 has StdDev exactly 0; 1.7 has a rounded StdDev
-  // of ~5e-15, which must not pass for a real spread.
-  for (const double constant : {7.0, 1.7}) {
-    SCOPED_TRACE(constant);
-    Rng rng(1);
-    const size_t n = 400;
-    Matrix features(n, 2);
-    std::vector<int> s(n);
-    std::vector<int> u(n);
-    for (size_t i = 0; i < n; ++i) {
-      s[i] = rng.Bernoulli(0.5) ? 1 : 0;
-      u[i] = rng.Bernoulli(0.5) ? 1 : 0;
-      features(i, 0) = constant;  // constant channel
-      features(i, 1) = rng.Normal(s[i] * 1.0, 1.0);
-    }
-    auto research = data::Dataset::Create(std::move(features), s, u, {"const", "x"});
-    ASSERT_TRUE(research.ok());
+  // of ~5e-15, which must not pass for a real spread. At even n_Q <= 12
+  // the constant sits midway between the two middle points of a coarse
+  // grid, where a 1e-3 bandwidth underflows the whole KDE.
+  for (const size_t n_q : {core::DesignOptions{}.n_q, size_t{2}, size_t{4}, size_t{12}}) {
+    for (const double constant : {7.0, 1.7}) {
+      SCOPED_TRACE(std::to_string(constant) + " n_q=" + std::to_string(n_q));
+      Rng rng(1);
+      const size_t n = 400;
+      Matrix features(n, 2);
+      std::vector<int> s(n);
+      std::vector<int> u(n);
+      for (size_t i = 0; i < n; ++i) {
+        s[i] = rng.Bernoulli(0.5) ? 1 : 0;
+        u[i] = rng.Bernoulli(0.5) ? 1 : 0;
+        features(i, 0) = constant;  // constant channel
+        features(i, 1) = rng.Normal(s[i] * 1.0, 1.0);
+      }
+      auto research = data::Dataset::Create(std::move(features), s, u, {"const", "x"});
+      ASSERT_TRUE(research.ok());
 
-    auto plans = core::DesignDistributionalRepair(*research, {});
-    ASSERT_TRUE(plans.ok()) << plans.status().ToString();
-    auto repairer = core::OffSampleRepairer::Create(*plans, {});
-    ASSERT_TRUE(repairer.ok());
-    auto repaired = repairer->RepairDataset(*research);
-    ASSERT_TRUE(repaired.ok());
-    for (size_t i = 0; i < repaired->size(); ++i) {
-      EXPECT_TRUE(std::isfinite(repaired->feature(i, 0)));
-      // Constant channel: repaired values stay near the constant.
-      EXPECT_NEAR(repaired->feature(i, 0), constant, 1.0);
+      core::DesignOptions options;
+      options.n_q = n_q;
+      auto plans = core::DesignDistributionalRepair(*research, options);
+      ASSERT_TRUE(plans.ok()) << plans.status().ToString();
+      auto repairer = core::OffSampleRepairer::Create(*plans, {});
+      ASSERT_TRUE(repairer.ok());
+      auto repaired = repairer->RepairDataset(*research);
+      ASSERT_TRUE(repaired.ok());
+      for (size_t i = 0; i < repaired->size(); ++i) {
+        EXPECT_TRUE(std::isfinite(repaired->feature(i, 0)));
+        // Constant channel: repaired values stay near the constant.
+        EXPECT_NEAR(repaired->feature(i, 0), constant, 1.0);
+      }
     }
   }
 }

@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numbers>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/simd.h"
 #include "core/support_grid.h"
 #include "stats/normal.h"
 
@@ -226,6 +228,45 @@ TEST(KdeTest, GridKernelMatchesExactOracleForAnyStepToBandwidthRatio) {
     ASSERT_TRUE(kde.ok());
     ExpectMatchesOracle(*kde, DesignGrid(0.0, step * static_cast<double>(n - 1), n),
                         "step/h=" + std::to_string(ratio));
+  }
+}
+
+// PmfOnGrid's bytes under the scalar walk and the dispatched one.
+void ExpectSameBytesAcrossDispatch(const GaussianKde& kde, const std::vector<double>& grid,
+                                   const std::string& label) {
+  const bool was_forced = common::simd::ForcedScalar();
+  common::simd::SetForceScalar(true);
+  auto scalar = kde.PmfOnGrid(grid);
+  common::simd::SetForceScalar(false);
+  auto dispatched = kde.PmfOnGrid(grid);
+  common::simd::SetForceScalar(was_forced);
+  ASSERT_EQ(scalar.ok(), dispatched.ok()) << label;
+  if (!scalar.ok()) return;
+  ASSERT_EQ(scalar->size(), dispatched->size()) << label;
+  EXPECT_EQ(0, std::memcmp(scalar->data(), dispatched->data(), scalar->size() * sizeof(double)))
+      << label;
+}
+
+TEST(KdeTest, GridKernelBitIdenticalAcrossSimdDispatch) {
+  const std::vector<size_t> sizes = {1, 2, 3, 4, 5, 512};
+  for (const OracleCase& c : OracleCases()) {
+    auto kde = c.bandwidth > 0.0 ? GaussianKde::Fit(c.samples, c.bandwidth)
+                                 : GaussianKde::FitSilverman(c.samples);
+    ASSERT_TRUE(kde.ok()) << c.name;
+    for (size_t n : sizes)
+      ExpectSameBytesAcrossDispatch(*kde, DesignGrid(c.lo, c.hi, n),
+                                    c.name + " n_Q=" + std::to_string(n));
+  }
+  // Samples below lo, above hi and exactly on grid points: brackets at 0,
+  // nq - 1 and nq, where one of the two walks is empty.
+  common::Rng rng(21);
+  for (size_t n : sizes) {
+    const std::vector<double> grid = DesignGrid(-2.0, 3.0, n);
+    std::vector<double> xs = {-2.4, -9.0, grid.front(), grid[n / 2], grid.back(), 3.1, 11.0};
+    for (int i = 0; i < 40; ++i) xs.push_back(rng.Uniform(-2.5, 3.5));
+    auto kde = GaussianKde::Fit(xs, 0.3);
+    ASSERT_TRUE(kde.ok());
+    ExpectSameBytesAcrossDispatch(*kde, grid, "edges n_Q=" + std::to_string(n));
   }
 }
 
