@@ -93,12 +93,9 @@ void Walk(double e, double g, const double* G, size_t count, double* out) {
   for (size_t k = 0; m + k < count; ++k) add(k);
 }
 
-void ScalarKdeWalk(double e, double g, const double* G, size_t count, double* out, int dir) {
-  if (dir > 0) {
-    Walk<1>(e, g, G, count, out);
-  } else {
-    Walk<-1>(e, g, G, count, out);
-  }
+void ScalarKdeWalks(const KdeWalk& right, const KdeWalk& left, const double* G) {
+  Walk<1>(right.e, right.g, G, right.count, right.out);
+  Walk<-1>(left.e, left.g, G, left.count, left.out);
 }
 
 constexpr uint32_t kCrcPolynomial = 0xEDB88320u;
@@ -151,7 +148,7 @@ uint32_t ScalarCrc32Update(uint32_t crc, const unsigned char* bytes, size_t len)
 constexpr Ops kScalarOps = {
     "scalar",         ScalarSum,        ScalarDot,       ScalarMax,
     ScalarMaxAbsDiff, ScalarAddInPlace, ScalarScaledMul, ScalarLseDiff,
-    ScalarKdeWalk,    ScalarCrc32Update,
+    ScalarKdeWalks,   ScalarCrc32Update,
 };
 
 #if defined(OTFAIR_SIMD_X86)
@@ -364,29 +361,37 @@ OTFAIR_AVX2 double Avx2LseDiff(const double* x, const double* y, size_t n) {
   return hi + std::log(acc);
 }
 
-// The KDE walk with the four sub-chains as the lanes of one vector. Its
-// target has no FMA, so nothing can fuse the multiply and the add; each
-// step is the scalar Walk's four terms c[k] * G[m + k] added into out and
-// then c[k] *= g^4, lane for lane. The left walk stores lane k at
-// out[-(m + k)], so its block is written lane-reversed.
+// The KDE walks with each walk's four sub-chains as the lanes of one
+// vector. The target has no FMA, so nothing can fuse the multiply and the
+// add: each step is the scalar Walk's four terms c[k] * G[m + k] added
+// into out and then c[k] *= g^4, lane for lane. A left walk stores lane k
+// at out[-(m + k)], so its block is written lane-reversed.
+#define OTFAIR_AVX2_NO_FMA __attribute__((target("avx2")))
+
+OTFAIR_AVX2_NO_FMA inline __m256d WalkChains(const KdeWalk& walk) {
+  const double g2 = walk.g * walk.g;
+  return _mm256_setr_pd(walk.e, walk.e * walk.g, walk.e * g2, walk.e * walk.g * g2);
+}
+
 template <int kDir>
-__attribute__((target("avx2"))) void Avx2Walk(double e, double g, const double* G, size_t count,
-                                              double* out) {
-  const double g2 = g * g;
-  const double g4 = g2 * g2;
-  __m256d c = _mm256_setr_pd(e, e * g, e * g2, e * g * g2);
-  const __m256d step = _mm256_set1_pd(g4);
-  size_t m = 0;
+OTFAIR_AVX2_NO_FMA inline void WalkBlock(__m256d c, const double* G, size_t m, double* out) {
+  const __m256d term = _mm256_mul_pd(c, _mm256_loadu_pd(G + m));
+  if constexpr (kDir > 0) {
+    double* p = out + m;
+    _mm256_storeu_pd(p, _mm256_add_pd(_mm256_loadu_pd(p), term));
+  } else {
+    double* p = out - (m + 3);
+    const __m256d reversed = _mm256_permute4x64_pd(term, _MM_SHUFFLE(0, 1, 2, 3));
+    _mm256_storeu_pd(p, _mm256_add_pd(_mm256_loadu_pd(p), reversed));
+  }
+}
+
+// The rest of one walk from step m, whose sub-chains hold c.
+template <int kDir>
+OTFAIR_AVX2_NO_FMA void WalkFrom(__m256d c, __m256d step, const double* G, size_t m,
+                                 size_t count, double* out) {
   for (; m + 4 <= count; m += 4) {
-    const __m256d term = _mm256_mul_pd(c, _mm256_loadu_pd(G + m));
-    if constexpr (kDir > 0) {
-      double* p = out + m;
-      _mm256_storeu_pd(p, _mm256_add_pd(_mm256_loadu_pd(p), term));
-    } else {
-      double* p = out - (m + 3);
-      const __m256d reversed = _mm256_permute4x64_pd(term, _MM_SHUFFLE(0, 1, 2, 3));
-      _mm256_storeu_pd(p, _mm256_add_pd(_mm256_loadu_pd(p), reversed));
-    }
+    WalkBlock<kDir>(c, G, m, out);
     c = _mm256_mul_pd(c, step);
   }
   // The count % 4 tail: the scalar Walk's last loop from the lanes' c.
@@ -396,13 +401,29 @@ __attribute__((target("avx2"))) void Avx2Walk(double e, double g, const double* 
     out[kDir * static_cast<ptrdiff_t>(m + k)] += lanes[k] * G[m + k];
 }
 
-void Avx2KdeWalk(double e, double g, const double* G, size_t count, double* out, int dir) {
-  if (dir > 0) {
-    Avx2Walk<1>(e, g, G, count, out);
-  } else {
-    Avx2Walk<-1>(e, g, G, count, out);
+// Each walk's c *= g^4 is a chain of dependent multiplies, so the two walks
+// run in one loop while both last: two independent chains in flight.
+OTFAIR_AVX2_NO_FMA void Avx2KdeWalks(const KdeWalk& right, const KdeWalk& left,
+                                     const double* G) {
+  __m256d cr = WalkChains(right);
+  __m256d cl = WalkChains(left);
+  const double gr2 = right.g * right.g;
+  const double gl2 = left.g * left.g;
+  const __m256d step_r = _mm256_set1_pd(gr2 * gr2);
+  const __m256d step_l = _mm256_set1_pd(gl2 * gl2);
+  const size_t both = right.count < left.count ? right.count : left.count;
+  size_t m = 0;
+  for (; m + 4 <= both; m += 4) {
+    WalkBlock<1>(cr, G, m, right.out);
+    WalkBlock<-1>(cl, G, m, left.out);
+    cr = _mm256_mul_pd(cr, step_r);
+    cl = _mm256_mul_pd(cl, step_l);
   }
+  WalkFrom<1>(cr, step_r, G, m, right.count, right.out);
+  WalkFrom<-1>(cl, step_l, G, m, left.count, left.out);
 }
+
+#undef OTFAIR_AVX2_NO_FMA
 
 // CRC-32 by carry-less multiplication (Gopal et al., "Fast CRC Computation
 // for Generic Polynomials Using PCLMULQDQ Instruction", Intel 2009), in the
@@ -466,7 +487,7 @@ OTFAIR_PCLMUL uint32_t PclmulCrc32Update(uint32_t crc, const unsigned char* byte
 constexpr Ops kAvx2Ops = {
     "avx2",         Avx2Sum,        Avx2Dot,       Avx2Max,
     Avx2MaxAbsDiff, Avx2AddInPlace, Avx2ScaledMul, Avx2LseDiff,
-    Avx2KdeWalk,    PclmulCrc32Update,
+    Avx2KdeWalks,   PclmulCrc32Update,
 };
 
 #endif  // OTFAIR_SIMD_X86
@@ -573,7 +594,7 @@ double NeonLseDiff(const double* x, const double* y, size_t n) {
 constexpr Ops kNeonOps = {
     "neon",         NeonSum,        NeonDot,       NeonMax,
     NeonMaxAbsDiff, NeonAddInPlace, NeonScaledMul, NeonLseDiff,
-    ScalarKdeWalk,  ScalarCrc32Update,
+    ScalarKdeWalks, ScalarCrc32Update,
 };
 
 #endif  // OTFAIR_SIMD_NEON

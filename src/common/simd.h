@@ -6,6 +6,14 @@
 
 namespace otfair::common::simd {
 
+/// One outward KDE walk from a bracket grid point (see Ops::kde_walks).
+struct KdeWalk {
+  double e = 0.0;         // the term at the bracket point, exp(-z^2 / 2)
+  double g = 0.0;         // the per-step ratio exp(-z d)
+  size_t count = 0;       // grid points walked
+  double* out = nullptr;  // the bracket point's pmf entry
+};
+
 /// Thin SIMD wrapper for the design, repair and Sinkhorn hot paths and the
 /// plan/checkpoint CRC.
 ///
@@ -25,7 +33,7 @@ namespace otfair::common::simd {
 /// may differ from the scalar path in the last bits — they are only
 /// used in tolerance-checked contexts (Sinkhorn iterations, plan
 /// validation). Element-wise kernels (AddInPlace, ScaledMul), the KDE
-/// grid walk (`kde_walk`), the CRC-32 (`crc32_update`) and the exact
+/// grid walks (`kde_walks`), the CRC-32 (`crc32_update`) and the exact
 /// comparisons (Max, and the repair table *lookup* paths built on this
 /// layer) are bit-identical to scalar, so plan bytes and their CRC do not
 /// depend on the table. Nothing here touches RNG streams, so repair output is
@@ -53,13 +61,15 @@ struct Ops {
   /// log-sum-exp over a difference; -inf when n == 0 or every term is
   /// -inf. The AVX2 path uses a Cephes-style vector exp (< 2 ulp).
   double (*lse_diff)(const double* x, const double* y, size_t n);
-  /// The KDE grid walk of stats::GaussianKde::PmfOnGrid, with dir = +1 or
-  /// -1: out[dir * m] += c_m * G[m] for m in [0, count), where c_m = e * g^m
-  /// runs in four interleaved sub-chains of stride g^4 (c_0..c_3 = e, e*g,
-  /// e*g^2, e*g*g^2, then each times g^4 per step). Bit-identical to
-  /// scalar: every term is the same two rounded multiplies (no FMA), and
-  /// every out[] entry receives its one term in the same order.
-  void (*kde_walk)(double e, double g, const double* G, size_t count, double* out, int dir);
+  /// One sample's two KDE grid walks (stats::GaussianKde::PmfOnGrid):
+  /// right.out[m] += c_m * G[m] for m in [0, right.count) and
+  /// left.out[-m] += c_m * G[m] for m in [0, left.count), where each walk's
+  /// c_m = e * g^m runs in four interleaved sub-chains of stride g^4
+  /// (c_0..c_3 = e, e*g, e*g^2, e*g*g^2, then each times g^4 per step).
+  /// The walks write disjoint entries, and a walk with count 0 touches
+  /// nothing. Bit-identical to scalar: every term is the same two rounded
+  /// multiplies (no FMA), and every entry receives its one term.
+  void (*kde_walks)(const KdeWalk& right, const KdeWalk& left, const double* G);
   /// CRC-32 register update over `len` bytes (zlib's reflected 0xEDB88320;
   /// see common/crc32.h). Scalar: slicing-by-8. AVX2 table: a PCLMULQDQ
   /// carry-less-multiply fold (Gopal et al., Intel 2009) over 64-byte

@@ -93,7 +93,7 @@ Result<std::vector<double>> GaussianKde::PmfOnGrid(const std::vector<double>& gr
       const double md = static_cast<double>(m) * d;
       G[m] = std::exp(-0.5 * md * md);
     }
-    const auto walk = common::simd::Active().kde_walk;
+    const auto walks = common::simd::Active().kde_walks;
     for (double x : samples_) {
       // Bracket x: right walk from the first grid point at or above x,
       // left walk from the one below it. Points outside [lo, hi] walk
@@ -105,16 +105,19 @@ Result<std::vector<double>> GaussianKde::PmfOnGrid(const std::vector<double>& gr
       } else if (t > 0.0) {
         right = static_cast<size_t>(std::ceil(t));
       }
+      common::simd::KdeWalk right_walk;
+      common::simd::KdeWalk left_walk;
       if (right < nq) {
         const double z = (grid[right] - x) / h;
-        walk(std::exp(-0.5 * z * z), std::exp(-z * d), G.data(), WalkLength(z, d, nq - right),
-             &pmf[right], 1);
+        right_walk = {std::exp(-0.5 * z * z), std::exp(-z * d), WalkLength(z, d, nq - right),
+                      &pmf[right]};
       }
       if (right > 0) {
         const double z = (x - grid[right - 1]) / h;
-        walk(std::exp(-0.5 * z * z), std::exp(-z * d), G.data(), WalkLength(z, d, right),
-             &pmf[right - 1], -1);
+        left_walk = {std::exp(-0.5 * z * z), std::exp(-z * d), WalkLength(z, d, right),
+                     &pmf[right - 1]};
       }
+      walks(right_walk, left_walk, G.data());
     }
   }
   double total = 0.0;

@@ -39,9 +39,10 @@ class GaussianKde {
   ///     G[m] = exp(-(m d)^2 / 2)  (tabulated once per call),
   ///
   /// so a (sample, grid point) pair costs two multiplies and an add instead
-  /// of an exp. The walk is common::simd's `kde_walk` kernel: four lanes
-  /// under AVX2, bit-identical to its scalar entry (which OTFAIR_NO_SIMD
-  /// selects). Every factor is <= 1, so no factor overflows or underflows
+  /// of an exp. The walks are common::simd's `kde_walks` kernel: four
+  /// lanes per walk and a sample's two walks in one loop under AVX2,
+  /// bit-identical to its scalar entry (which OTFAIR_NO_SIMD selects).
+  /// Every factor is <= 1, so no factor overflows or underflows
   /// before the term itself does, whatever step / h is: the walk visits
   /// every grid point whose term is representable. Error bound against
   /// the exact KDE on the same grid, for every entry whose exact density

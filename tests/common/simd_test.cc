@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -118,33 +119,42 @@ INSTANTIATE_TEST_SUITE_P(UnrolledLengths, SimdParityTest,
                          ::testing::Values<size_t>(kUnrollLen, kUnrollLen + 1,
                                                    kUnrollLen + 2, 256));
 
-TEST(SimdTest, KdeWalkBitIdenticalToScalar) {
-  // Every tail length of the four-lane loop, and walks across a 512-point
-  // grid, in both directions. g = 0.2 drives the chain through subnormals
-  // to zero within 512 steps. The cells around the walk must stay as they
-  // were.
+TEST(SimdTest, KdeWalksBitIdenticalToScalar) {
+  // A sample's left and right walks at every pairing of lengths 0-9 (each
+  // tail of the four-lane loop, and either walk outlasting the other) and
+  // 510-512 (walks across a 512-point grid). The left walk covers the
+  // cells just below the right walk's, as in PmfOnGrid. g = 0.2 drives a
+  // chain through subnormals to zero within 512 steps. The guard cells
+  // around both walks must stay as they were.
   constexpr size_t kGuard = 4;
   std::vector<size_t> counts;
   for (size_t n = 0; n <= 9; ++n) counts.push_back(n);
   for (size_t n = 510; n <= 512; ++n) counts.push_back(n);
   Rng rng(77);
-  for (size_t count : counts) {
-    const auto G = RandomVec(rng, count, 0.0, 1.0);
-    for (double g : {0.2, 0.9 + 0.1 * rng.Uniform()}) {
-      for (int dir : {1, -1}) {
-        const double e = rng.Uniform();
-        const auto before = RandomVec(rng, count + 2 * kGuard, 0.0, 1e-3);
-        auto scalar = before;
-        auto vector = before;
-        const size_t start = dir > 0 ? kGuard : kGuard + count - 1;
-        ScalarOps().kde_walk(e, g, G.data(), count, scalar.data() + start, dir);
-        BestOps().kde_walk(e, g, G.data(), count, vector.data() + start, dir);
-        EXPECT_EQ(0, std::memcmp(scalar.data(), vector.data(), scalar.size() * sizeof(double)))
-            << "count " << count << " g " << g << " dir " << dir;
-        for (size_t i = 0; i < kGuard; ++i) {
-          EXPECT_EQ(vector[i], before[i]);
-          EXPECT_EQ(vector[kGuard + count + i], before[kGuard + count + i]);
-        }
+  const auto G = RandomVec(rng, 512, 0.0, 1.0);
+  for (size_t right_count : counts) {
+    for (size_t left_count : counts) {
+      const double slow = 0.9 + 0.1 * rng.Uniform();
+      const double e_right = rng.Uniform();
+      const double e_left = rng.Uniform();
+      const double g_right = right_count % 2 == 0 ? 0.2 : slow;
+      const double g_left = left_count % 2 == 0 ? slow : 0.2;
+      const size_t n = left_count + right_count + 2 * kGuard;
+      const size_t bracket = kGuard + left_count;  // the right walk's first cell
+      const auto before = RandomVec(rng, n, 0.0, 1e-3);
+      auto scalar = before;
+      auto vector = before;
+      ScalarOps().kde_walks({e_right, g_right, right_count, scalar.data() + bracket},
+                            {e_left, g_left, left_count, scalar.data() + bracket - 1},
+                            G.data());
+      BestOps().kde_walks({e_right, g_right, right_count, vector.data() + bracket},
+                          {e_left, g_left, left_count, vector.data() + bracket - 1}, G.data());
+      SCOPED_TRACE("right " + std::to_string(right_count) + " left " +
+                   std::to_string(left_count));
+      EXPECT_EQ(0, std::memcmp(scalar.data(), vector.data(), n * sizeof(double)));
+      for (size_t i = 0; i < kGuard; ++i) {
+        EXPECT_EQ(vector[i], before[i]);
+        EXPECT_EQ(vector[n - 1 - i], before[n - 1 - i]);
       }
     }
   }
