@@ -70,8 +70,8 @@ int main(int argc, char** argv) {
     });
   }
 
-  // Hot-swap the plan while the sessions stream: the atomic snapshot swap
-  // means no request is dropped and — because repair randomness is a pure
+  // Hot-swap the plan while the sessions stream: the snapshot swap means
+  // no request is dropped and — because repair randomness is a pure
   // function of (seed, session, row) — the outputs do not change either.
   if (!(*service)->ReloadPlan(std::move(*plans)).ok()) {
     std::fprintf(stderr, "reload failed\n");

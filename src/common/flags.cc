@@ -1,10 +1,21 @@
 #include "common/flags.h"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "common/string_util.h"
 
 namespace otfair::common {
+
+namespace {
+
+/// The one spelling rule: `-` and `_` name the same flag.
+std::string Canonical(std::string name) {
+  std::replace(name.begin(), name.end(), '-', '_');
+  return name;
+}
+
+}  // namespace
 
 FlagParser::FlagParser(int argc, const char* const* argv) {
   if (argc > 0) program_name_ = argv[0];
@@ -15,69 +26,72 @@ FlagParser::FlagParser(int argc, const char* const* argv) {
       continue;
     }
     arg = arg.substr(2);
+    std::string value = "true";  // bare boolean flag
     auto eq = arg.find('=');
     if (eq != std::string::npos) {
-      values_[arg.substr(0, eq)] = arg.substr(eq + 1);
+      value = arg.substr(eq + 1);
+      arg.resize(eq);
     } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      values_[arg] = argv[++i];
-    } else {
-      values_[arg] = "true";  // bare boolean flag
+      value = argv[++i];
     }
+    values_[Canonical(arg)] = std::move(value);
+    typed_names_.insert(std::move(arg));
   }
 }
 
-bool FlagParser::Has(const std::string& name) const { return values_.count(name) > 0; }
+const std::string* FlagParser::Find(const std::string& name) const {
+  auto it = values_.find(Canonical(name));
+  return it == values_.end() ? nullptr : &it->second;
+}
+
+bool FlagParser::Has(const std::string& name) const { return Find(name) != nullptr; }
 
 std::string FlagParser::GetString(const std::string& name,
                                   const std::string& default_value) const {
-  auto it = values_.find(name);
-  return it == values_.end() ? default_value : it->second;
+  const std::string* value = Find(name);
+  return value == nullptr ? default_value : *value;
 }
 
 int FlagParser::GetInt(const std::string& name, int default_value) const {
-  auto it = values_.find(name);
-  return it == values_.end() ? default_value : std::atoi(it->second.c_str());
+  const std::string* value = Find(name);
+  return value == nullptr ? default_value : std::atoi(value->c_str());
 }
 
 uint64_t FlagParser::GetUint64(const std::string& name, uint64_t default_value) const {
-  auto it = values_.find(name);
-  return it == values_.end() ? default_value
-                             : static_cast<uint64_t>(std::strtoull(it->second.c_str(), nullptr, 10));
+  const std::string* value = Find(name);
+  return value == nullptr ? default_value
+                          : static_cast<uint64_t>(std::strtoull(value->c_str(), nullptr, 10));
 }
 
 double FlagParser::GetDouble(const std::string& name, double default_value) const {
-  auto it = values_.find(name);
-  return it == values_.end() ? default_value : std::atof(it->second.c_str());
+  const std::string* value = Find(name);
+  return value == nullptr ? default_value : std::atof(value->c_str());
 }
 
 bool FlagParser::GetBool(const std::string& name, bool default_value) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) return default_value;
-  const std::string& v = it->second;
+  const std::string* value = Find(name);
+  if (value == nullptr) return default_value;
+  const std::string& v = *value;
   return v == "true" || v == "1" || v == "yes" || v == "on";
 }
 
 std::vector<int> FlagParser::GetIntList(const std::string& name,
                                         const std::vector<int>& default_value) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) return default_value;
+  const std::string* value = Find(name);
+  if (value == nullptr) return default_value;
   std::vector<int> out;
-  for (const std::string& tok : Split(it->second, ',')) {
+  for (const std::string& tok : Split(*value, ',')) {
     if (!tok.empty()) out.push_back(std::atoi(tok.c_str()));
   }
   return out;
 }
 
 Status FlagParser::Validate(const std::vector<std::string>& known) const {
-  for (const auto& [name, value] : values_) {
-    bool found = false;
-    for (const std::string& k : known) {
-      if (k == name) {
-        found = true;
-        break;
-      }
-    }
-    if (!found) return Status::InvalidArgument("unknown flag --" + name);
+  for (const std::string& name : typed_names_) {
+    const std::string canonical = Canonical(name);
+    if (std::none_of(known.begin(), known.end(),
+                     [&](const std::string& k) { return Canonical(k) == canonical; }))
+      return Status::InvalidArgument("unknown flag --" + name);
   }
   return Status::Ok();
 }

@@ -2,6 +2,7 @@
 #define OTFAIR_COMMON_FLAGS_H_
 
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -13,7 +14,10 @@ namespace otfair::common {
 /// Minimal command-line flag parser for examples and experiment binaries.
 ///
 /// Accepts `--name=value`, `--name value`, and boolean `--name`. Anything
-/// not starting with `--` is collected as a positional argument. Typical
+/// not starting with `--` is collected as a positional argument. `-` and
+/// `_` spell the same flag (`--net-threads` is `--net_threads`), both on
+/// the command line and in the names passed to the getters and Validate;
+/// when a command line gives one flag twice, the later value wins. Typical
 /// use:
 ///
 ///     FlagParser flags(argc, argv);
@@ -40,12 +44,19 @@ class FlagParser {
   const std::string& program_name() const { return program_name_; }
 
   /// Returns InvalidArgument if any flag on the command line is not in
-  /// `known`; guards against typos in experiment invocations.
+  /// `known`; guards against typos in experiment invocations. The message
+  /// names the flag as it was typed.
   Status Validate(const std::vector<std::string>& known) const;
 
  private:
+  /// The flag's value, or null when the command line does not give it.
+  const std::string* Find(const std::string& name) const;
+
   std::string program_name_;
+  /// Keyed by canonical name (every `-` replaced by `_`).
   std::map<std::string, std::string> values_;
+  /// Flag names as typed, for Validate's message.
+  std::set<std::string> typed_names_;
   std::vector<std::string> positional_;
 };
 

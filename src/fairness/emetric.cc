@@ -29,6 +29,16 @@ std::vector<double> UniformGrid(double lo, double hi, size_t count) {
   return grid;
 }
 
+/// One class sample's pmf on a UniformGrid, under Silverman's bandwidth
+/// for that grid's spacing (which keeps a constant class from underflowing).
+Result<std::vector<double>> SilvermanPmf(std::vector<double> samples,
+                                         const std::vector<double>& grid) {
+  const double step = grid.size() > 1 ? grid[1] - grid[0] : 0.0;
+  auto kde = stats::GaussianKde::FitSilverman(std::move(samples), step);
+  if (!kde.ok()) return kde.status();
+  return kde->PmfOnGrid(grid);
+}
+
 }  // namespace
 
 Result<EMetricBreakdown> FeatureEMetric(const data::Dataset& dataset, size_t k,
@@ -80,10 +90,8 @@ Result<EMetricBreakdown> FeatureEMetric(const data::Dataset& dataset, size_t k,
 
     std::vector<std::vector<double>> pmfs;
     pmfs.reserve(samples.size());
-    for (const std::vector<double>& x : samples) {
-      auto kde = stats::GaussianKde::FitSilverman(x);
-      if (!kde.ok()) return kde.status();
-      auto pmf = kde->PmfOnGrid(grid);
+    for (std::vector<double>& x : samples) {
+      auto pmf = SilvermanPmf(std::move(x), grid);
       if (!pmf.ok()) return pmf.status();
       pmfs.push_back(std::move(*pmf));
     }
@@ -142,13 +150,9 @@ Result<std::vector<double>> OneVsRestEMetric(const data::Dataset& dataset, int u
     }
     if (per_level[s].size() < options.min_group_size || rest.size() < options.min_group_size)
       continue;
-    auto kde_s = stats::GaussianKde::FitSilverman(per_level[s]);
-    if (!kde_s.ok()) return kde_s.status();
-    auto kde_rest = stats::GaussianKde::FitSilverman(rest);
-    if (!kde_rest.ok()) return kde_rest.status();
-    auto pmf_s = kde_s->PmfOnGrid(grid);
+    auto pmf_s = SilvermanPmf(per_level[s], grid);
     if (!pmf_s.ok()) return pmf_s.status();
-    auto pmf_rest = kde_rest->PmfOnGrid(grid);
+    auto pmf_rest = SilvermanPmf(std::move(rest), grid);
     if (!pmf_rest.ok()) return pmf_rest.status();
     auto e = stats::SymmetrizedKl(*pmf_s, *pmf_rest, options.kl_floor);
     if (!e.ok()) return e.status();

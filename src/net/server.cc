@@ -24,17 +24,16 @@ using common::Status;
 
 namespace {
 
-/// Verbs ParseRequestLine understands. A parse failure on a line whose
-/// first token is NOT one of these is garbage input (binary junk, the
-/// wrong protocol) and closes the connection; a malformed line with a
-/// known verb is a client bug worth an error line but not a disconnect.
+/// A parse failure on a line whose first token is NOT a protocol verb is
+/// garbage input (binary junk, the wrong protocol) and closes the
+/// connection; a malformed line with a known verb is a client bug worth an
+/// error line but not a disconnect.
 bool KnownVerb(const std::string& line) {
   size_t i = line.find_first_not_of(" \t");
   if (i == std::string::npos) return false;
   const size_t j = line.find_first_of(" \t", i);
-  const std::string verb = line.substr(i, j == std::string::npos ? j : j - i);
-  return verb == "repair" || verb == "metrics" || verb == "health" || verb == "reload" ||
-         verb == "checkpoint" || verb == "quit";
+  return serve::IsProtocolVerb(
+      std::string_view(line).substr(i, j == std::string::npos ? j : j - i));
 }
 
 }  // namespace
@@ -376,66 +375,29 @@ void Server::HandleLine(Worker& w, Conn* c, const std::string& line) {
     return;
   }
   using serve::RequestKind;
-  switch (request->kind) {
-    case RequestKind::kRepair: {
-      const uint64_t session = request->row.session_id;
-      const uint64_t row = request->row.row_index;
-      // Bind the session to this connection before Submit: a full batch
-      // executes caller-runs and delivers through the sink inline.
-      w.session_owner[session] = c;
-      c->sessions.insert(session);
-      if (Status status = w.batcher->Submit(std::move(request->row)); !status.ok()) {
-        // Explicit backpressure: the row is answered, never dropped.
-        backpressure_->Add(1);
-        Output(w, c, serve::FormatErrorLine(session, row, status));
-      }
-      break;
+  if (request->kind == RequestKind::kRepair) {
+    const uint64_t session = request->row.session_id;
+    const uint64_t row = request->row.row_index;
+    // Bind the session to this connection before Submit: a full batch
+    // executes caller-runs and delivers through the sink inline.
+    w.session_owner[session] = c;
+    c->sessions.insert(session);
+    if (Status status = w.batcher->Submit(std::move(request->row)); !status.ok()) {
+      // Explicit backpressure: the row is answered, never dropped.
+      backpressure_->Add(1);
+      Output(w, c, serve::FormatErrorLine(session, row, status));
     }
-    case RequestKind::kMetrics:
-      Output(w, c, service_->metrics().Snapshot(w.batcher->queue_depth()).ToJson());
-      break;
-    case RequestKind::kMetricsProm: {
-      std::string text = service_->metrics().RenderPrometheus(w.batcher->queue_depth());
-      text += "# EOF";
-      Output(w, c, text);
-      break;
-    }
-    case RequestKind::kHealth:
-      Output(w, c, service_->Health().ToJson());
-      break;
-    case RequestKind::kReload: {
-      if (Status status = service_->ReloadPlanFromFile(request->plan_path); !status.ok()) {
-        Output(w, c, serve::FormatErrorLine(status));
-      } else {
-        Output(w, c, "ok reload " + std::to_string(service_->plan_version()));
-      }
-      break;
-    }
-    case RequestKind::kCheckpoint: {
-      if (!hooks_.checkpoint) {
-        Output(w, c,
-               serve::FormatErrorLine(Status::FailedPrecondition(
-                   "checkpointing disabled (serve with --checkpoint_dir)")));
-        break;
-      }
-      // Drain this worker's in-flight micro-batch first so the acked
-      // generation covers every row this connection submitted before the
-      // verb (session affinity pins its rows to this batcher).
-      w.batcher->Flush();
-      auto generation = hooks_.checkpoint();
-      if (!generation.ok()) {
-        Output(w, c, serve::FormatErrorLine(generation.status()));
-      } else {
-        Output(w, c, "ok checkpoint " + std::to_string(*generation));
-      }
-      break;
-    }
-    case RequestKind::kQuit:
-      // Per-connection goodbye (the process keeps serving): deliver the
-      // rows this worker still has queued, then close after the flush.
-      w.batcher->Flush();
-      c->close_after_flush = true;
-      break;
+  } else if (request->kind == RequestKind::kQuit) {
+    // Per-connection goodbye (the process keeps serving): deliver the
+    // rows this worker still has queued, then close after the flush.
+    w.batcher->Flush();
+    c->close_after_flush = true;
+  } else {
+    // Session affinity pins this connection's rows to this worker's
+    // batcher, so a checkpoint flushing it covers every row the
+    // connection submitted before the verb.
+    Output(w, c,
+           serve::AnswerControlRequest(*request, *service_, *w.batcher, hooks_.checkpoint));
   }
 }
 

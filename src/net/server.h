@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -13,6 +12,7 @@
 #include "common/status.h"
 #include "net/socket.h"
 #include "serve/batcher.h"
+#include "serve/protocol.h"
 #include "serve/repair_service.h"
 
 namespace otfair::net {
@@ -49,18 +49,19 @@ struct ServerOptions {
 struct ServerHooks {
   /// `checkpoint` verb: persist now, return the generation. Unset maps to
   /// the same FAILED_PRECONDITION error stdio serve gives.
-  std::function<common::Result<uint64_t>()> checkpoint;
+  serve::CheckpointHook checkpoint;
 };
 
 /// Non-blocking epoll TCP front end for a `RepairService`.
 ///
-/// Speaks exactly the stdio `serve` line protocol (serve/protocol.h is
-/// reused unchanged), reassembled across arbitrary packetization; the
-/// 64KiB request-line cap holds across split reads. Repair rows flow
-/// through a per-worker `serve::Batcher` into the lock-free service
-/// snapshot, so the `(seed, session_id, row_index)` determinism contract
-/// is untouched by the network hop: per session, TCP output is
-/// bit-identical to offline batch repair and to stdio serve.
+/// Speaks exactly the stdio `serve` line protocol (serve/protocol.h
+/// parses the lines and answers the control verbs for both front ends),
+/// reassembled across arbitrary packetization; the 64KiB request-line cap
+/// holds across split reads. Repair rows flow through a per-worker
+/// `serve::Batcher` into the service's plan snapshot, so the
+/// `(seed, session_id, row_index)` determinism contract is untouched by
+/// the network hop: per session, TCP output is bit-identical to offline
+/// batch repair and to stdio serve.
 ///
 /// Backpressure is explicit: a rejected Submit becomes an immediate
 /// `err <session> <row> UNAVAILABLE ...` line (same semantics as stdio

@@ -3,7 +3,9 @@
 #include <cerrno>
 #include <cstdlib>
 
+#include "common/check.h"
 #include "common/string_util.h"
+#include "serve/batcher.h"
 
 namespace otfair::serve {
 
@@ -11,6 +13,27 @@ using common::Result;
 using common::Status;
 
 namespace {
+
+/// The protocol's verb set: the parser dispatches on it and
+/// IsProtocolVerb answers from it.
+struct Verb {
+  std::string_view name;
+  RequestKind kind;
+};
+constexpr Verb kVerbs[] = {
+    {"repair", RequestKind::kRepair},
+    {"metrics", RequestKind::kMetrics},
+    {"health", RequestKind::kHealth},
+    {"reload", RequestKind::kReload},
+    {"checkpoint", RequestKind::kCheckpoint},
+    {"quit", RequestKind::kQuit},
+};
+
+const Verb* FindVerb(std::string_view token) {
+  for (const Verb& verb : kVerbs)
+    if (verb.name == token) return &verb;
+  return nullptr;
+}
 
 /// Splits on runs of spaces/tabs (unlike common::Split, which keeps empty
 /// tokens): protocol lines are human-typeable.
@@ -57,61 +80,83 @@ Result<ProtocolRequest> ParseRequestLine(const std::string& line, size_t dim, si
                                    std::to_string(kMaxRequestLineBytes) + " bytes");
   const std::vector<std::string> tokens = Tokenize(line);
   if (tokens.empty()) return Status::InvalidArgument("empty request line");
+  const Verb* verb = FindVerb(tokens[0]);
+  if (verb == nullptr)
+    return Status::InvalidArgument("unknown request '" + SanitizeToken(tokens[0]) + "'");
   ProtocolRequest request;
-  const std::string& verb = tokens[0];
-  if (verb == "metrics") {
-    if (tokens.size() >= 2 && (tokens[1] == "--prom" || tokens[1] == "prom")) {
-      request.kind = RequestKind::kMetricsProm;
+  request.kind = verb->kind;
+  switch (verb->kind) {
+    case RequestKind::kMetrics:
+      if (tokens.size() >= 2 && (tokens[1] == "--prom" || tokens[1] == "prom"))
+        request.kind = RequestKind::kMetricsProm;
       return request;
+    case RequestKind::kReload:
+      if (tokens.size() != 2) return Status::InvalidArgument("usage: reload <plan_path>");
+      request.plan_path = tokens[1];
+      return request;
+    case RequestKind::kRepair:
+      break;
+    default:  // health, checkpoint and quit take no operands
+      return request;
+  }
+  if (tokens.size() != 5 + dim)
+    return Status::InvalidArgument(
+        "usage: repair <session> <row> <u> <s> <x_1..x_" + std::to_string(dim) + "> (got " +
+        std::to_string(tokens.size() - 1) + " fields)");
+  uint64_t u = 0;
+  uint64_t s = 0;
+  if (!ParseU64(tokens[1], &request.row.session_id) ||
+      !ParseU64(tokens[2], &request.row.row_index) || !ParseU64(tokens[3], &u) ||
+      !ParseU64(tokens[4], &s) || u >= u_levels || s >= s_levels)
+    return Status::InvalidArgument("bad session/row/u/s fields");
+  request.row.u = static_cast<int>(u);
+  request.row.s = static_cast<int>(s);
+  request.row.features.resize(dim);
+  // A non-finite feature would poison the repair tables and the
+  // drift/sketch accumulators, so the protocol rejects it at the boundary.
+  for (size_t k = 0; k < dim; ++k) {
+    if (!common::ParseFiniteDecimal(tokens[5 + k], &request.row.features[k]))
+      return Status::InvalidArgument("bad feature value '" + SanitizeToken(tokens[5 + k]) +
+                                     "' (must be a finite number)");
+  }
+  return request;
+}
+
+bool IsProtocolVerb(std::string_view token) { return FindVerb(token) != nullptr; }
+
+std::string AnswerControlRequest(const ProtocolRequest& request, RepairService& service,
+                                 Batcher& batcher, const CheckpointHook& checkpoint) {
+  switch (request.kind) {
+    case RequestKind::kMetrics:
+      return service.metrics().Snapshot(batcher.queue_depth()).ToJson();
+    case RequestKind::kMetricsProm:
+      // The one multi-line response: the exposition text (every line
+      // newline-terminated by the renderer) plus a "# EOF" marker so a
+      // line-oriented client knows where the payload ends.
+      return service.metrics().RenderPrometheus(batcher.queue_depth()) + "# EOF";
+    case RequestKind::kHealth:
+      return service.Health().ToJson();
+    case RequestKind::kReload:
+      if (Status status = service.ReloadPlanFromFile(request.plan_path); !status.ok())
+        return FormatErrorLine(status);
+      return "ok reload " + std::to_string(service.plan_version());
+    case RequestKind::kCheckpoint: {
+      if (!checkpoint)
+        return FormatErrorLine(Status::FailedPrecondition(
+            "checkpointing disabled (serve with --checkpoint_dir)"));
+      // Without the flush a partial batch could still be queued, and its
+      // drift/sketch updates would miss the acked checkpoint.
+      batcher.Flush();
+      auto generation = checkpoint();
+      if (!generation.ok()) return FormatErrorLine(generation.status());
+      return "ok checkpoint " + std::to_string(*generation);
     }
-    request.kind = RequestKind::kMetrics;
-    return request;
+    case RequestKind::kRepair:
+    case RequestKind::kQuit:
+      break;
   }
-  if (verb == "health") {
-    request.kind = RequestKind::kHealth;
-    return request;
-  }
-  if (verb == "quit") {
-    request.kind = RequestKind::kQuit;
-    return request;
-  }
-  if (verb == "checkpoint") {
-    request.kind = RequestKind::kCheckpoint;
-    return request;
-  }
-  if (verb == "reload") {
-    if (tokens.size() != 2)
-      return Status::InvalidArgument("usage: reload <plan_path>");
-    request.kind = RequestKind::kReload;
-    request.plan_path = tokens[1];
-    return request;
-  }
-  if (verb == "repair") {
-    if (tokens.size() != 5 + dim)
-      return Status::InvalidArgument(
-          "usage: repair <session> <row> <u> <s> <x_1..x_" + std::to_string(dim) +
-          "> (got " + std::to_string(tokens.size() - 1) + " fields)");
-    request.kind = RequestKind::kRepair;
-    uint64_t u = 0;
-    uint64_t s = 0;
-    if (!ParseU64(tokens[1], &request.row.session_id) ||
-        !ParseU64(tokens[2], &request.row.row_index) || !ParseU64(tokens[3], &u) ||
-        !ParseU64(tokens[4], &s) || u >= u_levels || s >= s_levels)
-      return Status::InvalidArgument("bad session/row/u/s fields");
-    request.row.u = static_cast<int>(u);
-    request.row.s = static_cast<int>(s);
-    request.row.features.resize(dim);
-    // A non-finite feature would poison the repair tables and the
-    // drift/sketch accumulators, so the protocol rejects it at the boundary.
-    for (size_t k = 0; k < dim; ++k) {
-      if (!common::ParseFiniteDecimal(tokens[5 + k], &request.row.features[k]))
-        return Status::InvalidArgument("bad feature value '" +
-                                       SanitizeToken(tokens[5 + k]) +
-                                       "' (must be a finite number)");
-    }
-    return request;
-  }
-  return Status::InvalidArgument("unknown request '" + SanitizeToken(verb) + "'");
+  OTFAIR_CHECK(false) << "repair and quit are answered by the front end";
+  return {};
 }
 
 std::string FormatRowResponse(const RowResponse& response) {

@@ -1,12 +1,17 @@
 #ifndef OTFAIR_SERVE_PROTOCOL_H_
 #define OTFAIR_SERVE_PROTOCOL_H_
 
+#include <cstdint>
+#include <functional>
 #include <string>
+#include <string_view>
 
 #include "common/result.h"
 #include "serve/repair_service.h"
 
 namespace otfair::serve {
+
+class Batcher;
 
 /// The newline-delimited request/response protocol `otfair serve` speaks
 /// on stdin/stdout. One request per line, whitespace-separated fields:
@@ -48,6 +53,12 @@ struct ProtocolRequest {
   std::string plan_path;  // kReload
 };
 
+/// True for exactly the verbs ParseRequestLine understands (`repair`,
+/// `metrics`, `health`, `reload`, `checkpoint`, `quit`; case-sensitive).
+/// A front end uses it to tell a client's malformed request from a stream
+/// that is not speaking the protocol at all.
+bool IsProtocolVerb(std::string_view token);
+
 /// Parses one request line. `dim` is the serving dimensionality; a repair
 /// line must carry exactly `dim` features. `u_levels`/`s_levels` bound the
 /// categorical group labels (the binary protocol is u_levels = s_levels =
@@ -61,6 +72,20 @@ struct ProtocolRequest {
 /// crashes, or silently coerces a bad field.
 common::Result<ProtocolRequest> ParseRequestLine(const std::string& line, size_t dim,
                                                  size_t u_levels = 2, size_t s_levels = 2);
+
+/// The `checkpoint` verb's hook: persist now and return the generation
+/// written. An empty hook means checkpointing is disabled.
+using CheckpointHook = std::function<common::Result<uint64_t>()>;
+
+/// Answers a parsed control request — `metrics`, `metrics --prom`,
+/// `health`, `reload` or `checkpoint` — identically for every front end,
+/// as the response text without its final newline. `batcher` is the
+/// caller's: it supplies the queue depth the metrics report, and it is
+/// flushed before a checkpoint so the acked generation covers every row it
+/// accepted before the verb. `repair` and `quit` are the front end's to
+/// answer; passing either is a programming error.
+std::string AnswerControlRequest(const ProtocolRequest& request, RepairService& service,
+                                 Batcher& batcher, const CheckpointHook& checkpoint);
 
 /// Formats the `ok .../err ...` response line for one repaired row
 /// (no trailing newline).

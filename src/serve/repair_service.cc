@@ -147,16 +147,17 @@ Result<std::shared_ptr<RepairService::Snapshot>> RepairService::BuildSnapshot(
   repair_options.mode = options.mode;
   repair_options.strength = options.strength;
   repair_options.threads = options.threads;
-  // The drift monitors copy what they need from the plans before the
-  // repairer takes ownership.
+  // The drift monitor copies what it needs from the plans before the
+  // repairer takes ownership. It is created (and the plans validated) once;
+  // every shard starts from a copy.
   const size_t sketch_channels =
       options.sketch_sample_every > 0 ? plans.u_levels() * plans.s_levels() * plans.dim() : 0;
+  auto monitor = core::DriftMonitor::Create(plans, options.drift);
+  if (!monitor.ok()) return monitor.status();
   std::vector<std::unique_ptr<Snapshot::DriftShard>> shards;
   shards.reserve(options.drift_shards);
   for (size_t i = 0; i < options.drift_shards; ++i) {
-    auto monitor = core::DriftMonitor::Create(plans, options.drift);
-    if (!monitor.ok()) return monitor.status();
-    shards.push_back(std::make_unique<Snapshot::DriftShard>(std::move(*monitor)));
+    shards.push_back(std::make_unique<Snapshot::DriftShard>(*monitor));
     shards.back()->sketches.resize(sketch_channels);
   }
   auto repairer = core::OffSampleRepairer::Create(std::move(plans), repair_options);
@@ -180,7 +181,7 @@ Result<std::unique_ptr<RepairService>> RepairService::Create(core::RepairPlanSet
   if (!snapshot.ok()) return snapshot.status();
   std::unique_ptr<RepairService> service(
       new RepairService(dim, s_levels, u_levels, options));
-  service->snapshot_.store(std::move(*snapshot), std::memory_order_release);
+  service->snapshot_ = std::move(*snapshot);
 
   // Scrape-time callback families on the metric registry. The raw pointer
   // captures are safe: the handles unregister in ~RepairService before any
@@ -263,8 +264,8 @@ Status RepairService::RepairRow(const RowRequest& request, RowResponse* response
 void RepairService::RepairBatch(const RowRequest* requests, size_t count,
                                 std::vector<RowResponse>* responses) {
   // One snapshot acquisition per batch: every row of a batch is served by
-  // the same plan version, and the atomic load amortizes to nothing.
-  std::shared_ptr<Snapshot> snap = snapshot_.load(std::memory_order_acquire);
+  // the same plan version, and the lock amortizes to nothing.
+  std::shared_ptr<Snapshot> snap = CurrentSnapshot();
   responses->resize(count);
   if (count == 0) return;
   metrics_.AddAccepted(count);
@@ -320,12 +321,17 @@ Status RepairService::ReloadPlan(core::RepairPlanSet plans) {
           "reload plan has |S|=" + std::to_string(plans.s_levels()) + ", |U|=" +
           std::to_string(plans.u_levels()) + "; service serves |S|=" +
           std::to_string(s_levels_) + ", |U|=" + std::to_string(u_levels_));
-    const uint64_t next_version = snapshot_.load(std::memory_order_acquire)->version + 1;
+    const uint64_t next_version = CurrentSnapshot()->version + 1;
     auto snapshot = BuildSnapshot(std::move(plans), options_, next_version);
     if (!snapshot.ok()) return snapshot.status();
-    // The swap itself: one release store. Readers that loaded the old
-    // snapshot keep it alive until their request completes.
-    snapshot_.store(std::move(*snapshot), std::memory_order_release);
+    // The swap itself. Readers that copied the old snapshot keep it alive
+    // until their request completes; this reference to it is dropped when
+    // `old` leaves scope, after the lock.
+    std::shared_ptr<Snapshot> old = std::move(*snapshot);
+    {
+      std::lock_guard<std::mutex> swap_lock(snapshot_mu_);
+      snapshot_.swap(old);
+    }
     return Status::Ok();
   }();
   if (!status.ok()) {
@@ -347,12 +353,17 @@ Status RepairService::ReloadPlanFromFile(const std::string& path) {
   return ReloadPlan(std::move(*plans));
 }
 
+std::shared_ptr<RepairService::Snapshot> RepairService::CurrentSnapshot() const {
+  std::lock_guard<std::mutex> lock(snapshot_mu_);
+  return snapshot_;
+}
+
 uint64_t RepairService::plan_version() const {
-  return snapshot_.load(std::memory_order_acquire)->version;
+  return CurrentSnapshot()->version;
 }
 
 RepairService::PlanGeometry RepairService::Geometry() const {
-  std::shared_ptr<Snapshot> snap = snapshot_.load(std::memory_order_acquire);
+  std::shared_ptr<Snapshot> snap = CurrentSnapshot();
   const core::RepairPlanSet& plans = snap->repairer.plans();
   PlanGeometry geometry;
   geometry.feature_names = plans.feature_names();
@@ -363,15 +374,15 @@ RepairService::PlanGeometry RepairService::Geometry() const {
 }
 
 core::DriftReport RepairService::DriftSnapshot() const {
-  return snapshot_.load(std::memory_order_acquire)->MergedDrift().SnapshotReport();
+  return CurrentSnapshot()->MergedDrift().SnapshotReport();
 }
 
 std::vector<stats::QuantileSketch> RepairService::SketchSnapshot() const {
-  return snapshot_.load(std::memory_order_acquire)->MergedSketches();
+  return CurrentSnapshot()->MergedSketches();
 }
 
 void RepairService::ResetSketches() {
-  std::shared_ptr<Snapshot> snap = snapshot_.load(std::memory_order_acquire);
+  std::shared_ptr<Snapshot> snap = CurrentSnapshot();
   for (const auto& shard : snap->drift_shards) {
     std::lock_guard<std::mutex> lock(shard->mu);
     for (stats::QuantileSketch& sketch : shard->sketches) sketch.Reset();
@@ -381,7 +392,7 @@ void RepairService::ResetSketches() {
 RepairService::CheckpointState RepairService::StateForCheckpoint() const {
   // ONE snapshot acquisition: plan, version, and observed state all
   // describe the same serving snapshot, even mid-reload.
-  std::shared_ptr<Snapshot> snap = snapshot_.load(std::memory_order_acquire);
+  std::shared_ptr<Snapshot> snap = CurrentSnapshot();
   CheckpointState state;
   state.plan_version = snap->version;
   state.degraded = degraded();
@@ -393,7 +404,7 @@ RepairService::CheckpointState RepairService::StateForCheckpoint() const {
 
 Status RepairService::RestoreObservedState(const std::string& drift_counts,
                                            const std::vector<stats::QuantileSketch>& sketches) {
-  std::shared_ptr<Snapshot> snap = snapshot_.load(std::memory_order_acquire);
+  std::shared_ptr<Snapshot> snap = CurrentSnapshot();
   Snapshot::DriftShard& shard = *snap->drift_shards[0];
   std::lock_guard<std::mutex> lock(shard.mu);
   if (!drift_counts.empty()) {

@@ -118,16 +118,17 @@ struct ServiceOptions {
 /// A long-lived, thread-safe repair server over a `RepairPlanSet`.
 ///
 /// The plan, its O(1) sampling tables, and the drift accumulator live in
-/// one immutable-by-readers snapshot held through
-/// `std::atomic<std::shared_ptr>`:
+/// one immutable-by-readers snapshot held through a mutex-guarded
+/// `std::shared_ptr`:
 ///
-///  - The read path (`RepairRow` / `RepairBatch`) takes no lock — it
-///    atomically acquires the current snapshot, repairs against it, and
-///    drops the reference. Any number of threads repair concurrently.
+///  - The read path (`RepairRow` / `RepairBatch`) copies the pointer under
+///    that mutex, one uncontended lock per batch, then repairs against the
+///    snapshot outside it. Any number of threads repair concurrently.
 ///  - `ReloadPlan` builds a complete replacement snapshot off to the side
-///    (plan validation + alias tables) and swaps it in with one atomic
-///    store. In-flight requests finish on the snapshot they acquired; no
-///    request is ever dropped, blocked, or torn by a reload.
+///    (plan validation + alias tables) and swaps the pointer under the
+///    mutex; the old snapshot is released outside it. In-flight requests
+///    finish on the snapshot they acquired; no request is ever dropped or
+///    torn by a reload, and none waits on a reload's build.
 ///
 /// Determinism: repair randomness derives only from
 /// `(seed, session_id, row_index)` — never from service state, thread
@@ -225,8 +226,8 @@ class RepairService {
   /// redesigned plan. No-op when sketching is disabled.
   void ResetSketches();
 
-  /// Everything the checkpointer persists, captured from ONE atomic
-  /// snapshot acquisition so the plan, its version, and the observed
+  /// Everything the checkpointer persists, captured from ONE snapshot
+  /// acquisition so the plan, its version, and the observed
   /// drift/sketch state are mutually coherent even when a reload lands
   /// concurrently (the pieces all describe the same snapshot — a reload
   /// concurrent with the capture is either entirely before or entirely
@@ -289,12 +290,17 @@ class RepairService {
   /// identity and (on failure) its error status.
   bool ValidateRequest(const RowRequest& request, RowResponse* response) const;
 
+  /// The live snapshot, copied under `snapshot_mu_`.
+  std::shared_ptr<Snapshot> CurrentSnapshot() const;
+
   size_t dim_ = 0;
   size_t s_levels_ = 2;
   size_t u_levels_ = 2;
   ServiceOptions options_;
   Metrics metrics_;
-  std::atomic<std::shared_ptr<Snapshot>> snapshot_;
+  /// Guards only the pointer copy and swap, never a repair or a build.
+  mutable std::mutex snapshot_mu_;
+  std::shared_ptr<Snapshot> snapshot_;
   /// Rotates batches across drift shards (see RepairBatch).
   std::atomic<uint64_t> batch_counter_{0};
   /// Serializes reloads (readers never touch it).

@@ -21,9 +21,9 @@ bool AllEqual(const std::vector<double>& samples) {
 }
 }  // namespace
 
-double SilvermanBandwidth(const std::vector<double>& samples) {
+double SilvermanBandwidth(const std::vector<double>& samples, double grid_step) {
   OTFAIR_CHECK(!samples.empty());
-  if (AllEqual(samples)) return kDegenerateBandwidth;
+  if (AllEqual(samples)) return std::max(kDegenerateBandwidth, grid_step / 8.0);
   const double n = static_cast<double>(samples.size());
   const double sigma = StdDev(samples);
   const double iqr = Iqr(samples);

@@ -46,9 +46,9 @@ Result<GaussianKde> GaussianKde::Fit(std::vector<double> samples, double bandwid
   return GaussianKde(std::move(samples), bandwidth);
 }
 
-Result<GaussianKde> GaussianKde::FitSilverman(std::vector<double> samples) {
+Result<GaussianKde> GaussianKde::FitSilverman(std::vector<double> samples, double grid_step) {
   if (samples.empty()) return Status::InvalidArgument("KDE needs at least one sample");
-  const double h = SilvermanBandwidth(samples);
+  const double h = SilvermanBandwidth(samples, grid_step);
   return Fit(std::move(samples), h);
 }
 

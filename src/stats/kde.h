@@ -18,8 +18,11 @@ class GaussianKde {
   /// Fits a KDE to `samples` with explicit bandwidth h > 0.
   static common::Result<GaussianKde> Fit(std::vector<double> samples, double bandwidth);
 
-  /// Fits with Silverman's rule-of-thumb bandwidth (the paper's choice).
-  static common::Result<GaussianKde> FitSilverman(std::vector<double> samples);
+  /// Fits with Silverman's rule-of-thumb bandwidth (the paper's choice);
+  /// `grid_step` is the spacing of the grid the pmf will be taken on (see
+  /// SilvermanBandwidth).
+  static common::Result<GaussianKde> FitSilverman(std::vector<double> samples,
+                                                  double grid_step = 0.0);
 
   /// Density estimate at x: one exp per sample. The exact reference the
   /// grid kernel below is tested against.

@@ -77,6 +77,40 @@ TEST(FlagsTest, ValidateRejectsUnknownFlags) {
   EXPECT_NE(status.message().find("trails"), std::string::npos);
 }
 
+TEST(FlagsTest, DashAndUnderscoreSpellTheSameFlag) {
+  for (const char* arg : {"--net-threads=3", "--net_threads=3"}) {
+    SCOPED_TRACE(arg);
+    FlagParser flags = MakeParser({arg});
+    EXPECT_EQ(flags.GetInt("net-threads", 1), 3);
+    EXPECT_EQ(flags.GetInt("net_threads", 1), 3);
+  }
+}
+
+TEST(FlagsTest, BareBooleanAnswersUnderEitherSpelling) {
+  for (const char* arg : {"--self-heal", "--self_heal"}) {
+    SCOPED_TRACE(arg);
+    FlagParser flags = MakeParser({arg});
+    EXPECT_TRUE(flags.Has("self-heal"));
+    EXPECT_TRUE(flags.Has("self_heal"));
+    EXPECT_TRUE(flags.GetBool("self-heal", false));
+    EXPECT_TRUE(flags.GetBool("self_heal", false));
+  }
+}
+
+TEST(FlagsTest, LaterSpellingWins) {
+  FlagParser flags = MakeParser({"--max-batch=8", "--max_batch=16"});
+  EXPECT_EQ(flags.GetInt("max-batch", 0), 16);
+}
+
+TEST(FlagsTest, ValidateMatchesAcrossSpellings) {
+  EXPECT_TRUE(MakeParser({"--net-threads=2"}).Validate({"net_threads"}).ok());
+  EXPECT_TRUE(MakeParser({"--n_research=2"}).Validate({"n-research"}).ok());
+  // The message names the flag as typed.
+  Status status = MakeParser({"--no-such-flag"}).Validate({"no_such"});
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("--no-such-flag"), std::string::npos) << status.message();
+}
+
 TEST(FlagsTest, ProgramNameCaptured) {
   FlagParser flags = MakeParser({});
   EXPECT_EQ(flags.program_name(), "prog");

@@ -241,5 +241,40 @@ TEST(EMetricMultiGroupTest, OneVsRestLocatesTheOutlier) {
   EXPECT_GT((*ovr)[2], 2.0 * std::max((*ovr)[0], (*ovr)[1]));
 }
 
+TEST(EMetricTest, ConstantGroupInASpreadStratumStaysFinite) {
+  // The s=1 class spans [0, 9.9], so the default 100-point grid has step
+  // 0.1; every s=0 row sits at 4.05, half a step from two grid points. At
+  // Silverman's fixed zero-spread bandwidth of 1e-3 that is 50 bandwidths
+  // from both, where every kernel term underflows.
+  std::vector<double> values;
+  std::vector<int> s;
+  for (int i = 0; i < 39; ++i) {
+    values.push_back(0.25 * i);
+    s.push_back(1);
+  }
+  values.push_back(9.9);
+  s.push_back(1);
+  for (int i = 0; i < 60; ++i) {
+    values.push_back(4.05);
+    s.push_back(0);
+  }
+  Matrix f(values.size(), 1);
+  for (size_t i = 0; i < values.size(); ++i) f(i, 0) = values[i];
+  std::vector<int> u(values.size(), 0);
+  auto d = data::Dataset::Create(std::move(f), std::move(s), std::move(u), {"x"}, {}, 2,
+                                 /*u_levels=*/1);
+  ASSERT_TRUE(d.ok());
+
+  auto breakdown = FeatureEMetric(*d, 0);
+  ASSERT_TRUE(breakdown.ok()) << breakdown.status().ToString();
+  EXPECT_TRUE(std::isfinite(breakdown->e));
+  EXPECT_GT(breakdown->e, 0.0);
+
+  auto ovr = OneVsRestEMetric(*d, 0, 0);
+  ASSERT_TRUE(ovr.ok()) << ovr.status().ToString();
+  ASSERT_EQ(ovr->size(), 2u);
+  for (const double e : *ovr) EXPECT_TRUE(std::isfinite(e)) << e;
+}
+
 }  // namespace
 }  // namespace otfair::fairness

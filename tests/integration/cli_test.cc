@@ -165,17 +165,20 @@ std::string ReadFileOrEmpty(const std::string& path) {
   return content;
 }
 
-/// The `ok ...` repair-response lines of a serve transcript, in order.
-std::vector<std::string> OkLines(const std::string& text) {
+/// The non-JSON response lines of a serve transcript (`ok ...` and
+/// `err ...`), sorted: front ends may interleave repair responses and
+/// control answers differently, but must produce the same set of bytes.
+std::vector<std::string> SortedNonJsonLines(const std::string& text) {
   std::vector<std::string> lines;
   size_t start = 0;
   while (start < text.size()) {
     size_t nl = text.find('\n', start);
     if (nl == std::string::npos) nl = text.size();
     const std::string line = text.substr(start, nl - start);
-    if (line.rfind("ok ", 0) == 0) lines.push_back(line);
+    if (!line.empty() && line[0] != '{') lines.push_back(line);
     start = nl + 1;
   }
+  std::sort(lines.begin(), lines.end());
   return lines;
 }
 
@@ -444,11 +447,21 @@ TEST_F(CliTest, ServeTcpMatchesStdioServeByteForByte) {
             0);
   // The same request stream through both front ends. Values are arbitrary;
   // both paths parse the identical bytes, so the %.17g responses must be
-  // byte-identical line for line.
+  // byte-identical line for line. The control verbs whose answers are
+  // deterministic ride along: a reload to the same plan (repairs are
+  // unchanged by it), a reload of a missing file, a reload with no path,
+  // and a checkpoint with checkpointing disabled.
   const std::vector<std::string> requests = {
-      "repair 0 0 0 1 0.5 -0.5",     "repair 3 0 1 0 1.25 0.75",
-      "repair 0 1 0 0 -2.5 0.125",   "repair 3 1 1 1 3.5 -1.75",
-      "repair 0 2 1 1 0.0078125 42.5", "repair 3 2 0 0 -0.375 7.0",
+      "repair 0 0 0 1 0.5 -0.5",
+      "repair 3 0 1 0 1.25 0.75",
+      "repair 0 1 0 0 -2.5 0.125",
+      "reload " + plan_path_,
+      "repair 3 1 1 1 3.5 -1.75",
+      "reload " + dir_ + "/no_such_plan.bin",
+      "reload",
+      "checkpoint",
+      "repair 0 2 1 1 0.0078125 42.5",
+      "repair 3 2 0 0 -0.375 7.0",
   };
   std::string payload;
   for (const std::string& request : requests) payload += request + "\n";
@@ -462,12 +475,15 @@ TEST_F(CliTest, ServeTcpMatchesStdioServeByteForByte) {
   const std::string stdio_output = RunCapture(
       "serve --plan=" + plan_path_ + " --max_wait_us=100 < " + input_path, &exit_code);
   EXPECT_EQ(exit_code, 0);
-  const std::vector<std::string> stdio_lines = OkLines(stdio_output);
-  ASSERT_EQ(stdio_lines.size(), requests.size());
+  const std::vector<std::string> stdio_lines = SortedNonJsonLines(stdio_output);
+  ASSERT_EQ(stdio_lines.size(), requests.size()) << stdio_output;
+  EXPECT_NE(std::find(stdio_lines.begin(), stdio_lines.end(), "ok reload 2"),
+            stdio_lines.end())
+      << stdio_output;
 
   const int port = StartTcpServe("--net-threads=2");
   ASSERT_GT(port, 0);
-  const std::vector<std::string> tcp_lines = OkLines(TcpExchange(port, payload));
+  const std::vector<std::string> tcp_lines = SortedNonJsonLines(TcpExchange(port, payload));
   EXPECT_EQ(tcp_lines, stdio_lines);
   StopTcpServe();
 }

@@ -58,6 +58,17 @@ TEST(ProtocolTest, ParsesControlVerbs) {
   EXPECT_FALSE(ParseRequestLine("checkpointing", 2).ok());
 }
 
+TEST(ProtocolTest, VerbSetMatchesTheParser) {
+  for (const char* verb : {"repair", "metrics", "health", "reload", "checkpoint", "quit"})
+    EXPECT_TRUE(IsProtocolVerb(verb)) << verb;
+  EXPECT_FALSE(IsProtocolVerb("bogus-verb"));
+  EXPECT_FALSE(IsProtocolVerb("REPAIR"));
+  EXPECT_FALSE(IsProtocolVerb(""));
+  // The parser rejects exactly what the set rejects.
+  EXPECT_FALSE(ParseRequestLine("bogus-verb", 2).ok());
+  EXPECT_FALSE(ParseRequestLine("REPAIR 0 0 0 1 1.0 2.0", 2).ok());
+}
+
 TEST(ProtocolTest, FormatsOkResponseWithRoundTripPrecision) {
   RowResponse response;
   response.session_id = 4;

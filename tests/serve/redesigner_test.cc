@@ -337,9 +337,11 @@ TEST(RedesignerLoopTest, SelfHealsInBackgroundEndToEnd) {
   auto redesigner = Redesigner::Create(service.get(), options);
   ASSERT_TRUE(redesigner.ok());
   uint64_t next_row = fx.archive.size();
-  ASSERT_TRUE(WaitWithShiftedTraffic(service.get(), fx.archive, &next_row,
-                                     [&] { return service->plan_version() >= 2; }))
-      << "self-heal did not reload; last error: " << (*redesigner)->last_error();
+  // The swap bumps the version before the episode's counters are written;
+  // wait for the episode to close before reading them.
+  ASSERT_TRUE(WaitWithShiftedTraffic(service.get(), fx.archive, &next_row, [&] {
+    return service->plan_version() >= 2 && !(*redesigner)->busy();
+  })) << "self-heal did not reload; last error: " << (*redesigner)->last_error();
   const ServiceHealth health = service->Health();
   EXPECT_FALSE(health.degraded);
   EXPECT_EQ(health.reloads_total, 1u);
@@ -405,8 +407,10 @@ TEST(RedesignerLoopTest, TransientFaultIsAbsorbedByRetries) {
   auto redesigner = Redesigner::Create(service.get(), options);
   ASSERT_TRUE(redesigner.ok());
   uint64_t next_row = fx.archive.size();
-  ASSERT_TRUE(WaitWithShiftedTraffic(service.get(), fx.archive, &next_row,
-                                     [&] { return service->plan_version() >= 2; }));
+  // As above: the episode's counters land after the version bump.
+  ASSERT_TRUE(WaitWithShiftedTraffic(service.get(), fx.archive, &next_row, [&] {
+    return service->plan_version() >= 2 && !(*redesigner)->busy();
+  }));
   const RedesignerStats stats = (*redesigner)->stats();
   EXPECT_EQ(stats.failures, 1u);
   EXPECT_EQ(stats.reloads, 1u);

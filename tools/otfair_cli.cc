@@ -545,6 +545,29 @@ otfair::common::Result<otfair::serve::BatcherOptions> ServeBatcherOptions(
   return options;
 }
 
+/// Every serve mode ends with this write, so the next --recover resumes
+/// from the last row served, not the last background tick. A failure is a
+/// warning: every accepted row was already answered.
+void WriteFinalCheckpoint(otfair::serve::Checkpointer* checkpointer) {
+  if (checkpointer == nullptr) return;
+  if (Status status = checkpointer->WriteNow(); !status.ok())
+    std::fprintf(stderr, "warning: final checkpoint failed: %s\n", status.ToString().c_str());
+}
+
+/// The stdio and TCP drain epilogue, run once the front end has stopped
+/// accepting and answered what it accepted: the final checkpoint, then the
+/// drain report when a signal (not `quit` or EOF) ended the loop. Exits 0.
+int FinishDrain(otfair::serve::Checkpointer* checkpointer) {
+  WriteFinalCheckpoint(checkpointer);
+  if (g_drain_signal != 0)
+    std::fprintf(stderr, "drained on signal %d (final checkpoint generation %llu)\n",
+                 static_cast<int>(g_drain_signal),
+                 checkpointer != nullptr
+                     ? static_cast<unsigned long long>(checkpointer->generation())
+                     : 0ULL);
+  return 0;
+}
+
 /// Self-driving load mode: N concurrent sessions replay an archive CSV
 /// through the batcher, then metrics/health are printed as JSON lines.
 /// This is how serving throughput is measured in CI without sockets.
@@ -611,13 +634,7 @@ int RunServeReplay(otfair::serve::RepairService& service,
     }
   }
 
-  // A drain writes a final checkpoint so the next --recover resumes from
-  // the last row served, not the last background tick.
-  if (checkpointer != nullptr) {
-    if (Status status = checkpointer->WriteNow(); !status.ok())
-      std::fprintf(stderr, "warning: final checkpoint failed: %s\n",
-                   status.ToString().c_str());
-  }
+  WriteFinalCheckpoint(checkpointer);
 
   // Under a drain only the rows actually accepted are owed responses.
   const uint64_t expected =
@@ -657,6 +674,7 @@ int RunServeReplay(otfair::serve::RepairService& service,
 /// written before the clean exit-0 return.
 int RunServeStdio(otfair::serve::RepairService& service,
                   const otfair::serve::BatcherOptions& batcher_options,
+                  const otfair::serve::CheckpointHook& checkpoint,
                   otfair::serve::Checkpointer* checkpointer) {
   std::mutex out_mu;
   otfair::serve::Batcher batcher(
@@ -689,76 +707,20 @@ int RunServeStdio(otfair::serve::RepairService& service,
     }
     using otfair::serve::RequestKind;
     if (request->kind == RequestKind::kQuit) break;
-    switch (request->kind) {
-      case RequestKind::kRepair: {
-        const uint64_t session = request->row.session_id;
-        const uint64_t row = request->row.row_index;
-        if (Status status = batcher.Submit(std::move(request->row)); !status.ok())
-          respond(otfair::serve::FormatErrorLine(session, row, status));
-        break;
-      }
-      case RequestKind::kMetrics:
-        respond(service.metrics().Snapshot(batcher.queue_depth()).ToJson());
-        break;
-      case RequestKind::kMetricsProm: {
-        // The one multi-line response: the exposition text (every line
-        // newline-terminated by the renderer) plus a "# EOF" marker so a
-        // line-oriented client knows where the payload ends. respond()
-        // appends the marker's own newline.
-        std::string text = service.metrics().RenderPrometheus(batcher.queue_depth());
-        text += "# EOF";
-        respond(text);
-        break;
-      }
-      case RequestKind::kHealth:
-        respond(service.Health().ToJson());
-        break;
-      case RequestKind::kReload: {
-        if (Status status = service.ReloadPlanFromFile(request->plan_path); !status.ok()) {
-          respond(otfair::serve::FormatErrorLine(status));
-        } else {
-          respond("ok reload " + std::to_string(service.plan_version()));
-        }
-        break;
-      }
-      case RequestKind::kCheckpoint: {
-        if (checkpointer == nullptr) {
-          respond(otfair::serve::FormatErrorLine(Status::FailedPrecondition(
-              "checkpointing disabled (serve with --checkpoint_dir)")));
-          break;
-        }
-        // Drain in-flight micro-batches first so the acked checkpoint
-        // covers every row accepted before the verb — without the flush
-        // a partial batch could still be queued and its drift/sketch
-        // updates would miss the snapshot.
-        batcher.Flush();
-        if (Status status = checkpointer->WriteNow(); !status.ok()) {
-          respond(otfair::serve::FormatErrorLine(status));
-        } else {
-          respond("ok checkpoint " + std::to_string(checkpointer->generation()));
-        }
-        break;
-      }
-      case RequestKind::kQuit:
-        break;
+    if (request->kind == RequestKind::kRepair) {
+      const uint64_t session = request->row.session_id;
+      const uint64_t row = request->row.row_index;
+      if (Status status = batcher.Submit(std::move(request->row)); !status.ok())
+        respond(otfair::serve::FormatErrorLine(session, row, status));
+      continue;
     }
+    respond(otfair::serve::AnswerControlRequest(*request, service, batcher, checkpoint));
   }
   std::free(line_buf);
   // Drain (signal or quit/EOF): stop accepting, finish what was accepted,
   // then persist the post-flush state so --recover resumes exactly here.
   batcher.Close();
-  if (checkpointer != nullptr) {
-    if (Status status = checkpointer->WriteNow(); !status.ok())
-      std::fprintf(stderr, "warning: final checkpoint failed: %s\n",
-                   status.ToString().c_str());
-  }
-  if (g_drain_signal != 0)
-    std::fprintf(stderr, "drained on signal %d (final checkpoint generation %llu)\n",
-                 static_cast<int>(g_drain_signal),
-                 checkpointer != nullptr
-                     ? static_cast<unsigned long long>(checkpointer->generation())
-                     : 0ULL);
-  return 0;
+  return FinishDrain(checkpointer);
 }
 
 /// Network mode: the same protocol and drain semantics as stdio, served
@@ -766,31 +728,26 @@ int RunServeStdio(otfair::serve::RepairService& service,
 /// signal; the workers own all socket I/O.
 int RunServeNet(otfair::serve::RepairService& service, const FlagParser& flags,
                 const otfair::serve::BatcherOptions& batcher_options,
+                const otfair::serve::CheckpointHook& checkpoint,
                 otfair::serve::Checkpointer* checkpointer) {
   otfair::net::ServerOptions options;
   const int listen_port = flags.GetInt("listen", 0);
   if (listen_port < 0 || listen_port > 65535)
     return Fail(Status::InvalidArgument("--listen must be a port in [0, 65535]"));
   options.port = static_cast<uint16_t>(listen_port);
-  options.host = flags.GetString("listen-host", flags.GetString("listen_host", "127.0.0.1"));
-  const int net_threads = flags.GetInt("net-threads", flags.GetInt("net_threads", 1));
+  options.host = flags.GetString("listen-host", "127.0.0.1");
+  const int net_threads = flags.GetInt("net-threads", 1);
   if (net_threads < 1) return Fail(Status::InvalidArgument("--net-threads must be >= 1"));
   options.net_threads = net_threads;
-  const int max_conns = flags.GetInt("max-conns", flags.GetInt("max_conns", 4096));
+  const int max_conns = flags.GetInt("max-conns", 4096);
   if (max_conns < 1) return Fail(Status::InvalidArgument("--max-conns must be >= 1"));
   options.max_connections = static_cast<size_t>(max_conns);
   options.batcher = batcher_options;
   otfair::net::ServerHooks hooks;
-  if (checkpointer != nullptr) {
-    hooks.checkpoint = [checkpointer]() -> otfair::common::Result<uint64_t> {
-      if (Status status = checkpointer->WriteNow(); !status.ok()) return status;
-      return checkpointer->generation();
-    };
-  }
+  hooks.checkpoint = checkpoint;
   auto server = otfair::net::Server::Create(&service, options, std::move(hooks));
   if (!server.ok()) return Fail(server.status());
-  const std::string port_file =
-      flags.GetString("port-file", flags.GetString("port_file", ""));
+  const std::string port_file = flags.GetString("port-file", "");
   if (!port_file.empty()) {
     if (Status status = otfair::common::AtomicWriteFile(
             port_file, std::to_string((*server)->port()) + "\n");
@@ -802,20 +759,10 @@ int RunServeNet(otfair::serve::RepairService& service, const FlagParser& flags,
                options.max_connections);
   while (g_drain_signal == 0) std::this_thread::sleep_for(std::chrono::milliseconds(50));
   // Graceful network drain: stop accepting, flush in-flight connections,
-  // write the final checkpoint, exit 0 — the PR-8 drain contract extended
-  // to sockets.
+  // write the final checkpoint, exit 0 — the stdio drain contract
+  // extended to sockets.
   (*server)->Shutdown();
-  if (checkpointer != nullptr) {
-    if (Status status = checkpointer->WriteNow(); !status.ok())
-      std::fprintf(stderr, "warning: final checkpoint failed: %s\n",
-                   status.ToString().c_str());
-  }
-  std::fprintf(stderr, "drained on signal %d (final checkpoint generation %llu)\n",
-               static_cast<int>(g_drain_signal),
-               checkpointer != nullptr
-                   ? static_cast<unsigned long long>(checkpointer->generation())
-                   : 0ULL);
-  return 0;
+  return FinishDrain(checkpointer);
 }
 
 /// Builds the service from the newest intact checkpoint. The checkpoint's
@@ -886,10 +833,8 @@ int RunServe(const FlagParser& flags) {
   const bool recover = flags.GetBool("recover", false);
   if (recover && checkpoint_dir.empty())
     return Fail(Status::InvalidArgument("--recover requires --checkpoint_dir"));
-  const std::string prom_dump =
-      flags.GetString("prom-dump", flags.GetString("prom_dump", ""));
-  const int prom_interval_ms =
-      flags.GetInt("prom-interval-ms", flags.GetInt("prom_interval_ms", 1000));
+  const std::string prom_dump = flags.GetString("prom-dump", "");
+  const int prom_interval_ms = flags.GetInt("prom-interval-ms", 1000);
   if (!prom_dump.empty() && prom_interval_ms < 1)
     return Fail(Status::InvalidArgument("--prom-interval-ms must be >= 1"));
   // Tracing turns on before the service exists so recovery and plan-load
@@ -936,7 +881,7 @@ int RunServe(const FlagParser& flags) {
   // restored drift accumulators still trip the monitor, so the loop
   // re-opens the episode on its own — no episode state needs replaying.
   std::unique_ptr<otfair::serve::Redesigner> redesigner;
-  if (flags.GetBool("self-heal", false) || flags.GetBool("self_heal", false)) {
+  if (flags.GetBool("self-heal", false)) {
     auto created =
         otfair::serve::Redesigner::Create(service.get(), ServeRedesignerOptions(flags));
     if (!created.ok()) return Fail(created.status());
@@ -956,6 +901,14 @@ int RunServe(const FlagParser& flags) {
         service.get(), checkpoint_options, redesigner.get(), recovered_generation);
     if (!created.ok()) return Fail(created.status());
     checkpointer = std::move(*created);
+  }
+  // The `checkpoint` verb's hook, one for the stdio and TCP front ends.
+  otfair::serve::CheckpointHook checkpoint_hook;
+  if (checkpointer) {
+    checkpoint_hook = [raw = checkpointer.get()]() -> otfair::common::Result<uint64_t> {
+      if (Status status = raw->WriteNow(); !status.ok()) return status;
+      return raw->generation();
+    };
   }
 
   // Periodic Prometheus dump: a helper thread renders the full registry
@@ -1009,11 +962,11 @@ int RunServe(const FlagParser& flags) {
     // unlocked connection state for nothing.
     auto batcher_options = ServeBatcherOptions(flags, /*background_flush=*/false);
     if (!batcher_options.ok()) return Fail(batcher_options.status());
-    ret = RunServeNet(*service, flags, *batcher_options, checkpointer.get());
+    ret = RunServeNet(*service, flags, *batcher_options, checkpoint_hook, checkpointer.get());
   } else {
     auto batcher_options = ServeBatcherOptions(flags, /*background_flush=*/true);
     if (!batcher_options.ok()) return Fail(batcher_options.status());
-    ret = RunServeStdio(*service, *batcher_options, checkpointer.get());
+    ret = RunServeStdio(*service, *batcher_options, checkpoint_hook, checkpointer.get());
   }
   // Stop order mirrors dependency order: the checkpoint loop reads the
   // service and redesigner, so it stops first (the modes already wrote
@@ -1072,8 +1025,8 @@ int RunLoadgenCmd(const FlagParser& flags) {
   options.sessions = static_cast<size_t>(sessions);
   options.rows_per_session = flags.GetUint64("rows", 1000);
   options.dim = static_cast<size_t>(dim);
-  options.u_levels = flags.GetInt("u-levels", flags.GetInt("u_levels", 2));
-  options.s_levels = flags.GetInt("s-levels", flags.GetInt("s_levels", 2));
+  options.u_levels = flags.GetInt("u-levels", 2);
+  options.s_levels = flags.GetInt("s-levels", 2);
   options.window = static_cast<size_t>(window);
   options.seed = flags.GetUint64("seed", 1);
   options.timeout_ms = flags.GetInt("timeout_ms", 30000);
@@ -1371,13 +1324,11 @@ int RunSimulate(const FlagParser& flags) {
   const int dim = flags.GetInt("dim", 2);
   if (dim < 1) return Fail(Status::InvalidArgument("--dim must be >= 1"));
   const double shift = flags.GetDouble("shift", 0.0);
-  // Both spellings accepted: the hyphenated form is documented, the
-  // underscore form matches every other flag's convention.
-  const int s_levels = flags.GetInt("s-levels", flags.GetInt("s_levels", 2));
-  const int u_levels = flags.GetInt("u-levels", flags.GetInt("u_levels", 2));
+  const int s_levels = flags.GetInt("s-levels", 2);
+  const int u_levels = flags.GetInt("u-levels", 2);
   if (s_levels < 2 || u_levels < 1)
     return Fail(Status::InvalidArgument("--s-levels must be >= 2 and --u-levels >= 1"));
-  const double shift_at = flags.GetDouble("shift-at", flags.GetDouble("shift_at", 0.0));
+  const double shift_at = flags.GetDouble("shift-at", 0.0);
   if (shift_at < 0.0 || shift_at >= 1.0)
     return Fail(Status::InvalidArgument("--shift-at must lie in [0, 1)"));
   otfair::common::Rng rng(flags.GetUint64("seed", 1));
@@ -1468,9 +1419,8 @@ int main(int argc, char** argv) {
   FlagParser flags(argc - 1, argv + 1);
   // Global escape hatch, resolved before any command touches a kernel.
   // The env var OTFAIR_NO_SIMD is read by the dispatch layer itself; the
-  // flag covers invocations where exporting a variable is awkward (both
-  // spellings accepted, matching the --s-levels convention).
-  if (flags.GetBool("no-simd", false) || flags.GetBool("no_simd", false))
+  // flag covers invocations where exporting a variable is awkward.
+  if (flags.GetBool("no-simd", false))
     otfair::common::simd::SetForceScalar(true);
   if (command == "design") return RunDesign(flags);
   if (command == "repair") return RunRepair(flags);

@@ -11,10 +11,6 @@
 # optimization: this script configures CMAKE_BUILD_TYPE=Release (the
 # repo's default build type).
 #
-# The legacy Google-Benchmark microbenches (ot_microbench etc.) still
-# build when libbenchmark is installed; run those binaries directly for
-# per-op microbenchmarks.
-#
 # Methodology for committed BENCH_*.json snapshots (the numbers cited
 # in README "Performance" and in perf-PR claims):
 #   * Interleaved min-of-N: run the harness several times (>= 3
