@@ -41,8 +41,17 @@ bool ParseFiniteDecimal(std::string_view text, double* value);
 inline constexpr size_t kMaxDouble17Chars = 24;
 
 /// Writes `value` exactly as printf("%.17g") would, with no terminator,
-/// into `out`, which must have room for kMaxDouble17Chars bytes. Returns
-/// one past the last byte written.
+/// into `out`, which must have room for kMaxDouble17Chars bytes (bytes
+/// past the returned end may be overwritten). Returns one past the last
+/// byte written.
+///
+/// A normal double with 2^-53 <= |value| < 2^57 (about 1.1e-16 to
+/// 1.4e17, biased exponents 970..1079) takes an exact integer path: with
+/// |value| = m·2^e and q = 16 - floor((e + 52)·log10 2) in [0, 32], the
+/// product m·5^q fits in 128 bits, and one shift splits |value|·10^q into
+/// its integer part and exact remainder, which round half to even to the
+/// 17 digits. Zero, subnormals, other magnitudes, inf and nan go through
+/// std::to_chars(general, 17). Both paths print the same bytes.
 char* AppendDouble17(char* out, double value);
 
 }  // namespace otfair::common

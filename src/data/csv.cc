@@ -113,6 +113,27 @@ bool ParseLevel(std::string_view cell, int* level) {
   return true;
 }
 
+/// Parses the level-count comment "# s_levels=K u_levels=M". Whitespace
+/// between the tokens is optional; each count is a whole ParseLevel token,
+/// and nothing may follow the second.
+bool ParseLevelComment(std::string_view line, int* s_levels, int* u_levels) {
+  auto key = [&line](std::string_view name) {
+    line = common::Trim(line);
+    if (line.substr(0, name.size()) != name) return false;
+    line.remove_prefix(name.size());
+    return true;
+  };
+  auto count = [&line](int* value) {
+    line = common::Trim(line);
+    const size_t end = std::min(line.find_first_not_of("+-0123456789"), line.size());
+    if (!ParseLevel(line.substr(0, end), value)) return false;
+    line.remove_prefix(end);
+    return true;
+  };
+  return key("#") && key("s_levels=") && count(s_levels) && key("u_levels=") &&
+         count(u_levels) && common::Trim(line).empty();
+}
+
 }  // namespace
 
 Status WriteCsv(const Dataset& dataset, const std::string& path) {
@@ -184,9 +205,7 @@ Result<Dataset> ReadCsv(const std::string& path) {
   if (!line.empty() && line[0] == '#') {
     int s_parsed = 0;
     int u_parsed = 0;
-    if (std::sscanf(std::string(line).c_str(), "# s_levels=%d u_levels=%d", &s_parsed,
-                    &u_parsed) != 2 ||
-        s_parsed < 2 || u_parsed < 1)
+    if (!ParseLevelComment(line, &s_parsed, &u_parsed) || s_parsed < 2 || u_parsed < 1)
       return Status::InvalidArgument(
           "unrecognized comment header (expected '# s_levels=K u_levels=M'): " + path);
     s_levels = static_cast<size_t>(s_parsed);

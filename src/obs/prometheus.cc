@@ -23,8 +23,10 @@ const char* KindName(MetricKind kind) {
   return "untyped";
 }
 
-/// Shortest round-trip double formatting; integers render without a dot
-/// (Prometheus accepts both, integer form is friendlier to diffs).
+/// %.17g, which reads back to the same bits but is not the shortest
+/// such form (0.1 renders as 0.10000000000000001); integers below 1e15
+/// render without a dot (Prometheus accepts both, integer form is
+/// friendlier to diffs).
 std::string FormatValue(double v) {
   if (std::isnan(v)) return "NaN";
   if (std::isinf(v)) return v > 0 ? "+Inf" : "-Inf";

@@ -6,6 +6,9 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -85,12 +88,43 @@ void ExpectDouble17RoundTrip(double value) {
 
 TEST(StringUtilTest, Double17MatchesPrintfAndRoundTripsBitExact) {
   constexpr double kDenormMin = std::numeric_limits<double>::denorm_min();
-  for (const double value :
-       {0.0, -0.0, 1.0, -1.0, 42.0, 1e15, 1e16, 1e17, 9007199254740993.0, -123456789.0, 0.1,
-        1.0 / 3.0, DBL_EPSILON, DBL_MIN, -DBL_MIN, DBL_MAX, -DBL_MAX, kDenormMin, -kDenormMin,
-        DBL_MIN / 3.0, std::nextafter(DBL_MIN, 0.0), -std::nextafter(DBL_MIN, 0.0)})
-    ExpectDouble17RoundTrip(value);
+  std::vector<double> values = {
+      0.0, 1.0, 42.0, 1e15, 1e16, 1e17, 9007199254740993.0, 123456789.0, 0.1, 1.0 / 3.0,
+      DBL_EPSILON, DBL_MIN, DBL_MAX, kDenormMin, DBL_MIN / 3.0, std::nextafter(DBL_MIN, 0.0)};
+  // Exact 17-digit ties round half to even; %g switches between fixed and
+  // exponent layout at 1e-4 and 1e17.
+  const std::pair<double, std::string> kPinned[] = {
+      {1234567890123456.25, "1234567890123456.2"},
+      {1234567890123456.75, "1234567890123456.8"},
+      {1e-4, "0.0001"},
+      {1e-5, "1.0000000000000001e-05"},
+      {std::nextafter(1e16, 0.0), "9999999999999998"},
+      {std::nextafter(1e17, 0.0), "99999999999999984"}};
+  for (const auto& [value, text] : kPinned) {
+    char buf[kMaxDouble17Chars];
+    EXPECT_EQ(std::string(buf, AppendDouble17(buf, value)), text);
+    values.push_back(value);
+  }
+  // Every power of ten from 1e-20 to 1e20, with both neighbours.
+  for (int p = -20; p <= 20; ++p) {
+    const double ten = std::strtod(("1e" + std::to_string(p)).c_str(), nullptr);
+    values.insert(values.end(), {ten, std::nextafter(ten, 0.0), std::nextafter(ten, DBL_MAX)});
+  }
   Rng rng(17);
+  // Random mantissas in every binade from two below the exact integer
+  // kernel's range (biased exponents 970..1079) to two above it.
+  for (uint64_t exponent = 968; exponent <= 1081; ++exponent) {
+    for (int i = 0; i < 1000; ++i) {
+      const uint64_t bits = exponent << 52 | (rng.Next64() & ((uint64_t{1} << 52) - 1));
+      double value = 0.0;
+      std::memcpy(&value, &bits, sizeof(value));
+      values.push_back(value);
+    }
+  }
+  for (const double value : values) {
+    ExpectDouble17RoundTrip(value);
+    ExpectDouble17RoundTrip(-value);
+  }
   for (int i = 0; i < 200000; ++i) {
     const uint64_t bits = rng.Next64();
     double value = 0.0;

@@ -161,6 +161,22 @@ TEST_F(CsvTest, MalformedLevelCommentIsRejected) {
   const std::string swapped = TempPath("swapped_comment.csv");
   WriteFile(swapped, "# u_levels=3 s_levels=4\ns,u,x\n0,0,1.0\n");
   EXPECT_FALSE(ReadCsv(swapped).ok());
+  // A count is a whole token with nothing after the second: an
+  // overflowing, fractional or suffixed count, or a repeated key, must not
+  // load as the number it starts with.
+  const std::string rows = "s,u,x\n0,0,1.0\n1,0,2.0\n2,1,3.0\n0,1,4.0\n";
+  for (const std::string comment :
+       {"# s_levels=4294967299 u_levels=2", "# s_levels=3 u_levels=2.9",
+        "# s_levels=3 u_levels=2junk", "# s_levels=3 u_levels=2 s_levels=9"}) {
+    WriteFile(path, comment + "\n" + rows);
+    EXPECT_FALSE(ReadCsv(path).ok()) << comment;
+  }
+  // The well-formed declaration still loads with loose whitespace and CRLF.
+  WriteFile(path, "#s_levels= 3\tu_levels=2 \r\n" + rows);
+  auto loaded = ReadCsv(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->s_levels(), 3u);
+  EXPECT_EQ(loaded->u_levels(), 2u);
 }
 
 TEST_F(CsvTest, BinaryDatasetsGetNoLevelComment) {

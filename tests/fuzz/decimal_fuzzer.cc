@@ -7,7 +7,10 @@
 //   2. a token strtod reads in full but ParseFiniteDecimal rejects falls
 //      in one of the grammar's deliberate exclusions (see Excluded);
 //   3. the first 8 bytes of the input, read as a finite double, format
-//      exactly as %.17g and parse back to the same bits.
+//      exactly as %.17g and parse back to the same bits; so do the same
+//      bytes with the exponent folded into the binades AppendDouble17's
+//      exact integer kernel covers, which random bytes reach ~5% of the
+//      time.
 //
 // Build (needs Clang; the target is skipped under GCC):
 //   cmake -B build-fuzz -DCMAKE_CXX_COMPILER=clang++ -DOTFAIR_BUILD_FUZZERS=ON
@@ -64,9 +67,9 @@ void CheckToken(const uint8_t* data, size_t size) {
   if (!accepted && reference_accepted && !Excluded(token, reference, error)) __builtin_trap();
 }
 
-void CheckDouble(const uint8_t* data) {
+void CheckDouble(uint64_t bits) {
   double value = 0.0;
-  std::memcpy(&value, data, sizeof(value));
+  std::memcpy(&value, &bits, sizeof(value));
   if (!std::isfinite(value)) return;
   char printed[32];
   const int n = std::snprintf(printed, sizeof(printed), "%.17g", value);
@@ -83,6 +86,13 @@ void CheckDouble(const uint8_t* data) {
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   CheckToken(data, size);
-  if (size >= sizeof(double)) CheckDouble(data);
+  if (size >= sizeof(double)) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, data, sizeof(bits));
+    CheckDouble(bits);
+    // Biased exponents 970..1079: 2^-53 <= |value| < 2^57.
+    constexpr uint64_t kExponentMask = uint64_t{0x7ff} << 52;
+    CheckDouble((bits & ~kExponentMask) | (970 + (bits >> 52 & 0x7ff) % 110) << 52);
+  }
   return 0;
 }
