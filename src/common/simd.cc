@@ -2,10 +2,13 @@
 
 #include <array>
 #include <atomic>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
+#include <system_error>
 
 #if defined(__x86_64__) || defined(_M_X64)
 #define OTFAIR_SIMD_X86 1
@@ -145,10 +148,26 @@ uint32_t ScalarCrc32Update(uint32_t crc, const unsigned char* bytes, size_t len)
   return crc;
 }
 
+// std::from_chars, which libstdc++ answers with fast_float (Lemire, "Number
+// Parsing at a Gigabyte per Second", SPE 2021) and a big-number fallback,
+// so every token reads correctly rounded.
+const char* ScalarParseDecimal(const char* first, const char* last, double* value) {
+  // from_chars takes no '+'; strtod takes one, but not before another sign.
+  if (first != last && *first == '+') {
+    ++first;
+    if (first != last && *first == '-') return nullptr;
+  }
+  double parsed = 0.0;
+  const auto [end, error] = std::from_chars(first, last, parsed);
+  if (error != std::errc() || !std::isfinite(parsed)) return nullptr;
+  *value = parsed;
+  return end;
+}
+
 constexpr Ops kScalarOps = {
-    "scalar",         ScalarSum,        ScalarDot,       ScalarMax,
-    ScalarMaxAbsDiff, ScalarAddInPlace, ScalarScaledMul, ScalarLseDiff,
-    ScalarKdeWalks,   ScalarCrc32Update,
+    "scalar",         ScalarSum,         ScalarDot,         ScalarMax,
+    ScalarMaxAbsDiff, ScalarAddInPlace,  ScalarScaledMul,   ScalarLseDiff,
+    ScalarKdeWalks,   ScalarCrc32Update, ScalarParseDecimal,
 };
 
 #if defined(OTFAIR_SIMD_X86)
@@ -482,12 +501,180 @@ OTFAIR_PCLMUL uint32_t PclmulCrc32Update(uint32_t crc, const unsigned char* byte
 }
 
 #undef OTFAIR_PCLMUL
+
+// The decimal reader. A token of the form [sign] digits ['.' digits] with
+// at most 19 significant digits is w·10^q for an integer w < 10^19 and
+// q in [-48, 0]. Eisel and Lemire round w·10^q to the nearest double from
+// one 64x128-bit product with a 128-bit approximation of 5^q (Lemire, SPE
+// 2021), and Mushtak and Lemire ("Fast Number Parsing Without Fallback",
+// SPE 2023) prove that this product decides the rounding for every
+// w < 2^64, so the result is strtod's. The bounded q also rules out
+// subnormals, zero and infinity.
+
+/// A 128-bit significand, top bit set.
+struct Pow5 {
+  uint64_t high;
+  uint64_t low;
+};
+
+// 5^-k for k in [0, 48], as fast_float's table holds it: 5^0 = 2^127 and,
+// for k > 0 with 2^(z-1) < 5^k < 2^z, floor(2^b / 5^k) + 1 with
+// b = z + 127 (k <= 27), or with b = 2z + 128 and then cut to its top 128
+// bits (k > 27).
+constexpr std::array<Pow5, 49> BuildPow5Reciprocals() {
+  std::array<Pow5, 49> table{};
+  table[0] = {uint64_t{1} << 63, 0};
+  unsigned __int128 power = 1;  // 5^k < 2^112
+  for (int k = 1; k < 49; ++k) {
+    power *= 5;
+    const auto top = static_cast<uint64_t>(power >> 64);
+    const int z = top != 0 ? 128 - __builtin_clzll(top)
+                           : 64 - __builtin_clzll(static_cast<uint64_t>(power));
+    const int b = k <= 27 ? z + 127 : 2 * z + 128;
+    // 2^b in little-endian 64-bit limbs, divided by 5 k times.
+    uint64_t x[6] = {};
+    x[b / 64] = uint64_t{1} << (b % 64);
+    for (int i = 0; i < k; ++i) {
+      unsigned __int128 rest = 0;
+      for (int limb = 5; limb >= 0; --limb) {
+        const unsigned __int128 current = rest << 64 | x[limb];
+        x[limb] = static_cast<uint64_t>(current / 5);
+        rest = current % 5;
+      }
+    }
+    for (int limb = 0; ++x[limb] == 0; ++limb) {
+    }
+    while ((x[2] | x[3] | x[4] | x[5]) != 0) {
+      for (int limb = 0; limb < 6; ++limb) x[limb] = x[limb] >> 1 | (limb < 5 ? x[limb + 1] << 63 : 0);
+    }
+    table[k] = {x[1], x[0]};
+  }
+  return table;
+}
+
+constexpr std::array<Pow5, 49> kPow5Reciprocals = BuildPow5Reciprocals();
+// fast_float's entries for 5^-1 and 5^-28, one from each branch.
+static_assert(kPow5Reciprocals[1].high == 0xcccccccccccccccc &&
+              kPow5Reciprocals[1].low == 0xcccccccccccccccd);
+static_assert(kPow5Reciprocals[28].high == 0xfd87b5f28300ca0d &&
+              kPow5Reciprocals[28].low == 0x8bca9d6e188853fc);
+
+OTFAIR_AVX2 inline __m256i Load256(const char* p) {
+  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+}
+
+OTFAIR_AVX2 inline uint64_t ByteMask(__m256i hits) {
+  return static_cast<uint32_t>(_mm256_movemask_epi8(hits));
+}
+
+// Reads at most 65 bytes from `first`: a sign, then 32 bytes from at most
+// byte 31 + 1 after it.
+OTFAIR_AVX2 const char* Avx2ParseDecimal(const char* first, const char* last, double* value) {
+  if (first == last) return nullptr;
+  const char sign = *first;
+  const uint64_t negative = sign == '-';
+  const char* const p = first + (sign == '-' || sign == '+');
+  // Masks of the 32 bytes at p, cleared at and past `last`.
+  const auto avail = static_cast<size_t>(last - p);
+  const uint64_t valid = (uint64_t{1} << (avail < 32 ? avail : 32)) - 1;
+  const __m256i bytes = Load256(p);
+  const __m256i offset = _mm256_sub_epi8(bytes, _mm256_set1_epi8('0'));
+  const uint64_t digit =
+      valid & ByteMask(_mm256_cmpeq_epi8(_mm256_min_epu8(offset, _mm256_set1_epi8(9)), offset));
+  const uint64_t dot = valid & ByteMask(_mm256_cmpeq_epi8(bytes, _mm256_set1_epi8('.')));
+
+  // `whole` digits, then optionally '.' and `fraction` digits, up to `end`.
+  const int whole = __builtin_ctzll(~digit);
+  const int has_dot = static_cast<int>(dot >> whole & 1);
+  const int fraction = __builtin_ctzll(~(digit >> (whole + 1))) & -has_dot;
+  const int end = whole + has_dot + fraction;
+  int digits = whole + fraction;
+  // No digits (a sign pair, inf, nan, ...), an exponent, or a number that
+  // may run past the 32 bytes: the scalar entry decides.
+  if (digits == 0 || end >= 32 || (static_cast<size_t>(end) < avail && (p[end] | 0x20) == 'e'))
+    return ScalarParseDecimal(first, last, value);
+  // Leading zeros, and the dot among them, are skipped only when the
+  // digits would not fit in 19 otherwise.
+  int lead = 0;
+  if (digits > 19) {
+    const uint64_t zero = valid & ByteMask(_mm256_cmpeq_epi8(bytes, _mm256_set1_epi8('0')));
+    lead = __builtin_ctzll(~((zero | dot) & ((uint64_t{1} << end) - 1)));
+    digits = end - lead - (has_dot && lead <= whole);
+    if (digits > 19) return ScalarParseDecimal(first, last, value);
+  }
+
+  // The digits from `lead` with the dot squeezed out (lanes at or past it
+  // read one byte further on), as values 0..9, and 0 past the last one.
+  const int split = has_dot && lead <= whole ? whole - lead : 32;
+  const __m256i lane = _mm256_setr_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16,
+                                        17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31);
+  const __m256i chars =
+      _mm256_blendv_epi8(Load256(p + lead), Load256(p + lead + 1),
+                         _mm256_cmpgt_epi8(lane, _mm256_set1_epi8(static_cast<char>(split - 1))));
+  const __m256i values =
+      _mm256_and_si256(_mm256_sub_epi8(chars, _mm256_set1_epi8('0')),
+                       _mm256_cmpgt_epi8(_mm256_set1_epi8(static_cast<char>(digits)), lane));
+  // w = the first 19 of them as one integer: the low 128-bit lane folds
+  // digits 0-15 into pairs, quads and two halves of eight; the high lane
+  // folds digits 16-18 into one number.
+  const __m256i pairs = _mm256_maddubs_epi16(
+      values, _mm256_setr_epi8(10, 1, 10, 1, 10, 1, 10, 1, 10, 1, 10, 1, 10, 1, 10, 1, 10, 1, 1, 0,
+                               0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0));
+  const __m256i quads = _mm256_madd_epi16(
+      pairs, _mm256_setr_epi16(100, 1, 100, 1, 100, 1, 100, 1, 10, 1, 0, 0, 0, 0, 0, 0));
+  const __m256i halves =
+      _mm256_madd_epi16(_mm256_packus_epi32(quads, quads),
+                        _mm256_setr_epi16(10000, 1, 10000, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0));
+  const __m128i low_lane = _mm256_castsi256_si128(halves);
+  uint64_t w = (static_cast<uint64_t>(_mm_cvtsi128_si32(low_lane)) * 100000000 +
+                static_cast<uint32_t>(_mm_extract_epi32(low_lane, 1))) *
+                   1000 +
+               static_cast<uint32_t>(_mm256_extract_epi32(halves, 4));
+  if (w == 0) {
+    *value = negative ? -0.0 : 0.0;
+    return p + end;
+  }
+  const int q = -fraction - (19 - digits);
+
+  // Eisel-Lemire: the top 55 bits of w·5^q, widened by the low word of the
+  // table entry when the first product leaves them open, then rounded half
+  // to even; 10^q = 5^q·2^q moves the binary exponent only.
+  const int lz = __builtin_clzll(w);
+  w <<= lz;
+  const Pow5& power = kPow5Reciprocals[-q];
+  const unsigned __int128 product = static_cast<unsigned __int128>(w) * power.high;
+  auto high = static_cast<uint64_t>(product >> 64);
+  auto low = static_cast<uint64_t>(product);
+  if ((high & 0x1FF) == 0x1FF) {
+    const auto carry = static_cast<uint64_t>((static_cast<unsigned __int128>(w) * power.low) >> 64);
+    low += carry;
+    high += low < carry;
+  }
+  const int upper = static_cast<int>(high >> 63);
+  const int shift = upper + 9;
+  uint64_t mantissa = high >> shift;
+  int exponent = ((217706 * q) >> 16) + 63 + upper - lz + 1023;
+  // An exact tie (the shift dropped only zeros, which needs q >= -4)
+  // must not round up from an even mantissa.
+  if (low <= 1 && q >= -4 && (mantissa & 3) == 1 && mantissa << shift == high)
+    mantissa &= ~uint64_t{1};
+  mantissa = (mantissa + (mantissa & 1)) >> 1;
+  if (mantissa >> 53 != 0) {
+    mantissa = uint64_t{1} << 52;
+    ++exponent;
+  }
+  const uint64_t bits = negative << 63 | static_cast<uint64_t>(exponent) << 52 |
+                        (mantissa & ((uint64_t{1} << 52) - 1));
+  std::memcpy(value, &bits, sizeof(bits));
+  return p + end;
+}
+
 #undef OTFAIR_AVX2
 
 constexpr Ops kAvx2Ops = {
-    "avx2",         Avx2Sum,        Avx2Dot,       Avx2Max,
-    Avx2MaxAbsDiff, Avx2AddInPlace, Avx2ScaledMul, Avx2LseDiff,
-    Avx2KdeWalks,   PclmulCrc32Update,
+    "avx2",         Avx2Sum,           Avx2Dot,          Avx2Max,
+    Avx2MaxAbsDiff, Avx2AddInPlace,    Avx2ScaledMul,    Avx2LseDiff,
+    Avx2KdeWalks,   PclmulCrc32Update, Avx2ParseDecimal,
 };
 
 #endif  // OTFAIR_SIMD_X86
@@ -594,7 +781,7 @@ double NeonLseDiff(const double* x, const double* y, size_t n) {
 constexpr Ops kNeonOps = {
     "neon",         NeonSum,        NeonDot,       NeonMax,
     NeonMaxAbsDiff, NeonAddInPlace, NeonScaledMul, NeonLseDiff,
-    ScalarKdeWalks, ScalarCrc32Update,
+    ScalarKdeWalks, ScalarCrc32Update, ScalarParseDecimal,
 };
 
 #endif  // OTFAIR_SIMD_NEON

@@ -14,8 +14,9 @@ struct KdeWalk {
   double* out = nullptr;  // the bracket point's pmf entry
 };
 
-/// Thin SIMD wrapper for the design, repair and Sinkhorn hot paths and the
-/// plan/checkpoint CRC.
+/// Thin SIMD wrapper for the design, repair and Sinkhorn hot paths, the
+/// plan/checkpoint CRC and the decimal reader behind CSV files and the
+/// serving protocol.
 ///
 /// One kernel table per instruction set (AVX2+FMA+PCLMULQDQ on x86-64,
 /// NEON on aarch64, plus a portable scalar fallback) is compiled in; which
@@ -33,9 +34,10 @@ struct KdeWalk {
 /// may differ from the scalar path in the last bits — they are only
 /// used in tolerance-checked contexts (Sinkhorn iterations, plan
 /// validation). Element-wise kernels (AddInPlace, ScaledMul), the KDE
-/// grid walks (`kde_walks`), the CRC-32 (`crc32_update`) and the exact
-/// comparisons (Max, and the repair table *lookup* paths built on this
-/// layer) are bit-identical to scalar, so plan bytes and their CRC do not
+/// grid walks (`kde_walks`), the CRC-32 (`crc32_update`), the decimal
+/// reader (`parse_decimal`) and the exact comparisons (Max, and the repair
+/// table *lookup* paths built on this layer) are bit-identical to scalar,
+/// so plan bytes, their CRC and the values read from a CSV file do not
 /// depend on the table. Nothing here touches RNG streams, so repair output is
 /// bit-identical across scalar/SIMD — the determinism suite asserts
 /// exactly that.
@@ -76,7 +78,23 @@ struct Ops {
   /// blocks, finishing tails under 16 bytes, and inputs under 64, with
   /// slicing-by-8. Exact integer arithmetic: bit-identical to scalar.
   uint32_t (*crc32_update)(uint32_t crc, const unsigned char* data, size_t len);
+  /// Reads the finite decimal that starts at `first` (the grammar of
+  /// common::ParseFiniteDecimal) into *value and returns one past its last
+  /// byte, or nullptr when none starts there. Like std::from_chars, it
+  /// takes the longest prefix of [first, last) that reads as a number and
+  /// leaves what follows to the caller. The kDecimalSlack bytes from
+  /// `first` must be readable, even past `last` (common/string_util.h).
+  /// Scalar: std::from_chars. AVX2 table: an integer or plain decimal of
+  /// at most 19 significant digits is read from vector compares, a
+  /// pmaddubsw/pmaddwd fold and one 128-bit Eisel-Lemire product; other
+  /// tokens take the scalar entry. Bit-identical to scalar: both are
+  /// correctly rounded, and they end at the same byte.
+  const char* (*parse_decimal)(const char* first, const char* last, double* value);
 };
+
+/// Bytes from a token's start that Ops::parse_decimal may read (the AVX2
+/// entry reads at most 65).
+inline constexpr size_t kDecimalSlack = 96;
 
 /// The portable scalar reference table (always available).
 const Ops& ScalarOps();

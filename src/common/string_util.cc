@@ -3,13 +3,14 @@
 #include <array>
 #include <charconv>
 #include <cctype>
-#include <cmath>
 #include <cstdarg>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <iomanip>
 #include <sstream>
+
+#include "common/simd.h"
 
 namespace otfair::common {
 namespace {
@@ -107,16 +108,19 @@ std::string StrFormat(const char* fmt, ...) {
 }
 
 bool ParseFiniteDecimal(std::string_view text, double* value) {
+  if (text.empty()) return false;
+  // The kernel reads a padded copy. A longer token is never the vector
+  // path's, and the scalar entry reads only [first, last).
+  char padded[simd::kDecimalSlack] = {};
+  const simd::Ops* ops = &simd::ScalarOps();
   const char* first = text.data();
-  const char* const last = first + text.size();
-  // from_chars takes no '+'; strtod takes one, but not before another sign.
-  if (first != last && *first == '+') {
-    ++first;
-    if (first != last && *first == '-') return false;
+  if (text.size() <= sizeof(padded)) {
+    first = static_cast<const char*>(std::memcpy(padded, text.data(), text.size()));
+    ops = &simd::Active();
   }
+  const char* const last = first + text.size();
   double parsed = 0.0;
-  const auto [end, error] = std::from_chars(first, last, parsed);
-  if (error != std::errc() || end != last || !std::isfinite(parsed)) return false;
+  if (ops->parse_decimal(first, last, &parsed) != last) return false;
   *value = parsed;
   return true;
 }

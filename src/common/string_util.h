@@ -35,6 +35,14 @@ std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2))
 /// inf/nan spellings, values that overflow and nonzero values that round
 /// to zero are rejected; subnormals are accepted. An accepted token reads
 /// to the bits strtod gives it.
+///
+/// This grammar has one reader, the kernel entry simd::Ops::parse_decimal
+/// (through simd::Active()), which reads a number at the start of a
+/// buffer and returns where it ends. That entry may read the
+/// simd::kDecimalSlack (96) bytes from a token's start even when the token
+/// is shorter, so a caller that hands it a buffer must own those bytes:
+/// data::ReadCsv's line buffer carries them past its end. This function
+/// copies `text` into such a buffer first and never reads past `text`.
 bool ParseFiniteDecimal(std::string_view text, double* value);
 
 /// The longest %.17g rendering of a double ("-2.2250738585072009e-308").

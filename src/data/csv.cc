@@ -8,6 +8,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/simd.h"
 #include "common/string_util.h"
 
 namespace otfair::data {
@@ -33,10 +34,13 @@ using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
 /// Yields the lines of a stream, without their '\n', as views into one
 /// reused buffer: a view is valid until the next call. The buffer grows
-/// only to hold a single line longer than it.
+/// only to hold a single line longer than it. Every view is followed, inside
+/// the buffer, by at least simd::kDecimalSlack bytes, which the decimal
+/// kernel may read past the end of a line.
 class LineReader {
  public:
-  explicit LineReader(std::FILE* file) : file_(file), buffer_(kBufferBytes) {}
+  explicit LineReader(std::FILE* file)
+      : file_(file), buffer_(kBufferBytes + common::simd::kDecimalSlack) {}
 
   /// False at the end of the input or on a read error (see failed()).
   bool Next(std::string_view* line) {
@@ -60,8 +64,8 @@ class LineReader {
       end_ -= begin_;
       begin_ = 0;
       scanned = end_;
-      if (end_ == buffer_.size()) buffer_.resize(2 * buffer_.size());
-      const size_t got = std::fread(buffer_.data() + end_, 1, buffer_.size() - end_, file_);
+      if (end_ == capacity()) buffer_.resize(2 * capacity() + common::simd::kDecimalSlack);
+      const size_t got = std::fread(buffer_.data() + end_, 1, capacity() - end_, file_);
       if (got == 0) {
         if (failed()) return false;
         at_eof_ = true;
@@ -73,6 +77,9 @@ class LineReader {
   bool failed() const { return std::ferror(file_) != 0; }
 
  private:
+  /// The bytes reads may fill; the slack behind them is never filled.
+  size_t capacity() const { return buffer_.size() - common::simd::kDecimalSlack; }
+
   std::FILE* file_;
   std::vector<char> buffer_;
   size_t begin_ = 0;  // first byte not yet returned
@@ -80,58 +87,105 @@ class LineReader {
   bool at_eof_ = false;
 };
 
-/// Splits `line` at commas into exactly `cells->size()` trimmed cells;
-/// false when it has another number of cells.
-bool SplitCells(std::string_view line, std::vector<std::string_view>* cells) {
-  const size_t last = cells->size() - 1;
-  for (size_t c = 0; c < last; ++c) {
-    const size_t comma = line.find(',');
-    if (comma == std::string_view::npos) return false;
-    (*cells)[c] = common::Trim(line.substr(0, comma));
-    line.remove_prefix(comma + 1);
-  }
-  if (line.find(',') != std::string_view::npos) return false;
-  (*cells)[last] = common::Trim(line);
+/// The whitespace a cell may carry around its token (std::isspace in the
+/// "C" locale).
+bool IsSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+const char* SkipSpace(const char* c, const char* end) {
+  while (c != end && IsSpace(*c)) ++c;
+  return c;
+}
+
+/// Moves the cursor past a token's trailing whitespace and the ',' that
+/// ends its cell, then past the next cell's leading whitespace.
+bool NextCell(const char*& c, const char* end) {
+  c = SkipSpace(c, end);
+  if (c == end || *c != ',') return false;
+  c = SkipSpace(c + 1, end);
   return true;
 }
 
-/// Parses a categorical level: an optional sign and decimal digits with a
-/// value in [0, 2^20] ("-0" reads as 0).
-bool ParseLevel(std::string_view cell, int* level) {
+/// Reads a categorical level at the cursor: an optional sign and decimal
+/// digits with a value in [0, 2^20] ("-0" reads as 0).
+bool ReadLevel(const char*& c, const char* end, int* level) {
+  constexpr uint32_t kMaxLevel = 1 << 20;
   bool negative = false;
-  if (!cell.empty() && (cell.front() == '+' || cell.front() == '-')) {
-    negative = cell.front() == '-';
-    cell.remove_prefix(1);
+  if (c != end && (*c == '+' || *c == '-')) {
+    negative = *c == '-';
+    ++c;
   }
-  if (cell.empty() || cell.front() < '0' || cell.front() > '9') return false;
-  int value = 0;
-  const auto [end, error] = std::from_chars(cell.data(), cell.data() + cell.size(), value);
-  if (error != std::errc() || end != cell.data() + cell.size() || value > (1 << 20) ||
-      (negative && value != 0))
-    return false;
-  *level = value;
+  if (c == end || *c < '0' || *c > '9') return false;
+  uint32_t value = 0;
+  for (; c != end && *c >= '0' && *c <= '9'; ++c)
+    value = std::min(10 * value + static_cast<uint32_t>(*c - '0'), kMaxLevel + 1);
+  if (value > kMaxLevel || (negative && value != 0)) return false;
+  *level = static_cast<int>(value);
   return true;
+}
+
+using ParseDecimal = decltype(common::simd::Ops::parse_decimal);
+
+/// What ReadRow returns for a row that conforms.
+constexpr size_t kRowOk = static_cast<size_t>(-1);
+
+/// Reads the row at `c` (past its leading whitespace) on one cursor: s, u
+/// and optionally y as levels (s/u any level, y 0/1), then `d` features,
+/// each cell ended by optional whitespace and a ',' (the last by the end of
+/// the line). Returns kRowOk, or the index of the cell where the row
+/// stopped conforming; RowError says why.
+size_t ReadRow(const char* c, const char* end, bool has_outcome, int* labels, size_t d,
+               ParseDecimal parse, double* features) {
+  const size_t label_cells = has_outcome ? 3 : 2;
+  for (size_t cell = 0; cell < label_cells; ++cell) {
+    if (!ReadLevel(c, end, &labels[cell]) || (cell == 2 && labels[2] > 1) || !NextCell(c, end))
+      return cell;
+  }
+  for (size_t k = 0; k + 1 < d; ++k) {
+    c = parse(c, end, &features[k]);
+    if (c == nullptr || !NextCell(c, end)) return label_cells + k;
+  }
+  c = parse(c, end, &features[d - 1]);
+  if (c == nullptr || SkipSpace(c, end) != end) return label_cells + d - 1;
+  return kRowOk;
+}
+
+/// The status of a row ReadRow stopped at `cell`, as a per-cell check
+/// reports it: a row with the wrong number of cells first, then its first
+/// bad cell.
+Status RowError(std::string_view line, size_t cell, size_t cells, bool has_outcome,
+                size_t line_number, const std::string& path) {
+  const std::string row = "row " + std::to_string(line_number) + ": ";
+  if (static_cast<size_t>(std::count(line.begin(), line.end(), ',')) + 1 != cells)
+    return Status::InvalidArgument(row + "wrong column count in " + path);
+  if (cell < 2)
+    return Status::InvalidArgument(row + "labels must be non-negative integers in " + path);
+  if (has_outcome && cell == 2)
+    return Status::InvalidArgument(row + "outcome must be 0/1 in " + path);
+  for (size_t k = 0; k < cell; ++k) line.remove_prefix(line.find(',') + 1);
+  return Status::InvalidArgument(row + "bad number '" +
+                                 std::string(common::Trim(line.substr(0, line.find(',')))) +
+                                 "' (features must be finite decimals) in " + path);
 }
 
 /// Parses the level-count comment "# s_levels=K u_levels=M". Whitespace
-/// between the tokens is optional; each count is a whole ParseLevel token,
+/// between the tokens is optional; each count is a whole level token,
 /// and nothing may follow the second.
 bool ParseLevelComment(std::string_view line, int* s_levels, int* u_levels) {
-  auto key = [&line](std::string_view name) {
-    line = common::Trim(line);
-    if (line.substr(0, name.size()) != name) return false;
-    line.remove_prefix(name.size());
+  const char* c = line.data();
+  const char* const end = c + line.size();
+  auto key = [&c, end](std::string_view name) {
+    c = SkipSpace(c, end);
+    if (static_cast<size_t>(end - c) < name.size() || name != std::string_view(c, name.size()))
+      return false;
+    c += name.size();
     return true;
   };
-  auto count = [&line](int* value) {
-    line = common::Trim(line);
-    const size_t end = std::min(line.find_first_not_of("+-0123456789"), line.size());
-    if (!ParseLevel(line.substr(0, end), value)) return false;
-    line.remove_prefix(end);
-    return true;
+  auto count = [&c, end](int* value) {
+    c = SkipSpace(c, end);
+    return ReadLevel(c, end, value);
   };
-  return key("#") && key("s_levels=") && count(s_levels) && key("u_levels=") &&
-         count(u_levels) && common::Trim(line).empty();
+  return key("#") && key("s_levels=") && count(s_levels) && key("u_levels=") && count(u_levels) &&
+         SkipSpace(c, end) == end;
 }
 
 }  // namespace
@@ -212,9 +266,8 @@ Result<Dataset> ReadCsv(const std::string& path) {
     u_levels = static_cast<size_t>(u_parsed);
     if (!lines.Next(&line)) return Status::IoError("empty file: " + path);
   }
-  std::vector<std::string_view> cells(
-      1 + static_cast<size_t>(std::count(line.begin(), line.end(), ',')));
-  SplitCells(line, &cells);  // sized to the line's cells, so it cannot fail
+  std::vector<std::string> cells = common::Split(std::string(line), ',');
+  for (std::string& cell : cells) cell = std::string(common::Trim(cell));
   if (cells.size() < 3 || cells[0] != "s" || cells[1] != "u")
     return Status::InvalidArgument("header must be 's,u[,y],<features...>': " + path);
   const bool has_outcome = cells[2] == "y";
@@ -232,36 +285,21 @@ Result<Dataset> ReadCsv(const std::string& path) {
   std::vector<int> u;
   std::vector<int> y;
   size_t line_number = 1;
+  int labels[3] = {};
+  const ParseDecimal parse = common::simd::Active().parse_decimal;
   while (lines.Next(&line)) {
     ++line_number;
-    line = common::Trim(line);
-    if (line.empty()) continue;
-    if (!SplitCells(line, &cells))
-      return Status::InvalidArgument("row " + std::to_string(line_number) +
-                                     ": wrong column count in " + path);
-    // s/u are categorical levels (any non-negative integer); y stays 0/1.
-    int si = 0;
-    int ui = 0;
-    if (!ParseLevel(cells[0], &si) || !ParseLevel(cells[1], &ui))
-      return Status::InvalidArgument("row " + std::to_string(line_number) +
-                                     ": labels must be non-negative integers in " + path);
-    s.push_back(si);
-    u.push_back(ui);
-    if (has_outcome) {
-      int yi = 0;
-      if (!ParseLevel(cells[2], &yi) || yi > 1)
-        return Status::InvalidArgument("row " + std::to_string(line_number) +
-                                       ": outcome must be 0/1 in " + path);
-      y.push_back(yi);
-    }
+    const char* const end = line.data() + line.size();
+    const char* const start = SkipSpace(line.data(), end);
+    if (start == end) continue;
     if (rows % block_rows == 0) blocks.emplace_back(block_rows * d);
     double* row = blocks.back().data() + (rows % block_rows) * d;
-    for (size_t k = 0; k < d; ++k) {
-      if (!common::ParseFiniteDecimal(cells[feature_start + k], &row[k]))
-        return Status::InvalidArgument("row " + std::to_string(line_number) +
-                                       ": bad number '" + std::string(cells[feature_start + k]) +
-                                       "' (features must be finite decimals) in " + path);
-    }
+    const size_t failed = ReadRow(start, end, has_outcome, labels, d, parse, row);
+    if (failed != kRowOk)
+      return RowError(line, failed, cells.size(), has_outcome, line_number, path);
+    s.push_back(labels[0]);
+    u.push_back(labels[1]);
+    if (has_outcome) y.push_back(labels[2]);
     ++rows;
   }
   if (lines.failed()) return Status::IoError("read failed: " + path);

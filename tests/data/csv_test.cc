@@ -222,6 +222,49 @@ TEST_F(CsvTest, RejectsWrongColumnCount) {
   EXPECT_FALSE(ReadCsv(path).ok());
 }
 
+TEST_F(CsvTest, MalformedRowsReportTheirFirstFault) {
+  // Each bad row follows a good one and a whitespace-only line, so it is
+  // line 4. A row is judged by its cell count first, then cell by cell.
+  struct RowCase {
+    std::string header;
+    std::string row;
+    std::string fault;
+  };
+  const RowCase kCases[] = {
+      {"s,u,x,z", "0,1,abc", "wrong column count"},  // short, and its feature is bad
+      {"s,u,x", "0,1,1.5,2.5", "wrong column count"},
+      {"s,u,y,x", "0,1,2", "wrong column count"},  // short, and y is bad
+      {"s,u,x", "a,1,1.5", "labels must be non-negative integers"},
+      {"s,u,x", "0,-1,1.5", "labels must be non-negative integers"},
+      {"s,u,x", "0, 1.0 ,1.5", "labels must be non-negative integers"},
+      {"s,u,y,x", "0,x,1,abc", "labels must be non-negative integers"},
+      {"s,u,y,x", "0,1,2,1.5", "outcome must be 0/1"},
+      {"s,u,y,x", "0,1,-1,1.5", "outcome must be 0/1"},
+      {"s,u,x,z", "0,1, 1 2 ,1.5", "bad number '1 2' (features must be finite decimals)"},
+      {"s,u,x,z", "0,1,1.5,", "bad number '' (features must be finite decimals)"},
+      {"s,u,x,z", "0,1,1e400,nan", "bad number '1e400' (features must be finite decimals)"},
+      {"s,u,x,z", "0,1,1.5,\t0x10\r", "bad number '0x10' (features must be finite decimals)"},
+  };
+  const std::string path = TempPath("malformed_row.csv");
+  for (const RowCase& c : kCases) {
+    const size_t cells = static_cast<size_t>(std::count(c.header.begin(), c.header.end(), ','));
+    std::string good = "1,0";
+    for (size_t k = 2; k <= cells; ++k) good += ",0";
+    WriteFile(path, c.header + "\n" + good + "\n \t \n" + c.row + "\n");
+    auto loaded = ReadCsv(path);
+    ASSERT_FALSE(loaded.ok()) << c.row;
+    EXPECT_EQ(loaded.status().code(), common::StatusCode::kInvalidArgument) << c.row;
+    EXPECT_EQ(loaded.status().message(), "row 4: " + c.fault + " in " + path) << c.row;
+  }
+  // The whitespace-only line is skipped and a CRLF row loads.
+  WriteFile(path, "s,u,x\n1,0,0\n \t \n0,1, -2.5 \r\n");
+  auto loaded = ReadCsv(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_EQ(loaded->size(), 2u);
+  EXPECT_EQ(loaded->u(1), 1);
+  EXPECT_EQ(loaded->feature(1, 0), -2.5);
+}
+
 TEST_F(CsvTest, RejectsEmptyFile) {
   const std::string path = TempPath("empty.csv");
   WriteFile(path, "");

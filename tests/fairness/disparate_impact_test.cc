@@ -76,7 +76,11 @@ TEST(DisparateImpactTest, ConditionalDiffersFromUnconditional) {
   ASSERT_TRUE(d.ok());
   // u=0 everyone positive; u=1 everyone negative: conditional DI = 1 both
   // strata, but unconditionally s=0 has rate 1/4 and s=1 has 3/4.
-  const std::vector<int> preds = {1, 1, 1, 1, 0, 0, 0, 0};
+  // The predictions are read off u rather than written as the literal
+  // {1, 1, 1, 1, 0, 0, 0, 0}: GCC 12.2 with AVX-512 enabled stores that
+  // literal as a broadcast of its first element (README, Determinism).
+  std::vector<int> preds(d->size());
+  for (size_t i = 0; i < preds.size(); ++i) preds[i] = d->u(i) == 0 ? 1 : 0;
   auto cond0 = DisparateImpact(*d, preds, 0);
   auto cond1 = DisparateImpact(*d, preds, 1);
   auto uncond = DisparateImpactUnconditional(*d, preds);

@@ -1,12 +1,21 @@
-// libFuzzer differential harness for the round-trip number codec in
-// common/string_util (ParseFiniteDecimal, AppendDouble17), with strtod and
-// printf("%.17g") as the references. Any trap is a finding:
+// libFuzzer differential harness for the round-trip number codec:
+// ParseFiniteDecimal and the decimal reader's kernel tables
+// (simd::Ops::parse_decimal) against strtod, and AppendDouble17 against
+// printf("%.17g"). Any trap is a finding:
 //
-//   1. a token ParseFiniteDecimal accepts reads to a finite value, and
-//      strtod also reads it in full, to the same bits;
+//   1. ParseFiniteDecimal reads the token from a heap copy of exactly its
+//      size, so a read past the token traps under ASan. A token it accepts
+//      reads to a finite value, and strtod also reads it in full, to the
+//      same bits;
 //   2. a token strtod reads in full but ParseFiniteDecimal rejects falls
 //      in one of the grammar's deliberate exclusions (see Excluded);
-//   3. the first 8 bytes of the input, read as a finite double, format
+//   3. ScalarOps() and BestOps() read the token as data::ReadCsv calls
+//      them: from the start of a heap buffer that holds the token, then
+//      filler digits, and ends simd::kDecimalSlack bytes from its start
+//      (or at the token's end, if later), so an over-read traps under ASan.
+//      Both end at the same byte with the same bits, and they end at the
+//      token's end exactly when ParseFiniteDecimal accepts it;
+//   4. the first 8 bytes of the input, read as a finite double, format
 //      exactly as %.17g and parse back to the same bits; so do the same
 //      bytes with the exponent folded into the binades AppendDouble17's
 //      exact integer kernel covers, which random bytes reach ~5% of the
@@ -18,6 +27,7 @@
 // Run with the token dictionary:
 //   build-fuzz/tests/fuzz/otfair_decimal_fuzzer -dict=tests/fuzz/decimal.dict
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cmath>
@@ -26,9 +36,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <string_view>
 
+#include "common/simd.h"
 #include "common/string_util.h"
 
 namespace {
@@ -54,8 +66,28 @@ bool Excluded(const std::string& token, double value, int error) {
 
 void CheckToken(const uint8_t* data, size_t size) {
   const std::string token(reinterpret_cast<const char*>(data), size);
+  const std::unique_ptr<char[]> exact(new char[size]);
+  if (size > 0) std::memcpy(exact.get(), data, size);
   double ours = 0.0;
-  const bool accepted = ParseFiniteDecimal(token, &ours);
+  const bool accepted = ParseFiniteDecimal(std::string_view(exact.get(), size), &ours);
+
+  const size_t padded_size = std::max(size, otfair::common::simd::kDecimalSlack);
+  const std::unique_ptr<char[]> padded(new char[padded_size]);
+  std::memset(padded.get(), '9', padded_size);
+  if (size > 0) std::memcpy(padded.get(), data, size);
+  const char* const first = padded.get();
+  double scalar = 0.0;
+  double best = 0.0;
+  const char* const scalar_end =
+      otfair::common::simd::ScalarOps().parse_decimal(first, first + size, &scalar);
+  const char* const best_end =
+      otfair::common::simd::BestOps().parse_decimal(first, first + size, &best);
+  if (scalar_end != best_end ||
+      (scalar_end != nullptr && std::memcmp(&scalar, &best, sizeof(scalar)) != 0) ||
+      accepted != (scalar_end == first + size) ||
+      (accepted && std::memcmp(&scalar, &ours, sizeof(ours)) != 0))
+    __builtin_trap();
+
   errno = 0;
   char* end = nullptr;
   const double reference = std::strtod(token.c_str(), &end);
