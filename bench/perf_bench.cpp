@@ -8,10 +8,10 @@
 //                      count (the paper's Algorithm 1: 2*dim channels).
 //   repair_throughput_soa  OffSampleRepairer::RepairDataset rows/sec, per
 //                      thread count (Algorithm 2's batch routine: rows
-//                      grouped by (u, s), channel-major RepairSpan with
-//                      prefetch). The name predates the removal of the
-//                      row-by-row path and is kept so earlier snapshots
-//                      stay comparable.
+//                      grouped by (u, s), channel-major RepairSpan through
+//                      the transport kernel). The name predates the
+//                      removal of the row-by-row path and is kept so
+//                      earlier snapshots stay comparable.
 //   design_step_s4     the same stages on a 4-level protected attribute
 //   repair_throughput_s4_soa  (|S| = 4): the multi-group K-scaling rows —
 //                      design does |S| solves per channel, repair carries
@@ -40,8 +40,8 @@
 //                      n-length row — the log-domain Sinkhorn inner loop
 //                      in isolation.
 //   alias_lookup_batch alias-arena draws/sec on a repair-shaped table
-//                      (n_q rows, CSR-support-sized), prefetched batch
-//                      loop — the repair table lookup in isolation.
+//                      (n_q rows, CSR-support-sized), one scalar SampleCol
+//                      at a time — the alias draw in isolation.
 //   sketch_update_ns   ns per QuantileSketch::Add on a Gaussian stream —
 //                      the per-value cost the serve path pays when channel
 //                      sketches are enabled.
@@ -834,9 +834,9 @@ int main(int argc, char** argv) {
 
   // --- alias_lookup_batch: arena draws in isolation ------------------------
   // A repair-shaped arena (design_nq rows, narrow CSR-like support) drawn
-  // from in the same prefetched pattern RepairSpan uses; rows_per_sec is
-  // draws/sec. Row indices are precomputed so the timed loop is lookup
-  // plus RNG only.
+  // from one scalar draw at a time, as the scalar transport entry does;
+  // rows_per_sec is draws/sec. Row indices are precomputed so the timed
+  // loop is lookup plus RNG only.
   {
     Rng build_rng(0xa11a);
     otfair::stats::AliasArena arena;
@@ -856,14 +856,10 @@ int main(int argc, char** argv) {
     std::vector<uint32_t> row_ids(draws);
     for (uint32_t& r : row_ids)
       r = static_cast<uint32_t>(build_rng.UniformInt(design_nq));
-    constexpr size_t kPrefetchAhead = 8;  // matches RepairSpan
     uint64_t sink = 0;
     const double ms = BestWallMs(repeats, [&] {
       Rng draw_rng(0xd4a3);
-      for (size_t t = 0; t < draws; ++t) {
-        if (t + kPrefetchAhead < draws) arena.PrefetchRow(row_ids[t + kPrefetchAhead]);
-        sink += arena.SampleCol(row_ids[t], draw_rng);
-      }
+      for (size_t t = 0; t < draws; ++t) sink += arena.SampleCol(row_ids[t], draw_rng);
     });
     if (sink == 0) Die("alias_lookup_batch produced implausible sink");
     BenchCase c;

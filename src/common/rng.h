@@ -1,6 +1,7 @@
 #ifndef OTFAIR_COMMON_RNG_H_
 #define OTFAIR_COMMON_RNG_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -76,8 +77,20 @@ class Rng {
   /// giving each Monte-Carlo trial its own reproducible stream.
   Rng Fork();
 
+  /// The four xoshiro256++ state words, for code that advances many
+  /// streams side by side (simd::Ops::transport keeps one array per word
+  /// and advances them in place). FromState(State()) resumes the stream
+  /// without the seeding a constructor does. Writing the words leaves a
+  /// cached normal deviate alone; they must not all become zero.
+  using Words = std::array<uint64_t, 4>;
+  const Words& State() const { return state_; }
+  Words& State() { return state_; }
+  static Rng FromState(const Words& words) { return Rng(words); }
+
  private:
-  uint64_t state_[4];
+  explicit Rng(const Words& words) : state_(words) {}
+
+  Words state_;
   double cached_normal_ = 0.0;
   bool has_cached_normal_ = false;
 };

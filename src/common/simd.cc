@@ -164,10 +164,29 @@ const char* ScalarParseDecimal(const char* first, const char* last, double* valu
   return end;
 }
 
+size_t ScalarTransport(const TransportChannel& channel, const TransportRecords& records) {
+  size_t fallbacks = 0;
+  for (size_t t = 0; t < records.count; ++t) {
+    Rng rng = Rng::FromState({records.state[0][t], records.state[1][t], records.state[2][t],
+                              records.state[3][t]});
+    size_t q = records.lower[t];
+    if (rng.Bernoulli(records.tau[t]) && q + 1 < channel.rows) ++q;
+    if (channel.offsets[q + 1] == channel.offsets[q]) {
+      ++fallbacks;
+      q = channel.fallback[q];
+    }
+    const double transported = channel.points[SampleAliasCol(
+        channel.slots, channel.offsets[q], channel.offsets[q + 1], rng)];
+    records.out[t] = (1.0 - channel.strength) * records.x[t] + channel.strength * transported;
+    for (size_t w = 0; w < 4; ++w) records.state[w][t] = rng.State()[w];
+  }
+  return fallbacks;
+}
+
 constexpr Ops kScalarOps = {
-    "scalar",         ScalarSum,         ScalarDot,         ScalarMax,
-    ScalarMaxAbsDiff, ScalarAddInPlace,  ScalarScaledMul,   ScalarLseDiff,
-    ScalarKdeWalks,   ScalarCrc32Update, ScalarParseDecimal,
+    "scalar",         ScalarSum,         ScalarDot,          ScalarMax,
+    ScalarMaxAbsDiff, ScalarAddInPlace,  ScalarScaledMul,    ScalarLseDiff,
+    ScalarKdeWalks,   ScalarCrc32Update, ScalarParseDecimal, ScalarTransport,
 };
 
 #if defined(OTFAIR_SIMD_X86)
@@ -671,10 +690,169 @@ OTFAIR_AVX2 const char* Avx2ParseDecimal(const char* first, const char* last, do
 
 #undef OTFAIR_AVX2
 
+// The transport with four records per vector: lane i of every register is
+// record t + i. Each lane runs the scalar entry's draws on its own stream,
+// so every generator step is computed for all four lanes and committed
+// only in the lanes whose draw consumes. No FMA: the blend is the scalar
+// entry's two rounded products and one sum.
+#define OTFAIR_AVX2_NO_FMA __attribute__((target("avx2")))
+
+/// Four xoshiro256++ states, word w of lane i in lane i of s[w].
+struct Xoshiro4 {
+  __m256i s[4];
+};
+
+template <int kBits>
+OTFAIR_AVX2_NO_FMA inline __m256i Rotl64(__m256i x) {
+  return _mm256_or_si256(_mm256_slli_epi64(x, kBits), _mm256_srli_epi64(x, 64 - kBits));
+}
+
+// Rng::Next64 in every lane: advances x and returns the outputs.
+OTFAIR_AVX2_NO_FMA inline __m256i Next64(Xoshiro4* x) {
+  const __m256i result =
+      _mm256_add_epi64(Rotl64<23>(_mm256_add_epi64(x->s[0], x->s[3])), x->s[0]);
+  const __m256i t = _mm256_slli_epi64(x->s[1], 17);
+  const __m256i s2 = _mm256_xor_si256(x->s[2], x->s[0]);
+  const __m256i s3 = _mm256_xor_si256(x->s[3], x->s[1]);
+  x->s[1] = _mm256_xor_si256(x->s[1], s2);
+  x->s[0] = _mm256_xor_si256(x->s[0], s3);
+  x->s[2] = _mm256_xor_si256(s2, t);
+  x->s[3] = Rotl64<45>(s3);
+  return result;
+}
+
+// Keeps x's step only in the lanes of `draws` (all ones or all zeros per
+// lane); the other lanes go back to `before`.
+OTFAIR_AVX2_NO_FMA inline void CommitWhere(Xoshiro4* x, const Xoshiro4& before, __m256i draws) {
+  for (int w = 0; w < 4; ++w) x->s[w] = _mm256_blendv_epi8(before.s[w], x->s[w], draws);
+}
+
+// Rng::Uniform of the outputs r: (r >> 11) * 2^-53, exactly. The 53 bits
+// convert as a 27-bit and a 26-bit half, each exact through the 2^52
+// magic constant; hi * 2^26 + lo < 2^53 is exact too.
+OTFAIR_AVX2_NO_FMA inline __m256d Uniform53(__m256i r) {
+  const __m256i magic_bits = _mm256_set1_epi64x(0x4330000000000000);  // 2^52
+  const __m256d magic = _mm256_castsi256_pd(magic_bits);
+  const __m256d hi = _mm256_sub_pd(
+      _mm256_castsi256_pd(_mm256_or_si256(_mm256_srli_epi64(r, 37), magic_bits)), magic);
+  const __m256i low26 = _mm256_and_si256(_mm256_srli_epi64(r, 11), _mm256_set1_epi64x(0x3FFFFFF));
+  const __m256d lo = _mm256_sub_pd(_mm256_castsi256_pd(_mm256_or_si256(low26, magic_bits)), magic);
+  return _mm256_mul_pd(_mm256_add_pd(_mm256_mul_pd(hi, _mm256_set1_pd(0x1.0p26)), lo),
+                       _mm256_set1_pd(0x1.0p-53));
+}
+
+// Rng::Bernoulli(p) in every lane on the outputs r: true where p >= 1, or
+// where the lane draws (p is neither <= 0 nor >= 1, as for NaN) and
+// Uniform() < p. *draws gets the lanes that consume.
+OTFAIR_AVX2_NO_FMA inline __m256i Bernoulli(__m256d p, __m256i r, __m256i* draws) {
+  const __m256d at_most_zero = _mm256_cmp_pd(p, _mm256_setzero_pd(), _CMP_LE_OQ);
+  const __m256d at_least_one = _mm256_cmp_pd(p, _mm256_set1_pd(1.0), _CMP_GE_OQ);
+  const __m256d draw = _mm256_xor_pd(_mm256_or_pd(at_most_zero, at_least_one),
+                                     _mm256_castsi256_pd(_mm256_set1_epi64x(-1)));
+  *draws = _mm256_castpd_si256(draw);
+  const __m256d below = _mm256_cmp_pd(Uniform53(r), p, _CMP_LT_OQ);
+  return _mm256_castpd_si256(_mm256_or_pd(at_least_one, _mm256_and_pd(draw, below)));
+}
+
+OTFAIR_AVX2_NO_FMA inline __m256i Gather64(const void* base, __m256i index) {
+  return _mm256_i64gather_epi64(static_cast<const long long*>(base), index, 8);
+}
+
+// Records [t, t + count) of `records`.
+TransportRecords Slice(const TransportRecords& records, size_t t, size_t count) {
+  TransportRecords part = records;
+  part.lower += t;
+  part.tau += t;
+  part.x += t;
+  for (uint64_t*& words : part.state) words += t;
+  part.out += t;
+  part.count = count;
+  return part;
+}
+
+OTFAIR_AVX2_NO_FMA size_t Avx2Transport(const TransportChannel& channel,
+                                        const TransportRecords& records) {
+  // Fewer than four records (a streamed value) skip the vector set-up,
+  // which made a one-record RepairValue about a quarter slower.
+  if (records.count < 4) return ScalarTransport(channel, records);
+  const __m256i ones = _mm256_set1_epi64x(1);
+  const __m256i low32 = _mm256_set1_epi64x(0xFFFFFFFF);
+  const __m256i sign = _mm256_set1_epi64x(static_cast<long long>(uint64_t{1} << 63));
+  const __m256i last_row = _mm256_set1_epi64x(static_cast<long long>(channel.rows - 1));
+  const __m256d keep = _mm256_set1_pd(1.0 - channel.strength);
+  const __m256d strength = _mm256_set1_pd(channel.strength);
+  size_t fallbacks = 0;
+  size_t t = 0;
+  for (; t + 4 <= records.count; t += 4) {
+    Xoshiro4 x;
+    for (int w = 0; w < 4; ++w)
+      x.s[w] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(records.state[w] + t));
+    // The neighbour bump: q + 1 where Bernoulli(tau) holds and q < n_Q - 1.
+    __m256i q = _mm256_cvtepu32_epi64(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(records.lower + t)));
+    Xoshiro4 before = x;
+    __m256i draws;
+    const __m256i bump = Bernoulli(_mm256_loadu_pd(records.tau + t), Next64(&x), &draws);
+    CommitWhere(&x, before, draws);
+    q = _mm256_sub_epi64(q, _mm256_and_si256(bump, _mm256_cmpgt_epi64(last_row, q)));
+    // Empty rows go to their fallback row before any slot is read.
+    __m256i begin = Gather64(channel.offsets, q);
+    __m256i end = Gather64(channel.offsets + 1, q);
+    const __m256i empty = _mm256_cmpeq_epi64(begin, end);
+    const int empty_lanes = _mm256_movemask_pd(_mm256_castsi256_pd(empty));
+    if (empty_lanes != 0) {
+      const __m256i fallback = _mm256_cvtepu32_epi64(_mm256_i64gather_epi32(
+          reinterpret_cast<const int*>(channel.fallback), q, 4));
+      q = _mm256_blendv_epi8(q, fallback, empty);
+      begin = Gather64(channel.offsets, q);
+      end = Gather64(channel.offsets + 1, q);
+    }
+    // The bucket: the high word of r * n (Lemire), n = end - begin < 2^32,
+    // as two 32 x 32-bit products. A low word below n may reject.
+    const __m256i n = _mm256_sub_epi64(end, begin);
+    const __m256i r = Next64(&x);
+    const __m256i r_high_n = _mm256_mul_epu32(_mm256_srli_epi64(r, 32), n);
+    const __m256i r_low_n = _mm256_mul_epu32(r, n);
+    const __m256i mid = _mm256_add_epi64(_mm256_and_si256(r_high_n, low32),
+                                         _mm256_srli_epi64(r_low_n, 32));
+    const __m256i low =
+        _mm256_or_si256(_mm256_slli_epi64(mid, 32), _mm256_and_si256(r_low_n, low32));
+    const __m256i may_reject =
+        _mm256_cmpgt_epi64(_mm256_xor_si256(n, sign), _mm256_xor_si256(low, sign));
+    if (!_mm256_testz_si256(may_reject, may_reject)) {
+      fallbacks += ScalarTransport(channel, Slice(records, t, 4));
+      continue;
+    }
+    const __m256i slot = _mm256_add_epi64(
+        begin, _mm256_add_epi64(_mm256_srli_epi64(r_high_n, 32), _mm256_srli_epi64(mid, 32)));
+    // The slot's probability and its two columns: 16 bytes are two words
+    // (prob, then col and alias_col).
+    const __m256i word = _mm256_slli_epi64(slot, 1);
+    const __m256d prob =
+        _mm256_i64gather_pd(reinterpret_cast<const double*>(channel.slots), word, 8);
+    const __m256i cols = Gather64(channel.slots, _mm256_add_epi64(word, ones));
+    before = x;
+    const __m256i accept = Bernoulli(prob, Next64(&x), &draws);
+    CommitWhere(&x, before, draws);
+    const __m256i col =
+        _mm256_blendv_epi8(_mm256_srli_epi64(cols, 32), _mm256_and_si256(cols, low32), accept);
+    const __m256d transported = _mm256_i64gather_pd(channel.points, col, 8);
+    const __m256d repaired = _mm256_add_pd(_mm256_mul_pd(keep, _mm256_loadu_pd(records.x + t)),
+                                           _mm256_mul_pd(strength, transported));
+    _mm256_storeu_pd(records.out + t, repaired);
+    for (int w = 0; w < 4; ++w)
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(records.state[w] + t), x.s[w]);
+    fallbacks += static_cast<size_t>(__builtin_popcount(static_cast<unsigned>(empty_lanes)));
+  }
+  return fallbacks + ScalarTransport(channel, Slice(records, t, records.count - t));
+}
+
+#undef OTFAIR_AVX2_NO_FMA
+
 constexpr Ops kAvx2Ops = {
     "avx2",         Avx2Sum,           Avx2Dot,          Avx2Max,
     Avx2MaxAbsDiff, Avx2AddInPlace,    Avx2ScaledMul,    Avx2LseDiff,
-    Avx2KdeWalks,   PclmulCrc32Update, Avx2ParseDecimal,
+    Avx2KdeWalks,   PclmulCrc32Update, Avx2ParseDecimal, Avx2Transport,
 };
 
 #endif  // OTFAIR_SIMD_X86
@@ -781,7 +959,7 @@ double NeonLseDiff(const double* x, const double* y, size_t n) {
 constexpr Ops kNeonOps = {
     "neon",         NeonSum,        NeonDot,       NeonMax,
     NeonMaxAbsDiff, NeonAddInPlace, NeonScaledMul, NeonLseDiff,
-    ScalarKdeWalks, ScalarCrc32Update, ScalarParseDecimal,
+    ScalarKdeWalks, ScalarCrc32Update, ScalarParseDecimal, ScalarTransport,
 };
 
 #endif  // OTFAIR_SIMD_NEON

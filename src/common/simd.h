@@ -4,6 +4,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "common/rng.h"
+
 namespace otfair::common::simd {
 
 /// One outward KDE walk from a bracket grid point (see Ops::kde_walks).
@@ -12,6 +14,47 @@ struct KdeWalk {
   double g = 0.0;         // the per-step ratio exp(-z d)
   size_t count = 0;       // grid points walked
   double* out = nullptr;  // the bracket point's pmf entry
+};
+
+/// One Walker/Vose alias bucket (stats::AliasArena::Slot): a draw that
+/// lands on it returns `col` with probability `prob`, else `alias_col`.
+struct AliasSlot {
+  double prob;         // acceptance probability of this bucket
+  uint32_t col;        // payload returned when the bucket accepts
+  uint32_t alias_col;  // payload returned when it rejects (Vose alias)
+};
+static_assert(sizeof(AliasSlot) == 16, "AliasSlot must pack to 16 bytes");
+
+/// Draws a payload column from the alias row slots[begin, end), end > begin:
+/// a Lemire bounded integer picks the bucket, then a Bernoulli on its
+/// probability picks the column, which consumes nothing when that
+/// probability is 0 or 1. The one scalar definition of the alias draw:
+/// stats::AliasArena::SampleCol and the scalar transport entry call it.
+inline uint32_t SampleAliasCol(const AliasSlot* slots, size_t begin, size_t end, Rng& rng) {
+  const AliasSlot& slot = slots[begin + rng.UniformInt(end - begin)];
+  return rng.Bernoulli(slot.prob) ? slot.col : slot.alias_col;
+}
+
+/// One (u, s, k) repair channel as Ops::transport reads it (the tables
+/// core::OffSampleRepairer builds per channel).
+struct TransportChannel {
+  const double* points = nullptr;      // the n_Q grid points
+  size_t rows = 0;                     // n_Q
+  const size_t* offsets = nullptr;     // row q holds slots [offsets[q], offsets[q + 1])
+  const uint32_t* fallback = nullptr;  // a row with mass, read for empty rows only
+  const AliasSlot* slots = nullptr;    // fewer than 2^32 per row
+  double strength = 1.0;               // partial-repair lambda in [0, 1]
+};
+
+/// `count` located records of one channel. Record t draws from its own
+/// xoshiro256++ stream, whose word w is state[w][t] (Rng::State order).
+struct TransportRecords {
+  const uint32_t* lower = nullptr;  // located lower grid row, < n_Q
+  const double* tau = nullptr;      // neighbour weight in [0, 1]
+  const double* x = nullptr;        // input value, finite
+  uint64_t* state[4] = {};          // advanced in place
+  double* out = nullptr;            // repaired value (may alias x)
+  size_t count = 0;
 };
 
 /// Thin SIMD wrapper for the design, repair and Sinkhorn hot paths, the
@@ -35,10 +78,13 @@ struct KdeWalk {
 /// used in tolerance-checked contexts (Sinkhorn iterations, plan
 /// validation). Element-wise kernels (AddInPlace, ScaledMul), the KDE
 /// grid walks (`kde_walks`), the CRC-32 (`crc32_update`), the decimal
-/// reader (`parse_decimal`) and the exact comparisons (Max, and the repair
-/// table *lookup* paths built on this layer) are bit-identical to scalar,
-/// so plan bytes, their CRC and the values read from a CSV file do not
-/// depend on the table. Nothing here touches RNG streams, so repair output is
+/// reader (`parse_decimal`) and the exact comparisons (Max) are
+/// bit-identical to scalar, so plan bytes, their CRC and the values read
+/// from a CSV file do not depend on the table. The repair draw
+/// (`transport`) advances each record's stream exactly as common::Rng
+/// does: the same draws in the same order, and none where a probability
+/// is 0 or 1. Its comparisons see the same exactly converted uniforms and
+/// its blend rounds the same two products, so repair output is
 /// bit-identical across scalar/SIMD — the determinism suite asserts
 /// exactly that.
 struct Ops {
@@ -90,6 +136,20 @@ struct Ops {
   /// tokens take the scalar entry. Bit-identical to scalar: both are
   /// correctly rounded, and they end at the same byte.
   const char* (*parse_decimal)(const char* first, const char* last, double* value);
+  /// The transport of Algorithm 2 (lines 6-9) and the partial-repair
+  /// blend, for every record: bump the lower row by one when
+  /// Bernoulli(tau) holds and a row lies above it; send an empty row to
+  /// its fallback row; draw a column by SampleAliasCol; write
+  /// (1 - strength) * x + strength * points[column]. Returns how many
+  /// records took a fallback row. Scalar: that sequence through
+  /// common::Rng, one record at a time. AVX2 table: four records per
+  /// vector; a lane's generator step is committed only where the draw
+  /// consumes (so a degenerate probability consumes nothing), the 53-bit
+  /// uniforms convert exactly, the blend is a separate multiply and add,
+  /// and a quad whose bounded-integer draw might reject (probability
+  /// about n/2^64) is handed to the scalar entry. Bit-identical to
+  /// scalar: same outputs, same final states, same count.
+  size_t (*transport)(const TransportChannel& channel, const TransportRecords& records);
 };
 
 /// Bytes from a token's start that Ops::parse_decimal may read (the AVX2

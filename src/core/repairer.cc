@@ -1,10 +1,14 @@
 #include "core/repairer.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/check.h"
+#include "common/simd.h"
 #include "common/status.h"
 #include "obs/trace.h"
 
@@ -32,6 +36,27 @@ struct DatasetRows {
   void set_feature(size_t i, size_t k, double value) const { out.set_feature(i, k, value); }
   common::Rng rng(size_t i) const { return common::Rng::ForStream(seed, i); }
 };
+
+/// A non-finite feature has no place on the grid (Locate cannot cast NaN
+/// to a row, and the blend turns inf into NaN), so the batch entry points
+/// reject it as the CSV reader and the serving protocol do.
+Status CheckFinite(const data::Dataset& dataset) {
+  const double* values = dataset.features().data();
+  const size_t n = dataset.size() * dataset.dim();
+  // A value is not finite when its exponent field is all ones, which is
+  // when the field plus one carries into the sign bit. AND, ADD and OR
+  // vectorize on any x86-64, where a loop of std::isfinite does not.
+  constexpr uint64_t kExponent = 0x7FF0000000000000;
+  constexpr uint64_t kExponentOne = 0x0010000000000000;
+  uint64_t carries = 0;
+  for (size_t i = 0; i < n; ++i)
+    carries |= (std::bit_cast<uint64_t>(values[i]) & kExponent) + kExponentOne;
+  if (carries >> 63 == 0) return Status::Ok();
+  const size_t i = static_cast<size_t>(
+      std::find_if(values, values + n, [](double v) { return !std::isfinite(v); }) - values);
+  return Status::InvalidArgument("feature " + std::to_string(i % dataset.dim()) + " of row " +
+                                 std::to_string(i / dataset.dim()) + " is not finite");
+}
 
 /// Soft repair: row i's generator resumes after its class draw.
 struct SoftRows : DatasetRows {
@@ -158,34 +183,48 @@ double OffSampleRepairer::RepairValue(int u, int s, size_t k, double x) {
 }
 
 double OffSampleRepairer::RepairValue(int u, int s, size_t k, double x, common::Rng& rng) {
-  const ChannelPlan& channel = plans_.At(u, k);
   const ChannelTables& tables = TablesFor(u, s, k);
+  OTFAIR_CHECK(std::isfinite(x)) << "RepairValue needs a finite value";
+  const ChannelPlan& channel = plans_.At(u, k);
   const SupportGrid::Location loc = channel.grid.Locate(x);
   ++stats_.values_repaired;
   if (loc.clamped) ++stats_.values_clamped;
-  return Transport(channel, tables, loc.lower, loc.tau, x, rng, stats_);
+  const uint32_t lower = static_cast<uint32_t>(loc.lower);
+  common::Rng::Words& words = rng.State();  // advanced in place
+  double repaired;
+  Transport(channel, tables,
+            {.lower = &lower,
+             .tau = &loc.tau,
+             .x = &x,
+             .state = {&words[0], &words[1], &words[2], &words[3]},
+             .out = &repaired,
+             .count = 1},
+            stats_);
+  return repaired;
 }
 
-double OffSampleRepairer::Transport(const ChannelPlan& channel, const ChannelTables& tables,
-                                    size_t lower, double tau, double x, common::Rng& rng,
-                                    RepairStats& stats) const {
+void OffSampleRepairer::Transport(const ChannelPlan& channel, const ChannelTables& tables,
+                                  const common::simd::TransportRecords& records,
+                                  RepairStats& stats) const {
   const size_t nq = channel.grid.size();
-  double transported;
   if (options_.mode == TransportMode::kStochastic) {
     // Algorithm 2 lines 6-9: Bernoulli neighbour choice, then one draw from
-    // the normalized plan row (Eq. 15). The arena slot carries the grid
-    // column payload, so the draw is one slot load.
-    size_t q = lower;
-    if (rng.Bernoulli(tau) && q + 1 < nq) ++q;
-    if (!tables.alias.RowHasMass(q)) {
-      ++stats.empty_row_fallbacks;
-      q = tables.fallback_row[q];
-    }
-    transported = channel.grid.point(tables.alias.SampleCol(q, rng));
-  } else {
-    // Deterministic ablation: tau-weighted mix of neighbouring rows'
-    // conditional means.
-    size_t q0 = lower;
+    // the normalized plan row (Eq. 15), whose arena slot carries the grid
+    // column payload.
+    const common::simd::TransportChannel view{.points = channel.grid.points().data(),
+                                              .rows = nq,
+                                              .offsets = tables.alias.offsets(),
+                                              .fallback = tables.fallback_row.data(),
+                                              .slots = tables.alias.slots(),
+                                              .strength = options_.strength};
+    stats.empty_row_fallbacks += common::simd::Active().transport(view, records);
+    return;
+  }
+  // Deterministic ablation: tau-weighted mix of neighbouring rows'
+  // conditional means, then the partial-repair blend.
+  const double* tau = records.tau;
+  for (size_t t = 0; t < records.count; ++t) {
+    size_t q0 = records.lower[t];
     size_t q1 = std::min(q0 + 1, nq - 1);
     if (!tables.alias.RowHasMass(q0)) {
       ++stats.empty_row_fallbacks;
@@ -195,16 +234,14 @@ double OffSampleRepairer::Transport(const ChannelPlan& channel, const ChannelTab
       ++stats.empty_row_fallbacks;
       q1 = tables.fallback_row[q1];
     }
-    transported = (1.0 - tau) * tables.conditional_mean[q0] + tau * tables.conditional_mean[q1];
+    const double transported =
+        (1.0 - tau[t]) * tables.conditional_mean[q0] + tau[t] * tables.conditional_mean[q1];
+    records.out[t] = (1.0 - options_.strength) * records.x[t] + options_.strength * transported;
   }
-
-  // Partial repair (strength < 1) interpolates toward the transported
-  // value.
-  return (1.0 - options_.strength) * x + options_.strength * transported;
 }
 
 void OffSampleRepairer::RepairSpan(int u, int s, size_t k, const double* xs, size_t count,
-                                   common::Rng* rngs, double* out, RepairStats& stats,
+                                   uint64_t* const streams[4], double* out, RepairStats& stats,
                                    SpanScratch& scratch) const {
   OTFAIR_TRACE_SPAN("repair_span");
   const ChannelPlan& channel = plans_.At(u, k);
@@ -222,20 +259,20 @@ void OffSampleRepairer::RepairSpan(int u, int s, size_t k, const double* xs, siz
     if (loc.clamped) ++stats.values_clamped;
   }
 
-  // Pass 2: transport with the slot row of record t+8 prefetched — far
-  // enough ahead to cover an L2 miss, close enough that the line is still
-  // resident when its draw executes. The prefetch targets the located
-  // lower row; the Bernoulli neighbour bump moves at most one row over,
-  // which in the slot-major arena is the adjacent span.
-  constexpr size_t kPrefetchAhead = 8;
-  for (size_t t = 0; t < count; ++t) {
-    if (t + kPrefetchAhead < count) tables.alias.PrefetchRow(scratch.q[t + kPrefetchAhead]);
-    out[t] = Transport(channel, tables, scratch.q[t], scratch.tau[t], xs[t], rngs[t], stats);
-  }
+  // Pass 2: the draws, four records per vector on the AVX2 table.
+  Transport(channel, tables,
+            {.lower = scratch.q.data(),
+             .tau = scratch.tau.data(),
+             .x = xs,
+             .state = {streams[0], streams[1], streams[2], streams[3]},
+             .out = out,
+             .count = count},
+            stats);
 }
 
 double OffSampleRepairer::RepairValueSoft(int u, double pr_s1, size_t k, double x) {
   OTFAIR_CHECK(pr_s1 >= 0.0 && pr_s1 <= 1.0);
+  OTFAIR_CHECK(std::isfinite(x)) << "RepairValueSoft needs a finite value";
   // Soft labels are the binary probabilistic-attribute mode (§VI); the
   // multi-group pipeline uses hard categorical labels.
   OTFAIR_CHECK_EQ(plans_.s_levels(), 2u);
@@ -262,6 +299,7 @@ Result<data::Dataset> OffSampleRepairer::RepairDatasetWithLabels(
     if (u < 0 || static_cast<size_t>(u) >= plans_.u_levels())
       return Status::InvalidArgument("dataset u labels exceed the plan's u levels");
   }
+  OTFAIR_RETURN_IF_ERROR(CheckFinite(dataset));
   data::Dataset repaired = dataset.Clone();
   stats_ += RepairRows(dataset.size(), DatasetRows{dataset, s_labels, repaired, options_.seed});
   return repaired;
@@ -280,6 +318,7 @@ Result<data::Dataset> OffSampleRepairer::RepairDatasetSoft(const data::Dataset& 
     if (!(p >= 0.0 && p <= 1.0))
       return Status::InvalidArgument("posteriors must lie in [0, 1]");
   }
+  OTFAIR_RETURN_IF_ERROR(CheckFinite(dataset));
   // One class draw per row, shared by all channels: a record is repaired
   // coherently under a single imputed protected label.
   std::vector<int> s_labels(dataset.size());

@@ -8,6 +8,7 @@
 #include "common/parallel.h"
 #include "common/result.h"
 #include "common/rng.h"
+#include "common/simd.h"
 #include "core/repair_plan.h"
 #include "data/dataset.h"
 #include "stats/sampling.h"
@@ -78,7 +79,7 @@ class OffSampleRepairer {
 
   /// Repairs one labelled value of channel (u, s, k) — the streaming
   /// entry point, consuming the repairer's own RNG stream. CHECK-fails on
-  /// out-of-range u/s/k (programmer error).
+  /// out-of-range u/s/k or a non-finite x (programmer error).
   double RepairValue(int u, int s, size_t k, double x);
 
   /// As above but drawing from an externally supplied generator. Row i of
@@ -96,7 +97,8 @@ class OffSampleRepairer {
   double RepairValueSoft(int u, double pr_s1, size_t k, double x);
 
   /// Repairs every feature of every row, using the dataset's own (u, s)
-  /// labels. Returns a repaired copy; the input is untouched.
+  /// labels. Returns a repaired copy; the input is untouched. A
+  /// non-finite feature is InvalidArgument, as in the CSV reader.
   ///
   /// Batch determinism: row i draws from the decorrelated sub-stream
   /// `Rng::ForStream(options.seed, i)` rather than one shared sequential
@@ -128,7 +130,7 @@ class OffSampleRepairer {
   /// `rows` says how row i < count is found, through const members:
   ///   bool skip(size_t i)                        true leaves row i alone
   ///   int u(size_t i), int s(size_t i)           in-range group labels
-  ///   double feature(size_t i, size_t k)         the value to repair
+  ///   double feature(size_t i, size_t k)         the value to repair (finite)
   ///   void set_feature(size_t i, size_t k, double repaired)
   ///   common::Rng rng(size_t i)                  row i's generator
   /// Row i's channels draw from rng(i) in k order, exactly as RepairValue
@@ -167,20 +169,18 @@ class OffSampleRepairer {
   common::Status BuildTables();
   const ChannelTables& TablesFor(int u, int s, size_t k) const;
 
-  /// The transport of one located record (lower grid row, neighbour
-  /// weight tau) of value x: Algorithm 2's draw or the conditional-mean
-  /// ablation, then the partial-repair blend. Shared by RepairValue and
-  /// RepairSpan.
-  double Transport(const ChannelPlan& channel, const ChannelTables& tables, size_t lower,
-                   double tau, double x, common::Rng& rng, RepairStats& stats) const;
+  /// The transport of located records of one channel: Algorithm 2's
+  /// draw through simd::Ops::transport, or the conditional-mean ablation,
+  /// then the partial-repair blend. Shared by RepairValue and RepairSpan.
+  void Transport(const ChannelPlan& channel, const ChannelTables& tables,
+                 const common::simd::TransportRecords& records, RepairStats& stats) const;
 
-  /// Repairs `count` values of the single channel (u, s, k), reading
-  /// xs[t] and writing out[t] (the spans may alias); rngs[t] is record
-  /// t's generator. Two passes: locate every record, then transport them
-  /// with the alias row of record t+8 prefetched to hide table-lookup
-  /// latency.
+  /// Repairs `count` finite values of the single channel (u, s, k),
+  /// reading xs[t] and writing out[t] (the spans may alias); record t
+  /// draws from the generator whose words are streams[w][t]. Two passes:
+  /// locate every record, then transport them.
   void RepairSpan(int u, int s, size_t k, const double* xs, size_t count,
-                  common::Rng* rngs, double* out, RepairStats& stats,
+                  uint64_t* const streams[4], double* out, RepairStats& stats,
                   SpanScratch& scratch) const;
 
   RepairPlanSet plans_;
@@ -226,17 +226,23 @@ RepairStats OffSampleRepairer::RepairRows(size_t count, const Rows& rows) const 
         const int s = static_cast<int>(c.bucket % s_levels);
         const size_t m = c.end - c.begin;
         // k-major gather: channel k's values for the whole chunk form one
-        // contiguous span, repaired in place by RepairSpan.
+        // contiguous span, repaired in place by RepairSpan. The chunk's
+        // generators are kept one array per state word, as the transport
+        // kernels load them.
         std::vector<double> buf(m * dim);
-        std::vector<common::Rng> rngs;
-        rngs.reserve(m);
-        for (size_t t = 0; t < m; ++t) rngs.push_back(rows.rng(ids[t]));
+        std::vector<uint64_t> words(4 * m);
+        uint64_t* const streams[4] = {words.data(), words.data() + m, words.data() + 2 * m,
+                                      words.data() + 3 * m};
+        for (size_t t = 0; t < m; ++t) {
+          const common::Rng::Words state = rows.rng(ids[t]).State();
+          for (size_t w = 0; w < 4; ++w) streams[w][t] = state[w];
+        }
         for (size_t k = 0; k < dim; ++k)
           for (size_t t = 0; t < m; ++t) buf[k * m + t] = rows.feature(ids[t], k);
         RepairStats local;
         SpanScratch scratch;
         for (size_t k = 0; k < dim; ++k)
-          RepairSpan(u, s, k, buf.data() + k * m, m, rngs.data(), buf.data() + k * m, local,
+          RepairSpan(u, s, k, buf.data() + k * m, m, streams, buf.data() + k * m, local,
                      scratch);
         for (size_t k = 0; k < dim; ++k)
           for (size_t t = 0; t < m; ++t) rows.set_feature(ids[t], k, buf[k * m + t]);

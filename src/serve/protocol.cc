@@ -1,7 +1,8 @@
 #include "serve/protocol.h"
 
-#include <cerrno>
-#include <cstdlib>
+#include <charconv>
+#include <string_view>
+#include <system_error>
 
 #include "common/check.h"
 #include "common/string_util.h"
@@ -36,9 +37,11 @@ const Verb* FindVerb(std::string_view token) {
 }
 
 /// Splits on runs of spaces/tabs (unlike common::Split, which keeps empty
-/// tokens): protocol lines are human-typeable.
-std::vector<std::string> Tokenize(const std::string& line) {
-  std::vector<std::string> tokens;
+/// tokens): protocol lines are human-typeable. The tokens view `line`, so
+/// a row costs no string per field; `expected` sizes the vector once.
+std::vector<std::string_view> Tokenize(std::string_view line, size_t expected) {
+  std::vector<std::string_view> tokens;
+  tokens.reserve(expected);
   size_t i = 0;
   while (i < line.size()) {
     while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
@@ -49,22 +52,22 @@ std::vector<std::string> Tokenize(const std::string& line) {
   return tokens;
 }
 
-bool ParseU64(const std::string& text, uint64_t* out) {
-  // strtoull silently wraps negatives ("-1" -> 2^64-1); require a digit.
-  if (text.empty() || text[0] < '0' || text[0] > '9') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (errno != 0 || end == text.c_str() || *end != '\0') return false;
-  *out = static_cast<uint64_t>(v);
+/// Digits only, the whole token, and no overflow: std::from_chars into an
+/// unsigned type takes no sign and no space.
+bool ParseU64(std::string_view text, uint64_t* out) {
+  uint64_t value = 0;
+  const char* last = text.data() + text.size();
+  const auto [end, error] = std::from_chars(text.data(), last, value);
+  if (error != std::errc() || end != last) return false;
+  *out = value;
   return true;
 }
 
 /// Echoes at most a 32-char prefix of an input token inside an error
 /// message, with control characters replaced: the token may be huge or
 /// binary junk, and the rendered `err` line must stay one sane line.
-std::string SanitizeToken(const std::string& token) {
-  std::string shown = token.substr(0, 32);
+std::string SanitizeToken(std::string_view token) {
+  std::string shown(token.substr(0, 32));
   for (char& c : shown)
     if (static_cast<unsigned char>(c) < 0x20 || static_cast<unsigned char>(c) >= 0x7f)
       c = '?';
@@ -78,7 +81,7 @@ Result<ProtocolRequest> ParseRequestLine(const std::string& line, size_t dim, si
   if (line.size() > kMaxRequestLineBytes)
     return Status::InvalidArgument("request line exceeds " +
                                    std::to_string(kMaxRequestLineBytes) + " bytes");
-  const std::vector<std::string> tokens = Tokenize(line);
+  const std::vector<std::string_view> tokens = Tokenize(line, 5 + dim);
   if (tokens.empty()) return Status::InvalidArgument("empty request line");
   const Verb* verb = FindVerb(tokens[0]);
   if (verb == nullptr)
@@ -92,7 +95,7 @@ Result<ProtocolRequest> ParseRequestLine(const std::string& line, size_t dim, si
       return request;
     case RequestKind::kReload:
       if (tokens.size() != 2) return Status::InvalidArgument("usage: reload <plan_path>");
-      request.plan_path = tokens[1];
+      request.plan_path = std::string(tokens[1]);
       return request;
     case RequestKind::kRepair:
       break;

@@ -1,5 +1,6 @@
 #include "serve/repair_service.h"
 
+#include <cmath>
 #include <utility>
 
 #include "common/byte_io.h"
@@ -250,6 +251,16 @@ bool RepairService::ValidateRequest(const RowRequest& request, RowResponse* resp
         "u and s labels must lie in [0, " + std::to_string(u_levels_) + ") x [0, " +
         std::to_string(s_levels_) + ")");
     return false;
+  }
+  // The repair kernels take finite values only (the protocol parser
+  // already refuses the rest; in-process callers reach this check).
+  for (size_t k = 0; k < dim_; ++k) {
+    if (!std::isfinite(request.features[k])) {
+      response->repaired.clear();
+      response->status =
+          Status::InvalidArgument("feature " + std::to_string(k) + " is not finite");
+      return false;
+    }
   }
   return true;
 }

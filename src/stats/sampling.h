@@ -7,6 +7,7 @@
 
 #include "common/result.h"
 #include "common/rng.h"
+#include "common/simd.h"
 
 namespace otfair::stats {
 
@@ -55,7 +56,8 @@ class AliasTable {
 /// three dependent cache misses per draw once the channel count grows —
 /// measured as a ~22% repair-throughput loss going from K=2 to K=4
 /// feature channels. The arena makes a draw exactly one slot load after
-/// the bucket pick, and rows can be software-prefetched ahead of use.
+/// the bucket pick, which the AVX2 transport kernel gathers four at a
+/// time (common::simd::Ops::transport).
 ///
 /// Determinism contract: construction replicates AliasTable::Build's
 /// arithmetic exactly (same normalization and Vose pairing order), and
@@ -66,12 +68,9 @@ class AliasTable {
 /// downstream random stream.
 class AliasArena {
  public:
-  struct Slot {
-    double prob;         // acceptance probability of this bucket
-    uint32_t col;        // payload returned when the bucket accepts
-    uint32_t alias_col;  // payload returned when it rejects (Vose alias)
-  };
-  static_assert(sizeof(Slot) == 16, "Slot must pack to 16 bytes");
+  /// The 16-byte bucket lives in common::simd, whose transport kernels
+  /// gather it.
+  using Slot = common::simd::AliasSlot;
 
   /// Pre-sizes the arena (rows and total buckets are both known up front
   /// when building from a CSR plan: rows() and nnz()).
@@ -93,27 +92,16 @@ class AliasArena {
   /// Draws a payload column from row `row` (which must have mass). RNG
   /// consumption is identical to AliasTable::Sample on the same weights.
   uint32_t SampleCol(size_t row, common::Rng& rng) const {
-    const size_t begin = offsets_[row];
-    const size_t bucket =
-        static_cast<size_t>(rng.UniformInt(offsets_[row + 1] - begin));
-    const Slot& slot = slots_[begin + bucket];
-    return rng.Bernoulli(slot.prob) ? slot.col : slot.alias_col;
-  }
-
-  /// Hints the first cache lines of a row into L1 ahead of SampleCol — the
-  /// batch repair loop issues this a few records ahead of the draw.
-  void PrefetchRow(size_t row) const {
-#if defined(__GNUC__) || defined(__clang__)
-    const Slot* p = slots_.data() + offsets_[row];
-    __builtin_prefetch(p, 0, 1);
-    if (RowSize(row) > 4) __builtin_prefetch(p + 4, 0, 1);
-#else
-    (void)row;
-#endif
+    return common::simd::SampleAliasCol(slots_.data(), offsets_[row], offsets_[row + 1], rng);
   }
 
   /// Bucket view for tests (parity against AliasTable).
   const Slot* RowSlots(size_t row) const { return slots_.data() + offsets_[row]; }
+
+  /// The packed arena as simd::TransportChannel reads it: row r holds
+  /// slots()[offsets()[r], offsets()[r + 1]).
+  const size_t* offsets() const { return offsets_.data(); }
+  const Slot* slots() const { return slots_.data(); }
 
  private:
   std::vector<Slot> slots_;

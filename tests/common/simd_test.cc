@@ -1,5 +1,6 @@
 #include "common/simd.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -158,6 +159,121 @@ TEST(SimdTest, KdeWalksBitIdenticalToScalar) {
       }
     }
   }
+}
+
+// One random repair channel laid out as core::OffSampleRepairer builds
+// it: an alias arena with empty rows, single-bucket rows and slots whose
+// probability is exactly 0 or 1. An empty row's fallback is the nearest
+// row with mass; a row with mass points at another such row, which the
+// transport must never follow.
+struct Channel {
+  std::vector<double> points;
+  std::vector<size_t> offsets{0};
+  std::vector<uint32_t> fallback;
+  std::vector<AliasSlot> slots;
+
+  TransportChannel View(double strength) const {
+    return {points.data(), points.size(), offsets.data(), fallback.data(), slots.data(),
+            strength};
+  }
+};
+
+Channel RandomChannel(Rng& rng, size_t nq) {
+  Channel c;
+  for (size_t q = 0; q < nq; ++q) c.points.push_back(-3.0 + 6.0 * q / (nq - 1.0));
+  std::vector<size_t> massive;
+  for (size_t q = 0; q < nq; ++q) {
+    const double kind = rng.Uniform();
+    size_t buckets = kind < 0.2 ? 0 : kind < 0.4 ? 1 : 2 + rng.UniformInt(std::min<size_t>(nq, 9));
+    if (q + 1 == nq && massive.empty()) buckets = 1;
+    for (size_t b = 0; b < buckets; ++b) {
+      const double p = rng.Uniform();
+      const double prob = p < 0.25 ? 0.0 : p < 0.5 ? 1.0 : rng.Uniform();
+      c.slots.push_back({prob, static_cast<uint32_t>(rng.UniformInt(nq)),
+                         static_cast<uint32_t>(rng.UniformInt(nq))});
+    }
+    c.offsets.push_back(c.slots.size());
+    if (buckets > 0) massive.push_back(q);
+  }
+  c.fallback.resize(nq);
+  for (size_t q = 0; q < nq; ++q) {
+    size_t best = massive[0];
+    for (size_t m : massive) {
+      const size_t d = m > q ? m - q : q - m;
+      if (d > 0 && d < (best > q ? best - q : q - best)) best = m;
+    }
+    c.fallback[q] = static_cast<uint32_t>(best);
+  }
+  return c;
+}
+
+// `count` located records with their streams, one array per state word.
+struct Records {
+  std::vector<uint32_t> lower;
+  std::vector<double> tau;
+  std::vector<double> x;
+  std::vector<uint64_t> words[4];
+  std::vector<double> out;
+
+  TransportRecords View() {
+    return {lower.data(), tau.data(), x.data(),
+            {words[0].data(), words[1].data(), words[2].data(), words[3].data()},
+            out.data(), lower.size()};
+  }
+};
+
+Records RandomRecords(Rng& rng, size_t nq, size_t count) {
+  Records r;
+  for (size_t t = 0; t < count; ++t) {
+    r.lower.push_back(static_cast<uint32_t>(rng.UniformInt(nq)));
+    const double p = rng.Uniform();
+    r.tau.push_back(p < 0.2 ? 0.0 : p < 0.3 ? 1.0 : rng.Uniform());
+    r.x.push_back(rng.Uniform(-5.0, 5.0));  // past the grid's [-3, 3] too
+    Rng::Words state = Rng::ForStream(rng.Next64(), t).State();
+    // s0 = s3 = 0 makes the next output 0, so a bounded draw whose bucket
+    // count is not a power of two rejects it.
+    if (rng.Uniform() < 0.1) state = {0, rng.Next64() | 1, rng.Next64(), 0};
+    for (size_t w = 0; w < 4; ++w) r.words[w].push_back(state[w]);
+  }
+  r.out.assign(count, 0.0);
+  return r;
+}
+
+TEST(SimdTest, TransportBitIdenticalToScalar) {
+  // Channels of 2-600 rows, strengths 0, 0.37 and 1, and counts 0-9 and
+  // 256 (every tail of the four-lane loop): the vector entry must write
+  // the same bytes, leave every stream in the same state and count the
+  // same fallbacks as the scalar entry, which draws through Rng.
+  Rng rng(2024);
+  std::vector<size_t> counts;
+  for (size_t n = 0; n <= 9; ++n) counts.push_back(n);
+  counts.push_back(256);
+  size_t fallbacks = 0;
+  size_t crafted = 0;
+  for (size_t nq : {2, 3, 5, 17, 64, 255, 600}) {
+    const Channel channel = RandomChannel(rng, nq);
+    for (double strength : {0.0, 0.37, 1.0}) {
+      for (size_t count : counts) {
+        Records scalar = RandomRecords(rng, nq, count);
+        Records vector = scalar;
+        for (size_t t = 0; t < count; ++t) crafted += scalar.words[0][t] == 0;
+        const size_t scalar_fallbacks =
+            ScalarOps().transport(channel.View(strength), scalar.View());
+        const size_t vector_fallbacks =
+            BestOps().transport(channel.View(strength), vector.View());
+        SCOPED_TRACE("n_q " + std::to_string(nq) + " strength " + std::to_string(strength) +
+                     " count " + std::to_string(count));
+        EXPECT_EQ(scalar_fallbacks, vector_fallbacks);
+        if (count > 0) {  // memcmp takes no null pointer, even for 0 bytes
+          EXPECT_EQ(0, std::memcmp(scalar.out.data(), vector.out.data(), count * sizeof(double)));
+        }
+        for (size_t w = 0; w < 4; ++w) EXPECT_EQ(scalar.words[w], vector.words[w]) << "word " << w;
+        fallbacks += scalar_fallbacks;
+      }
+    }
+  }
+  EXPECT_GT(fallbacks, 0u);
+  EXPECT_GT(crafted, 0u);
 }
 
 TEST(SimdTest, EmptyInputs) {

@@ -366,39 +366,65 @@ TEST(SparseDenseParityTest, RepairBitIdenticalUnderDenseRoundtrippedPlans) {
   ExpectDatasetsIdentical(*repaired_a, *repaired_b);
 }
 
-// PR 6 regression: repair output is a pure function of (plans, seed,
-// dataset) across every execution configuration the SIMD pass touched —
-// scalar vs vector dispatch, serial vs multi-threaded. Only table lookups
-// and reductions were vectorized, never the RNG streams, so all 2x3
-// combinations must agree bit-exactly.
+// Repair output is a pure function of (plans, seed, dataset) across every
+// execution configuration: scalar vs vector dispatch (the vector transport
+// advances each row's stream exactly as common::Rng does), serial vs
+// multi-threaded. Hard and soft labels, partial strength and |S| = 4 each
+// agree bit-exactly in all 2x3 combinations.
 TEST(DeterminismTest, RepairBitIdenticalAcrossSimdSoaAndThreadConfigs) {
   Fixture fx = MakeFixture(29, 500, 1200);
   DesignOptions design;
   design.n_q = 48;
   auto plans = DesignDistributionalRepair(fx.research, design);
   ASSERT_TRUE(plans.ok());
+  common::Rng rng(31);
+  std::vector<double> pr_s1(fx.archive.size());
+  for (double& p : pr_s1) p = rng.Uniform();
+  const auto config = sim::MultiGroupSimConfig::Default(/*s_levels=*/4, /*u_levels=*/2);
+  auto research4 = sim::SimulateMultiGroupGaussian(2000, config, rng);
+  auto archive4 = sim::SimulateMultiGroupGaussian(1200, config, rng);
+  ASSERT_TRUE(research4.ok() && archive4.ok());
+  auto plans4 = DesignDistributionalRepair(*research4, design);
+  ASSERT_TRUE(plans4.ok());
 
+  struct Case {
+    const char* name;
+    const RepairPlanSet& plans;
+    const data::Dataset& archive;
+    double strength;
+    bool soft;
+  };
+  const Case cases[] = {
+      {"binary", *plans, fx.archive, 1.0, false},
+      {"binary strength 0.37", *plans, fx.archive, 0.37, false},
+      {"soft strength 0.37", *plans, fx.archive, 0.37, true},
+      {"|S| = 4", *plans4, *archive4, 1.0, false},
+  };
   const bool was_forced = common::simd::ForcedScalar();
-  auto repair_once = [&](bool force_scalar, int threads) {
+  auto repair_once = [&](const Case& c, bool force_scalar, int threads) {
     common::simd::SetForceScalar(force_scalar);
     RepairOptions options;
     options.seed = 6161;
+    options.strength = c.strength;
     options.threads = threads;
-    auto repairer = OffSampleRepairer::Create(*plans, options);
+    auto repairer = OffSampleRepairer::Create(c.plans, options);
     EXPECT_TRUE(repairer.ok());
-    auto repaired = repairer->RepairDataset(fx.archive);
+    auto repaired = c.soft ? repairer->RepairDatasetSoft(c.archive, pr_s1)
+                           : repairer->RepairDataset(c.archive);
     EXPECT_TRUE(repaired.ok());
     common::simd::SetForceScalar(was_forced);
     return std::move(*repaired);
   };
 
-  const data::Dataset reference = repair_once(/*force_scalar=*/true, /*threads=*/1);
-  for (bool force_scalar : {true, false}) {
-    for (int threads : {1, 3, 8}) {
-      const data::Dataset repaired = repair_once(force_scalar, threads);
-      SCOPED_TRACE("scalar=" + std::to_string(force_scalar) +
-                   " threads=" + std::to_string(threads));
-      ExpectDatasetsIdentical(reference, repaired);
+  for (const Case& c : cases) {
+    const data::Dataset reference = repair_once(c, /*force_scalar=*/true, /*threads=*/1);
+    for (bool force_scalar : {true, false}) {
+      for (int threads : {1, 3, 8}) {
+        const data::Dataset repaired = repair_once(c, force_scalar, threads);
+        SCOPED_TRACE(std::string(c.name) + " scalar=" + std::to_string(force_scalar) +
+                     " threads=" + std::to_string(threads));
+        ExpectDatasetsIdentical(reference, repaired);
+      }
     }
   }
 }

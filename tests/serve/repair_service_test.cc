@@ -11,6 +11,7 @@
 #include "serve/repair_service.h"
 
 #include <atomic>
+#include <limits>
 #include <map>
 #include <memory>
 #include <thread>
@@ -284,17 +285,22 @@ TEST(RepairServiceTest, InvalidRowsReportPerRowStatus) {
   RowRequest bad_label = ArchiveRequest(fx.archive, 0, 1);
   bad_label.u = 2;
   RowRequest good = ArchiveRequest(fx.archive, 0, 2);
+  RowRequest bad_value = ArchiveRequest(fx.archive, 0, 3);
+  bad_value.features[1] = std::numeric_limits<double>::quiet_NaN();
   std::vector<RowRequest> requests;
   requests.push_back(std::move(bad_dim));
   requests.push_back(std::move(bad_label));
   requests.push_back(std::move(good));
+  requests.push_back(std::move(bad_value));
   std::vector<RowResponse> responses;
   (*service)->RepairBatch(requests.data(), requests.size(), &responses);
   EXPECT_EQ(responses[0].status.code(), common::StatusCode::kInvalidArgument);
   EXPECT_EQ(responses[1].status.code(), common::StatusCode::kInvalidArgument);
   EXPECT_TRUE(responses[2].status.ok());
+  EXPECT_EQ(responses[3].status.code(), common::StatusCode::kInvalidArgument);
+  EXPECT_TRUE(responses[3].repaired.empty());
   const MetricsSnapshot metrics = (*service)->metrics().Snapshot();
-  EXPECT_EQ(metrics.rows_invalid, 2u);
+  EXPECT_EQ(metrics.rows_invalid, 3u);
   EXPECT_EQ(metrics.rows_repaired, 1u);
   // Invalid rows must not pollute the drift accumulator.
   EXPECT_EQ((*service)->Health().values_observed, fx.archive.dim());

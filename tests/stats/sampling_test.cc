@@ -187,8 +187,6 @@ TEST(AliasArenaTest, EmptyRowsAndMassQueries) {
     const uint32_t col = arena.SampleCol(1, rng);
     EXPECT_TRUE(col == 5 || col == 9);
   }
-  arena.PrefetchRow(1);  // smoke: prefetch is a hint, must be safe anywhere
-  arena.PrefetchRow(0);
 }
 
 TEST(AliasArenaTest, RejectsBadWeights) {
