@@ -347,7 +347,6 @@ int main(int argc, char** argv) {
       otfair::serve::BatcherOptions batcher_options;
       batcher_options.max_batch = 256;
       batcher_options.max_queue_depth = 4096;
-      batcher_options.background_flush = false;  // replay flushes explicitly
       size_t responses = 0;
       otfair::serve::Batcher batcher(
           service->get(), batcher_options,

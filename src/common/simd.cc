@@ -169,15 +169,8 @@ size_t ScalarTransport(const TransportChannel& channel, const TransportRecords& 
   for (size_t t = 0; t < records.count; ++t) {
     Rng rng = Rng::FromState({records.state[0][t], records.state[1][t], records.state[2][t],
                               records.state[3][t]});
-    size_t q = records.lower[t];
-    if (rng.Bernoulli(records.tau[t]) && q + 1 < channel.rows) ++q;
-    if (channel.offsets[q + 1] == channel.offsets[q]) {
-      ++fallbacks;
-      q = channel.fallback[q];
-    }
-    const double transported = channel.points[SampleAliasCol(
-        channel.slots, channel.offsets[q], channel.offsets[q + 1], rng)];
-    records.out[t] = (1.0 - channel.strength) * records.x[t] + channel.strength * transported;
+    records.out[t] =
+        TransportRecord(channel, records.lower[t], records.tau[t], records.x[t], rng, fallbacks);
     for (size_t w = 0; w < 4; ++w) records.state[w][t] = rng.State()[w];
   }
   return fallbacks;
@@ -772,8 +765,7 @@ TransportRecords Slice(const TransportRecords& records, size_t t, size_t count) 
 
 OTFAIR_AVX2_NO_FMA size_t Avx2Transport(const TransportChannel& channel,
                                         const TransportRecords& records) {
-  // Fewer than four records (a streamed value) skip the vector set-up,
-  // which made a one-record RepairValue about a quarter slower.
+  // Fewer than four records (a short span) skip the vector set-up.
   if (records.count < 4) return ScalarTransport(channel, records);
   const __m256i ones = _mm256_set1_epi64x(1);
   const __m256i low32 = _mm256_set1_epi64x(0xFFFFFFFF);

@@ -29,7 +29,7 @@ static_assert(sizeof(AliasSlot) == 16, "AliasSlot must pack to 16 bytes");
 /// a Lemire bounded integer picks the bucket, then a Bernoulli on its
 /// probability picks the column, which consumes nothing when that
 /// probability is 0 or 1. The one scalar definition of the alias draw:
-/// stats::AliasArena::SampleCol and the scalar transport entry call it.
+/// stats::AliasArena::SampleCol and TransportRecord call it.
 inline uint32_t SampleAliasCol(const AliasSlot* slots, size_t begin, size_t end, Rng& rng) {
   const AliasSlot& slot = slots[begin + rng.UniformInt(end - begin)];
   return rng.Bernoulli(slot.prob) ? slot.col : slot.alias_col;
@@ -45,6 +45,26 @@ struct TransportChannel {
   const AliasSlot* slots = nullptr;    // fewer than 2^32 per row
   double strength = 1.0;               // partial-repair lambda in [0, 1]
 };
+
+/// Repairs one located record of `channel` with `rng` (Algorithm 2 lines
+/// 6-9, then the partial-repair blend): a Bernoulli(tau) step from row
+/// `lower` to its upper neighbour, the fallback row for an empty row
+/// (counted into `fallbacks`), a SampleAliasCol draw, and the blend with
+/// `x`. The one scalar definition of the repair draw: the scalar transport
+/// entry loops over it, the AVX2 entry reproduces it four records at a
+/// time, and core::OffSampleRepairer::RepairValue calls it directly.
+inline double TransportRecord(const TransportChannel& channel, size_t lower, double tau,
+                              double x, Rng& rng, size_t& fallbacks) {
+  size_t q = lower;
+  if (rng.Bernoulli(tau) && q + 1 < channel.rows) ++q;
+  if (channel.offsets[q + 1] == channel.offsets[q]) {
+    ++fallbacks;
+    q = channel.fallback[q];
+  }
+  const double transported =
+      channel.points[SampleAliasCol(channel.slots, channel.offsets[q], channel.offsets[q + 1], rng)];
+  return (1.0 - channel.strength) * x + channel.strength * transported;
+}
 
 /// `count` located records of one channel. Record t draws from its own
 /// xoshiro256++ stream, whose word w is state[w][t] (Rng::State order).

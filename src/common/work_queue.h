@@ -1,9 +1,6 @@
 #ifndef OTFAIR_COMMON_WORK_QUEUE_H_
 #define OTFAIR_COMMON_WORK_QUEUE_H_
 
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstddef>
 #include <mutex>
 #include <utility>
@@ -12,18 +9,12 @@
 namespace otfair::common {
 
 /// Bounded multi-producer / multi-consumer work queue with batch pops —
-/// the condition-variable primitive underneath `serve::Batcher`.
-///
-/// Design points:
-///  - `TryPush` never blocks: a full (or closed) queue is reported to the
-///    producer immediately, which is what turns queue pressure into an
-///    explicit backpressure rejection at the serving boundary instead of
-///    an unbounded buffer.
-///  - `PopBatch` coalesces: it waits until `max_items` are available, the
-///    wait budget expires, or the queue closes — then drains up to
-///    `max_items` in FIFO order. This is the micro-batching wait loop.
-///  - Consumers that want work *now* (caller-runs execution) use
-///    `TryPopBatch`.
+/// the primitive underneath `serve::Batcher`. Nothing in it blocks or
+/// waits: a full (or closed) queue is reported to the producer at once,
+/// which turns queue pressure into an explicit backpressure rejection at
+/// the serving boundary instead of an unbounded buffer, and `TryPopBatch`
+/// drains what is queued now. Consumers are the threads that bring the
+/// work (caller-runs execution), so none ever sleeps on the queue.
 ///
 /// All operations are linearizable under the internal mutex; the queue
 /// never drops an accepted item — after `Close()`, pops keep draining
@@ -47,14 +38,11 @@ class BoundedWorkQueue {
   /// meaningful on success) — producers use it to detect a full batch
   /// without a second lock.
   bool TryPush(T&& item, size_t* size_after = nullptr) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (closed_ || count_ >= capacity_) return false;
-      slots_[(head_ + count_) % capacity_] = std::move(item);
-      ++count_;
-      if (size_after != nullptr) *size_after = count_;
-    }
-    if (waiters_.load(std::memory_order_relaxed) > 0) cv_.notify_one();
+    std::lock_guard<std::mutex> lock(mu_);
+    if (closed_ || count_ >= capacity_) return false;
+    slots_[(head_ + count_) % capacity_] = std::move(item);
+    ++count_;
+    if (size_after != nullptr) *size_after = count_;
     return true;
   }
 
@@ -62,48 +50,20 @@ class BoundedWorkQueue {
   /// reused) without blocking. Returns the number popped.
   size_t TryPopBatch(size_t max_items, std::vector<T>* out) {
     std::lock_guard<std::mutex> lock(mu_);
-    return DrainLocked(max_items, out);
-  }
-
-  /// Blocks until `max_items` are queued, `max_wait` has elapsed since the
-  /// call, or the queue is closed — then drains up to `max_items` into
-  /// `out`. Returns the number popped (0 only on timeout-with-empty-queue
-  /// or a closed-and-drained queue).
-  size_t PopBatch(size_t max_items, std::vector<T>* out, std::chrono::microseconds max_wait) {
-    const auto deadline = std::chrono::steady_clock::now() + max_wait;
-    std::unique_lock<std::mutex> lock(mu_);
-    waiters_.fetch_add(1, std::memory_order_relaxed);
-    cv_.wait_until(lock, deadline, [&] { return closed_ || count_ >= max_items; });
-    waiters_.fetch_sub(1, std::memory_order_relaxed);
-    return DrainLocked(max_items, out);
-  }
-
-  /// As PopBatch but with no deadline while the queue is empty: blocks for
-  /// the first item (or close), then gives stragglers `max_wait` to fill
-  /// the batch. This is the idle loop of a background flusher — it sleeps
-  /// indefinitely on an idle queue yet bounds the latency of a partial
-  /// batch once traffic arrives.
-  size_t PopBatchWhenReady(size_t max_items, std::vector<T>* out,
-                           std::chrono::microseconds max_wait) {
-    std::unique_lock<std::mutex> lock(mu_);
-    waiters_.fetch_add(1, std::memory_order_relaxed);
-    cv_.wait(lock, [&] { return closed_ || count_ > 0; });
-    if (!closed_ && count_ < max_items) {
-      const auto deadline = std::chrono::steady_clock::now() + max_wait;
-      cv_.wait_until(lock, deadline, [&] { return closed_ || count_ >= max_items; });
+    size_t popped = 0;
+    while (popped < max_items && count_ > 0) {
+      out->push_back(std::move(slots_[head_]));
+      head_ = (head_ + 1) % capacity_;
+      --count_;
+      ++popped;
     }
-    waiters_.fetch_sub(1, std::memory_order_relaxed);
-    return DrainLocked(max_items, out);
+    return popped;
   }
 
-  /// Closes the queue: further pushes fail, blocked pops wake and drain
-  /// what remains.
+  /// Closes the queue: further pushes fail; pops still drain what remains.
   void Close() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      closed_ = true;
-    }
-    cv_.notify_all();
+    std::lock_guard<std::mutex> lock(mu_);
+    closed_ = true;
   }
 
   bool closed() const {
@@ -116,27 +76,12 @@ class BoundedWorkQueue {
     return count_;
   }
 
-  size_t capacity() const { return capacity_; }
-
  private:
-  size_t DrainLocked(size_t max_items, std::vector<T>* out) {
-    size_t popped = 0;
-    while (popped < max_items && count_ > 0) {
-      out->push_back(std::move(slots_[head_]));
-      head_ = (head_ + 1) % capacity_;
-      --count_;
-      ++popped;
-    }
-    return popped;
-  }
-
   const size_t capacity_;
   mutable std::mutex mu_;
-  std::condition_variable cv_;
   std::vector<T> slots_;  // ring: [head_, head_ + count_) mod capacity_
   size_t head_ = 0;
   size_t count_ = 0;
-  std::atomic<int> waiters_{0};
   bool closed_ = false;
 };
 

@@ -117,24 +117,6 @@ DriftReport DriftMonitor::Report() const {
   return report;
 }
 
-common::Status DriftMonitor::MergeFrom(const DriftMonitor& other) {
-  if (dim_ != other.dim_ || s_levels_ != other.s_levels_ || u_levels_ != other.u_levels_ ||
-      states_.size() != other.states_.size())
-    return Status::InvalidArgument("cannot merge drift monitors of different shapes");
-  for (size_t i = 0; i < states_.size(); ++i) {
-    ChannelState& dst = states_[i];
-    const ChannelState& src = other.states_[i];
-    if (dst.counts.size() != src.counts.size() || dst.grid != src.grid ||
-        dst.design_pmf != src.design_pmf)
-      return Status::InvalidArgument(
-          "cannot merge drift monitors built from different plan sets");
-    for (size_t q = 0; q < dst.counts.size(); ++q) dst.counts[q] += src.counts[q];
-    dst.total += src.total;
-    dst.out_of_range += src.out_of_range;
-  }
-  return Status::Ok();
-}
-
 void DriftMonitor::Reset() {
   for (ChannelState& state : states_) {
     state.counts.assign(state.counts.size(), 0);

@@ -73,22 +73,11 @@ class DriftMonitor {
   /// the same arguments as OffSampleRepairer::RepairValue.
   void Observe(int u, int s, size_t k, double x);
 
-  /// Current drift assessment.
-  DriftReport Report() const;
-
-  /// Snapshot form of Report() for incremental accumulation: Observe() is
-  /// already O(1) per value, and the histogram state is pure integer
+  /// Current drift assessment. The histogram state is pure integer
   /// counts, so judging after every micro-batch reproduces the one-shot
   /// batch report exactly — same counts, same W1, same verdict. The
   /// serving layer polls this under live traffic.
-  DriftReport SnapshotReport() const { return Report(); }
-
-  /// Folds another monitor's accumulated counts into this one. The two
-  /// monitors must have been created from the same plan set (same
-  /// channels, same grids); the serving layer shards observation across
-  /// monitors and merges on snapshot. Commutative integer addition, so
-  /// merge order cannot change the combined report.
-  common::Status MergeFrom(const DriftMonitor& other);
+  DriftReport Report() const;
 
   /// Drops all accumulated counts (e.g. after a re-design).
   void Reset();
@@ -101,8 +90,8 @@ class DriftMonitor {
   void SerializeCounts(common::ByteWriter& writer) const;
 
   /// Folds accumulators previously written by SerializeCounts into this
-  /// monitor (integer addition, same algebra as MergeFrom — restoring into
-  /// a freshly created monitor reproduces the serialized state exactly).
+  /// monitor (integer addition — restoring into a freshly created monitor
+  /// reproduces the serialized state exactly).
   /// Returns kInvalidArgument on any shape mismatch, truncation, or
   /// internally inconsistent counts, leaving this monitor untouched.
   common::Status RestoreCounts(common::ByteReader& reader);

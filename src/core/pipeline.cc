@@ -15,20 +15,11 @@ Result<PipelineResult> RunRepairPipeline(const data::Dataset& research,
                                          const PipelineOptions& options) {
   if (research.dim() != archive.dim())
     return Status::InvalidArgument("research/archive dimensionality mismatch");
-  if (options.threads < 0)
-    return Status::InvalidArgument("threads must be >= 1 (or 0 for the process default)");
 
-  DesignOptions design_options = options.design;
-  RepairOptions repair_options = options.repair;
-  if (options.threads > 0) {
-    if (design_options.threads == 0) design_options.threads = options.threads;
-    if (repair_options.threads == 0) repair_options.threads = options.threads;
-  }
-
-  auto plans = DesignDistributionalRepair(research, design_options);
+  auto plans = DesignDistributionalRepair(research, options.design);
   if (!plans.ok()) return plans.status();
 
-  auto repairer = OffSampleRepairer::Create(*plans, repair_options);
+  auto repairer = OffSampleRepairer::Create(*plans, options.repair);
   if (!repairer.ok()) return repairer.status();
 
   PipelineResult result;

@@ -21,10 +21,6 @@ namespace otfair::core {
 struct PipelineOptions {
   DesignOptions design;
   RepairOptions repair;
-  /// Convenience thread count applied to both stages: when positive it
-  /// overrides any `design.threads`/`repair.threads` left at 0. 0 defers
-  /// to the per-stage options; negative is rejected.
-  int threads = 0;
   /// When true, archival s-labels are re-estimated from the research data
   /// (core::LabelEstimator) instead of trusting the archive's labels —
   /// paper §IV requirement 5 / §V-B operating mode.

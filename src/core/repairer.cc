@@ -189,39 +189,42 @@ double OffSampleRepairer::RepairValue(int u, int s, size_t k, double x, common::
   const SupportGrid::Location loc = channel.grid.Locate(x);
   ++stats_.values_repaired;
   if (loc.clamped) ++stats_.values_clamped;
+  // One value: the scalar draw on the caller's generator, without the
+  // kernel table's dispatch or a copy of the generator's words.
+  if (options_.mode == TransportMode::kStochastic)
+    return common::simd::TransportRecord(TransportView(channel, tables), loc.lower, loc.tau, x,
+                                         rng, stats_.empty_row_fallbacks);
   const uint32_t lower = static_cast<uint32_t>(loc.lower);
-  common::Rng::Words& words = rng.State();  // advanced in place
   double repaired;
   Transport(channel, tables,
-            {.lower = &lower,
-             .tau = &loc.tau,
-             .x = &x,
-             .state = {&words[0], &words[1], &words[2], &words[3]},
-             .out = &repaired,
-             .count = 1},
-            stats_);
+            {.lower = &lower, .tau = &loc.tau, .x = &x, .out = &repaired, .count = 1}, stats_);
   return repaired;
+}
+
+common::simd::TransportChannel OffSampleRepairer::TransportView(
+    const ChannelPlan& channel, const ChannelTables& tables) const {
+  return {.points = channel.grid.points().data(),
+          .rows = channel.grid.size(),
+          .offsets = tables.alias.offsets(),
+          .fallback = tables.fallback_row.data(),
+          .slots = tables.alias.slots(),
+          .strength = options_.strength};
 }
 
 void OffSampleRepairer::Transport(const ChannelPlan& channel, const ChannelTables& tables,
                                   const common::simd::TransportRecords& records,
                                   RepairStats& stats) const {
-  const size_t nq = channel.grid.size();
   if (options_.mode == TransportMode::kStochastic) {
     // Algorithm 2 lines 6-9: Bernoulli neighbour choice, then one draw from
     // the normalized plan row (Eq. 15), whose arena slot carries the grid
     // column payload.
-    const common::simd::TransportChannel view{.points = channel.grid.points().data(),
-                                              .rows = nq,
-                                              .offsets = tables.alias.offsets(),
-                                              .fallback = tables.fallback_row.data(),
-                                              .slots = tables.alias.slots(),
-                                              .strength = options_.strength};
-    stats.empty_row_fallbacks += common::simd::Active().transport(view, records);
+    stats.empty_row_fallbacks +=
+        common::simd::Active().transport(TransportView(channel, tables), records);
     return;
   }
   // Deterministic ablation: tau-weighted mix of neighbouring rows'
   // conditional means, then the partial-repair blend.
+  const size_t nq = channel.grid.size();
   const double* tau = records.tau;
   for (size_t t = 0; t < records.count; ++t) {
     size_t q0 = records.lower[t];

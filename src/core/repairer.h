@@ -169,9 +169,14 @@ class OffSampleRepairer {
   common::Status BuildTables();
   const ChannelTables& TablesFor(int u, int s, size_t k) const;
 
+  /// One channel's stochastic tables as the transport kernels read them.
+  common::simd::TransportChannel TransportView(const ChannelPlan& channel,
+                                               const ChannelTables& tables) const;
+
   /// The transport of located records of one channel: Algorithm 2's
   /// draw through simd::Ops::transport, or the conditional-mean ablation,
-  /// then the partial-repair blend. Shared by RepairValue and RepairSpan.
+  /// then the partial-repair blend. RepairSpan's second pass, and
+  /// RepairValue's conditional-mean branch.
   void Transport(const ChannelPlan& channel, const ChannelTables& tables,
                  const common::simd::TransportRecords& records, RepairStats& stats) const;
 

@@ -5,7 +5,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -79,9 +78,7 @@ struct Server::Worker {
 };
 
 Server::Server(serve::RepairService* service, const ServerOptions& options, ServerHooks hooks)
-    : service_(service), options_(options), hooks_(std::move(hooks)) {
-  options_.batcher.background_flush = false;
-}
+    : service_(service), options_(options), hooks_(std::move(hooks)) {}
 
 Server::~Server() { Shutdown(); }
 
@@ -183,8 +180,8 @@ Status Server::Start() {
     Worker* w = worker.get();
     worker->batcher = std::make_unique<serve::Batcher>(
         service_, options_.batcher, [this, w](const serve::RowResponse& response) {
-          // Runs on the worker thread only (sole submitter, no flusher
-          // thread), so touching connection state here is race-free.
+          // Runs on the worker thread only (the batcher's sole submitter
+          // and flusher), so touching connection state here is race-free.
           auto it = w->session_owner.find(response.session_id);
           if (it == w->session_owner.end() || it->second->closed) {
             orphan_responses_->Add(1);
@@ -221,15 +218,9 @@ size_t Server::queue_depth() const {
 void Server::WorkerLoop(Worker& w) {
   std::vector<epoll_event> events(256);
   while (!stop_.load(std::memory_order_acquire)) {
-    // With rows pending the wait is bounded by the batcher's partial-batch
-    // deadline; otherwise a coarse tick (the wake eventfd makes shutdown
-    // prompt regardless).
-    const int timeout_ms =
-        w.batcher->queue_depth() > 0
-            ? std::max(1, static_cast<int>(options_.batcher.max_wait_us / 1000))
-            : 200;
-    const int n =
-        ::epoll_wait(w.epoll_fd, events.data(), static_cast<int>(events.size()), timeout_ms);
+    // Every cycle ends with the batcher empty, so the wait is a coarse tick
+    // (the wake eventfd makes shutdown prompt regardless).
+    const int n = ::epoll_wait(w.epoll_fd, events.data(), static_cast<int>(events.size()), 200);
     if (n < 0) {
       if (errno == EINTR) continue;
       break;
@@ -254,9 +245,9 @@ void Server::WorkerLoop(Worker& w) {
       if (!c->closed && (ev.events & EPOLLOUT)) FlushConn(w, c);
       if (!c->closed && (ev.events & (EPOLLERR | EPOLLHUP))) CloseConn(w, c);
     }
-    // Partial batches don't wait for the flusher thread there isn't:
-    // flushing once per cycle bounds latency at one epoll cycle while
-    // still coalescing rows across every connection that was readable.
+    // Flushing once per cycle bounds a partial batch's latency at one
+    // epoll cycle while still coalescing rows across every connection
+    // that was readable.
     if (w.batcher->queue_depth() > 0) w.batcher->Flush();
     FlushDirty(w);
     w.graveyard.clear();

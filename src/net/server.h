@@ -38,10 +38,10 @@ struct ServerOptions {
   /// Bound on how long a drain waits for clients to absorb final
   /// responses before closing on them.
   int drain_timeout_ms = 5000;
-  /// Per-worker micro-batcher config. `background_flush` is forced off:
-  /// the worker thread is the only submitter and flushes at the end of
-  /// every epoll cycle, so batch execution (and therefore the response
-  /// sink) stays on the worker thread — connection state needs no locks.
+  /// Per-worker micro-batcher config. The worker thread is the only
+  /// submitter and flushes at the end of every epoll cycle, so batch
+  /// execution (and therefore the response sink) stays on the worker
+  /// thread — connection state needs no locks.
   serve::BatcherOptions batcher;
 };
 

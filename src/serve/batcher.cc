@@ -14,13 +14,10 @@ Batcher::Batcher(RepairService* service, const BatcherOptions& options, Sink sin
         BatcherOptions o = options;
         if (o.max_batch == 0) o.max_batch = 1;
         if (o.max_queue_depth == 0) o.max_queue_depth = 1;
-        if (o.max_wait_us < 0) o.max_wait_us = 0;
         return o;
       }()),
       sink_(std::move(sink)),
-      queue_(options_.max_queue_depth) {
-  if (options_.background_flush) flusher_ = std::thread([this] { FlusherLoop(); });
-}
+      queue_(options_.max_queue_depth) {}
 
 Batcher::~Batcher() { Close(); }
 
@@ -55,27 +52,23 @@ Status Batcher::Submit(RowRequest&& request) {
 size_t Batcher::ExecuteOne() {
   std::lock_guard<std::mutex> lock(exec_mu_);
   exec_items_.clear();
-  if (queue_.TryPopBatch(options_.max_batch, &exec_items_) == 0) return 0;
-  ExecuteItems(&exec_items_);
-  return exec_items_.size();
-}
-
-void Batcher::ExecuteItems(std::vector<Item>* items) {
+  const size_t n = queue_.TryPopBatch(options_.max_batch, &exec_items_);
+  if (n == 0) return 0;
   OTFAIR_TRACE_SPAN("batch_flush");
-  const size_t n = items->size();
   exec_requests_.clear();
   exec_requests_.reserve(n);
-  for (Item& item : *items) exec_requests_.push_back(std::move(item.request));
+  for (Item& item : exec_items_) exec_requests_.push_back(std::move(item.request));
   service_->RepairBatch(exec_requests_.data(), n, &exec_responses_);
   // One completion stamp per batch: request latency = queue wait + batch
   // execution, which the shared endpoint captures for every sampled row.
   const auto now = std::chrono::steady_clock::now();
   for (size_t i = 0; i < n; ++i) {
-    if ((*items)[i].sampled)
+    if (exec_items_[i].sampled)
       service_->metrics().RecordLatencyUs(
-          std::chrono::duration<double, std::micro>(now - (*items)[i].enqueue).count());
+          std::chrono::duration<double, std::micro>(now - exec_items_[i].enqueue).count());
     if (sink_) sink_(exec_responses_[i]);
   }
+  return n;
 }
 
 void Batcher::Flush() {
@@ -83,33 +76,9 @@ void Batcher::Flush() {
   }
 }
 
-void Batcher::FlusherLoop() {
-  std::vector<Item> items;
-  while (true) {
-    items.clear();
-    // Sleep until traffic arrives, then give stragglers max_wait_us to
-    // fill the batch. A zero pop means closed-and-drained (the empty-queue
-    // wait has no deadline) — time to exit.
-    const size_t n = queue_.PopBatchWhenReady(
-        options_.max_batch, &items, std::chrono::microseconds(options_.max_wait_us));
-    if (n == 0) {
-      if (queue_.closed() && queue_.size() == 0) return;
-      continue;
-    }
-    std::lock_guard<std::mutex> lock(exec_mu_);
-    ExecuteItems(&items);
-  }
-}
-
 void Batcher::Close() {
-  bool expected = false;
-  if (!closed_.compare_exchange_strong(expected, true)) {
-    // Already closed; still make sure nothing is left behind.
-    Flush();
-    return;
-  }
+  closed_.store(true, std::memory_order_release);
   queue_.Close();
-  if (flusher_.joinable()) flusher_.join();
   Flush();
 }
 

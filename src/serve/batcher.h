@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "common/status.h"
@@ -24,15 +23,6 @@ struct BatcherOptions {
   /// unboundedly). May be smaller than max_batch, in which case batches
   /// fill only to the queue capacity.
   size_t max_queue_depth = 4096;
-  /// How long a partial batch may wait for stragglers before the
-  /// background flusher executes it anyway. Only meaningful with
-  /// background_flush.
-  int64_t max_wait_us = 1000;
-  /// Run a flusher thread that bounds the latency of partial batches.
-  /// Without it the batcher only executes on full batches (caller-runs)
-  /// and on explicit Flush()/Close() — the right mode for replay/bench
-  /// loops that drive traffic as fast as they can and flush at the end.
-  bool background_flush = true;
   /// Latency histogram sampling: every Nth accepted row is timestamped
   /// and recorded (1 = every row). Sampling keeps the hot path down to
   /// one clock read per N rows while the quantiles stay statistically
@@ -44,21 +34,24 @@ struct BatcherOptions {
 ///
 /// Producers call `Submit` with single rows from any number of threads;
 /// the batcher coalesces them into `max_batch`-row `RepairBatch` calls.
-/// Execution is caller-runs: the submitter that fills a batch repairs it
-/// in place (no handoff latency on the hot path), while the optional
-/// background flusher picks up partial batches after `max_wait_us`.
+/// It owns no thread: a batch runs on the thread that fills it (caller-
+/// runs, no handoff latency on the hot path), and a partial batch runs
+/// when its front end calls `Flush()` or `Close()`. Each front end
+/// flushes once it has answered what it read — stdio once per read, TCP
+/// once per epoll cycle, replay when its input runs out — so a row never
+/// waits on a timer.
 ///
 /// Delivery contract: every accepted row is repaired and delivered to the
 /// sink exactly once — including rows still queued at Close(). Responses
-/// carry their (session, row) identity; delivery order across batches is
-/// unspecified. The sink may be called concurrently from submitter and
-/// flusher threads and must be thread-safe; it must not call back into
-/// the batcher (it runs under the execution lock).
+/// carry their (session, row) identity and are delivered in the order the
+/// queue accepted them. The sink runs on whichever thread executes the
+/// batch, under the execution lock: it must be thread-safe when several
+/// threads submit or flush, and must not call back into the batcher.
 class Batcher {
  public:
   using Sink = std::function<void(const RowResponse&)>;
 
-  /// `service` must outlive the batcher. The sink must be thread-safe.
+  /// `service` must outlive the batcher.
   Batcher(RepairService* service, const BatcherOptions& options, Sink sink);
   ~Batcher();
 
@@ -75,7 +68,7 @@ class Batcher {
   /// any thread, concurrently with Submits.
   void Flush();
 
-  /// Rejects further submits, stops the flusher, and drains what remains.
+  /// Rejects further submits and drains what remains.
   /// Idempotent; also run by the destructor.
   void Close();
 
@@ -92,12 +85,9 @@ class Batcher {
     bool sampled = false;
   };
 
-  /// Pops up to one batch and repairs it; returns rows executed.
+  /// Pops up to one batch, repairs it and delivers the responses;
+  /// returns rows executed.
   size_t ExecuteOne();
-  /// Repairs `items` (requests are moved out) and delivers responses.
-  /// Caller holds exec_mu_.
-  void ExecuteItems(std::vector<Item>* items);
-  void FlusherLoop();
 
   RepairService* service_;
   BatcherOptions options_;
@@ -110,7 +100,6 @@ class Batcher {
   std::vector<RowResponse> exec_responses_;
   std::atomic<uint64_t> submit_counter_{0};
   std::atomic<bool> closed_{false};
-  std::thread flusher_;
 };
 
 }  // namespace otfair::serve

@@ -30,8 +30,8 @@ inline constexpr int kFaultCount = 4;
 
 /// Runtime fault injection for the serving self-heal path. Compiled in
 /// always (no ifdef'd test-only seams); disabled by default and armed via a
-/// spec string from `ServiceOptions::faults` or the `OTFAIR_FAULTS`
-/// environment variable.
+/// spec string from `ServiceOptions::faults` (the CLI `--faults` flag) or,
+/// when that is empty, the `OTFAIR_FAULTS` environment variable.
 ///
 /// Spec syntax: comma-separated `name` or `name:count` entries, e.g.
 /// `"redesign_throw"` (fires every time) or `"redesign_throw:2,invalid_plan:1"`

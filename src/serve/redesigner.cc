@@ -67,14 +67,11 @@ Result<std::unique_ptr<Redesigner>> Redesigner::Create(RepairService* service,
   if (service->options().sketch_sample_every == 0)
     return Status::FailedPrecondition(
         "service has sketch_sample_every = 0: no streaming sketches to redesign from");
-  // Fault spec precedence: redesigner options, then service options, then
-  // the OTFAIR_FAULTS environment.
-  Result<FaultInjector> faults =
-      !options.faults.empty()
-          ? FaultInjector::Parse(options.faults)
-          : (!service->options().faults.empty()
-                 ? FaultInjector::Parse(service->options().faults)
-                 : FaultInjector::FromEnv());
+  // Fault spec precedence: service options, then the OTFAIR_FAULTS
+  // environment.
+  Result<FaultInjector> faults = !service->options().faults.empty()
+                                     ? FaultInjector::Parse(service->options().faults)
+                                     : FaultInjector::FromEnv();
   if (!faults.ok()) return faults.status();
   std::unique_ptr<Redesigner> redesigner(
       new Redesigner(service, options, std::move(*faults)));

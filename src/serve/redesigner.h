@@ -53,10 +53,6 @@ struct RedesignerOptions {
   /// replacement is drop-in compatible; the solver/marginal/pseudo-sample
   /// fields apply as-is.
   core::DesignOptions design;
-  /// Fault-injection spec (see FaultInjector). Empty falls back to
-  /// `ServiceOptions::faults`, then the OTFAIR_FAULTS environment
-  /// variable.
-  std::string faults;
 };
 
 /// Counters of the self-heal loop (monotone over the redesigner lifetime).

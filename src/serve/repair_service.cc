@@ -14,81 +14,43 @@ using common::Result;
 using common::Status;
 
 /// The unit of hot-swap: everything a request needs, built once per
-/// (re)load and immutable afterwards except the internally-locked drift
-/// shards. Readers hold it through shared_ptr, so a snapshot outlives the
-/// swap for as long as any in-flight request still uses it.
+/// (re)load and immutable afterwards except the observed state behind
+/// `observed_mu`. Readers hold it through shared_ptr, so a snapshot
+/// outlives the swap for as long as any in-flight request still uses it.
 struct RepairService::Snapshot {
   core::OffSampleRepairer repairer;
   uint64_t version;
+  /// Guards `drift` and `sketches`. A batch observes under it once, after
+  /// its repair; health, scrapes and checkpoints read under it.
+  std::mutex observed_mu;
+  core::DriftMonitor drift;
+  /// Per-channel streaming quantile sketches (same (u, s, k) state order
+  /// as the monitor), fed on sampled rows. Empty when sketching is
+  /// disabled.
+  std::vector<stats::QuantileSketch> sketches;
 
-  struct DriftShard {
-    std::mutex mu;
-    core::DriftMonitor monitor;
-    /// Per-channel streaming quantile sketches (same (u, s, k) state order
-    /// as the monitor), fed on sampled rows under the same shard lock.
-    /// Empty when sketching is disabled.
-    std::vector<stats::QuantileSketch> sketches;
-    explicit DriftShard(core::DriftMonitor m) : monitor(std::move(m)) {}
+  Snapshot(core::OffSampleRepairer r, uint64_t v, core::DriftMonitor d, size_t sketch_channels)
+      : repairer(std::move(r)), version(v), drift(std::move(d)), sketches(sketch_channels) {}
 
-    /// One valid row into the drift histograms and (on sampled row
-    /// indices) the quantile sketches. Sampling keys off the request's
-    /// row_index — deterministic in the request identity, so replays
-    /// sketch identically regardless of interleaving. Caller holds `mu`.
-    void ObserveRow(const RowRequest& request, size_t dim, size_t s_levels,
-                    uint64_t sketch_every) {
-      for (size_t k = 0; k < dim; ++k)
-        monitor.Observe(request.u, request.s, k, request.features[k]);
-      if (sketches.empty()) return;
-      // Sampling keys off row_index alone, so the hot path pays one mask
-      // (the default cadence 16 — any power of two — avoids the 64-bit
-      // modulo) and the 15/16 unsampled rows skip the sketch loop cold.
-      const bool sampled = (sketch_every & (sketch_every - 1)) == 0
-                               ? (request.row_index & (sketch_every - 1)) == 0
-                               : request.row_index % sketch_every == 0;
-      if (!sampled) return;
-      const size_t base = (static_cast<size_t>(request.u) * s_levels +
-                           static_cast<size_t>(request.s)) *
-                          dim;
-      for (size_t k = 0; k < dim; ++k) sketches[base + k].Add(request.features[k]);
-    }
-  };
-  /// unique_ptr per shard: mutexes are neither movable nor copyable.
-  std::vector<std::unique_ptr<DriftShard>> drift_shards;
-
-  Snapshot(core::OffSampleRepairer r, uint64_t v) : repairer(std::move(r)), version(v) {}
-
-  /// The drift shards merged into one monitor. Same plan set by
-  /// construction, so no merge can fail.
-  core::DriftMonitor MergedDrift() const {
-    core::DriftMonitor merged = [&] {
-      std::lock_guard<std::mutex> lock(drift_shards[0]->mu);
-      return drift_shards[0]->monitor;  // copy under the shard lock
-    }();
-    for (size_t i = 1; i < drift_shards.size(); ++i) {
-      std::lock_guard<std::mutex> lock(drift_shards[i]->mu);
-      merged.MergeFrom(drift_shards[i]->monitor);
-    }
-    return merged;
-  }
-
-  /// The shards' channel sketches merged channel-wise; empty when
-  /// sketching is disabled. Identical bucket geometry by construction, so
-  /// no merge can fail.
-  std::vector<stats::QuantileSketch> MergedSketches() const {
-    std::vector<stats::QuantileSketch> merged;
-    for (const auto& shard : drift_shards) {
-      std::lock_guard<std::mutex> lock(shard->mu);
-      if (shard->sketches.empty()) continue;
-      if (merged.empty()) {
-        merged = shard->sketches;  // copy under the shard lock
-        continue;
-      }
-      for (size_t c = 0; c < merged.size(); ++c) {
-        Status merge_status = merged[c].Merge(shard->sketches[c]);
-        (void)merge_status;
-      }
-    }
-    return merged;
+  /// One valid row into the drift histograms and (on sampled row
+  /// indices) the quantile sketches. Sampling keys off the request's
+  /// row_index — deterministic in the request identity, so replays
+  /// sketch identically regardless of interleaving. Caller holds
+  /// `observed_mu`.
+  void ObserveRow(const RowRequest& request, size_t dim, size_t s_levels,
+                  uint64_t sketch_every) {
+    for (size_t k = 0; k < dim; ++k) drift.Observe(request.u, request.s, k, request.features[k]);
+    if (sketches.empty()) return;
+    // Sampling keys off row_index alone, so the hot path pays one mask
+    // (the default cadence 16 — any power of two — avoids the 64-bit
+    // modulo) and the 15/16 unsampled rows skip the sketch loop cold.
+    const bool sampled = (sketch_every & (sketch_every - 1)) == 0
+                             ? (request.row_index & (sketch_every - 1)) == 0
+                             : request.row_index % sketch_every == 0;
+    if (!sampled) return;
+    const size_t base =
+        (static_cast<size_t>(request.u) * s_levels + static_cast<size_t>(request.s)) * dim;
+    for (size_t k = 0; k < dim; ++k) sketches[base + k].Add(request.features[k]);
   }
 };
 
@@ -148,30 +110,20 @@ Result<std::shared_ptr<RepairService::Snapshot>> RepairService::BuildSnapshot(
   repair_options.mode = options.mode;
   repair_options.strength = options.strength;
   repair_options.threads = options.threads;
-  // The drift monitor copies what it needs from the plans before the
-  // repairer takes ownership. It is created (and the plans validated) once;
-  // every shard starts from a copy.
+  // The drift monitor copies what it needs from the plans (and validates
+  // them) before the repairer takes ownership.
   const size_t sketch_channels =
       options.sketch_sample_every > 0 ? plans.u_levels() * plans.s_levels() * plans.dim() : 0;
   auto monitor = core::DriftMonitor::Create(plans, options.drift);
   if (!monitor.ok()) return monitor.status();
-  std::vector<std::unique_ptr<Snapshot::DriftShard>> shards;
-  shards.reserve(options.drift_shards);
-  for (size_t i = 0; i < options.drift_shards; ++i) {
-    shards.push_back(std::make_unique<Snapshot::DriftShard>(*monitor));
-    shards.back()->sketches.resize(sketch_channels);
-  }
   auto repairer = core::OffSampleRepairer::Create(std::move(plans), repair_options);
   if (!repairer.ok()) return repairer.status();
-  auto snapshot = std::make_shared<Snapshot>(std::move(*repairer), version);
-  snapshot->drift_shards = std::move(shards);
-  return snapshot;
+  return std::make_shared<Snapshot>(std::move(*repairer), version, std::move(*monitor),
+                                    sketch_channels);
 }
 
 Result<std::unique_ptr<RepairService>> RepairService::Create(core::RepairPlanSet plans,
                                                              const ServiceOptions& options) {
-  if (options.drift_shards == 0)
-    return Status::InvalidArgument("drift_shards must be >= 1");
   const size_t dim = plans.dim();
   if (dim == 0) return Status::InvalidArgument("plan set is empty");
   if (options.initial_plan_version == 0)
@@ -302,17 +254,13 @@ void RepairService::RepairBatch(const RowRequest* requests, size_t count,
   // bit-identical to the same row of an offline RepairDataset.
   snap->repairer.RepairRows(count, RequestRows{*this, requests, responses->data()});
 
-  // Drift observation, amortized: the whole batch lands in one shard
-  // (rotating across batches), so the serial pass takes the shard lock
-  // once per ~max_batch rows instead of once per row. Concurrent batch
-  // executors rotate onto different shards.
-  Snapshot::DriftShard& shard =
-      *snap->drift_shards[batch_counter_.fetch_add(1, std::memory_order_relaxed) %
-                          snap->drift_shards.size()];
-  std::lock_guard<std::mutex> lock(shard.mu);
+  // Drift observation, amortized: one lock per batch, taken after the
+  // repair. Concurrent batches come only from the front ends' own threads
+  // (sessions, net workers), so the lock sees at most that many.
+  std::lock_guard<std::mutex> lock(snap->observed_mu);
   for (size_t i = 0; i < count; ++i) {
     if (!(*responses)[i].status.ok()) continue;
-    shard.ObserveRow(requests[i], dim_, s_levels_, options_.sketch_sample_every);
+    snap->ObserveRow(requests[i], dim_, s_levels_, options_.sketch_sample_every);
   }
 }
 
@@ -385,53 +333,55 @@ RepairService::PlanGeometry RepairService::Geometry() const {
 }
 
 core::DriftReport RepairService::DriftSnapshot() const {
-  return CurrentSnapshot()->MergedDrift().SnapshotReport();
+  std::shared_ptr<Snapshot> snap = CurrentSnapshot();
+  std::lock_guard<std::mutex> lock(snap->observed_mu);
+  return snap->drift.Report();
 }
 
 std::vector<stats::QuantileSketch> RepairService::SketchSnapshot() const {
-  return CurrentSnapshot()->MergedSketches();
+  std::shared_ptr<Snapshot> snap = CurrentSnapshot();
+  std::lock_guard<std::mutex> lock(snap->observed_mu);
+  return snap->sketches;
 }
 
 void RepairService::ResetSketches() {
   std::shared_ptr<Snapshot> snap = CurrentSnapshot();
-  for (const auto& shard : snap->drift_shards) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    for (stats::QuantileSketch& sketch : shard->sketches) sketch.Reset();
-  }
+  std::lock_guard<std::mutex> lock(snap->observed_mu);
+  for (stats::QuantileSketch& sketch : snap->sketches) sketch.Reset();
 }
 
 RepairService::CheckpointState RepairService::StateForCheckpoint() const {
   // ONE snapshot acquisition: plan, version, and observed state all
-  // describe the same serving snapshot, even mid-reload.
+  // describe the same serving snapshot, even mid-reload; one lock
+  // acquisition, so no batch lands between the drift and sketch captures.
   std::shared_ptr<Snapshot> snap = CurrentSnapshot();
   CheckpointState state;
   state.plan_version = snap->version;
   state.degraded = degraded();
   state.plans = snap->repairer.plans();
-  state.drift = snap->MergedDrift();
-  state.sketches = snap->MergedSketches();
+  std::lock_guard<std::mutex> lock(snap->observed_mu);
+  state.drift = snap->drift;
+  state.sketches = snap->sketches;
   return state;
 }
 
 Status RepairService::RestoreObservedState(const std::string& drift_counts,
                                            const std::vector<stats::QuantileSketch>& sketches) {
   std::shared_ptr<Snapshot> snap = CurrentSnapshot();
-  Snapshot::DriftShard& shard = *snap->drift_shards[0];
-  std::lock_guard<std::mutex> lock(shard.mu);
+  std::lock_guard<std::mutex> lock(snap->observed_mu);
   if (!drift_counts.empty()) {
     common::ByteReader reader(drift_counts);
-    OTFAIR_RETURN_IF_ERROR(shard.monitor.RestoreCounts(reader));
+    OTFAIR_RETURN_IF_ERROR(snap->drift.RestoreCounts(reader));
     if (!reader.exhausted())
       return Status::InvalidArgument("trailing bytes after drift counts");
   }
   if (!sketches.empty()) {
-    if (shard.sketches.size() != sketches.size())
+    if (snap->sketches.size() != sketches.size())
       return Status::InvalidArgument(
           "checkpoint carries " + std::to_string(sketches.size()) +
-          " sketches, service has " + std::to_string(shard.sketches.size()) +
-          " channels");
+          " sketches, service has " + std::to_string(snap->sketches.size()) + " channels");
     for (size_t c = 0; c < sketches.size(); ++c)
-      OTFAIR_RETURN_IF_ERROR(shard.sketches[c].Merge(sketches[c]));
+      OTFAIR_RETURN_IF_ERROR(snap->sketches[c].Merge(sketches[c]));
   }
   return Status::Ok();
 }

@@ -95,9 +95,6 @@ struct ServiceOptions {
   double strength = 1.0;
   /// Lanes for RepairBatch (0: process default, 1: serial).
   int threads = 0;
-  /// Shards of the drift accumulator; more shards = less observation
-  /// contention under concurrent traffic.
-  size_t drift_shards = 8;
   core::DriftMonitorOptions drift;
   /// Per-channel streaming quantile sketches feed on every
   /// `sketch_sample_every`-th row index (the same 1/16 cadence as batcher
@@ -105,8 +102,8 @@ struct ServiceOptions {
   /// sketch accumulation (and with it sketch-based redesign).
   uint64_t sketch_sample_every = 16;
   /// Fault-injection spec for the self-heal path (see serve::FaultInjector
-  /// for the syntax). Empty defers to the OTFAIR_FAULTS environment
-  /// variable; production leaves both unset.
+  /// for the syntax); the redesigner reads it. Empty defers to the
+  /// OTFAIR_FAULTS environment variable; production leaves both unset.
   std::string faults;
   /// Version stamped on the construction-time snapshot. Recovery passes
   /// the checkpointed version here so a recovered process serves (and
@@ -119,7 +116,8 @@ struct ServiceOptions {
 ///
 /// The plan, its O(1) sampling tables, and the drift accumulator live in
 /// one immutable-by-readers snapshot held through a mutex-guarded
-/// `std::shared_ptr`:
+/// `std::shared_ptr`. The service owns no thread: every call runs on its
+/// caller's (sessions, net workers, the checkpoint and self-heal loops).
 ///
 ///  - The read path (`RepairRow` / `RepairBatch`) copies the pointer under
 ///    that mutex, one uncontended lock per batch, then repairs against the
@@ -135,11 +133,13 @@ struct ServiceOptions {
 /// schedule, or snapshot identity — so concurrent serving is bit-
 /// identical to offline batch repair per session (see RowRequest).
 ///
-/// Drift: every observed row also feeds a sharded `core::DriftMonitor`;
-/// `Health()` merges the shards and applies the configured thresholds, so
-/// operators learn when the serving plan has gone stale (the paper's
-/// stationarity assumption, §IV/§VI). Reloading a plan resets the
-/// accumulator — drift is always judged against the live design.
+/// Drift: every repaired row also feeds the snapshot's one
+/// `core::DriftMonitor` (and, on sampled rows, its channel sketches), one
+/// lock acquisition per batch; `Health()` reports it under that lock and
+/// applies the configured thresholds, so operators learn when the serving
+/// plan has gone stale (the paper's stationarity assumption, §IV/§VI).
+/// Reloading a plan resets the accumulator — drift is always judged
+/// against the live design.
 class RepairService {
  public:
   /// Validates the plans and options and builds the first snapshot.
@@ -208,14 +208,14 @@ class RepairService {
   };
   PlanGeometry Geometry() const;
 
-  /// Merged drift report over all shards of the live snapshot.
+  /// Drift report of the live snapshot's accumulator.
   core::DriftReport DriftSnapshot() const;
 
-  /// Merged per-channel quantile sketches of the live snapshot, indexed
-  /// `(u * s_levels + s) * dim + k` (the DriftMonitor state order). Shard
-  /// merge order is irrelevant — QuantileSketch::Merge is exactly
-  /// commutative/associative — so the result is deterministic for a given
-  /// set of observed rows. Empty when `sketch_sample_every` is 0.
+  /// Copy of the live snapshot's per-channel quantile sketches, indexed
+  /// `(u * s_levels + s) * dim + k` (the DriftMonitor state order). The
+  /// sketches hold integer bucket counts, so they are deterministic for a
+  /// given set of observed rows, whatever order the batches landed in.
+  /// Empty when `sketch_sample_every` is 0.
   std::vector<stats::QuantileSketch> SketchSnapshot() const;
 
   /// Restarts every channel sketch of the live snapshot (the drift
@@ -231,20 +231,21 @@ class RepairService {
   /// drift/sketch state are mutually coherent even when a reload lands
   /// concurrently (the pieces all describe the same snapshot — a reload
   /// concurrent with the capture is either entirely before or entirely
-  /// after it).
+  /// after it). The drift and sketch state are copied under one lock, so
+  /// both cover the same batches.
   struct CheckpointState {
     uint64_t plan_version = 1;
     bool degraded = false;
     core::RepairPlanSet plans;
-    /// Merged drift accumulator (engaged whenever the capture succeeded;
+    /// The drift accumulator (engaged whenever the capture succeeded;
     /// optional only because DriftMonitor has no default construction).
     std::optional<core::DriftMonitor> drift;
-    /// Merged channel sketches; empty when sketching is disabled.
+    /// The channel sketches; empty when sketching is disabled.
     std::vector<stats::QuantileSketch> sketches;
   };
   CheckpointState StateForCheckpoint() const;
 
-  /// Folds checkpointed observed state into the live snapshot (shard 0):
+  /// Folds checkpointed observed state into the live snapshot:
   /// `drift_counts` is a DriftMonitor::SerializeCounts payload, validated
   /// against the live monitor's real geometry before anything mutates;
   /// `sketches` merge channel-wise (the exactly-commutative integer-count
@@ -301,8 +302,6 @@ class RepairService {
   /// Guards only the pointer copy and swap, never a repair or a build.
   mutable std::mutex snapshot_mu_;
   std::shared_ptr<Snapshot> snapshot_;
-  /// Rotates batches across drift shards (see RepairBatch).
-  std::atomic<uint64_t> batch_counter_{0};
   /// Serializes reloads (readers never touch it).
   std::mutex reload_mu_;
   std::atomic<bool> degraded_{false};

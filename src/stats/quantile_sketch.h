@@ -24,9 +24,9 @@ namespace otfair::stats {
 /// Determinism and merge algebra: the sketch holds no RNG state and merging
 /// is element-wise integer addition of bucket counts, so `Merge` is exactly
 /// commutative and associative — per-thread sketches merged in ANY order
-/// yield bit-identical quantile estimates. This is the property the serving
-/// redesign path leans on: sharded per-channel sketches can be snapshotted
-/// and combined without coordinating with writers' merge order.
+/// yield bit-identical quantile estimates. This is the property checkpoint
+/// recovery leans on: a restored sketch merged into a fresh one reproduces
+/// the checkpointed estimates exactly.
 class QuantileSketch {
  public:
   struct Options {

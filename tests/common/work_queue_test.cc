@@ -1,7 +1,6 @@
 #include "common/work_queue.h"
 
 #include <atomic>
-#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -10,8 +9,6 @@
 
 namespace otfair::common {
 namespace {
-
-using std::chrono::microseconds;
 
 TEST(BoundedWorkQueueTest, FifoThroughTryPushTryPop) {
   BoundedWorkQueue<int> queue(8);
@@ -55,52 +52,17 @@ TEST(BoundedWorkQueueTest, RingWrapsAroundManyTimes) {
   }
 }
 
-TEST(BoundedWorkQueueTest, PopBatchTimesOutWithPartialBatch) {
-  BoundedWorkQueue<int> queue(8);
-  EXPECT_TRUE(queue.TryPush(1));
-  EXPECT_TRUE(queue.TryPush(2));
-  std::vector<int> out;
-  // Wants 4, only 2 exist: returns them after the deadline.
-  EXPECT_EQ(queue.PopBatch(4, &out, microseconds(2000)), 2u);
-}
-
-TEST(BoundedWorkQueueTest, PopBatchWhenReadyBlocksForFirstItem) {
-  BoundedWorkQueue<int> queue(8);
-  std::thread producer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    queue.TryPush(7);
-  });
-  std::vector<int> out;
-  // No deadline while empty: waits for the producer, then gives
-  // stragglers a short window.
-  EXPECT_EQ(queue.PopBatchWhenReady(4, &out, microseconds(500)), 1u);
-  EXPECT_EQ(out[0], 7);
-  producer.join();
-}
-
-TEST(BoundedWorkQueueTest, PopBatchReturnsImmediatelyWhenFull) {
-  BoundedWorkQueue<int> queue(8);
-  for (int i = 0; i < 4; ++i) queue.TryPush(int(i));
-  std::vector<int> out;
-  const auto start = std::chrono::steady_clock::now();
-  EXPECT_EQ(queue.PopBatch(4, &out, microseconds(5'000'000)), 4u);
-  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
-}
-
 TEST(BoundedWorkQueueTest, CloseWakesBlockedConsumerAndDrains) {
   BoundedWorkQueue<int> queue(8);
   queue.TryPush(5);
-  std::thread closer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    queue.Close();
-  });
-  std::vector<int> out;
-  // Accepted items survive the close.
-  EXPECT_EQ(queue.PopBatchWhenReady(8, &out, microseconds(60'000'000)), 1u);
-  closer.join();
+  queue.Close();
   EXPECT_TRUE(queue.closed());
   EXPECT_FALSE(queue.TryPush(6));
-  EXPECT_EQ(queue.PopBatchWhenReady(8, &out, microseconds(0)), 0u);
+  std::vector<int> out;
+  // Accepted items survive the close.
+  EXPECT_EQ(queue.TryPopBatch(8, &out), 1u);
+  EXPECT_EQ(out[0], 5);
+  EXPECT_EQ(queue.TryPopBatch(8, &out), 0u);
 }
 
 TEST(BoundedWorkQueueTest, ConcurrentProducersLoseNothing) {
@@ -121,8 +83,10 @@ TEST(BoundedWorkQueueTest, ConcurrentProducersLoseNothing) {
   std::vector<int> drained;
   while (drained.size() < kProducers * kPerProducer) {
     std::vector<int> out;
-    if (queue.PopBatch(32, &out, microseconds(1000)) > 0)
+    if (queue.TryPopBatch(32, &out) > 0)
       drained.insert(drained.end(), out.begin(), out.end());
+    else
+      std::this_thread::yield();
   }
   for (auto& t : producers) t.join();
   EXPECT_EQ(accepted.load(), kProducers * kPerProducer);

@@ -175,11 +175,13 @@ TEST(DeterminismTest, PipelineThreadsOverrideBitIdentical) {
   Fixture fx = MakeFixture(24, 500, 700);
   PipelineOptions serial;
   serial.design.n_q = 32;
-  serial.threads = 1;
+  serial.design.threads = 1;
+  serial.repair.threads = 1;
   auto reference = RunRepairPipeline(fx.research, fx.archive, serial);
   ASSERT_TRUE(reference.ok());
   PipelineOptions parallel = serial;
-  parallel.threads = 4;
+  parallel.design.threads = 4;
+  parallel.repair.threads = 4;
   auto result = RunRepairPipeline(fx.research, fx.archive, parallel);
   ASSERT_TRUE(result.ok());
   ExpectDatasetsIdentical(reference->repaired_research, result->repaired_research);

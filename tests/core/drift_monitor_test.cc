@@ -168,47 +168,10 @@ TEST(DriftMonitorTest, IncrementalSnapshotsReproduceOneShotReport) {
   while (left > 0) {
     const size_t chunk = std::min<size_t>(left, 37);
     StreamMixture(*incremental, fx.config, chunk, 0.7, rng_b);
-    incremental->SnapshotReport();  // snapshots must not disturb state
+    incremental->Report();  // snapshots must not disturb state
     left -= chunk;
   }
-  ExpectReportsIdentical(one_shot->Report(), incremental->SnapshotReport());
-}
-
-TEST(DriftMonitorTest, MergedShardsReproduceOneShotReport) {
-  Fixture fx = MakeFixture(16);
-  auto one_shot = DriftMonitor::Create(fx.plans);
-  ASSERT_TRUE(one_shot.ok());
-  std::vector<DriftMonitor> shards;
-  for (int i = 0; i < 3; ++i) {
-    auto shard = DriftMonitor::Create(fx.plans);
-    ASSERT_TRUE(shard.ok());
-    shards.push_back(std::move(*shard));
-  }
-  common::Rng rng(17);
-  for (size_t i = 0; i < 6000; ++i) {
-    const int u = rng.Bernoulli(fx.config.pr_u0) ? 0 : 1;
-    const int s = rng.Bernoulli(0.5) ? 0 : 1;
-    for (size_t k = 0; k < 2; ++k) {
-      const double x = rng.Normal(fx.config.mean[u][s][k] + 0.5, fx.config.sigma);
-      one_shot->Observe(u, s, k, x);
-      shards[i % shards.size()].Observe(u, s, k, x);
-    }
-  }
-  DriftMonitor merged = std::move(shards[0]);
-  for (size_t i = 1; i < shards.size(); ++i)
-    ASSERT_TRUE(merged.MergeFrom(shards[i]).ok());
-  ExpectReportsIdentical(one_shot->Report(), merged.SnapshotReport());
-}
-
-TEST(DriftMonitorTest, MergeRejectsMismatchedShapes) {
-  Fixture fx = MakeFixture(18);
-  auto monitor = DriftMonitor::Create(fx.plans);
-  ASSERT_TRUE(monitor.ok());
-  // A monitor designed on different research data has different grids.
-  Fixture other = MakeFixture(19);
-  auto mismatched = DriftMonitor::Create(other.plans);
-  ASSERT_TRUE(mismatched.ok());
-  EXPECT_FALSE(monitor->MergeFrom(*mismatched).ok());
+  ExpectReportsIdentical(one_shot->Report(), incremental->Report());
 }
 
 TEST(DriftMonitorSerializationTest, CountsRoundTripReproducesReportExactly) {
@@ -230,8 +193,8 @@ TEST(DriftMonitorSerializationTest, CountsRoundTripReproducesReportExactly) {
   ASSERT_TRUE(restored->RestoreCounts(reader).ok());
   EXPECT_TRUE(reader.exhausted());
 
-  const DriftReport before = monitor->SnapshotReport();
-  const DriftReport after = restored->SnapshotReport();
+  const DriftReport before = monitor->Report();
+  const DriftReport after = restored->Report();
   EXPECT_EQ(after.drifted, before.drifted);
   EXPECT_EQ(after.worst_w1, before.worst_w1);
   EXPECT_EQ(after.worst_out_of_range, before.worst_out_of_range);
@@ -269,7 +232,7 @@ TEST(DriftMonitorSerializationTest, RestoreRejectsMismatchedGeometryAndCorruptPa
     common::ByteReader reader(bytes.data(), len);
     EXPECT_FALSE(target->RestoreCounts(reader).ok()) << "prefix " << len;
     uint64_t observed = 0;
-    for (const auto& channel : target->SnapshotReport().channels)
+    for (const auto& channel : target->Report().channels)
       observed += channel.count;
     EXPECT_EQ(observed, 0u) << "prefix " << len << " left a partial restore";
   }

@@ -2,12 +2,17 @@
 // repair -> drift over real files, via std::system. The binary path is
 // injected by CMake (OTFAIR_CLI_PATH).
 
+#include <fcntl.h>
+#include <poll.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/time.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -395,6 +400,67 @@ TEST_F(CliTest, ServeReplayHealthyAndDriftedExits) {
             3);
 }
 
+TEST_F(CliTest, ServeStdioAnswersBeforeEof) {
+  ASSERT_EQ(Run("design --research=" + research_path_ + " --plan=" + plan_path_ +
+                " --n_q=40"),
+            0);
+  // stdin is a FIFO the test keeps open, so the server never sees EOF:
+  // it must answer what it has read before it blocks on stdin again.
+  const std::string fifo_path = dir_ + "/serve_stdin.fifo";
+  ASSERT_EQ(::mkfifo(fifo_path.c_str(), 0600), 0) << std::strerror(errno);
+  int out_pipe[2];
+  ASSERT_EQ(::pipe(out_pipe), 0);
+  const std::string plan_flag = "--plan=" + plan_path_;
+  const char* const argv[] = {OTFAIR_CLI_PATH, "serve", plan_flag.c_str(), nullptr};
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    const int in = ::open(fifo_path.c_str(), O_RDONLY);
+    const int null = ::open("/dev/null", O_WRONLY);
+    if (in < 0 || null < 0) ::_exit(127);
+    ::dup2(in, STDIN_FILENO);
+    ::dup2(out_pipe[1], STDOUT_FILENO);
+    ::dup2(null, STDERR_FILENO);
+    ::close(out_pipe[0]);
+    ::execv(argv[0], const_cast<char* const*>(argv));
+    ::_exit(127);
+  }
+  ::close(out_pipe[1]);
+  const int fifo = ::open(fifo_path.c_str(), O_WRONLY);
+  ASSERT_GE(fifo, 0) << std::strerror(errno);
+  auto send = [&](const std::string& text) {
+    ASSERT_EQ(::write(fifo, text.data(), text.size()), static_cast<ssize_t>(text.size()));
+  };
+  send("repair 0 0 0 1 0.5 -0.5\nhealth\n");
+
+  // Both answers must arrive while stdin is still open (in either order:
+  // a control verb is answered at once, rows when the read is flushed).
+  std::string output;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (std::count(output.begin(), output.end(), '\n') < 2 &&
+         std::chrono::steady_clock::now() < deadline) {
+    pollfd readable{out_pipe[0], POLLIN, 0};
+    if (::poll(&readable, 1, 100) <= 0) continue;
+    char buf[4096];
+    const ssize_t n = ::read(out_pipe[0], buf, sizeof(buf));
+    if (n <= 0) break;
+    output.append(buf, static_cast<size_t>(n));
+  }
+  EXPECT_NE(output.find("ok 0 0 "), std::string::npos) << output;
+  EXPECT_NE(output.find("\"plan_version\":1"), std::string::npos) << output;
+
+  send("quit\n");
+  ::close(fifo);
+  char buf[4096];
+  while (::read(out_pipe[0], buf, sizeof(buf)) > 0) {
+  }
+  ::close(out_pipe[0]);
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  EXPECT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+}
+
 TEST_F(CliTest, ServeStdioProtocolRoundTrip) {
   ASSERT_EQ(Run("design --research=" + research_path_ + " --plan=" + plan_path_ +
                 " --n_q=40"),
@@ -411,7 +477,7 @@ TEST_F(CliTest, ServeStdioProtocolRoundTrip) {
   std::fclose(f);
   int exit_code = -1;
   const std::string output = RunCapture(
-      "serve --plan=" + plan_path_ + " --max_wait_us=100 < " + input_path, &exit_code);
+      "serve --plan=" + plan_path_ + " < " + input_path, &exit_code);
   EXPECT_EQ(exit_code, 0);
   EXPECT_NE(output.find("ok 0 0 "), std::string::npos) << output;
   EXPECT_NE(output.find("\"plan_version\":1"), std::string::npos) << output;
@@ -473,7 +539,7 @@ TEST_F(CliTest, ServeTcpMatchesStdioServeByteForByte) {
   std::fclose(f);
   int exit_code = -1;
   const std::string stdio_output = RunCapture(
-      "serve --plan=" + plan_path_ + " --max_wait_us=100 < " + input_path, &exit_code);
+      "serve --plan=" + plan_path_ + " < " + input_path, &exit_code);
   EXPECT_EQ(exit_code, 0);
   const std::vector<std::string> stdio_lines = SortedNonJsonLines(stdio_output);
   ASSERT_EQ(stdio_lines.size(), requests.size()) << stdio_output;

@@ -1,7 +1,6 @@
 #include "serve/batcher.h"
 
 #include <atomic>
-#include <chrono>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -64,7 +63,6 @@ TEST(BatcherTest, CoalescesSingleRowsIntoBatches) {
   CollectingSink sink;
   BatcherOptions options;
   options.max_batch = 64;
-  options.background_flush = false;  // deterministic batch boundaries
   Batcher batcher(service.get(), options, sink.AsSink());
   for (uint64_t i = 0; i < 1000; ++i)
     ASSERT_TRUE(batcher.Submit(MakeRequest(0, i)).ok());
@@ -86,7 +84,6 @@ TEST(BatcherTest, BackpressureRejectsWhenQueueFull) {
   BatcherOptions options;
   options.max_batch = 128;  // never fills from 4 rows -> queue backs up
   options.max_queue_depth = 4;
-  options.background_flush = false;
   Batcher batcher(service.get(), options, sink.AsSink());
   for (uint64_t i = 0; i < 4; ++i)
     ASSERT_TRUE(batcher.Submit(MakeRequest(0, i)).ok());
@@ -108,27 +105,9 @@ TEST(BatcherTest, ZeroOptionsAreNormalized) {
   BatcherOptions options;
   options.max_batch = 0;
   options.max_queue_depth = 0;
-  options.max_wait_us = -5;
   Batcher batcher(service.get(), options, nullptr);
   EXPECT_EQ(batcher.options().max_batch, 1u);
   EXPECT_EQ(batcher.options().max_queue_depth, 1u);
-  EXPECT_EQ(batcher.options().max_wait_us, 0);
-}
-
-TEST(BatcherTest, BackgroundFlusherDeliversPartialBatches) {
-  auto service = MakeService(4);
-  CollectingSink sink;
-  BatcherOptions options;
-  options.max_batch = 1024;  // never fills on its own
-  options.max_wait_us = 2000;
-  options.background_flush = true;
-  Batcher batcher(service.get(), options, sink.AsSink());
-  for (uint64_t i = 0; i < 3; ++i) ASSERT_TRUE(batcher.Submit(MakeRequest(0, i)).ok());
-  // No Flush() call: the flusher must deliver within ~max_wait_us.
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (sink.responses.load() < 3 && std::chrono::steady_clock::now() < deadline)
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  EXPECT_EQ(sink.responses.load(), 3u);
 }
 
 TEST(BatcherTest, CloseDrainsEverythingAndRejectsAfter) {
@@ -136,7 +115,6 @@ TEST(BatcherTest, CloseDrainsEverythingAndRejectsAfter) {
   CollectingSink sink;
   BatcherOptions options;
   options.max_batch = 256;
-  options.background_flush = false;
   Batcher batcher(service.get(), options, sink.AsSink());
   for (uint64_t i = 0; i < 10; ++i) ASSERT_TRUE(batcher.Submit(MakeRequest(1, i)).ok());
   batcher.Close();
@@ -152,8 +130,6 @@ TEST(BatcherTest, ConcurrentProducersEveryRowDeliveredOnce) {
   BatcherOptions options;
   options.max_batch = 32;
   options.max_queue_depth = 64;
-  options.background_flush = true;
-  options.max_wait_us = 500;
   Batcher batcher(service.get(), options, sink.AsSink());
   constexpr uint64_t kSessions = 4;
   constexpr uint64_t kRows = 500;
@@ -180,9 +156,7 @@ TEST(BatcherTest, ConcurrentProducersEveryRowDeliveredOnce) {
 TEST(BatcherTest, InvalidRowsComeBackWithErrorStatus) {
   auto service = MakeService(7);
   CollectingSink sink;
-  BatcherOptions options;
-  options.background_flush = false;
-  Batcher batcher(service.get(), options, sink.AsSink());
+  Batcher batcher(service.get(), {}, sink.AsSink());
   RowRequest bad = MakeRequest(0, 0);
   bad.features.push_back(1.0);  // wrong dimensionality
   ASSERT_TRUE(batcher.Submit(std::move(bad)).ok());  // accepted: failure is per-row

@@ -196,9 +196,8 @@ TEST(RedesignerTest, RejectsBadOptions) {
   bad.backoff_max_ms = 1;
   bad.backoff_initial_ms = 10;  // max < initial
   EXPECT_FALSE(Redesigner::Create(service.get(), bad).ok());
-  bad = {};
-  bad.faults = "not_a_fault";
-  EXPECT_FALSE(Redesigner::Create(service.get(), bad).ok());
+  auto bad_faults = MakeService(fx, /*faults=*/"not_a_fault");
+  EXPECT_FALSE(Redesigner::Create(bad_faults.get(), {}).ok());
   EXPECT_FALSE(Redesigner::Create(nullptr, {}).ok());
 }
 
@@ -263,7 +262,7 @@ TEST(RedesignerTest, UndriftedServiceDoesNotRedesign) {
 void RunFaultLeg(const std::string& faults, common::StatusCode expected_code,
                  RedesignerOptions options = {}) {
   Fixture fx = MakeFixture(6);
-  auto service = MakeService(fx);
+  auto service = MakeService(fx, faults);
   StreamShifted(service.get(), fx.archive, 2.0);
   ASSERT_TRUE(service->Health().drifted);
 
@@ -276,7 +275,6 @@ void RunFaultLeg(const std::string& faults, common::StatusCode expected_code,
   RowResponse before;
   ASSERT_TRUE(service->RepairRow(probe, &before).ok());
 
-  options.faults = faults;
   auto redesigner = MakeInertRedesigner(service.get(), options);
   const common::Status status = redesigner->AttemptRedesign();
   ASSERT_FALSE(status.ok()) << "fault spec: " << faults;
@@ -313,7 +311,7 @@ TEST(RedesignerFaultTest, SlowSketchMergeUnderTinyDeadlineTimesOut) {
 }
 
 TEST(RedesignerFaultTest, ServiceOptionsFaultSpecIsHonored) {
-  // Faults can arrive via ServiceOptions too (the CLI --faults path).
+  // Faults arrive through ServiceOptions (the CLI --faults path).
   Fixture fx = MakeFixture(7);
   auto service = MakeService(fx, /*faults=*/"redesign_throw:1");
   StreamShifted(service.get(), fx.archive, 2.0);
@@ -354,7 +352,8 @@ TEST(RedesignerLoopTest, SelfHealsInBackgroundEndToEnd) {
 
 TEST(RedesignerLoopTest, RetryExhaustionDegradesButKeepsServing) {
   Fixture fx = MakeFixture(9);
-  auto service = MakeService(fx);
+  // Unlimited: every attempt fails.
+  auto service = MakeService(fx, /*faults=*/"redesign_throw");
   StreamShifted(service.get(), fx.archive, 2.0);
   RedesignerOptions options;
   options.poll_interval_ms = 5;
@@ -362,7 +361,6 @@ TEST(RedesignerLoopTest, RetryExhaustionDegradesButKeepsServing) {
   options.backoff_initial_ms = 1;
   options.backoff_max_ms = 4;
   options.cooldown_ms = 60000;  // one episode only
-  options.faults = "redesign_throw";  // unlimited: every attempt fails
   auto redesigner = Redesigner::Create(service.get(), options);
   ASSERT_TRUE(redesigner.ok());
   uint64_t next_row = fx.archive.size();
@@ -397,13 +395,13 @@ TEST(RedesignerLoopTest, RetryExhaustionDegradesButKeepsServing) {
 
 TEST(RedesignerLoopTest, TransientFaultIsAbsorbedByRetries) {
   Fixture fx = MakeFixture(10);
-  auto service = MakeService(fx);
+  // The first attempt fails, then clean.
+  auto service = MakeService(fx, /*faults=*/"redesign_throw:1");
   StreamShifted(service.get(), fx.archive, 2.0);
   RedesignerOptions options;
   options.poll_interval_ms = 5;
   options.max_retries = 3;
   options.backoff_initial_ms = 1;
-  options.faults = "redesign_throw:1";  // first attempt fails, then clean
   auto redesigner = Redesigner::Create(service.get(), options);
   ASSERT_TRUE(redesigner.ok());
   uint64_t next_row = fx.archive.size();

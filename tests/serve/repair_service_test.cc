@@ -10,10 +10,12 @@
 
 #include "serve/repair_service.h"
 
+#include <algorithm>
 #include <atomic>
 #include <limits>
 #include <map>
 #include <memory>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -140,8 +142,6 @@ void RunConcurrentReplay(int service_threads, bool reload_mid_stream) {
   BatcherOptions batcher_options;
   batcher_options.max_batch = 64;
   batcher_options.max_queue_depth = 256;
-  batcher_options.background_flush = true;
-  batcher_options.max_wait_us = 200;
   Batcher batcher(service->get(), batcher_options,
                   [&](const RowResponse& response) {
                     if (!response.status.ok()) {
@@ -251,9 +251,7 @@ TEST(RepairServiceTest, ReloadBumpsVersionAndResetsDrift) {
 
 TEST(RepairServiceTest, DriftHealthFlagsShiftedTraffic) {
   Fixture fx = MakeFixture(8, /*archive_rows=*/3000);
-  ServiceOptions options;
-  options.drift_shards = 3;
-  auto service = RepairService::Create(fx.plans, options);
+  auto service = RepairService::Create(fx.plans, {});
   ASSERT_TRUE(service.ok());
   EXPECT_FALSE((*service)->Health().drifted);
   // Stream a shifted mixture: every channel moves by 2 sigma.
@@ -436,11 +434,85 @@ TEST(RepairServiceTest, SketchSamplingHonorsCadence) {
   EXPECT_TRUE((*plain)->SketchSnapshot().empty());
 }
 
+TEST(RepairServiceTest, ConcurrentBatchesAccountLikeOneThread) {
+  // Four threads repair disjoint slices of a drifted archive in small
+  // batches. The drift report and the channel sketches must equal those
+  // of one thread observing the same rows: every row counted once,
+  // whatever order the batches landed in.
+  Fixture fx = MakeFixture(19, /*archive_rows=*/4000);
+  const size_t rows = fx.archive.size();
+  const size_t dim = fx.archive.dim();
+  const size_t s_levels = fx.plans.s_levels();
+  std::vector<RowRequest> requests;
+  for (size_t i = 0; i < rows; ++i) {
+    RowRequest request = ArchiveRequest(fx.archive, 0, i);
+    for (double& x : request.features) x += 1.5;  // partly off the design grid
+    requests.push_back(std::move(request));
+  }
+  for (const uint64_t sketch_every : {uint64_t{1}, uint64_t{16}}) {
+    SCOPED_TRACE("sketch_sample_every=" + std::to_string(sketch_every));
+    ServiceOptions options;
+    options.threads = 1;
+    options.sketch_sample_every = sketch_every;
+    auto service = RepairService::Create(fx.plans, options);
+    ASSERT_TRUE(service.ok());
+    constexpr size_t kThreads = 4;
+    constexpr size_t kBatch = 64;
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        std::vector<RowResponse> responses;
+        const size_t begin = rows * t / kThreads;
+        const size_t end = rows * (t + 1) / kThreads;
+        for (size_t i = begin; i < end; i += kBatch)
+          (*service)->RepairBatch(requests.data() + i, std::min(kBatch, end - i), &responses);
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+
+    auto serial = core::DriftMonitor::Create(fx.plans, options.drift);
+    ASSERT_TRUE(serial.ok());
+    std::vector<stats::QuantileSketch> sketches(fx.plans.u_levels() * s_levels * dim);
+    for (const RowRequest& request : requests) {
+      const size_t base =
+          (static_cast<size_t>(request.u) * s_levels + static_cast<size_t>(request.s)) * dim;
+      for (size_t k = 0; k < dim; ++k) {
+        serial->Observe(request.u, request.s, k, request.features[k]);
+        if (request.row_index % sketch_every == 0) sketches[base + k].Add(request.features[k]);
+      }
+    }
+    const core::DriftReport expected = serial->Report();
+    const core::DriftReport actual = (*service)->DriftSnapshot();
+    EXPECT_TRUE(expected.drifted);
+    ASSERT_EQ(actual.channels.size(), expected.channels.size());
+    for (size_t c = 0; c < expected.channels.size(); ++c) {
+      EXPECT_EQ(actual.channels[c].count, expected.channels[c].count) << "channel " << c;
+      EXPECT_EQ(actual.channels[c].out_of_range_rate, expected.channels[c].out_of_range_rate)
+          << "channel " << c;
+      EXPECT_EQ(actual.channels[c].w1_normalized, expected.channels[c].w1_normalized)
+          << "channel " << c;
+    }
+    const std::vector<stats::QuantileSketch> served = (*service)->SketchSnapshot();
+    ASSERT_EQ(served.size(), sketches.size());
+    for (size_t c = 0; c < sketches.size(); ++c) {
+      EXPECT_EQ(served[c].count(), sketches[c].count()) << "channel " << c;
+      for (const double p : {0.1, 0.5, 0.9})
+        EXPECT_EQ(served[c].Quantile(p), sketches[c].Quantile(p))
+            << "channel " << c << " p " << p;
+    }
+  }
+}
+
 TEST(RepairServiceTest, RejectsBadOptions) {
   Fixture fx = MakeFixture(11);
-  ServiceOptions options;
-  options.drift_shards = 0;
-  EXPECT_FALSE(RepairService::Create(fx.plans, options).ok());
+  ServiceOptions zero_version;
+  zero_version.initial_plan_version = 0;
+  EXPECT_EQ(RepairService::Create(fx.plans, zero_version).status().code(),
+            common::StatusCode::kInvalidArgument);
+  ServiceOptions strong;
+  strong.strength = 1.5;
+  EXPECT_EQ(RepairService::Create(fx.plans, strong).status().code(),
+            common::StatusCode::kInvalidArgument);
 }
 
 }  // namespace

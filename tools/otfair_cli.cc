@@ -24,6 +24,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -81,7 +82,7 @@ volatile std::sig_atomic_t g_drain_signal = 0;
 void HandleDrainSignal(int sig) { g_drain_signal = sig; }
 
 /// Installs the drain handlers WITHOUT SA_RESTART: the stdio loop blocks
-/// in getline(), which must come back with EINTR for the drain to start
+/// in read(2), which must come back with EINTR for the drain to start
 /// promptly instead of waiting for the next input line.
 void InstallDrainHandlers() {
   struct sigaction action;
@@ -168,9 +169,7 @@ void PrintServeUsage(std::FILE* out) {
                "    --strength=1.0     partial-repair strength\n"
                "    --threads=N        repair lanes per batch\n"
                "    --max_batch=256    rows coalesced per micro-batch\n"
-               "    --max_wait_us=1000 partial-batch flush deadline\n"
                "    --queue_depth=4096 pending-row bound (backpressure above)\n"
-               "    --drift_shards=8   drift accumulator shards\n"
                "    --w1_threshold=0.10 --oor_threshold=0.05  drift thresholds\n"
                "  Replay mode (self-driving load, no sockets):\n"
                "    --replay=A.csv     archive to replay\n"
@@ -500,9 +499,6 @@ otfair::common::Result<otfair::serve::ServiceOptions> ServeServiceOptions(
   auto threads = ResolveThreadsFlag(flags);
   if (!threads.ok()) return threads.status();
   options.threads = *threads;
-  const int shards = flags.GetInt("drift_shards", 8);
-  if (shards < 1) return Status::InvalidArgument("--drift_shards must be >= 1");
-  options.drift_shards = static_cast<size_t>(shards);
   options.drift.w1_threshold = flags.GetDouble("w1_threshold", options.drift.w1_threshold);
   options.drift.out_of_range_threshold =
       flags.GetDouble("oor_threshold", options.drift.out_of_range_threshold);
@@ -530,18 +526,14 @@ otfair::serve::RedesignerOptions ServeRedesignerOptions(const FlagParser& flags)
 }
 
 otfair::common::Result<otfair::serve::BatcherOptions> ServeBatcherOptions(
-    const FlagParser& flags, bool background_flush) {
+    const FlagParser& flags) {
   otfair::serve::BatcherOptions options;
   const int max_batch = flags.GetInt("max_batch", 256);
   const int queue_depth = flags.GetInt("queue_depth", 4096);
-  const int max_wait_us = flags.GetInt("max_wait_us", 1000);
-  if (max_batch < 1 || queue_depth < 1 || max_wait_us < 0)
-    return Status::InvalidArgument(
-        "--max_batch/--queue_depth must be >= 1 and --max_wait_us >= 0");
+  if (max_batch < 1 || queue_depth < 1)
+    return Status::InvalidArgument("--max_batch/--queue_depth must be >= 1");
   options.max_batch = static_cast<size_t>(max_batch);
   options.max_queue_depth = static_cast<size_t>(queue_depth);
-  options.max_wait_us = max_wait_us;
-  options.background_flush = background_flush;
   return options;
 }
 
@@ -668,55 +660,75 @@ int RunServeReplay(otfair::serve::RepairService& service,
   return health.drifted ? 3 : 0;
 }
 
-/// Interactive mode: the newline protocol on stdin/stdout. A SIGTERM/
-/// SIGINT interrupts getline (the handlers install without SA_RESTART) and
+/// Interactive mode: the newline protocol on stdin/stdout, served on the
+/// calling thread. Each read(2) is answered in full — every complete line
+/// handled, the batcher flushed, stdout flushed once — before the loop
+/// blocks on stdin again, so a lone row is answered while stdin stays
+/// open. Trailing CRs are trimmed, empty lines skipped, and an
+/// unterminated last line is still served at EOF. A SIGTERM/SIGINT
+/// interrupts the read (the handlers install without SA_RESTART) and
 /// drains: the loop exits, pending rows flush, and a final checkpoint is
 /// written before the clean exit-0 return.
 int RunServeStdio(otfair::serve::RepairService& service,
                   const otfair::serve::BatcherOptions& batcher_options,
                   const otfair::serve::CheckpointHook& checkpoint,
                   otfair::serve::Checkpointer* checkpointer) {
-  std::mutex out_mu;
-  otfair::serve::Batcher batcher(
-      &service, batcher_options, [&](const otfair::serve::RowResponse& response) {
-        std::lock_guard<std::mutex> lock(out_mu);
-        std::fputs(otfair::serve::FormatRowResponse(response).c_str(), stdout);
-        std::fputc('\n', stdout);
-        std::fflush(stdout);
-      });
-  auto respond = [&](const std::string& line) {
-    std::lock_guard<std::mutex> lock(out_mu);
+  auto respond = [](const std::string& line) {
     std::fputs(line.c_str(), stdout);
     std::fputc('\n', stdout);
-    std::fflush(stdout);
   };
-
-  char* line_buf = nullptr;
-  size_t line_cap = 0;
-  ssize_t line_len;
-  while (g_drain_signal == 0 &&
-         (line_len = ::getline(&line_buf, &line_cap, stdin)) >= 0) {
-    std::string line(line_buf, static_cast<size_t>(line_len));
-    while (!line.empty() && (line.back() == '\n' || line.back() == '\r')) line.pop_back();
-    if (line.empty()) continue;
+  otfair::serve::Batcher batcher(&service, batcher_options,
+                                 [&](const otfair::serve::RowResponse& response) {
+                                   respond(otfair::serve::FormatRowResponse(response));
+                                 });
+  // Answers one request line; false on `quit`.
+  auto serve_line = [&](const std::string& line) {
     auto request = otfair::serve::ParseRequestLine(line, service.dim(), service.u_levels(),
                                                    service.s_levels());
     if (!request.ok()) {
       respond(otfair::serve::FormatErrorLine(request.status()));
-      continue;
+      return true;
     }
     using otfair::serve::RequestKind;
-    if (request->kind == RequestKind::kQuit) break;
+    if (request->kind == RequestKind::kQuit) return false;
     if (request->kind == RequestKind::kRepair) {
       const uint64_t session = request->row.session_id;
       const uint64_t row = request->row.row_index;
       if (Status status = batcher.Submit(std::move(request->row)); !status.ok())
         respond(otfair::serve::FormatErrorLine(session, row, status));
-      continue;
+      return true;
     }
     respond(otfair::serve::AnswerControlRequest(*request, service, batcher, checkpoint));
+    return true;
+  };
+
+  std::string pending;  // read but not yet served: at most one partial line
+  std::string line;
+  char buf[1 << 16];
+  bool eof = false;
+  bool quit = false;
+  while (!eof && !quit && g_drain_signal == 0) {
+    const ssize_t n = ::read(STDIN_FILENO, buf, sizeof(buf));
+    if (n < 0 && errno == EINTR) continue;  // a drain signal ends the loop
+    if (n > 0) {
+      pending.append(buf, static_cast<size_t>(n));
+    } else {
+      eof = true;  // or a read error: either way, serve what was read
+      if (!pending.empty()) pending += '\n';
+    }
+    size_t start = 0;
+    size_t nl = 0;
+    while (!quit && g_drain_signal == 0 &&
+           (nl = pending.find('\n', start)) != std::string::npos) {
+      line.assign(pending, start, nl - start);
+      start = nl + 1;
+      while (!line.empty() && line.back() == '\r') line.pop_back();
+      if (!line.empty()) quit = !serve_line(line);
+    }
+    pending.erase(0, start);
+    batcher.Flush();
+    std::fflush(stdout);
   }
-  std::free(line_buf);
   // Drain (signal or quit/EOF): stop accepting, finish what was accepted,
   // then persist the post-flush state so --recover resumes exactly here.
   batcher.Close();
@@ -848,6 +860,8 @@ int RunServe(const FlagParser& flags) {
   }
   auto service_options = ServeServiceOptions(flags);
   if (!service_options.ok()) return Fail(service_options.status());
+  auto batcher_options = ServeBatcherOptions(flags);
+  if (!batcher_options.ok()) return Fail(batcher_options.status());
 
   std::unique_ptr<otfair::serve::RepairService> service;
   uint64_t recovered_generation = 0;
@@ -949,23 +963,12 @@ int RunServe(const FlagParser& flags) {
       return Fail(Status::InvalidArgument("replay archive/plan dimensionality mismatch"));
     const int sessions = flags.GetInt("sessions", 1);
     if (sessions < 1) return Fail(Status::InvalidArgument("--sessions must be >= 1"));
-    // Replay drives traffic flat-out and flushes explicitly; a flusher
-    // thread would only add wakeups.
-    auto batcher_options = ServeBatcherOptions(flags, /*background_flush=*/false);
-    if (!batcher_options.ok()) return Fail(batcher_options.status());
     ret = RunServeReplay(*service, *batcher_options, *archive,
                          static_cast<size_t>(sessions), redesigner.get(),
                          flags.GetInt("heal_drain_ms", 20000), checkpointer.get());
   } else if (flags.Has("listen")) {
-    // Each net worker is its batcher's only submitter and flushes at the
-    // end of every epoll cycle; a flusher thread would race the workers'
-    // unlocked connection state for nothing.
-    auto batcher_options = ServeBatcherOptions(flags, /*background_flush=*/false);
-    if (!batcher_options.ok()) return Fail(batcher_options.status());
     ret = RunServeNet(*service, flags, *batcher_options, checkpoint_hook, checkpointer.get());
   } else {
-    auto batcher_options = ServeBatcherOptions(flags, /*background_flush=*/true);
-    if (!batcher_options.ok()) return Fail(batcher_options.status());
     ret = RunServeStdio(*service, *batcher_options, checkpoint_hook, checkpointer.get());
   }
   // Stop order mirrors dependency order: the checkpoint loop reads the
