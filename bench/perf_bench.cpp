@@ -344,13 +344,10 @@ int main(int argc, char** argv) {
       auto serve_checkpointer = otfair::serve::Checkpointer::Create(
           service->get(), serve_ckpt_options);
       if (!serve_checkpointer.ok()) Die(serve_checkpointer.status().ToString());
-      otfair::serve::BatcherOptions batcher_options;
-      batcher_options.max_batch = 256;
-      batcher_options.max_queue_depth = 4096;
+      constexpr size_t kMaxBatch = 256;
       size_t responses = 0;
       otfair::serve::Batcher batcher(
-          service->get(), batcher_options,
-          [&](const otfair::serve::RowResponse& response) {
+          service->get(), kMaxBatch, [&](const otfair::serve::RowResponse& response) {
             if (response.status.ok()) ++responses;
           });
       // The replay workload: one session submitting every archive row as
@@ -365,7 +362,7 @@ int main(int argc, char** argv) {
           request.s = archive->s(i);
           const double* row = archive->features().row(i);
           request.features.assign(row, row + dim);
-          while (!batcher.Submit(std::move(request)).ok()) batcher.Flush();
+          batcher.Submit(std::move(request));
         }
         batcher.Flush();
       });
@@ -378,7 +375,7 @@ int main(int argc, char** argv) {
       c.threads = t;
       std::snprintf(params, sizeof(params),
                     "{\"dim\": %zu, \"n_archive\": %zu, \"n_q\": %zu, \"max_batch\": %zu}",
-                    dim, n_archive, design_nq, batcher_options.max_batch);
+                    dim, n_archive, design_nq, kMaxBatch);
       c.params_json = params;
       c.repeats = repeats;
       c.wall_ms = ms;
@@ -392,7 +389,7 @@ int main(int argc, char** argv) {
         c.threads = 1;
         std::snprintf(params, sizeof(params),
                       "{\"dim\": %zu, \"n_archive\": %zu, \"n_q\": %zu, \"max_batch\": %zu}",
-                      dim, n_archive, design_nq, batcher_options.max_batch);
+                      dim, n_archive, design_nq, kMaxBatch);
         c.params_json = params;
         c.repeats = repeats;
         c.wall_ms = ms;
@@ -427,10 +424,7 @@ int main(int argc, char** argv) {
     if (!service.ok()) Die(service.status().ToString());
     otfair::net::ServerOptions server_options;
     server_options.net_threads = 2;
-    server_options.batcher.max_batch = 256;
-    // Deep enough that 256 windows of 64 outstanding rows never trip
-    // backpressure: the row being priced is throughput, not rejection.
-    server_options.batcher.max_queue_depth = 65536;
+    server_options.max_batch = 256;
     auto server = otfair::net::Server::Create(service->get(), server_options);
     if (!server.ok()) Die(server.status().ToString());
     const std::vector<size_t> connection_counts =

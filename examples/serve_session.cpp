@@ -1,8 +1,8 @@
 // Serving-layer walkthrough: designs a plan on simulated research data,
-// stands up a serve::RepairService behind a micro-batching Batcher, runs
-// two concurrent client sessions against it, hot-swaps the plan
-// mid-stream, and prints the metrics/health snapshots — the in-process
-// equivalent of `otfair serve`.
+// stands up a serve::RepairService, runs two concurrent client sessions
+// against it (each through a micro-batching Batcher of its own), hot-swaps
+// the plan mid-stream, and prints the metrics/health snapshots — the
+// in-process equivalent of `otfair serve`.
 //
 // Run:  ./serve_session [--rows=20000] [--sessions=2] [--threads=2]
 
@@ -49,15 +49,16 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::atomic<uint64_t> delivered{0};
-  otfair::serve::Batcher batcher(
-      service->get(), {},
-      [&](const otfair::serve::RowResponse& response) {
-        if (response.status.ok()) delivered.fetch_add(1, std::memory_order_relaxed);
-      });
+  const auto sink = [&](const otfair::serve::RowResponse& response) {
+    if (response.status.ok()) delivered.fetch_add(1, std::memory_order_relaxed);
+  };
 
   std::vector<std::thread> clients;
   for (size_t session = 0; session < sessions; ++session) {
     clients.emplace_back([&, session] {
+      // One batcher per client thread; it flushes its last partial batch
+      // when it goes out of scope.
+      otfair::serve::Batcher batcher(service->get(), 256, sink);
       for (size_t i = 0; i < archive->size(); ++i) {
         otfair::serve::RowRequest request;
         request.session_id = session;
@@ -65,7 +66,7 @@ int main(int argc, char** argv) {
         request.u = archive->u(i);
         request.s = archive->s(i);
         request.features = archive->Row(i);
-        while (!batcher.Submit(std::move(request)).ok()) batcher.Flush();
+        batcher.Submit(std::move(request));
       }
     });
   }
@@ -79,9 +80,8 @@ int main(int argc, char** argv) {
   }
 
   for (std::thread& client : clients) client.join();
-  batcher.Close();
 
-  const auto metrics = (*service)->metrics().Snapshot(batcher.queue_depth());
+  const auto metrics = (*service)->metrics().Snapshot();
   const auto health = (*service)->Health();
   std::printf("delivered %llu rows across %zu sessions (plan v%llu)\n",
               static_cast<unsigned long long>(delivered.load()), sessions,

@@ -14,6 +14,7 @@
 #include <utility>
 
 #include "obs/trace.h"
+#include "serve/batcher.h"
 #include "serve/protocol.h"
 
 namespace otfair::net {
@@ -59,7 +60,6 @@ struct Server::Worker {
   Socket listen;
   int epoll_fd = -1;
   int wake_fd = -1;
-  std::unique_ptr<serve::Batcher> batcher;
   std::unordered_map<int, std::unique_ptr<Conn>> conns;
   /// session id -> connection currently owning it (last writer wins; a
   /// reconnecting client re-binds its sessions to the new connection).
@@ -69,6 +69,9 @@ struct Server::Worker {
   /// Closed connections survive here until the end of the cycle so stack
   /// frames holding the pointer stay valid.
   std::vector<std::unique_ptr<Conn>> graveyard;
+  /// Declared after the connection state its sink writes to, so it is
+  /// destroyed (and flushes) first.
+  std::unique_ptr<serve::Batcher> batcher;
   std::thread thread;
 
   ~Worker() {
@@ -119,9 +122,6 @@ Result<std::unique_ptr<Server>> Server::Create(serve::RepairService* service,
        &server->bytes_read_},
       {"otfair_net_bytes_written_total", "Bytes written to TCP clients",
        &server->bytes_written_},
-      {"otfair_net_backpressure_total",
-       "Repair submits rejected with UNAVAILABLE (explicit backpressure error lines)",
-       &server->backpressure_},
       {"otfair_net_protocol_errors_total",
        "Request lines rejected by the protocol parser", &server->protocol_errors_},
       {"otfair_net_oversize_closed_total",
@@ -179,9 +179,9 @@ Status Server::Start() {
 
     Worker* w = worker.get();
     worker->batcher = std::make_unique<serve::Batcher>(
-        service_, options_.batcher, [this, w](const serve::RowResponse& response) {
-          // Runs on the worker thread only (the batcher's sole submitter
-          // and flusher), so touching connection state here is race-free.
+        service_, options_.max_batch, [this, w](const serve::RowResponse& response) {
+          // Runs on the worker thread only (the batcher's owner), so
+          // touching connection state here is race-free.
           auto it = w->session_owner.find(response.session_id);
           if (it == w->session_owner.end() || it->second->closed) {
             orphan_responses_->Add(1);
@@ -207,12 +207,6 @@ void Server::Shutdown() {
   }
   for (auto& worker : workers_)
     if (worker->thread.joinable()) worker->thread.join();
-}
-
-size_t Server::queue_depth() const {
-  size_t depth = 0;
-  for (const auto& worker : workers_) depth += worker->batcher->queue_depth();
-  return depth;
 }
 
 void Server::WorkerLoop(Worker& w) {
@@ -248,7 +242,7 @@ void Server::WorkerLoop(Worker& w) {
     // Flushing once per cycle bounds a partial batch's latency at one
     // epoll cycle while still coalescing rows across every connection
     // that was readable.
-    if (w.batcher->queue_depth() > 0) w.batcher->Flush();
+    w.batcher->Flush();
     FlushDirty(w);
     w.graveyard.clear();
   }
@@ -368,19 +362,14 @@ void Server::HandleLine(Worker& w, Conn* c, const std::string& line) {
   using serve::RequestKind;
   if (request->kind == RequestKind::kRepair) {
     const uint64_t session = request->row.session_id;
-    const uint64_t row = request->row.row_index;
     // Bind the session to this connection before Submit: a full batch
     // executes caller-runs and delivers through the sink inline.
     w.session_owner[session] = c;
     c->sessions.insert(session);
-    if (Status status = w.batcher->Submit(std::move(request->row)); !status.ok()) {
-      // Explicit backpressure: the row is answered, never dropped.
-      backpressure_->Add(1);
-      Output(w, c, serve::FormatErrorLine(session, row, status));
-    }
+    w.batcher->Submit(std::move(request->row));
   } else if (request->kind == RequestKind::kQuit) {
     // Per-connection goodbye (the process keeps serving): deliver the
-    // rows this worker still has queued, then close after the flush.
+    // rows this worker still has pending, then close after the flush.
     w.batcher->Flush();
     c->close_after_flush = true;
   } else {
@@ -473,9 +462,8 @@ void Server::DrainWorker(Worker& w) {
     ::epoll_ctl(w.epoll_fd, EPOLL_CTL_DEL, w.listen.fd(), nullptr);
     w.listen.Close();
   }
-  // Every accepted row gets repaired and its response buffered.
+  // Every row read gets repaired and its response buffered.
   w.batcher->Flush();
-  w.batcher->Close();
   // Bounded wait for clients to absorb the final responses.
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(options_.drain_timeout_ms);

@@ -11,7 +11,6 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "net/socket.h"
-#include "serve/batcher.h"
 #include "serve/protocol.h"
 #include "serve/repair_service.h"
 
@@ -38,11 +37,11 @@ struct ServerOptions {
   /// Bound on how long a drain waits for clients to absorb final
   /// responses before closing on them.
   int drain_timeout_ms = 5000;
-  /// Per-worker micro-batcher config. The worker thread is the only
-  /// submitter and flushes at the end of every epoll cycle, so batch
-  /// execution (and therefore the response sink) stays on the worker
-  /// thread — connection state needs no locks.
-  serve::BatcherOptions batcher;
+  /// Rows coalesced per `RepairBatch` by each worker's batcher. The worker
+  /// thread owns its batcher and flushes it at the end of every epoll
+  /// cycle, so batch execution (and therefore the response sink) stays on
+  /// the worker thread — connection state needs no locks.
+  size_t max_batch = 256;
 };
 
 /// Verbs that need process-level machinery the service doesn't own.
@@ -63,14 +62,15 @@ struct ServerHooks {
 /// the network hop: per session, TCP output is bit-identical to offline
 /// batch repair and to stdio serve.
 ///
-/// Backpressure is explicit: a rejected Submit becomes an immediate
-/// `err <session> <row> UNAVAILABLE ...` line (same semantics as stdio
-/// serve) — rows are never silently dropped. Oversized or unparseable-verb
-/// input closes the connection after a sanitized error line; malformed
+/// A worker holds at most `max_batch` pending rows: every row it reads is
+/// answered by the end of that epoll cycle, and input it has not read yet
+/// waits in the client's socket, so TCP flow control is the backpressure.
+/// Rows are never silently dropped. Oversized or unparseable-verb input
+/// closes the connection after a sanitized error line; malformed
 /// arguments to a known verb get an error line and the connection lives.
 ///
 /// `Shutdown()` (idempotent, also run by the destructor) drains
-/// gracefully: listeners close first, queued rows flush through the
+/// gracefully: listeners close first, pending rows flush through the
 /// batchers, pending output is written out under `drain_timeout_ms`, then
 /// connections close.
 class Server {
@@ -89,9 +89,6 @@ class Server {
 
   /// Graceful drain; blocks until every worker has exited.
   void Shutdown();
-
-  /// Sum of pending batcher rows across workers (metrics gauge).
-  size_t queue_depth() const;
 
  private:
   struct Conn;
@@ -125,7 +122,6 @@ class Server {
   obs::Counter* connections_rejected_ = nullptr;
   obs::Counter* bytes_read_ = nullptr;
   obs::Counter* bytes_written_ = nullptr;
-  obs::Counter* backpressure_ = nullptr;
   obs::Counter* protocol_errors_ = nullptr;
   obs::Counter* oversize_closed_ = nullptr;
   obs::Counter* orphan_responses_ = nullptr;

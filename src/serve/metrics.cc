@@ -49,8 +49,6 @@ Metrics::Metrics() : start_(std::chrono::steady_clock::now()) {
                                "Rows repaired successfully");
   rows_invalid_ = MustCounter(registry_, "otfair_serve_rows_invalid_total",
                               "Rows that failed per-row validation");
-  rows_rejected_ = MustCounter(registry_, "otfair_serve_rows_rejected_total",
-                               "Rows rejected at the admission boundary");
   batches_ = MustCounter(registry_, "otfair_serve_batches_total", "RepairBatch executions");
   reloads_ = MustCounter(registry_, "otfair_serve_reloads_total", "Plan hot-swaps served");
   reloads_failed_ = MustCounter(registry_, "otfair_serve_reloads_failed_total",
@@ -96,7 +94,6 @@ void Metrics::FillLegacy(MetricsSnapshot* snap, uint64_t queue_depth) const {
   snap->rows_accepted = rows_accepted_->Value();
   snap->rows_repaired = rows_repaired_->Value();
   snap->rows_invalid = rows_invalid_->Value();
-  snap->rows_rejected = rows_rejected_->Value();
   snap->batches = batches_->Value();
   snap->reloads = reloads_->Value();
   snap->reloads_failed = reloads_failed_->Value();
@@ -185,7 +182,7 @@ std::string MetricsSnapshot::ToJson() const {
       .Key("rows_accepted").Uint(rows_accepted)
       .Key("rows_repaired").Uint(rows_repaired)
       .Key("rows_invalid").Uint(rows_invalid)
-      .Key("rows_rejected").Uint(rows_rejected)
+      .Key("rows_rejected").Uint(0)
       .Key("batches").Uint(batches)
       .Key("reloads").Uint(reloads)
       .Key("reloads_failed").Uint(reloads_failed)

@@ -20,8 +20,6 @@ struct MetricsSnapshot {
   uint64_t rows_repaired = 0;
   /// Rows that failed per-row validation (bad labels, wrong dimension).
   uint64_t rows_invalid = 0;
-  /// Rows rejected at the admission boundary (queue full / closed).
-  uint64_t rows_rejected = 0;
   /// RepairBatch executions (a single-row repair counts as a batch of 1).
   uint64_t batches = 0;
   /// Plan hot-swaps served so far.
@@ -39,8 +37,8 @@ struct MetricsSnapshot {
   double latency_p90_us = 0.0;
   double latency_p99_us = 0.0;
   double latency_max_us = 0.0;
-  /// Pending rows in the batcher queue when the snapshot was taken (a
-  /// gauge supplied by the caller — the queue belongs to the Batcher).
+  /// Pending rows in the caller's batcher when the snapshot was taken (a
+  /// gauge supplied by the caller — the rows belong to the Batcher).
   uint64_t queue_depth = 0;
   double uptime_seconds = 0.0;
   /// rows_repaired / uptime — the coarse live-throughput gauge.
@@ -63,7 +61,9 @@ struct MetricsSnapshot {
 
   /// One-line JSON rendering (for the `metrics` protocol verb and the
   /// replay-mode summary). Pre-registry keys render first, byte-identical
-  /// to earlier releases; new keys are appended only.
+  /// to earlier releases; new keys are appended only. `rows_rejected`
+  /// stays in its slot and always reads 0: no serving path rejects a row
+  /// it has read.
   std::string ToJson() const;
 };
 
@@ -96,7 +96,6 @@ class Metrics {
   void AddAccepted(uint64_t rows) { rows_accepted_->Add(rows); }
   void AddRepaired(uint64_t rows) { rows_repaired_->Add(rows); }
   void AddInvalid(uint64_t rows) { rows_invalid_->Add(rows); }
-  void AddRejected(uint64_t rows) { rows_rejected_->Add(rows); }
   void AddBatch() { batches_->Add(1); }
   void AddReload() { reloads_->Add(1); }
   void AddReloadFailed() { reloads_failed_->Add(1); }
@@ -154,7 +153,6 @@ class Metrics {
   obs::Counter* rows_accepted_;
   obs::Counter* rows_repaired_;
   obs::Counter* rows_invalid_;
-  obs::Counter* rows_rejected_;
   obs::Counter* batches_;
   obs::Counter* reloads_;
   obs::Counter* reloads_failed_;

@@ -163,12 +163,17 @@ std::string AnswerControlRequest(const ProtocolRequest& request, RepairService& 
 }
 
 std::string FormatRowResponse(const RowResponse& response) {
-  if (!response.status.ok())
-    return FormatErrorLine(response.session_id, response.row_index, response.status);
-  std::string line = "ok ";
+  std::string line = response.status.ok() ? "ok " : "err ";
   line += std::to_string(response.session_id);
   line += ' ';
   line += std::to_string(response.row_index);
+  if (!response.status.ok()) {
+    line += ' ';
+    line += common::StatusCodeToString(response.status.code());
+    line += ' ';
+    line += response.status.message();
+    return line;
+  }
   char buf[1 + common::kMaxDouble17Chars] = {' '};
   for (const double v : response.repaired) line.append(buf, common::AppendDouble17(buf + 1, v));
   return line;
@@ -176,19 +181,6 @@ std::string FormatRowResponse(const RowResponse& response) {
 
 std::string FormatErrorLine(const common::Status& status) {
   std::string line = "err - - ";
-  line += common::StatusCodeToString(status.code());
-  line += ' ';
-  line += status.message();
-  return line;
-}
-
-std::string FormatErrorLine(uint64_t session_id, uint64_t row_index,
-                            const common::Status& status) {
-  std::string line = "err ";
-  line += std::to_string(session_id);
-  line += ' ';
-  line += std::to_string(row_index);
-  line += ' ';
   line += common::StatusCodeToString(status.code());
   line += ' ';
   line += status.message();

@@ -80,22 +80,21 @@ using CheckpointHook = std::function<common::Result<uint64_t>()>;
 /// Answers a parsed control request — `metrics`, `metrics --prom`,
 /// `health`, `reload` or `checkpoint` — identically for every front end,
 /// as the response text without its final newline. `batcher` is the
-/// caller's: it supplies the queue depth the metrics report, and it is
-/// flushed before a checkpoint so the acked generation covers every row it
-/// accepted before the verb. `repair` and `quit` are the front end's to
+/// caller's: its pending rows are the queue depth the metrics report, and
+/// it is flushed before a checkpoint so the acked generation covers every
+/// row submitted before the verb. `repair` and `quit` are the front end's to
 /// answer; passing either is a programming error.
 std::string AnswerControlRequest(const ProtocolRequest& request, RepairService& service,
                                  Batcher& batcher, const CheckpointHook& checkpoint);
 
-/// Formats the `ok .../err ...` response line for one repaired row
-/// (no trailing newline).
+/// Formats the response line for one repaired row (no trailing newline):
+/// `ok <session> <row> <y...>`, or `err <session> <row> <CODE> <message>`
+/// when the row failed validation.
 std::string FormatRowResponse(const RowResponse& response);
 
-/// Formats a request-level failure (parse errors, rejected submits) as an
-/// `err` line; session/row are echoed when known, `-` otherwise.
+/// Formats a request-level failure (a parse error, a refused connection)
+/// as an `err - - <CODE> <message>` line.
 std::string FormatErrorLine(const common::Status& status);
-std::string FormatErrorLine(uint64_t session_id, uint64_t row_index,
-                            const common::Status& status);
 
 }  // namespace otfair::serve
 

@@ -114,11 +114,6 @@ void Redesigner::Stop() {
   if (thread_.joinable()) thread_.join();
 }
 
-RedesignerStats Redesigner::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
-}
-
 Status Redesigner::last_error() const {
   std::lock_guard<std::mutex> lock(mu_);
   return last_error_;
@@ -201,10 +196,6 @@ void Redesigner::StepOnce() {
   // everything except a successful ReloadPlan.
   OTFAIR_TRACE_SPAN("redesign_episode");
   busy_.store(true, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.drift_trips;
-  }
   service_->metrics().AddRedesignEpisode();
   Status status;
   int backoff_ms = options_.backoff_initial_ms;
@@ -212,14 +203,12 @@ void Redesigner::StepOnce() {
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (stop_) break;
-      ++stats_.attempts;
     }
     service_->metrics().AddRedesignAttempt();
     status = AttemptRedesign(sketches_override);
     if (status.ok()) break;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.failures;
       last_error_ = status;
     }
     service_->metrics().AddRedesignFailure();
@@ -235,11 +224,6 @@ void Redesigner::StepOnce() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     stopped_mid_episode = stop_;
-    if (status.ok()) {
-      ++stats_.reloads;
-    } else if (!stopped_mid_episode) {
-      ++stats_.gave_up;
-    }
     cooldown_until_ = Clock::now() + std::chrono::milliseconds(options_.cooldown_ms);
   }
   if (status.ok()) {

@@ -55,20 +55,6 @@ struct RedesignerOptions {
   core::DesignOptions design;
 };
 
-/// Counters of the self-heal loop (monotone over the redesigner lifetime).
-struct RedesignerStats {
-  /// Drift episodes started (ready sketches + tripped thresholds).
-  uint64_t drift_trips = 0;
-  /// Redesign attempts, including retries.
-  uint64_t attempts = 0;
-  /// Failed attempts (any stage: snapshot, design, validation, reload).
-  uint64_t failures = 0;
-  /// Successful redesign hot-swaps.
-  uint64_t reloads = 0;
-  /// Episodes that exhausted every retry and flagged `degraded`.
-  uint64_t gave_up = 0;
-};
-
 /// The self-healing loop: a background thread that watches the service's
 /// drift verdict and, when it trips, rebuilds the repair plan from the
 /// streaming quantile sketches and hot-swaps it — no raw-row retention, no
@@ -101,8 +87,6 @@ class Redesigner {
 
   /// Stops and joins the background thread (idempotent).
   void Stop();
-
-  RedesignerStats stats() const;
 
   /// True while a drift episode is being worked (redesign or backoff in
   /// progress). Replay drivers drain on this before judging final health.
@@ -151,7 +135,6 @@ class Redesigner {
   bool fresh_sketches_ = false;
   std::vector<stats::QuantileSketch> stashed_sketches_;
   std::chrono::steady_clock::time_point fresh_since_;
-  RedesignerStats stats_;
   common::Status last_error_;
   std::chrono::steady_clock::time_point cooldown_until_;
 

@@ -93,7 +93,9 @@ struct ServiceOptions {
   uint64_t seed = 0x07fa12u;
   core::TransportMode mode = core::TransportMode::kStochastic;
   double strength = 1.0;
-  /// Lanes for RepairBatch (0: process default, 1: serial).
+  /// Lanes for one RepairBatch (0: process default, 1: serial). Serving
+  /// front ends take their concurrency from their own threads; this
+  /// per-batch fan-out is kept for callers that set it.
   int threads = 0;
   core::DriftMonitorOptions drift;
   /// Per-channel streaming quantile sketches feed on every
@@ -118,6 +120,9 @@ struct ServiceOptions {
 /// one immutable-by-readers snapshot held through a mutex-guarded
 /// `std::shared_ptr`. The service owns no thread: every call runs on its
 /// caller's (sessions, net workers, the checkpoint and self-heal loops).
+/// Each serving thread batches its rows through a `Batcher` of its own,
+/// so concurrent `RepairBatch` calls number at most the front end's
+/// threads.
 ///
 ///  - The read path (`RepairRow` / `RepairBatch`) copies the pointer under
 ///    that mutex, one uncontended lock per batch, then repairs against the

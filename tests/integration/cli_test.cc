@@ -101,10 +101,12 @@ class CliTest : public ::testing::Test {
     return WEXITSTATUS(status);
   }
 
-  /// Runs the CLI and captures stdout (stderr discarded); exit code via
-  /// `exit_code`.
-  std::string RunCapture(const std::string& args, int* exit_code = nullptr) {
-    const std::string command = std::string(OTFAIR_CLI_PATH) + " " + args + " 2> /dev/null";
+  /// Runs the CLI and captures stdout (stderr discarded unless
+  /// `discard_stderr` is false); exit code via `exit_code`.
+  std::string RunCapture(const std::string& args, int* exit_code = nullptr,
+                         bool discard_stderr = true) {
+    const std::string command = std::string(OTFAIR_CLI_PATH) + " " + args +
+                                (discard_stderr ? " 2> /dev/null" : "");
     std::FILE* pipe = ::popen(command.c_str(), "r");
     EXPECT_NE(pipe, nullptr);
     if (pipe == nullptr) {
@@ -118,6 +120,12 @@ class CliTest : public ::testing::Test {
     const int status = ::pclose(pipe);
     if (exit_code != nullptr) *exit_code = WEXITSTATUS(status);
     return output;
+  }
+
+  /// Runs the CLI and captures stderr (stdout discarded); exit code via
+  /// `exit_code`.
+  std::string RunCaptureStderr(const std::string& args, int* exit_code) {
+    return RunCapture(args + " 2>&1 > /dev/null", exit_code, /*discard_stderr=*/false);
   }
 
   std::string dir_;
@@ -398,6 +406,39 @@ TEST_F(CliTest, ServeReplayHealthyAndDriftedExits) {
   EXPECT_EQ(Run("serve --plan=" + plan_path_ + " --replay=" + drifted_path +
                 " --sessions=1"),
             3);
+}
+
+TEST_F(CliTest, ServeReplayInputErrorsExitOneUnderPromDump) {
+  ASSERT_EQ(Run("design --research=" + research_path_ + " --plan=" + plan_path_ +
+                " --n_q=40"),
+            0);
+  // The replay inputs are checked before the Prometheus dump thread (or
+  // any other background thread) starts, so each bad input is a clean
+  // exit 1 with its error line, never an abort.
+  const std::string wide_path = dir_ + "/wide.csv";  // dim 3 against a dim-2 plan
+  std::FILE* f = std::fopen(wide_path.c_str(), "w");
+  ASSERT_NE(f, nullptr);
+  std::fputs("s,u,x1,x2,x3\n0,0,0.1,0.2,0.3\n0,1,0.4,0.5,0.6\n1,0,0.7,0.8,0.9\n"
+             "1,1,1.0,1.1,1.2\n",
+             f);
+  std::fclose(f);
+  const struct {
+    std::string replay_flags;
+    const char* error;
+  } cases[] = {
+      {"--replay=" + dir_ + "/missing.csv", "IO_ERROR"},
+      {"--replay=" + archive_path_ + " --sessions=0", "--sessions must be >= 1"},
+      {"--replay=" + wide_path, "dimensionality mismatch"},
+  };
+  for (const auto& c : cases) {
+    int exit_code = -1;
+    const std::string err = RunCaptureStderr(
+        "serve --plan=" + plan_path_ + " --prom-dump=" + dir_ + "/serve.prom " + c.replay_flags,
+        &exit_code);
+    EXPECT_EQ(exit_code, 1) << err;
+    EXPECT_NE(err.find(c.error), std::string::npos) << err;
+    EXPECT_EQ(err.find("terminate"), std::string::npos) << err;
+  }
 }
 
 TEST_F(CliTest, ServeStdioAnswersBeforeEof) {

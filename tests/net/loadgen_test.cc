@@ -1,15 +1,21 @@
 // Loadgen contract tests: a clean run accounts for every row against the
 // server's own counters, the synthetic workload is deterministic,
-// backpressure shows up as per-row errors (never drops), and failure
-// modes (unreachable server, bad options) are structured errors — not
-// hangs.
+// per-row error lines are counted as answered rows (never drops), and
+// failure modes (unreachable server, bad options) are structured errors —
+// not hangs.
 
 #include "net/loadgen.h"
 
+#include <poll.h>
+#include <sys/socket.h>
+
 #include <algorithm>
+#include <cstdio>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -91,25 +97,87 @@ TEST(LoadgenTest, WorkloadIsDeterministicAcrossRuns) {
   EXPECT_EQ(sut.service->metrics().Snapshot().rows_repaired, 800u);
 }
 
-TEST(LoadgenTest, BackpressureSurfacesAsRowErrorsNotDrops) {
-  ServerOptions server_options;
-  server_options.batcher.max_batch = 64;
-  server_options.batcher.max_queue_depth = 2;
-  ServerUnderTest sut = MakeServer(43, server_options);
+/// A stand-in server that pushes back on every row: it answers each
+/// `repair <session> <row> ...` line with `err <session> <row> UNAVAILABLE
+/// stub`, the protocol's per-row error shape (the real server emits it for
+/// no row it has read). Each of `connections` threads accepts one client
+/// and serves it until EOF.
+class UnavailableStub {
+ public:
+  explicit UnavailableStub(size_t connections) {
+    auto listener = ListenTcp("127.0.0.1", 0, 16, &port_);
+    EXPECT_TRUE(listener.ok()) << listener.status().message();
+    if (!listener.ok()) return;
+    listener_ = std::move(*listener);
+    for (size_t i = 0; i < connections; ++i) threads_.emplace_back([this] { ServeOne(); });
+  }
+  ~UnavailableStub() {
+    for (std::thread& thread : threads_) thread.join();
+  }
 
+  uint16_t port() const { return port_; }
+
+ private:
+  void ServeOne() {
+    // The listener is non-blocking; the accepted socket is blocking.
+    int fd = -1;
+    for (int tries = 0; fd < 0 && tries < 300; ++tries) {
+      pollfd readable{listener_.fd(), POLLIN, 0};
+      ::poll(&readable, 1, 100);
+      fd = ::accept4(listener_.fd(), nullptr, nullptr, SOCK_CLOEXEC);
+    }
+    if (fd < 0) return;
+    Socket conn(fd);
+    std::string in;
+    char buf[4096];
+    while (true) {
+      size_t n = 0;
+      bool would_block = false;
+      if (!ReadSome(conn.fd(), buf, sizeof(buf), &n, &would_block).ok() || n == 0) return;
+      in.append(buf, n);
+      std::string out;
+      size_t start = 0;
+      size_t nl = 0;
+      while ((nl = in.find('\n', start)) != std::string::npos) {
+        unsigned long long session = 0;
+        unsigned long long row = 0;
+        if (std::sscanf(in.c_str() + start, "repair %llu %llu", &session, &row) == 2)
+          out += "err " + std::to_string(session) + " " + std::to_string(row) +
+                 " UNAVAILABLE stub\n";
+        start = nl + 1;
+      }
+      in.erase(0, start);
+      for (size_t sent = 0; sent < out.size();) {
+        size_t wrote = 0;
+        if (!WriteSome(conn.fd(), out.data() + sent, out.size() - sent, &wrote, &would_block)
+                 .ok())
+          return;
+        sent += wrote;
+      }
+    }
+  }
+
+  uint16_t port_ = 0;
+  Socket listener_;
+  std::vector<std::thread> threads_;
+};
+
+TEST(LoadgenTest, BackpressureSurfacesAsRowErrorsNotDrops) {
+  UnavailableStub stub(/*connections=*/2);
   LoadgenOptions options;
-  options.port = sut.server->port();
+  options.port = stub.port();
   options.connections = 2;
   options.rows_per_session = 400;
-  options.window = 64;  // far outruns a queue depth of 2
+  options.window = 64;
   auto result = RunLoadgen(options);
   ASSERT_TRUE(result.ok()) << result.status().message();
-  // Every row is accounted for — rejected ones as explicit UNAVAILABLE
-  // error lines, never silently dropped.
+  // Every row is accounted for — error lines count as answers, never as
+  // silent drops — and the run is not clean.
+  EXPECT_EQ(result->rows_sent, 800u);
   EXPECT_EQ(result->rows_ok + result->rows_err, result->rows_sent);
-  EXPECT_GT(result->rows_err, 0u);
+  EXPECT_EQ(result->rows_err, 800u);
   EXPECT_FALSE(result->clean());
-  EXPECT_NE(result->first_error.find("UNAVAILABLE"), std::string::npos)
+  EXPECT_NE(result->first_error.find("UNAVAILABLE stub"), std::string::npos)
       << result->first_error;
 }
 

@@ -13,7 +13,6 @@ TEST(MetricsTest, CountersAccumulate) {
   metrics.AddAccepted(10);
   metrics.AddRepaired(8);
   metrics.AddInvalid(2);
-  metrics.AddRejected(3);
   metrics.AddBatch();
   metrics.AddBatch();
   metrics.AddReload();
@@ -21,7 +20,6 @@ TEST(MetricsTest, CountersAccumulate) {
   EXPECT_EQ(snap.rows_accepted, 10u);
   EXPECT_EQ(snap.rows_repaired, 8u);
   EXPECT_EQ(snap.rows_invalid, 2u);
-  EXPECT_EQ(snap.rows_rejected, 3u);
   EXPECT_EQ(snap.batches, 2u);
   EXPECT_EQ(snap.reloads, 1u);
   EXPECT_EQ(snap.queue_depth, 17u);
@@ -81,6 +79,10 @@ TEST(MetricsTest, ToJsonCarriesTheCounters) {
   const std::string json = metrics.Snapshot(2).ToJson();
   EXPECT_NE(json.find("\"rows_accepted\":5"), std::string::npos) << json;
   EXPECT_NE(json.find("\"queue_depth\":2"), std::string::npos) << json;
+  // No serving path rejects a row it has read; the key keeps its slot.
+  EXPECT_NE(json.find("\"rows_invalid\":0,\"rows_rejected\":0,\"batches\":0"),
+            std::string::npos)
+      << json;
   EXPECT_NE(json.find("\"latency_p99_us\":"), std::string::npos) << json;
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json.back(), '}');

@@ -252,7 +252,7 @@ TEST(RedesignerTest, UndriftedServiceDoesNotRedesign) {
   auto redesigner = Redesigner::Create(service.get(), options);
   ASSERT_TRUE(redesigner.ok());
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  EXPECT_EQ((*redesigner)->stats().drift_trips, 0u);
+  EXPECT_EQ(service->metrics().Snapshot().redesign_episodes, 0u);
   EXPECT_EQ(service->plan_version(), 1u);
 }
 
@@ -344,10 +344,10 @@ TEST(RedesignerLoopTest, SelfHealsInBackgroundEndToEnd) {
   EXPECT_FALSE(health.degraded);
   EXPECT_EQ(health.reloads_total, 1u);
   EXPECT_STREQ(health.state(), "healthy");
-  const RedesignerStats stats = (*redesigner)->stats();
-  EXPECT_EQ(stats.drift_trips, 1u);
-  EXPECT_EQ(stats.reloads, 1u);
-  EXPECT_EQ(stats.gave_up, 0u);
+  const MetricsSnapshot metrics = service->metrics().Snapshot();
+  EXPECT_EQ(metrics.redesign_episodes, 1u);
+  EXPECT_EQ(metrics.redesign_reloads, 1u);
+  EXPECT_EQ(metrics.redesign_gave_up, 0u);
 }
 
 TEST(RedesignerLoopTest, RetryExhaustionDegradesButKeepsServing) {
@@ -366,11 +366,11 @@ TEST(RedesignerLoopTest, RetryExhaustionDegradesButKeepsServing) {
   uint64_t next_row = fx.archive.size();
   ASSERT_TRUE(WaitWithShiftedTraffic(service.get(), fx.archive, &next_row,
                                      [&] { return service->degraded(); }));
-  const RedesignerStats stats = (*redesigner)->stats();
-  EXPECT_EQ(stats.gave_up, 1u);
-  EXPECT_EQ(stats.attempts, 2u);
-  EXPECT_EQ(stats.failures, 2u);
-  EXPECT_EQ(stats.reloads, 0u);
+  const MetricsSnapshot metrics = service->metrics().Snapshot();
+  EXPECT_EQ(metrics.redesign_gave_up, 1u);
+  EXPECT_EQ(metrics.redesign_attempts, 2u);
+  EXPECT_EQ(metrics.redesign_failures, 2u);
+  EXPECT_EQ(metrics.redesign_reloads, 0u);
   EXPECT_EQ((*redesigner)->last_error().code(), common::StatusCode::kInternal);
 
   // Degraded, not dead: the old snapshot still serves, health says so.
@@ -386,7 +386,7 @@ TEST(RedesignerLoopTest, RetryExhaustionDegradesButKeepsServing) {
 
   // Degraded is sticky for the loop (no more episodes)...
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_EQ((*redesigner)->stats().gave_up, 1u);
+  EXPECT_EQ(service->metrics().Snapshot().redesign_gave_up, 1u);
   // ...until an operator reload clears it.
   ASSERT_TRUE(service->ReloadPlan(fx.plans).ok());
   EXPECT_FALSE(service->degraded());
@@ -409,10 +409,10 @@ TEST(RedesignerLoopTest, TransientFaultIsAbsorbedByRetries) {
   ASSERT_TRUE(WaitWithShiftedTraffic(service.get(), fx.archive, &next_row, [&] {
     return service->plan_version() >= 2 && !(*redesigner)->busy();
   }));
-  const RedesignerStats stats = (*redesigner)->stats();
-  EXPECT_EQ(stats.failures, 1u);
-  EXPECT_EQ(stats.reloads, 1u);
-  EXPECT_EQ(stats.gave_up, 0u);
+  const MetricsSnapshot metrics = service->metrics().Snapshot();
+  EXPECT_EQ(metrics.redesign_failures, 1u);
+  EXPECT_EQ(metrics.redesign_reloads, 1u);
+  EXPECT_EQ(metrics.redesign_gave_up, 0u);
   EXPECT_FALSE(service->degraded());
 }
 

@@ -121,10 +121,11 @@ TEST(RepairServiceTest, RepairBatchMatchesSingleRows) {
 }
 
 /// The full determinism gauntlet: kSessions threads replay the archive in
-/// per-session shuffled orders through a shared Batcher while the main
-/// thread hot-swaps an identical plan several times mid-stream. Every
-/// session's collected output must equal its offline batch repair
-/// bit-for-bit, for every service thread count.
+/// per-session shuffled orders, each through a Batcher of its own over the
+/// shared service and sink, while the main thread hot-swaps an identical
+/// plan several times mid-stream. Every session's collected output must
+/// equal its offline batch repair bit-for-bit, for every service thread
+/// count.
 void RunConcurrentReplay(int service_threads, bool reload_mid_stream) {
   Fixture fx = MakeFixture(4);
   ServiceOptions service_options;
@@ -139,20 +140,15 @@ void RunConcurrentReplay(int service_threads, bool reload_mid_stream) {
   std::vector<std::vector<double>> collected(kSessions * rows);
   std::vector<std::atomic<int>> delivered(kSessions * rows);
   std::atomic<uint64_t> failures{0};
-  BatcherOptions batcher_options;
-  batcher_options.max_batch = 64;
-  batcher_options.max_queue_depth = 256;
-  Batcher batcher(service->get(), batcher_options,
-                  [&](const RowResponse& response) {
-                    if (!response.status.ok()) {
-                      failures.fetch_add(1);
-                      return;
-                    }
-                    const size_t slot =
-                        response.session_id * rows + response.row_index;
-                    collected[slot] = response.repaired;
-                    delivered[slot].fetch_add(1);
-                  });
+  const Batcher::Sink sink = [&](const RowResponse& response) {
+    if (!response.status.ok()) {
+      failures.fetch_add(1);
+      return;
+    }
+    const size_t slot = response.session_id * rows + response.row_index;
+    collected[slot] = response.repaired;
+    delivered[slot].fetch_add(1);
+  };
 
   std::atomic<bool> done{false};
   std::thread reloader;
@@ -173,17 +169,12 @@ void RunConcurrentReplay(int service_threads, bool reload_mid_stream) {
       // not depend on submission order.
       common::Rng order_rng(900 + session);
       const std::vector<size_t> order = order_rng.Permutation(rows);
-      for (const size_t row : order) {
-        RowRequest request = ArchiveRequest(fx.archive, session, row);
-        while (true) {
-          if (batcher.Submit(std::move(request)).ok()) break;
-          batcher.Flush();  // backpressure: help drain, retry
-        }
-      }
+      Batcher batcher(service->get(), 64, sink);
+      for (const size_t row : order) batcher.Submit(ArchiveRequest(fx.archive, session, row));
+      batcher.Flush();
     });
   }
   for (auto& t : sessions) t.join();
-  batcher.Close();
   done.store(true);
   if (reloader.joinable()) reloader.join();
 

@@ -31,6 +31,7 @@
 #include <cstring>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -169,7 +170,6 @@ void PrintServeUsage(std::FILE* out) {
                "    --strength=1.0     partial-repair strength\n"
                "    --threads=N        repair lanes per batch\n"
                "    --max_batch=256    rows coalesced per micro-batch\n"
-               "    --queue_depth=4096 pending-row bound (backpressure above)\n"
                "    --w1_threshold=0.10 --oor_threshold=0.05  drift thresholds\n"
                "  Replay mode (self-driving load, no sockets):\n"
                "    --replay=A.csv     archive to replay\n"
@@ -525,16 +525,10 @@ otfair::serve::RedesignerOptions ServeRedesignerOptions(const FlagParser& flags)
   return options;
 }
 
-otfair::common::Result<otfair::serve::BatcherOptions> ServeBatcherOptions(
-    const FlagParser& flags) {
-  otfair::serve::BatcherOptions options;
+otfair::common::Result<size_t> ServeMaxBatch(const FlagParser& flags) {
   const int max_batch = flags.GetInt("max_batch", 256);
-  const int queue_depth = flags.GetInt("queue_depth", 4096);
-  if (max_batch < 1 || queue_depth < 1)
-    return Status::InvalidArgument("--max_batch/--queue_depth must be >= 1");
-  options.max_batch = static_cast<size_t>(max_batch);
-  options.max_queue_depth = static_cast<size_t>(queue_depth);
-  return options;
+  if (max_batch < 1) return Status::InvalidArgument("--max_batch must be >= 1");
+  return static_cast<size_t>(max_batch);
 }
 
 /// Every serve mode ends with this write, so the next --recover resumes
@@ -560,23 +554,21 @@ int FinishDrain(otfair::serve::Checkpointer* checkpointer) {
   return 0;
 }
 
-/// Self-driving load mode: N concurrent sessions replay an archive CSV
-/// through the batcher, then metrics/health are printed as JSON lines.
-/// This is how serving throughput is measured in CI without sockets.
-int RunServeReplay(otfair::serve::RepairService& service,
-                   const otfair::serve::BatcherOptions& batcher_options,
+/// Self-driving load mode: N concurrent sessions replay an archive CSV,
+/// each through a batcher of its own over the shared service, then
+/// metrics/health are printed as JSON lines. This is how serving
+/// throughput is measured in CI without sockets.
+int RunServeReplay(otfair::serve::RepairService& service, size_t max_batch,
                    const otfair::data::Dataset& archive, size_t sessions,
                    otfair::serve::Redesigner* redesigner, int heal_drain_ms,
                    otfair::serve::Checkpointer* checkpointer) {
   std::atomic<uint64_t> submitted{0};
   std::atomic<uint64_t> responses{0};
   std::atomic<uint64_t> failures{0};
-  otfair::serve::Batcher batcher(
-      &service, batcher_options,
-      [&](const otfair::serve::RowResponse& response) {
-        responses.fetch_add(1, std::memory_order_relaxed);
-        if (!response.status.ok()) failures.fetch_add(1, std::memory_order_relaxed);
-      });
+  const auto sink = [&](const otfair::serve::RowResponse& response) {
+    responses.fetch_add(1, std::memory_order_relaxed);
+    if (!response.status.ok()) failures.fetch_add(1, std::memory_order_relaxed);
+  };
 
   const size_t dim = archive.dim();
   otfair::common::Timer timer;
@@ -584,8 +576,9 @@ int RunServeReplay(otfair::serve::RepairService& service,
   workers.reserve(sessions);
   for (size_t session = 0; session < sessions; ++session) {
     workers.emplace_back([&, session] {
+      otfair::serve::Batcher batcher(&service, max_batch, sink);
       for (size_t i = 0; i < archive.size(); ++i) {
-        // Drain: stop submitting; rows already accepted still complete.
+        // Drain: stop submitting; rows already submitted still complete.
         if (g_drain_signal != 0) break;
         otfair::serve::RowRequest request;
         request.session_id = session;
@@ -594,20 +587,13 @@ int RunServeReplay(otfair::serve::RepairService& service,
         request.s = archive.s(i);
         const double* row = archive.features().row(i);
         request.features.assign(row, row + dim);
-        // Backpressure: on a full queue the submitter drains a batch
-        // itself and retries — replay never drops a row.
-        while (true) {
-          Status status = batcher.Submit(std::move(request));
-          if (status.ok()) break;
-          batcher.Flush();
-        }
+        batcher.Submit(std::move(request));
         submitted.fetch_add(1, std::memory_order_relaxed);
       }
+      batcher.Flush();
     });
   }
   for (std::thread& worker : workers) worker.join();
-  batcher.Flush();
-  batcher.Close();
   const double seconds = timer.ElapsedSeconds();
   const bool drained = g_drain_signal != 0;
 
@@ -628,10 +614,10 @@ int RunServeReplay(otfair::serve::RepairService& service,
 
   WriteFinalCheckpoint(checkpointer);
 
-  // Under a drain only the rows actually accepted are owed responses.
+  // Under a drain only the rows actually submitted are owed responses.
   const uint64_t expected =
       drained ? submitted.load() : static_cast<uint64_t>(sessions) * archive.size();
-  const auto metrics = service.metrics().Snapshot(batcher.queue_depth());
+  const auto metrics = service.metrics().Snapshot();
   const auto health = service.Health();
   std::printf("%s\n%s\n", metrics.ToJson().c_str(), health.ToJson().c_str());
   std::fprintf(stderr,
@@ -669,15 +655,14 @@ int RunServeReplay(otfair::serve::RepairService& service,
 /// interrupts the read (the handlers install without SA_RESTART) and
 /// drains: the loop exits, pending rows flush, and a final checkpoint is
 /// written before the clean exit-0 return.
-int RunServeStdio(otfair::serve::RepairService& service,
-                  const otfair::serve::BatcherOptions& batcher_options,
+int RunServeStdio(otfair::serve::RepairService& service, size_t max_batch,
                   const otfair::serve::CheckpointHook& checkpoint,
                   otfair::serve::Checkpointer* checkpointer) {
   auto respond = [](const std::string& line) {
     std::fputs(line.c_str(), stdout);
     std::fputc('\n', stdout);
   };
-  otfair::serve::Batcher batcher(&service, batcher_options,
+  otfair::serve::Batcher batcher(&service, max_batch,
                                  [&](const otfair::serve::RowResponse& response) {
                                    respond(otfair::serve::FormatRowResponse(response));
                                  });
@@ -692,10 +677,7 @@ int RunServeStdio(otfair::serve::RepairService& service,
     using otfair::serve::RequestKind;
     if (request->kind == RequestKind::kQuit) return false;
     if (request->kind == RequestKind::kRepair) {
-      const uint64_t session = request->row.session_id;
-      const uint64_t row = request->row.row_index;
-      if (Status status = batcher.Submit(std::move(request->row)); !status.ok())
-        respond(otfair::serve::FormatErrorLine(session, row, status));
+      batcher.Submit(std::move(request->row));
       return true;
     }
     respond(otfair::serve::AnswerControlRequest(*request, service, batcher, checkpoint));
@@ -729,9 +711,9 @@ int RunServeStdio(otfair::serve::RepairService& service,
     batcher.Flush();
     std::fflush(stdout);
   }
-  // Drain (signal or quit/EOF): stop accepting, finish what was accepted,
-  // then persist the post-flush state so --recover resumes exactly here.
-  batcher.Close();
+  // Drain (signal or quit/EOF): stop reading, finish what was read, then
+  // persist the post-flush state so --recover resumes exactly here.
+  batcher.Flush();
   return FinishDrain(checkpointer);
 }
 
@@ -739,8 +721,7 @@ int RunServeStdio(otfair::serve::RepairService& service,
 /// over TCP by `net::Server`. The main thread just parks until a drain
 /// signal; the workers own all socket I/O.
 int RunServeNet(otfair::serve::RepairService& service, const FlagParser& flags,
-                const otfair::serve::BatcherOptions& batcher_options,
-                const otfair::serve::CheckpointHook& checkpoint,
+                size_t max_batch, const otfair::serve::CheckpointHook& checkpoint,
                 otfair::serve::Checkpointer* checkpointer) {
   otfair::net::ServerOptions options;
   const int listen_port = flags.GetInt("listen", 0);
@@ -754,7 +735,7 @@ int RunServeNet(otfair::serve::RepairService& service, const FlagParser& flags,
   const int max_conns = flags.GetInt("max-conns", 4096);
   if (max_conns < 1) return Fail(Status::InvalidArgument("--max-conns must be >= 1"));
   options.max_connections = static_cast<size_t>(max_conns);
-  options.batcher = batcher_options;
+  options.max_batch = max_batch;
   otfair::net::ServerHooks hooks;
   hooks.checkpoint = checkpoint;
   auto server = otfair::net::Server::Create(&service, options, std::move(hooks));
@@ -860,8 +841,8 @@ int RunServe(const FlagParser& flags) {
   }
   auto service_options = ServeServiceOptions(flags);
   if (!service_options.ok()) return Fail(service_options.status());
-  auto batcher_options = ServeBatcherOptions(flags);
-  if (!batcher_options.ok()) return Fail(batcher_options.status());
+  auto max_batch = ServeMaxBatch(flags);
+  if (!max_batch.ok()) return Fail(max_batch.status());
 
   std::unique_ptr<otfair::serve::RepairService> service;
   uint64_t recovered_generation = 0;
@@ -887,6 +868,21 @@ int RunServe(const FlagParser& flags) {
     auto created = otfair::serve::RepairService::Create(std::move(*plans), *service_options);
     if (!created.ok()) return Fail(created.status());
     service = std::move(*created);
+  }
+
+  // Replay inputs are read and checked before any background thread
+  // (self-heal, checkpoint, Prometheus dump) starts, so a bad archive or
+  // session count fails with exit 1 instead of leaving a thread behind.
+  const std::string replay_path = flags.GetString("replay", "");
+  std::optional<otfair::data::Dataset> replay_archive;
+  const int sessions = flags.GetInt("sessions", 1);
+  if (!replay_path.empty()) {
+    auto archive = otfair::data::ReadCsv(replay_path);
+    if (!archive.ok()) return Fail(archive.status());
+    if (archive->dim() != service->dim())
+      return Fail(Status::InvalidArgument("replay archive/plan dimensionality mismatch"));
+    if (sessions < 1) return Fail(Status::InvalidArgument("--sessions must be >= 1"));
+    replay_archive = std::move(*archive);
   }
 
   // The self-heal loop runs identically under both modes; it only talks to
@@ -954,22 +950,15 @@ int RunServe(const FlagParser& flags) {
 
   InstallDrainHandlers();
 
-  const std::string replay_path = flags.GetString("replay", "");
   int ret = 0;
-  if (!replay_path.empty()) {
-    auto archive = otfair::data::ReadCsv(replay_path);
-    if (!archive.ok()) return Fail(archive.status());
-    if (archive->dim() != service->dim())
-      return Fail(Status::InvalidArgument("replay archive/plan dimensionality mismatch"));
-    const int sessions = flags.GetInt("sessions", 1);
-    if (sessions < 1) return Fail(Status::InvalidArgument("--sessions must be >= 1"));
-    ret = RunServeReplay(*service, *batcher_options, *archive,
+  if (replay_archive) {
+    ret = RunServeReplay(*service, *max_batch, *replay_archive,
                          static_cast<size_t>(sessions), redesigner.get(),
                          flags.GetInt("heal_drain_ms", 20000), checkpointer.get());
   } else if (flags.Has("listen")) {
-    ret = RunServeNet(*service, flags, *batcher_options, checkpoint_hook, checkpointer.get());
+    ret = RunServeNet(*service, flags, *max_batch, checkpoint_hook, checkpointer.get());
   } else {
-    ret = RunServeStdio(*service, *batcher_options, checkpoint_hook, checkpointer.get());
+    ret = RunServeStdio(*service, *max_batch, checkpoint_hook, checkpointer.get());
   }
   // Stop order mirrors dependency order: the checkpoint loop reads the
   // service and redesigner, so it stops first (the modes already wrote
