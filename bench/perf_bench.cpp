@@ -633,9 +633,10 @@ int main(int argc, char** argv) {
   // --- redesign_to_reload_ms: one self-heal episode's critical path --------
   // A drift-tripped service (shifted replay filled the channel sketches),
   // then exactly what the background loop runs per attempt: sketch
-  // snapshot -> DesignFromQuantileFunctions -> validation -> hot
-  // ReloadPlan. A successful reload resets the drift state, so each repeat
-  // rebuilds the service and re-streams the shifted rows untimed.
+  // snapshot -> one Quantiles sweep per channel (512 pseudo-samples) ->
+  // DesignFromChannelSamples -> validation (one Cdfs sweep per channel)
+  // -> hot ReloadPlan. A successful reload resets the drift state, so each
+  // repeat rebuilds the service and re-streams the shifted rows untimed.
   {
     otfair::core::DesignOptions design_options;
     design_options.n_q = design_nq;

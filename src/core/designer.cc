@@ -1,8 +1,5 @@
 #include "core/designer.h"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -20,56 +17,28 @@ using common::Status;
 
 namespace {
 
-/// Shared option validation + plan-set skeleton for both design entry
-/// points. On success the plan set has its lambdas and target_t resolved;
-/// `pairwise_t` receives the binary geodesic position actually designed at.
-Result<RepairPlanSet> PreparePlans(size_t dim, std::vector<std::string> feature_names,
-                                   size_t s_levels, size_t u_levels,
-                                   const DesignOptions& options, double* pairwise_t) {
-  if (options.n_q < 2) return Status::InvalidArgument("n_q must be >= 2");
-  if (!(options.target_t >= 0.0 && options.target_t <= 1.0))
-    return Status::InvalidArgument("target_t must lie in [0, 1]");
-  if (options.threads < 0)
-    return Status::InvalidArgument("threads must be >= 1 (or 0 for the process default)");
-
-  // Resolve the barycentric weights (see ResolveLambdas: the binary
-  // default {1 - t, t} keeps the paper's single-knob geodesic
-  // parameterization and its exact arithmetic).
-  auto lambdas = ResolveLambdas(options.lambdas, options.target_t, s_levels);
-  if (!lambdas.ok()) return lambdas.status();
-
-  RepairPlanSet plans(dim, std::move(feature_names), s_levels, u_levels);
-  if (Status status = plans.set_lambdas(std::move(*lambdas)); !status.ok()) return status;
-  // Post-normalization weights drive the barycenters below. In the
-  // default binary case the raw target_t is used directly, so the paper's
-  // t-parameterized path is untouched by the normalization roundoff.
-  *pairwise_t = options.lambdas.empty() ? options.target_t : plans.lambdas()[1];
-  // The persisted t metadata reflects the geodesic position actually
-  // designed at: explicit binary lambdas override options.target_t.
-  plans.set_target_t(s_levels == 2 ? *pairwise_t : options.target_t);
-  return plans;
-}
-
-/// Steps (i)-(iv) of Algorithm 1 for one (u, k) channel, from materialized
-/// samples: `stratum_samples` spans the whole u-stratum (support range),
-/// `samples_by_s` carries the |S| conditional samples. Both design entry
-/// points funnel through here, so plan geometry is independent of whether
-/// the samples came from research rows or sketch quantile probes.
-Status DesignChannelFromSamples(const DesignOptions& options, const ot::Solver& solver,
-                                const std::vector<double>& lam, double pairwise_t,
-                                size_t s_levels, const std::vector<double>& stratum_samples,
-                                const std::vector<std::vector<double>>& samples_by_s,
-                                ChannelPlan* channel) {
+/// Steps (i)-(iv) of Algorithm 1 for one (u, k) channel from its |S|
+/// s-conditional samples, whose union spans the u-stratum. Research
+/// columns and sketch pseudo-samples both arrive here, so plan geometry is
+/// independent of where the samples came from.
+Status DesignChannel(const DesignOptions& options, const ot::Solver& solver,
+                     const std::vector<double>& lam, double pairwise_t,
+                     const std::vector<const std::vector<double>*>& samples_by_s,
+                     ChannelPlan* channel) {
   OTFAIR_TRACE_SPAN("design_channel");
+  const size_t s_levels = samples_by_s.size();
   // (i) Interpolated support over the stratum's range (Algorithm 1,
   // lines 3-5).
-  auto grid = SupportGrid::FromSamples(stratum_samples, options.n_q);
+  std::vector<double> stratum;
+  for (const std::vector<double>* samples : samples_by_s)
+    stratum.insert(stratum.end(), samples->begin(), samples->end());
+  auto grid = SupportGrid::FromSamples(stratum, options.n_q);
   if (!grid.ok()) return grid.status();
   channel->grid = std::move(*grid);
 
   // (ii) KDE-interpolated s-conditional marginals (line 8, Eq. 11).
   for (size_t s = 0; s < s_levels; ++s) {
-    auto marginal = InterpolateMarginal(samples_by_s[s], channel->grid, options.marginal);
+    auto marginal = InterpolateMarginal(*samples_by_s[s], channel->grid, options.marginal);
     if (!marginal.ok()) return marginal.status();
     channel->marginal[s] = std::move(*marginal);
   }
@@ -105,64 +74,19 @@ Status DesignChannelFromSamples(const DesignOptions& options, const ot::Solver& 
 Result<RepairPlanSet> DesignDistributionalRepair(const data::Dataset& research,
                                                  const DesignOptions& options) {
   if (research.empty()) return Status::InvalidArgument("empty research dataset");
-  const ot::Solver& solver = options.solver ? *options.solver : *ot::DefaultSolver();
-  const size_t s_levels = research.s_levels();
-  const size_t u_levels = research.u_levels();
-
-  double pairwise_t = options.target_t;
-  auto prepared = PreparePlans(research.dim(), research.feature_names(), s_levels, u_levels,
-                               options, &pairwise_t);
-  if (!prepared.ok()) return prepared.status();
-  RepairPlanSet plans = std::move(*prepared);
-  const std::vector<double>& lam = plans.lambdas();
-
-  // Row-index strata, gathered (and validated) up front so the channel
-  // designs below are fully independent of one another.
-  struct Stratum {
-    std::vector<std::vector<size_t>> idx_by_s;  // per s level
-    std::vector<size_t> idx_all;                // all u rows
-  };
-  std::vector<Stratum> strata(u_levels);
-  for (size_t u = 0; u < u_levels; ++u) {
-    Stratum& stratum = strata[u];
-    stratum.idx_by_s.resize(s_levels);
-    for (size_t s = 0; s < s_levels; ++s) {
-      stratum.idx_by_s[s] =
-          research.GroupIndices({static_cast<int>(u), static_cast<int>(s)});
-      if (stratum.idx_by_s[s].size() < options.min_group_size)
-        return Status::FailedPrecondition(
-            "research group (u=" + std::to_string(u) + ", s=" + std::to_string(s) +
-            ") lacks labelled rows; collect more research data");
-    }
-    stratum.idx_all = research.UIndices(static_cast<int>(u));
-  }
-
-  auto design_channel = [&](size_t u, size_t k) -> Status {
-    const Stratum& stratum = strata[u];
-    std::vector<std::vector<double>> samples_by_s(s_levels);
-    for (size_t s = 0; s < s_levels; ++s)
-      samples_by_s[s] = research.FeatureColumn(k, stratum.idx_by_s[s]);
-    return DesignChannelFromSamples(options, solver, lam, pairwise_t, s_levels,
-                                    research.FeatureColumn(k, stratum.idx_all), samples_by_s,
-                                    &plans.At(static_cast<int>(u), k));
-  };
-
-  // The d * |U| channels are independent: each task writes only its own
-  // ChannelPlan slot, so any schedule produces bit-identical plans (and
-  // a deterministic first error). Task order (u-major, k-minor) matches
-  // the historical serial loop.
-  const size_t dim = research.dim();
-  Status status = common::parallel::ParallelForStatus(
-      0, u_levels * dim,
-      [&](size_t task) { return design_channel(task / dim, task % dim); },
-      static_cast<size_t>(options.threads));
-  if (!status.ok()) return status;
-  return plans;
+  // Every (u, s) group's column of every feature, in row order: the
+  // (u * s_levels + s) * dim + k channel order.
+  std::vector<std::vector<double>> channels;
+  for (const std::vector<size_t>& rows : research.GroupIndexBuckets())
+    for (size_t k = 0; k < research.dim(); ++k)
+      channels.push_back(research.FeatureColumn(k, rows));
+  return DesignFromChannelSamples(research.dim(), research.feature_names(), research.s_levels(),
+                                  research.u_levels(), channels, options);
 }
 
-Result<RepairPlanSet> DesignFromQuantileFunctions(
+Result<RepairPlanSet> DesignFromChannelSamples(
     size_t dim, std::vector<std::string> feature_names, size_t s_levels, size_t u_levels,
-    const std::vector<StreamChannelQuantiles>& channels, const DesignOptions& options) {
+    const std::vector<std::vector<double>>& channels, const DesignOptions& options) {
   if (dim == 0) return Status::InvalidArgument("dim must be >= 1");
   if (s_levels < 2) return Status::InvalidArgument("s_levels must be >= 2");
   if (u_levels < 1) return Status::InvalidArgument("u_levels must be >= 1");
@@ -170,68 +94,54 @@ Result<RepairPlanSet> DesignFromQuantileFunctions(
     return Status::InvalidArgument(
         "expected " + std::to_string(u_levels * s_levels * dim) + " channels (" +
         "(u * s_levels + s) * dim + k order), got " + std::to_string(channels.size()));
-  if (options.quantile_pseudo_samples < 2)
-    return Status::InvalidArgument("quantile_pseudo_samples must be >= 2");
+  if (options.n_q < 2) return Status::InvalidArgument("n_q must be >= 2");
+  if (!(options.target_t >= 0.0 && options.target_t <= 1.0))
+    return Status::InvalidArgument("target_t must lie in [0, 1]");
+  if (options.threads < 0)
+    return Status::InvalidArgument("threads must be >= 1 (or 0 for the process default)");
+
+  // Resolve the barycentric weights (see ResolveLambdas: the binary
+  // default {1 - t, t} keeps the paper's single-knob geodesic
+  // parameterization and its exact arithmetic).
+  auto lambdas = ResolveLambdas(options.lambdas, options.target_t, s_levels);
+  if (!lambdas.ok()) return lambdas.status();
+  RepairPlanSet plans(dim, std::move(feature_names), s_levels, u_levels);
+  if (Status status = plans.set_lambdas(std::move(*lambdas)); !status.ok()) return status;
+  // Post-normalization weights drive the barycenters below. In the
+  // default binary case the raw target_t is used directly, so the paper's
+  // t-parameterized path is untouched by the normalization roundoff.
+  const double pairwise_t = options.lambdas.empty() ? options.target_t : plans.lambdas()[1];
+  // The persisted t metadata reflects the geodesic position actually
+  // designed at: explicit binary lambdas override options.target_t.
+  plans.set_target_t(s_levels == 2 ? pairwise_t : options.target_t);
+
+  // A thin channel cannot estimate its conditional marginal; it is
+  // rejected before any solver work.
+  for (size_t c = 0; c < channels.size(); ++c) {
+    if (channels[c].size() >= options.min_group_size) continue;
+    return Status::FailedPrecondition(
+        "channel (u=" + std::to_string(c / (s_levels * dim)) +
+        ", s=" + std::to_string(c / dim % s_levels) + ", k=" + std::to_string(c % dim) +
+        ") has " + std::to_string(channels[c].size()) + " samples, below min_group_size " +
+        std::to_string(options.min_group_size) + "; collect more data");
+  }
+
+  // The d * |U| (u, k) channel designs are independent: each task writes
+  // only its own ChannelPlan slot, so any schedule produces bit-identical
+  // plans (and a deterministic first error). Task order is u-major,
+  // k-minor.
   const ot::Solver& solver = options.solver ? *options.solver : *ot::DefaultSolver();
-
-  double pairwise_t = options.target_t;
-  auto prepared = PreparePlans(dim, std::move(feature_names), s_levels, u_levels, options,
-                               &pairwise_t);
-  if (!prepared.ok()) return prepared.status();
-  RepairPlanSet plans = std::move(*prepared);
-  const std::vector<double>& lam = plans.lambdas();
-
-  // Materialize each channel's quantile function as midpoint probes
-  // Q((i + 0.5) / n) — deterministic, and an unbiased stand-in for an
-  // n-point equal-mass sample of the streamed distribution. Rejects thin
-  // channels (mirroring the dataset path's min_group_size gate) and
-  // broken quantile functions up front, before any solver work.
-  auto probe_channel = [&](size_t u, size_t s, size_t k,
-                           std::vector<double>* out) -> Status {
-    const StreamChannelQuantiles& channel = channels[(u * s_levels + s) * dim + k];
-    const std::string tag = "(u=" + std::to_string(u) + ", s=" + std::to_string(s) +
-                            ", k=" + std::to_string(k) + ")";
-    if (!channel.quantile)
-      return Status::InvalidArgument("channel " + tag + " has no quantile function");
-    if (channel.count < options.min_group_size)
-      return Status::FailedPrecondition(
-          "stream channel " + tag + " has only " + std::to_string(channel.count) +
-          " observations; need " + std::to_string(options.min_group_size) +
-          " before redesign");
-    const size_t n = std::min<uint64_t>(channel.count, options.quantile_pseudo_samples);
-    out->resize(n);
-    double prev = -std::numeric_limits<double>::infinity();
-    for (size_t i = 0; i < n; ++i) {
-      const double p = (static_cast<double>(i) + 0.5) / static_cast<double>(n);
-      const double x = channel.quantile(p);
-      if (!std::isfinite(x))
-        return Status::InvalidArgument("quantile function for channel " + tag +
-                                       " returned a non-finite value");
-      if (x < prev)
-        return Status::InvalidArgument("quantile function for channel " + tag +
-                                       " is not monotone");
-      prev = x;
-      (*out)[i] = x;
-    }
-    return Status::Ok();
-  };
-
-  auto design_channel = [&](size_t u, size_t k) -> Status {
-    std::vector<std::vector<double>> samples_by_s(s_levels);
-    std::vector<double> stratum_samples;
-    for (size_t s = 0; s < s_levels; ++s) {
-      OTFAIR_RETURN_IF_ERROR(probe_channel(u, s, k, &samples_by_s[s]));
-      stratum_samples.insert(stratum_samples.end(), samples_by_s[s].begin(),
-                             samples_by_s[s].end());
-    }
-    return DesignChannelFromSamples(options, solver, lam, pairwise_t, s_levels,
-                                    stratum_samples, samples_by_s,
-                                    &plans.At(static_cast<int>(u), k));
-  };
-
   Status status = common::parallel::ParallelForStatus(
       0, u_levels * dim,
-      [&](size_t task) { return design_channel(task / dim, task % dim); },
+      [&](size_t task) {
+        const size_t u = task / dim;
+        const size_t k = task % dim;
+        std::vector<const std::vector<double>*> samples_by_s;
+        for (size_t s = 0; s < s_levels; ++s)
+          samples_by_s.push_back(&channels[(u * s_levels + s) * dim + k]);
+        return DesignChannel(options, solver, plans.lambdas(), pairwise_t, samples_by_s,
+                             &plans.At(static_cast<int>(u), k));
+      },
       static_cast<size_t>(options.threads));
   if (!status.ok()) return status;
   return plans;

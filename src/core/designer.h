@@ -2,7 +2,6 @@
 #define OTFAIR_CORE_DESIGNER_H_
 
 #include <cstddef>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -37,20 +36,15 @@ struct DesignOptions {
   /// for cross-validation, or "sinkhorn" with tuned `SolverOptions`).
   std::shared_ptr<const ot::Solver> solver;
   MarginalOptions marginal;
-  /// Minimum research rows per (u, s) group; below this the design is
-  /// rejected (the conditional marginal cannot be estimated).
+  /// Minimum samples per (u, s, k) channel (research rows per (u, s)
+  /// group); below this the design is rejected with FailedPrecondition
+  /// (the conditional marginal cannot be estimated).
   size_t min_group_size = 2;
   /// Worker threads for the independent (u, k) channel designs. 0 means
   /// the process-wide default (`OTFAIR_THREADS`, else hardware
   /// concurrency); 1 forces the serial path; negative is rejected.
   /// Output is bit-identical across thread counts.
   int threads = 0;
-  /// Pseudo-sample budget per (u, s, k) channel for
-  /// `DesignFromQuantileFunctions` (ignored by the dataset entry point).
-  /// The quantile function is probed at the midpoints (i + 0.5) / n, so a
-  /// larger budget tracks the streamed distribution more finely; the
-  /// default saturates KDE accuracy well past the paper's n_Q range.
-  size_t quantile_pseudo_samples = 512;
 };
 
 /// Algorithm 1: designs the (u, s, k)-indexed distributional repair plans
@@ -68,29 +62,19 @@ struct DesignOptions {
 common::Result<RepairPlanSet> DesignDistributionalRepair(const data::Dataset& research,
                                                          const DesignOptions& options = {});
 
-/// One (u, s, k) channel's streamed distribution, summarized by a monotone
-/// quantile function Q : [0, 1] -> R and the number of observations behind
-/// it. This is the designer input for online redesign: a bounded-memory
-/// sketch (see stats::QuantileSketch) stands in for the raw column, so no
-/// raw rows are ever retained off the hot path.
-struct StreamChannelQuantiles {
-  std::function<double(double)> quantile;
-  uint64_t count = 0;
-};
-
-/// Algorithm 1 driven by per-channel quantile functions instead of research
-/// columns. `channels` is indexed `(u * s_levels + s) * dim + k` (the
-/// DriftMonitor state order) and must cover every channel with at least
-/// `options.min_group_size` observations. Each channel is materialized as
-/// `options.quantile_pseudo_samples` deterministic pseudo-samples
-/// Q((i + 0.5) / n) and then flows through the identical support-grid /
-/// KDE-marginal / barycentre / OT-solve pipeline as the dataset entry
-/// point — the two paths produce the same plan geometry for the same
-/// underlying distribution. A non-monotone or non-finite quantile function
-/// is rejected (InvalidArgument), never silently designed around.
-common::Result<RepairPlanSet> DesignFromQuantileFunctions(
+/// Algorithm 1 driven by per-channel pseudo-samples instead of research
+/// columns: the online-redesign input, where each (u, s, k) channel's
+/// streamed distribution arrives as values read off a bounded-memory
+/// stats::QuantileSketch, so no raw rows are ever retained.
+/// `channels` is indexed `(u * s_levels + s) * dim + k` (the DriftMonitor
+/// state order), and every channel must hold at least
+/// `options.min_group_size` samples. The samples flow through the same
+/// support-grid / KDE-marginal / barycentre / OT-solve pipeline as the
+/// dataset entry point, so the two paths produce the same plan geometry
+/// for the same underlying distribution.
+common::Result<RepairPlanSet> DesignFromChannelSamples(
     size_t dim, std::vector<std::string> feature_names, size_t s_levels, size_t u_levels,
-    const std::vector<StreamChannelQuantiles>& channels, const DesignOptions& options = {});
+    const std::vector<std::vector<double>>& channels, const DesignOptions& options = {});
 
 }  // namespace otfair::core
 

@@ -332,6 +332,8 @@ const JointPairRepairer::StratumPlan& JointPairRepairer::PlanFor(int u) const {
 std::pair<double, double> JointPairRepairer::RepairPair(int u, int s, double x, double y,
                                                         Rng& rng) const {
   OTFAIR_CHECK(s >= 0 && static_cast<size_t>(s) < s_levels_);
+  // Locate would cast a NaN offset to an index.
+  OTFAIR_CHECK(std::isfinite(x) && std::isfinite(y)) << "RepairPair needs finite values";
   const StratumPlan& stratum = PlanFor(u);
   const size_t ny = stratum.grid_y.size();
 
@@ -360,6 +362,7 @@ Result<data::Dataset> JointPairRepairer::RepairDataset(const data::Dataset& data
         dataset.u(i) < 0 || static_cast<size_t>(dataset.u(i)) >= strata_.size())
       return Status::InvalidArgument("dataset labels exceed the designed group levels");
   }
+  OTFAIR_RETURN_IF_ERROR(dataset.CheckFinite());
   data::Dataset repaired = dataset.Clone();
   // Row i draws from sub-stream (seed, i), so rows are order-independent
   // and the parallel batch is bit-identical to the serial one.

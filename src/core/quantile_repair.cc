@@ -101,6 +101,8 @@ const QuantileMapRepairer::CdfTable& QuantileMapRepairer::TargetCdf(int u, size_
 }
 
 double QuantileMapRepairer::RepairValue(int u, int s, size_t k, double x) const {
+  // Evaluate(NaN) fails both end checks and indexes past the table.
+  OTFAIR_CHECK(std::isfinite(x)) << "RepairValue needs a finite value";
   const double q = SourceCdf(u, s, k).Evaluate(x);
   const double transported = TargetCdf(u, k).Quantile(q);
   return (1.0 - strength_) * x + strength_ * transported;
@@ -133,6 +135,7 @@ Result<data::Dataset> QuantileMapRepairer::RepairDatasetWithLabels(
     if (u < 0 || static_cast<size_t>(u) >= plans_.u_levels())
       return Status::InvalidArgument("dataset u labels exceed the plan's u levels");
   }
+  OTFAIR_RETURN_IF_ERROR(dataset.CheckFinite());
   data::Dataset repaired = dataset.Clone();
   for (size_t i = 0; i < dataset.size(); ++i) {
     for (size_t k = 0; k < dataset.dim(); ++k) {
@@ -156,6 +159,7 @@ Result<data::Dataset> QuantileMapRepairer::RepairDatasetSoft(
     if (!(p >= 0.0 && p <= 1.0))
       return Status::InvalidArgument("posteriors must lie in [0, 1]");
   }
+  OTFAIR_RETURN_IF_ERROR(dataset.CheckFinite());
   data::Dataset repaired = dataset.Clone();
   for (size_t i = 0; i < dataset.size(); ++i) {
     for (size_t k = 0; k < dataset.dim(); ++k) {

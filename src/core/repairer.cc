@@ -1,7 +1,6 @@
 #include "core/repairer.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <string>
 #include <utility>
@@ -36,27 +35,6 @@ struct DatasetRows {
   void set_feature(size_t i, size_t k, double value) const { out.set_feature(i, k, value); }
   common::Rng rng(size_t i) const { return common::Rng::ForStream(seed, i); }
 };
-
-/// A non-finite feature has no place on the grid (Locate cannot cast NaN
-/// to a row, and the blend turns inf into NaN), so the batch entry points
-/// reject it as the CSV reader and the serving protocol do.
-Status CheckFinite(const data::Dataset& dataset) {
-  const double* values = dataset.features().data();
-  const size_t n = dataset.size() * dataset.dim();
-  // A value is not finite when its exponent field is all ones, which is
-  // when the field plus one carries into the sign bit. AND, ADD and OR
-  // vectorize on any x86-64, where a loop of std::isfinite does not.
-  constexpr uint64_t kExponent = 0x7FF0000000000000;
-  constexpr uint64_t kExponentOne = 0x0010000000000000;
-  uint64_t carries = 0;
-  for (size_t i = 0; i < n; ++i)
-    carries |= (std::bit_cast<uint64_t>(values[i]) & kExponent) + kExponentOne;
-  if (carries >> 63 == 0) return Status::Ok();
-  const size_t i = static_cast<size_t>(
-      std::find_if(values, values + n, [](double v) { return !std::isfinite(v); }) - values);
-  return Status::InvalidArgument("feature " + std::to_string(i % dataset.dim()) + " of row " +
-                                 std::to_string(i / dataset.dim()) + " is not finite");
-}
 
 /// Soft repair: row i's generator resumes after its class draw.
 struct SoftRows : DatasetRows {
@@ -302,7 +280,7 @@ Result<data::Dataset> OffSampleRepairer::RepairDatasetWithLabels(
     if (u < 0 || static_cast<size_t>(u) >= plans_.u_levels())
       return Status::InvalidArgument("dataset u labels exceed the plan's u levels");
   }
-  OTFAIR_RETURN_IF_ERROR(CheckFinite(dataset));
+  OTFAIR_RETURN_IF_ERROR(dataset.CheckFinite());
   data::Dataset repaired = dataset.Clone();
   stats_ += RepairRows(dataset.size(), DatasetRows{dataset, s_labels, repaired, options_.seed});
   return repaired;
@@ -321,7 +299,7 @@ Result<data::Dataset> OffSampleRepairer::RepairDatasetSoft(const data::Dataset& 
     if (!(p >= 0.0 && p <= 1.0))
       return Status::InvalidArgument("posteriors must lie in [0, 1]");
   }
-  OTFAIR_RETURN_IF_ERROR(CheckFinite(dataset));
+  OTFAIR_RETURN_IF_ERROR(dataset.CheckFinite());
   // One class draw per row, shared by all channels: a record is repaired
   // coherently under a single imputed protected label.
   std::vector<int> s_labels(dataset.size());

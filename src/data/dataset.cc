@@ -1,6 +1,9 @@
 #include "data/dataset.h"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <string>
 
 #include "common/check.h"
 #include "common/status.h"
@@ -74,6 +77,24 @@ Result<Dataset> Dataset::Create(Matrix features, std::vector<int> s, std::vector
 std::vector<double> Dataset::Row(size_t i) const {
   OTFAIR_CHECK_LT(i, size());
   return std::vector<double>(features_.row(i), features_.row(i) + dim());
+}
+
+Status Dataset::CheckFinite() const {
+  const double* values = features_.data();
+  const size_t n = size() * dim();
+  // A value is not finite when its exponent field is all ones, which is
+  // when the field plus one carries into the sign bit. AND, ADD and OR
+  // vectorize on any x86-64, where a loop of std::isfinite does not.
+  constexpr uint64_t kExponent = 0x7FF0000000000000;
+  constexpr uint64_t kExponentOne = 0x0010000000000000;
+  uint64_t carries = 0;
+  for (size_t i = 0; i < n; ++i)
+    carries |= (std::bit_cast<uint64_t>(values[i]) & kExponent) + kExponentOne;
+  if (carries >> 63 == 0) return Status::Ok();
+  const size_t i = static_cast<size_t>(
+      std::find_if(values, values + n, [](double v) { return !std::isfinite(v); }) - values);
+  return Status::InvalidArgument("feature " + std::to_string(i % dim()) + " of row " +
+                                 std::to_string(i / dim()) + " is not finite");
 }
 
 std::vector<GroupKey> Dataset::Groups() const {

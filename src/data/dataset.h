@@ -90,6 +90,11 @@ class Dataset {
   /// Row i as a vector (length dim()).
   std::vector<double> Row(size_t i) const;
 
+  /// InvalidArgument naming the first non-finite feature, else Ok. A
+  /// non-finite value has no place on a repair grid, so every batch repair
+  /// entry point rejects it, as the CSV reader and the serving protocol do.
+  common::Status CheckFinite() const;
+
   /// All |U| x |S| (u, s) groups of this dataset in canonical order
   /// (u-major, s-minor). Replaces the binary-era free AllGroups().
   std::vector<GroupKey> Groups() const;

@@ -1,5 +1,6 @@
 #include "serve/batcher.h"
 
+#include <optional>
 #include <utility>
 
 #include "obs/trace.h"
@@ -14,9 +15,14 @@ Batcher::Batcher(RepairService* service, size_t max_batch, Sink sink)
 Batcher::~Batcher() { Flush(); }
 
 void Batcher::Submit(RowRequest&& request) {
-  OTFAIR_TRACE_SPAN("admit");
-  if (submitted_++ % kLatencySampleEvery == 0)
+  // Only the rows the latency clock samples trace their admission: a span
+  // per row would flood the thread's trace ring and push out the
+  // batch-level spans.
+  std::optional<obs::TraceSpan> admit;
+  if (submitted_++ % kLatencySampleEvery == 0) {
+    admit.emplace("admit");
     sampled_.push_back(std::chrono::steady_clock::now());
+  }
   pending_.push_back(std::move(request));
   // Caller-runs: the submit that fills a batch executes it, so no row
   // waits on another thread and no buffer outgrows one batch.

@@ -39,7 +39,8 @@ class Batcher {
   /// Every kLatencySampleEvery-th submitted row is timestamped and its
   /// queue wait + batch execution recorded in the latency histogram: one
   /// clock read per 16 rows keeps the hot path cheap while the quantiles
-  /// stay faithful at serving rates.
+  /// stay faithful at serving rates. Only these rows record an `admit`
+  /// trace span.
   static constexpr uint64_t kLatencySampleEvery = 16;
 
   /// `service` must outlive the batcher; `max_batch` 0 is treated as 1.

@@ -1,36 +1,11 @@
 #include "serve/metrics.h"
 
-#include <cmath>
-
 #include "common/json_writer.h"
 #include "obs/prometheus.h"
 
 namespace otfair::serve {
 
 namespace {
-
-/// Legacy quantile estimator kept byte-identical to the pre-registry
-/// implementation: nearest-rank over the log-linear buckets, reported as
-/// the (fractional) bucket midpoint, never clipped by the observed max.
-double LegacyQuantileUs(double q, const obs::Histogram::Snapshot& snap) {
-  if (snap.count == 0) return 0.0;
-  uint64_t rank = static_cast<uint64_t>(std::ceil(q * static_cast<double>(snap.count)));
-  if (rank < 1) rank = 1;
-  if (rank > snap.count) rank = snap.count;
-  uint64_t seen = 0;
-  for (int b = 0; b < obs::Histogram::kBuckets; ++b) {
-    seen += snap.counts[b];
-    if (seen >= rank) {
-      if (b < 8) return static_cast<double>(b);
-      const int exp = 3 + (b - 8) / 8;
-      const int sub = (b - 8) % 8;
-      const double lo = std::ldexp(1.0 + static_cast<double>(sub) / 8.0, exp);
-      const double width = std::ldexp(1.0 / 8.0, exp);
-      return lo + width / 2.0;
-    }
-  }
-  return static_cast<double>(obs::Histogram::BucketValueUs(obs::Histogram::kBuckets - 1));
-}
 
 obs::Counter* MustCounter(obs::Registry& registry, const char* name, const char* help) {
   return registry.AddCounter(name, help).value();
@@ -115,9 +90,9 @@ void Metrics::FillLegacy(MetricsSnapshot* snap, uint64_t queue_depth) const {
   obs::Histogram::Snapshot consistent = hist;
   consistent.count = samples;
   snap->latency_samples = samples;
-  snap->latency_p50_us = LegacyQuantileUs(0.50, consistent);
-  snap->latency_p90_us = LegacyQuantileUs(0.90, consistent);
-  snap->latency_p99_us = LegacyQuantileUs(0.99, consistent);
+  snap->latency_p50_us = static_cast<double>(consistent.QuantileUs(0.50));
+  snap->latency_p90_us = static_cast<double>(consistent.QuantileUs(0.90));
+  snap->latency_p99_us = static_cast<double>(consistent.QuantileUs(0.99));
   snap->latency_max_us = static_cast<double>(hist.max);
 
   snap->degraded = degraded();
@@ -153,9 +128,9 @@ MetricsSnapshot Metrics::ScrapeSnapshot(uint64_t queue_depth) {
   obs::Histogram::Snapshot window =
       window_base_.counts.empty() ? cur : obs::Histogram::Delta(cur, window_base_);
   window_samples_ = window.count;
-  window_p50_us_ = LegacyQuantileUs(0.50, window);
-  window_p90_us_ = LegacyQuantileUs(0.90, window);
-  window_p99_us_ = LegacyQuantileUs(0.99, window);
+  window_p50_us_ = static_cast<double>(window.QuantileUs(0.50));
+  window_p90_us_ = static_cast<double>(window.QuantileUs(0.90));
+  window_p99_us_ = static_cast<double>(window.QuantileUs(0.99));
   window_base_ = std::move(cur);
 
   snap.window_latency_samples = window_samples_;

@@ -31,7 +31,8 @@ struct MetricsSnapshot {
   /// checkpoint failure — it only loses durability freshness).
   uint64_t checkpoints_written = 0;
   uint64_t checkpoints_failed = 0;
-  /// Latency samples recorded (batcher-path requests only).
+  /// Latency samples recorded (batcher-path requests only). Quantiles are
+  /// nearest-rank bucket midpoints clamped to the recorded max.
   uint64_t latency_samples = 0;
   double latency_p50_us = 0.0;
   double latency_p90_us = 0.0;
@@ -53,7 +54,8 @@ struct MetricsSnapshot {
   uint64_t redesign_gave_up = 0;
   /// Latency quantiles over the last closed scrape window (delta between
   /// the two most recent scrapes), as opposed to the lifetime aggregates
-  /// above. Zero until the first window closes.
+  /// above, clamped to the lifetime max. Zero until the first window
+  /// closes.
   uint64_t window_latency_samples = 0;
   double window_latency_p50_us = 0.0;
   double window_latency_p90_us = 0.0;

@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/designer.h"
 #include "core/drift_monitor.h"
 #include "obs/trace.h"
 #include "ot/measure.h"
@@ -29,21 +30,32 @@ double SketchFitW1(const stats::QuantileSketch& sketch, const core::SupportGrid&
   const std::vector<double>& points = grid.points();
   const size_t n = points.size();
   if (n < 2 || sketch.count() == 0) return 0.0;
+  // CDF at the midpoint between states i and i+1: every streamed value
+  // below it bins to state <= i (nearest-state binning, as the drift
+  // histogram does). Out-of-range mass clamps into the end states.
+  std::vector<double> midpoints(n - 1);
+  for (size_t i = 0; i + 1 < n; ++i) midpoints[i] = 0.5 * (points[i] + points[i + 1]);
+  const std::vector<double> cum_stream = sketch.Cdfs(midpoints);
   double gap_sum = 0.0;
   double cum_design = 0.0;
   for (size_t i = 0; i + 1 < n; ++i) {
-    // CDF at the midpoint between states i and i+1: every streamed value
-    // below it bins to state <= i (nearest-state binning, as the drift
-    // histogram does). Out-of-range mass clamps into the end states.
-    const double cum_stream = sketch.Cdf(0.5 * (points[i] + points[i + 1]));
     cum_design += marginal.weight_at(i);
-    gap_sum += std::fabs(cum_stream - cum_design);
+    gap_sum += std::fabs(cum_stream[i] - cum_design);
   }
   const double span = grid.hi() - grid.lo();
   return span > 0.0 ? grid.step() * gap_sum / span : 0.0;
 }
 
 }  // namespace
+
+std::vector<double> SketchPseudoSamples(const stats::QuantileSketch& sketch) {
+  const size_t n =
+      static_cast<size_t>(std::min<uint64_t>(sketch.count(), kRedesignPseudoSamples));
+  std::vector<double> ps(n);
+  for (size_t i = 0; i < n; ++i)
+    ps[i] = (static_cast<double>(i) + 0.5) / static_cast<double>(n);
+  return sketch.Quantiles(ps);
+}
 
 Redesigner::Redesigner(RepairService* service, const RedesignerOptions& options,
                        FaultInjector faults)
@@ -176,7 +188,7 @@ void Redesigner::StepOnce() {
   {
     const std::vector<stats::QuantileSketch> sketches = service_->SketchSnapshot();
     const uint64_t need =
-        std::max<uint64_t>(options_.min_channel_count, options_.design.min_group_size);
+        std::max<uint64_t>(options_.min_channel_count, core::DesignOptions{}.min_group_size);
     bool ripe = true;
     for (const stats::QuantileSketch& sketch : sketches)
       if (sketch.count() < need) {
@@ -257,7 +269,7 @@ Status Redesigner::AttemptRedesign(
   // Stage 1: bounded-memory inputs. The sketch snapshot and the drift
   // level the candidate must beat are taken back to back, so both describe
   // the same serving snapshot (a concurrent reload would reset both).
-  std::vector<stats::QuantileSketch> sketches =
+  const std::vector<stats::QuantileSketch> sketches =
       sketches_override != nullptr ? *sketches_override : service_->SketchSnapshot();
   if (sketches.empty())
     return Status::FailedPrecondition("sketches disabled; cannot redesign from stream");
@@ -274,24 +286,21 @@ Status Redesigner::AttemptRedesign(
   // Stage 2: rebuild through the designer, inheriting the live plan's
   // geometry so the replacement is drop-in compatible.
   const RepairService::PlanGeometry geometry = service_->Geometry();
-  core::DesignOptions design = options_.design;
+  core::DesignOptions design;
   design.n_q = geometry.n_q;
   design.lambdas = geometry.lambdas;
   design.target_t = geometry.target_t;
 
   const size_t dim = service_->dim();
   const size_t s_levels = service_->s_levels();
-  auto shared =
-      std::make_shared<const std::vector<stats::QuantileSketch>>(std::move(sketches));
-  std::vector<core::StreamChannelQuantiles> channels(shared->size());
-  for (size_t c = 0; c < shared->size(); ++c) {
-    channels[c].count = (*shared)[c].count();
-    channels[c].quantile = [shared, c](double p) { return (*shared)[c].Quantile(p); };
-  }
   auto candidate = [&] {
     OTFAIR_TRACE_SPAN("redesign_design");
-    return core::DesignFromQuantileFunctions(dim, geometry.feature_names, s_levels,
-                                             service_->u_levels(), channels, design);
+    std::vector<std::vector<double>> channels;
+    channels.reserve(sketches.size());
+    for (const stats::QuantileSketch& sketch : sketches)
+      channels.push_back(SketchPseudoSamples(sketch));
+    return core::DesignFromChannelSamples(dim, geometry.feature_names, s_levels,
+                                          service_->u_levels(), channels, design);
   }();
   if (!candidate.ok()) return candidate.status();
   if (past_deadline())
@@ -318,7 +327,7 @@ Status Redesigner::AttemptRedesign(
           for (size_t k = 0; k < dim; ++k) {
             const core::ChannelPlan& channel = candidate->At(static_cast<int>(u), k);
             for (size_t s = 0; s < s_levels; ++s) {
-              const double fit = SketchFitW1((*shared)[(u * s_levels + s) * dim + k],
+              const double fit = SketchFitW1(sketches[(u * s_levels + s) * dim + k],
                                              channel.grid, channel.marginal[s]);
               worst_fit = std::max(worst_fit, fit);
             }

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -12,9 +13,9 @@
 
 #include "common/result.h"
 #include "common/status.h"
-#include "core/designer.h"
 #include "serve/fault_injector.h"
 #include "serve/repair_service.h"
+#include "stats/quantile_sketch.h"
 
 namespace otfair::serve {
 
@@ -48,12 +49,17 @@ struct RedesignerOptions {
   /// draining) falls back to the stashed mixture — which still contains
   /// the drifted suffix — instead of waiting forever.
   int fresh_sketch_wait_ms = 2000;
-  /// Designer knobs for the rebuilt plan. Grid resolution (n_q), lambdas
-  /// and target_t are always inherited from the live plan so the
-  /// replacement is drop-in compatible; the solver/marginal/pseudo-sample
-  /// fields apply as-is.
-  core::DesignOptions design;
 };
+
+/// Pseudo-samples per (u, s, k) channel in a redesign. 512 tracks the
+/// streamed distribution well past KDE accuracy at the paper's n_Q range.
+constexpr size_t kRedesignPseudoSamples = 512;
+
+/// One channel's redesign input: the sketch's quantiles at the midpoints
+/// (i + 0.5) / n, n = min(count, kRedesignPseudoSamples), read in one
+/// sweep — deterministic, and an n-point equal-mass stand-in for the
+/// streamed distribution.
+std::vector<double> SketchPseudoSamples(const stats::QuantileSketch& sketch);
 
 /// The self-healing loop: a background thread that watches the service's
 /// drift verdict and, when it trips, rebuilds the repair plan from the
@@ -63,10 +69,11 @@ struct RedesignerOptions {
 /// One drift episode runs: restart the channel sketches (so the redesign
 /// sees post-drift traffic only, not the stale mixture accumulated since
 /// plan install) -> wait until every channel ripens past
-/// `min_channel_count` -> snapshot sketches -> DesignFromQuantileFunctions
-/// (inheriting the live plan's geometry) -> validate (structural Validate,
-/// sketch-fit W1 must clear the drift threshold AND improve on the current
-/// drift level) -> ReloadPlan. Failures retry with exponential backoff up
+/// `min_channel_count` -> snapshot sketches -> SketchPseudoSamples per
+/// channel -> DesignFromChannelSamples (inheriting the live plan's
+/// geometry) -> validate (structural Validate, sketch-fit W1 must clear
+/// the drift threshold AND improve on the current drift level) ->
+/// ReloadPlan. Failures retry with exponential backoff up
 /// to `max_retries`; the old snapshot serves untouched throughout, and
 /// exhaustion flags the service `degraded` instead of dying. A successful
 /// reload resets the drift accumulator and sketches by construction (they

@@ -109,50 +109,74 @@ double QuantileSketch::max() const {
   return count_ == 0 ? std::numeric_limits<double>::quiet_NaN() : max_;
 }
 
-template <typename Fn>
-void QuantileSketch::ForEachBucketAscending(Fn&& fn) const {
-  for (size_t i = negative_.counts.size(); i-- > 0;) {
-    if (negative_.counts[i] > 0)
-      fn(-BucketValue(negative_.base + static_cast<int>(i)), negative_.counts[i]);
-  }
-  if (zero_count_ > 0) fn(0.0, zero_count_);
-  for (size_t i = 0; i < positive_.counts.size(); ++i) {
-    if (positive_.counts[i] > 0)
-      fn(BucketValue(positive_.base + static_cast<int>(i)), positive_.counts[i]);
-  }
-}
-
-double QuantileSketch::Quantile(double p) const {
-  if (count_ == 0) return std::numeric_limits<double>::quiet_NaN();
-  p = std::min(1.0, std::max(0.0, p));
-  if (p <= 0.0) return min_;
-  if (p >= 1.0) return max_;
-  // 0-based rank of the order statistic the estimate targets.
-  const uint64_t rank =
-      static_cast<uint64_t>(p * static_cast<double>(count_ - 1));
+std::vector<QuantileSketch::Bucket> QuantileSketch::AscendingBuckets() const {
+  std::vector<Bucket> buckets;
+  buckets.reserve(bucket_count());
   uint64_t cumulative = 0;
-  double result = max_;
-  bool found = false;
-  ForEachBucketAscending([&](double value, uint64_t n) {
-    if (found) return;
-    cumulative += n;
-    if (cumulative > rank) {
-      result = value;
-      found = true;
-    }
-  });
-  return std::min(max_, std::max(min_, result));
+  for (size_t i = negative_.counts.size(); i-- > 0;) {
+    if (negative_.counts[i] == 0) continue;
+    cumulative += negative_.counts[i];
+    buckets.push_back({-BucketValue(negative_.base + static_cast<int>(i)), cumulative});
+  }
+  if (zero_count_ > 0) {
+    cumulative += zero_count_;
+    buckets.push_back({0.0, cumulative});
+  }
+  for (size_t i = 0; i < positive_.counts.size(); ++i) {
+    if (positive_.counts[i] == 0) continue;
+    cumulative += positive_.counts[i];
+    buckets.push_back({BucketValue(positive_.base + static_cast<int>(i)), cumulative});
+  }
+  return buckets;
 }
 
-double QuantileSketch::Cdf(double x) const {
-  if (count_ == 0) return 0.0;
-  if (x < min_) return 0.0;
-  if (x >= max_) return 1.0;
-  uint64_t below = 0;
-  ForEachBucketAscending([&](double value, uint64_t n) {
-    if (value <= x) below += n;
-  });
-  return static_cast<double>(below) / static_cast<double>(count_);
+std::vector<double> QuantileSketch::Quantiles(const std::vector<double>& ps) const {
+  std::vector<double> out(ps.size(), std::numeric_limits<double>::quiet_NaN());
+  if (count_ == 0) return out;
+  const std::vector<Bucket> buckets = AscendingBuckets();
+  size_t j = 0;  // buckets before j end at or below the previous probe's rank
+  uint64_t previous_rank = 0;
+  for (size_t i = 0; i < ps.size(); ++i) {
+    const double p = std::min(1.0, std::max(0.0, ps[i]));
+    if (p <= 0.0) {
+      out[i] = min_;
+      continue;
+    }
+    if (p >= 1.0) {
+      out[i] = max_;
+      continue;
+    }
+    // 0-based rank of the order statistic the estimate targets.
+    const uint64_t rank = static_cast<uint64_t>(p * static_cast<double>(count_ - 1));
+    if (rank < previous_rank) j = 0;
+    previous_rank = rank;
+    while (j < buckets.size() && buckets[j].cumulative <= rank) ++j;
+    const double value = j < buckets.size() ? buckets[j].value : max_;
+    out[i] = std::min(max_, std::max(min_, value));
+  }
+  return out;
+}
+
+std::vector<double> QuantileSketch::Cdfs(const std::vector<double>& xs) const {
+  std::vector<double> out(xs.size(), 0.0);
+  if (count_ == 0) return out;
+  const std::vector<Bucket> buckets = AscendingBuckets();
+  size_t j = 0;  // buckets before j hold values <= the previous probe
+  double previous = -std::numeric_limits<double>::infinity();
+  for (size_t i = 0; i < xs.size(); ++i) {
+    const double x = xs[i];
+    if (!(x >= previous)) j = 0;  // a descending or NaN probe restarts the walk
+    previous = x;
+    if (x < min_) continue;
+    if (x >= max_) {
+      out[i] = 1.0;
+      continue;
+    }
+    while (j < buckets.size() && buckets[j].value <= x) ++j;
+    if (j > 0)
+      out[i] = static_cast<double>(buckets[j - 1].cumulative) / static_cast<double>(count_);
+  }
+  return out;
 }
 
 void QuantileSketch::Reset() {

@@ -55,13 +55,21 @@ class QuantileSketch {
   double min() const;
   double max() const;
 
-  /// Estimated p-quantile (p clamped to [0, 1]); NaN when empty. p = 0 and
-  /// p = 1 return the exact min/max, and every estimate is clamped into
-  /// [min, max].
-  double Quantile(double p) const;
+  /// Estimated p-quantile for each p of `ps` (p clamped to [0, 1]); NaN
+  /// when empty. p = 0 and p = 1 return the exact min/max, and every
+  /// estimate is clamped into [min, max]. One bucket walk answers every
+  /// probe when `ps` ascends; a probe below its predecessor restarts the
+  /// walk, so any order answers exactly as one-probe calls do.
+  std::vector<double> Quantiles(const std::vector<double>& ps) const;
 
-  /// Estimated fraction of observed mass <= x; 0 when empty.
-  double Cdf(double x) const;
+  /// Estimated fraction of observed mass <= x for each x of `xs`; 0 when
+  /// empty. One bucket walk answers every probe when `xs` ascends, with the
+  /// same restart rule as Quantiles.
+  std::vector<double> Cdfs(const std::vector<double>& xs) const;
+
+  /// One-probe forms of the two sweeps.
+  double Quantile(double p) const { return Quantiles({p})[0]; }
+  double Cdf(double x) const { return Cdfs({x})[0]; }
 
   /// Drops all observed state, keeping the bucket geometry.
   void Reset();
@@ -96,14 +104,19 @@ class QuantileSketch {
     bool empty() const { return counts.empty(); }
   };
 
+  /// One non-empty bucket: its value estimate and the count of every
+  /// observation up to and including it.
+  struct Bucket {
+    double value;
+    uint64_t cumulative;
+  };
+
   int KeyFor(double abs_value) const;
   double BucketValue(int key) const;
 
-  /// Invokes fn(value_estimate, count) over every non-empty bucket in
-  /// ascending value order: negatives (descending key), zero, positives
-  /// (ascending key).
-  template <typename Fn>
-  void ForEachBucketAscending(Fn&& fn) const;
+  /// Every non-empty bucket in ascending value order: negatives
+  /// (descending key), zero, positives (ascending key).
+  std::vector<Bucket> AscendingBuckets() const;
 
   double alpha_;
   double gamma_;

@@ -1,6 +1,7 @@
 #include "core/joint_repair.h"
 
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -229,6 +230,25 @@ TEST(JointRepairTest, RejectsBadArguments) {
   JointDesignOptions bad_t;
   bad_t.target_t = -1.0;
   EXPECT_FALSE(JointPairRepairer::Design(fx.research, 0, 1, bad_t).ok());
+
+  // A non-finite feature has no place on the product grid: RepairDataset
+  // refuses it, and RepairPair CHECK-fails. The design started pool
+  // threads, so the death tests re-execute rather than fork.
+  JointDesignOptions options;
+  options.n_q = 10;
+  auto repairer = JointPairRepairer::Design(fx.research, 0, 1, options);
+  ASSERT_TRUE(repairer.ok());
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity()}) {
+    data::Dataset poisoned = fx.archive.Clone();
+    poisoned.set_feature(fx.archive.size() / 2, 1, bad);
+    EXPECT_EQ(repairer->RepairDataset(poisoned, 1).status().code(),
+              common::StatusCode::kInvalidArgument);
+    common::Rng rng(5);
+    EXPECT_DEATH(repairer->RepairPair(0, 0, 0.0, bad, rng), "finite");
+    EXPECT_DEATH(repairer->RepairPair(0, 0, bad, 0.0, rng), "finite");
+  }
 }
 
 }  // namespace

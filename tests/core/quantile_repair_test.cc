@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -173,6 +175,22 @@ TEST(QuantileRepairTest, RejectsBadInputs) {
   EXPECT_FALSE(
       repairer->RepairDatasetSoft(fx.archive, std::vector<double>(fx.archive.size(), 2.0))
           .ok());
+  // A non-finite feature has no place on the CDF tables: the batch entry
+  // points refuse it, and the per-value ones CHECK-fail. The design above
+  // started pool threads, so the death tests re-execute rather than fork.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::vector<double> pr_s1(fx.archive.size(), 0.5);
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity()}) {
+    data::Dataset poisoned = fx.archive.Clone();
+    poisoned.set_feature(fx.archive.size() / 2, 1, bad);
+    EXPECT_EQ(repairer->RepairDataset(poisoned).status().code(),
+              common::StatusCode::kInvalidArgument);
+    EXPECT_EQ(repairer->RepairDatasetSoft(poisoned, pr_s1).status().code(),
+              common::StatusCode::kInvalidArgument);
+    EXPECT_DEATH(repairer->RepairValue(0, 0, 1, bad), "finite");
+    EXPECT_DEATH(repairer->RepairValueSoft(0, 0.5, 1, bad), "finite");
+  }
 }
 
 TEST(QuantileRepairTest, OutOfRangeInputsClampToTargetRange) {

@@ -1,12 +1,14 @@
 #include "serve/batcher.h"
 
 #include <set>
+#include <string>
 #include <utility>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "core/designer.h"
+#include "obs/trace.h"
 #include "serve/repair_service.h"
 #include "sim/gaussian_mixture.h"
 
@@ -50,6 +52,28 @@ struct CollectingSink {
     };
   }
 };
+
+TEST(BatcherTest, TracesAdmitOnlyOnLatencySampledRows) {
+  auto service = MakeService(4);
+  obs::TraceCollector& trace = obs::TraceCollector::Global();
+  trace.ResetForTest();
+  trace.Enable();
+  {
+    Batcher batcher(service.get(), 16, nullptr);
+    for (uint64_t i = 0; i < 64; ++i) batcher.Submit(MakeRequest(0, i));
+  }
+  trace.Disable();
+  size_t admits = 0;
+  size_t flushes = 0;
+  for (const obs::CompletedSpan& span : trace.Drain()) {
+    admits += std::string(span.name) == "admit";
+    flushes += std::string(span.name) == "batch_flush";
+  }
+  trace.ResetForTest();
+  // Rows 0, 16, 32 and 48 carry the latency clock and the admit span.
+  EXPECT_EQ(admits, 4u);
+  EXPECT_EQ(flushes, 4u);
+}
 
 TEST(BatcherTest, CoalescesSingleRowsIntoBatches) {
   auto service = MakeService(1);

@@ -53,6 +53,21 @@ TEST(MetricsTest, LatencyEdgeValues) {
   EXPECT_GT(snap.latency_p99_us, 1e9);  // nearest-rank 4 of 4: the tail sample
 }
 
+TEST(MetricsTest, QuantilesNeverExceedTheRecordedMax) {
+  // 3111us lands in a bucket whose midpoint (3200us) exceeds every
+  // recorded value; lifetime and window quantiles clamp to the max.
+  ASSERT_GT(obs::Histogram::BucketValueUs(obs::Histogram::BucketIndex(3111)), 3111u);
+  Metrics metrics;
+  for (int i = 0; i < 10; ++i) metrics.RecordLatencyUs(3111.0);
+  const MetricsSnapshot snap = metrics.ScrapeSnapshot();
+  EXPECT_EQ(snap.latency_max_us, 3111.0);
+  EXPECT_EQ(snap.window_latency_samples, 10u);
+  for (double quantile :
+       {snap.latency_p50_us, snap.latency_p90_us, snap.latency_p99_us,
+        snap.window_latency_p50_us, snap.window_latency_p90_us, snap.window_latency_p99_us})
+    EXPECT_EQ(quantile, 3111.0);
+}
+
 TEST(MetricsTest, SnapshotUnderConcurrentWriters) {
   Metrics metrics;
   std::vector<std::thread> writers;

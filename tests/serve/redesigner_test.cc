@@ -11,6 +11,7 @@
 
 #include "serve/redesigner.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <functional>
@@ -22,11 +23,13 @@
 
 #include <gtest/gtest.h>
 
+#include "common/crc32.h"
 #include "common/rng.h"
 #include "core/designer.h"
 #include "serve/fault_injector.h"
 #include "serve/repair_service.h"
 #include "sim/gaussian_mixture.h"
+#include "stats/quantile_sketch.h"
 
 namespace otfair::serve {
 namespace {
@@ -448,6 +451,70 @@ TEST(RedesignerLoopTest, StopIsIdempotentAndJoins) {
   ASSERT_TRUE(redesigner.ok());
   (*redesigner)->Stop();
   (*redesigner)->Stop();  // second stop is a no-op, destructor a third
+}
+
+// --- The redesign input path: sketches -> pseudo-samples -> designer --------
+
+/// Eight seeded channel sketches (|U| = |S| = 2, dim 2) in the designer's
+/// (u * s_levels + s) * dim + k order, with mixed-sign values. Channel 5
+/// holds fewer values than the pseudo-sample budget.
+std::vector<stats::QuantileSketch> PinnedChannelSketches() {
+  std::vector<stats::QuantileSketch> sketches(8);
+  common::Rng rng(2024);
+  for (size_t u = 0; u < 2; ++u)
+    for (size_t s = 0; s < 2; ++s)
+      for (size_t k = 0; k < 2; ++k) {
+        const size_t c = (u * 2 + s) * 2 + k;
+        const double mean = 0.6 * static_cast<double>(s) - 0.3 * static_cast<double>(u) +
+                            0.4 * static_cast<double>(k);
+        const double sd = 1.0 + 0.25 * static_cast<double>(k);
+        const size_t n = c == 5 ? 300 : 2000;
+        for (size_t i = 0; i < n; ++i) sketches[c].Add(rng.Normal(mean, sd));
+      }
+  return sketches;
+}
+
+std::vector<std::vector<double>> PseudoSamplesOf(
+    const std::vector<stats::QuantileSketch>& sketches) {
+  std::vector<std::vector<double>> channels;
+  for (const stats::QuantileSketch& sketch : sketches)
+    channels.push_back(SketchPseudoSamples(sketch));
+  return channels;
+}
+
+TEST(RedesignInputTest, PinnedSketchesRedesignToPinnedPlanBytes) {
+  const std::vector<std::vector<double>> channels = PseudoSamplesOf(PinnedChannelSketches());
+  EXPECT_EQ(channels[0].size(), kRedesignPseudoSamples);
+  EXPECT_EQ(channels[5].size(), 300u);
+  for (const std::vector<double>& samples : channels)
+    EXPECT_TRUE(std::is_sorted(samples.begin(), samples.end()));
+  core::DesignOptions options;
+  options.n_q = 64;
+  auto plans = core::DesignFromChannelSamples(2, {"x0", "x1"}, 2, 2, channels, options);
+  ASSERT_TRUE(plans.ok()) << plans.status();
+  // The bytes the per-probe quantile-callback designer produced for these
+  // sketches: the sweep, the probes and the designer must not move them.
+  // The CRC covers the body; the file's own trailer is the same CRC.
+  const std::string bytes = plans->SerializeToString();
+  ASSERT_EQ(bytes.size(), 28968u);
+  EXPECT_EQ(common::Crc32(bytes.data(), bytes.size() - sizeof(uint32_t)), 0x7B56CACDu);
+}
+
+TEST(RedesignInputTest, WrongChannelCountIsInvalidArgument) {
+  std::vector<std::vector<double>> channels = PseudoSamplesOf(PinnedChannelSketches());
+  channels.pop_back();
+  auto plans = core::DesignFromChannelSamples(2, {"x0", "x1"}, 2, 2, channels);
+  EXPECT_EQ(plans.status().code(), common::StatusCode::kInvalidArgument) << plans.status();
+}
+
+TEST(RedesignInputTest, ThinChannelIsFailedPrecondition) {
+  std::vector<stats::QuantileSketch> sketches = PinnedChannelSketches();
+  sketches[3].Reset();
+  sketches[3].Add(0.5);  // one observation, below min_group_size
+  auto plans = core::DesignFromChannelSamples(2, {"x0", "x1"}, 2, 2, PseudoSamplesOf(sketches));
+  EXPECT_EQ(plans.status().code(), common::StatusCode::kFailedPrecondition) << plans.status();
+  EXPECT_NE(plans.status().message().find("(u=0, s=1, k=1)"), std::string::npos)
+      << plans.status();
 }
 
 }  // namespace

@@ -10,12 +10,18 @@
 //    rank-discretization step.
 //  - Bounded memory: bucket occupancy stays under the documented ceiling
 //    no matter how many values stream in.
+//  - Sweep parity: the batch Quantiles/Cdfs answer every probe bit for bit
+//    as a per-probe walk over every bucket does.
 
 #include "stats/quantile_sketch.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -318,6 +324,223 @@ TEST(QuantileSketchSerializationTest, CorruptPayloadsRejectedWithoutMutating) {
     // keeps the invariants intact; counts must still be self-consistent.
     EXPECT_EQ(target.count(), sketch.count());
   }
+}
+
+/// The per-probe algorithm the batch sweeps replaced, kept as their
+/// oracle: rebuilt from the sketch's serialized state, every query walks
+/// every bucket.
+class BucketWalkOracle {
+ public:
+  explicit BucketWalkOracle(const QuantileSketch& sketch) {
+    std::string bytes;
+    common::ByteWriter writer(&bytes);
+    sketch.SerializeTo(writer);
+    common::ByteReader reader(bytes);
+    double alpha = 0.0;
+    EXPECT_TRUE(reader.F64(&alpha));
+    const double gamma = (1.0 + alpha) / (1.0 - alpha);
+    std::vector<std::pair<double, uint64_t>> stores[2];  // negative, positive
+    for (auto& store : stores) {
+      int32_t base = 0;
+      uint64_t size = 0;
+      EXPECT_TRUE(reader.I32(&base) && reader.U64(&size));
+      std::vector<uint64_t> counts(size);
+      EXPECT_TRUE(reader.U64s(counts.data(), counts.size()));
+      for (size_t i = 0; i < counts.size(); ++i) {
+        const int key = base + static_cast<int>(i);
+        if (counts[i] > 0) store.push_back({2.0 * std::pow(gamma, key) / (gamma + 1.0), counts[i]});
+      }
+    }
+    uint64_t zero_count = 0;
+    uint64_t dropped = 0;
+    EXPECT_TRUE(reader.U64(&zero_count) && reader.U64(&count_) && reader.U64(&dropped) &&
+                reader.F64(&min_) && reader.F64(&max_));
+    // Ascending value order: negatives (descending key), zero, positives.
+    for (auto it = stores[0].rbegin(); it != stores[0].rend(); ++it)
+      buckets_.push_back({-it->first, it->second});
+    if (zero_count > 0) buckets_.push_back({0.0, zero_count});
+    buckets_.insert(buckets_.end(), stores[1].begin(), stores[1].end());
+  }
+
+  double Quantile(double p) const {
+    if (count_ == 0) return std::numeric_limits<double>::quiet_NaN();
+    p = std::min(1.0, std::max(0.0, p));
+    if (p <= 0.0) return min_;
+    if (p >= 1.0) return max_;
+    const uint64_t rank = static_cast<uint64_t>(p * static_cast<double>(count_ - 1));
+    uint64_t cumulative = 0;
+    double result = max_;
+    bool found = false;
+    for (const auto& [value, n] : buckets_) {
+      if (found) continue;
+      cumulative += n;
+      if (cumulative > rank) {
+        result = value;
+        found = true;
+      }
+    }
+    return std::min(max_, std::max(min_, result));
+  }
+
+  double Cdf(double x) const {
+    if (count_ == 0) return 0.0;
+    if (x < min_) return 0.0;
+    if (x >= max_) return 1.0;
+    uint64_t below = 0;
+    for (const auto& [value, n] : buckets_)
+      if (value <= x) below += n;
+    return static_cast<double>(below) / static_cast<double>(count_);
+  }
+
+  const std::vector<std::pair<double, uint64_t>>& buckets() const { return buckets_; }
+
+ private:
+  std::vector<std::pair<double, uint64_t>> buckets_;
+  uint64_t count_ = 0;
+  double min_ = 0.0;
+  double max_ = 0.0;
+};
+
+/// Bitwise equality: NaN matches NaN, and -0 differs from +0.
+void ExpectSameBits(double got, double want, const char* what, double probe) {
+  EXPECT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(want))
+      << what << "(" << probe << "): sweep " << got << " vs walk " << want;
+}
+
+/// Compares both sweeps against the oracle over ascending probes (and the
+/// one-probe forms), then over the same probes descending and shuffled,
+/// which restart the walk.
+void ExpectSweepsMatchWalk(const QuantileSketch& sketch) {
+  const BucketWalkOracle oracle(sketch);
+  // Quantile probes: p = 0 and 1, clamped p outside [0, 1], a fine grid,
+  // and the redesigner's 512 midpoints.
+  std::vector<double> ps = {-0.5, 0.0, 1.0, 1.5};
+  for (int i = 1; i < 1000; ++i) ps.push_back(i / 1000.0);
+  for (int i = 0; i < 512; ++i) ps.push_back((i + 0.5) / 512.0);
+  // CDF probes: far outside and just outside [min, max], every bucket
+  // value with its neighbours, and a grid across the range.
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> xs = {-inf, -1e300, 0.0, 1e300, inf};
+  if (sketch.count() > 0) {
+    for (double edge : {sketch.min(), sketch.max()})
+      for (double x : {edge - 1.0, std::nextafter(edge, -inf), edge,
+                       std::nextafter(edge, inf), edge + 1.0})
+        xs.push_back(x);
+    for (int i = 0; i <= 200; ++i)
+      xs.push_back(sketch.min() - 1.0 + (sketch.max() - sketch.min() + 2.0) * i / 200.0);
+  }
+  for (const auto& bucket : oracle.buckets())
+    for (double x : {std::nextafter(bucket.first, -inf), bucket.first,
+                     std::nextafter(bucket.first, inf)})
+      xs.push_back(x);
+
+  std::sort(ps.begin(), ps.end());
+  std::sort(xs.begin(), xs.end());
+  std::vector<double> want_quantiles;
+  for (double p : ps) want_quantiles.push_back(oracle.Quantile(p));
+  std::vector<double> want_cdfs;
+  for (double x : xs) want_cdfs.push_back(oracle.Cdf(x));
+  // The one-probe forms each walk every bucket, so a stride of the probes.
+  for (size_t i = 0; i < ps.size(); i += 5)
+    ExpectSameBits(sketch.Quantile(ps[i]), want_quantiles[i], "Quantile", ps[i]);
+  for (size_t i = 0; i < xs.size(); i += 5)
+    ExpectSameBits(sketch.Cdf(xs[i]), want_cdfs[i], "Cdf", xs[i]);
+
+  // Ascending, descending and shuffled probe orders.
+  common::Rng rng(sketch.count() + 1);
+  auto check_order = [&](int order, const std::vector<double>& probes,
+                         const std::vector<double>& want, bool quantiles) {
+    std::vector<size_t> index(probes.size());
+    for (size_t i = 0; i < index.size(); ++i) index[i] = i;
+    if (order == 1) std::reverse(index.begin(), index.end());
+    if (order == 2)
+      for (size_t i = index.size(); i > 1; --i) std::swap(index[i - 1], index[rng.UniformInt(i)]);
+    std::vector<double> ordered;
+    for (size_t i : index) ordered.push_back(probes[i]);
+    const std::vector<double> got = quantiles ? sketch.Quantiles(ordered) : sketch.Cdfs(ordered);
+    ASSERT_EQ(got.size(), ordered.size());
+    for (size_t i = 0; i < index.size(); ++i)
+      ExpectSameBits(got[i], want[index[i]], quantiles ? "Quantiles" : "Cdfs", ordered[i]);
+  };
+  for (int order = 0; order < 3; ++order) {
+    check_order(order, ps, want_quantiles, true);
+    check_order(order, xs, want_cdfs, false);
+  }
+}
+
+TEST(QuantileSketchSweepTest, MatchesBucketWalkOnDegenerateSketches) {
+  {
+    SCOPED_TRACE("empty");
+    ExpectSweepsMatchWalk(QuantileSketch());
+  }
+  for (double value : {1.0, -2.5, 0.0, 1e-13, 3e12}) {
+    SCOPED_TRACE("one value " + std::to_string(value));
+    QuantileSketch sketch;
+    sketch.Add(value);
+    ExpectSweepsMatchWalk(sketch);
+  }
+  {
+    SCOPED_TRACE("all zero");
+    QuantileSketch sketch;
+    for (int i = 0; i < 1000; ++i) sketch.Add(i % 3 == 0 ? 0.0 : (i % 3 == 1 ? 1e-14 : -1e-15));
+    ExpectSweepsMatchWalk(sketch);
+  }
+  {
+    SCOPED_TRACE("empty probe lists");
+    QuantileSketch sketch;
+    sketch.Add(1.0);
+    EXPECT_TRUE(sketch.Quantiles({}).empty());
+    EXPECT_TRUE(sketch.Cdfs({}).empty());
+  }
+}
+
+TEST(QuantileSketchSweepTest, MatchesBucketWalkOnRandomizedMixedSignSketches) {
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    common::Rng rng(seed);
+    QuantileSketch::Options options;
+    options.relative_accuracy = seed % 2 == 0 ? 0.01 : 0.05;
+    QuantileSketch sketch(options);
+    const size_t n = 1 + static_cast<size_t>(rng.UniformInt(4000));
+    const double mean = rng.Uniform() * 4.0 - 2.0;
+    const double sd = 0.1 + rng.Uniform() * 3.0;
+    for (size_t i = 0; i < n; ++i) sketch.Add(rng.Uniform() < 0.05 ? 0.0 : rng.Normal(mean, sd));
+    ExpectSweepsMatchWalk(sketch);
+  }
+  {
+    SCOPED_TRACE("clamped magnitudes");
+    common::Rng rng(71);
+    QuantileSketch sketch;
+    for (int i = 0; i < 3000; ++i) {
+      const double sign = rng.Uniform() < 0.5 ? -1.0 : 1.0;
+      sketch.Add(sign * std::pow(10.0, rng.Uniform() * 40.0 - 20.0));
+    }
+    ExpectSweepsMatchWalk(sketch);
+  }
+}
+
+TEST(QuantileSketchSweepTest, MatchesBucketWalkOnMergedAndDeserializedSketches) {
+  QuantileSketch shards[3];
+  const std::vector<double> xs = GaussianSample(9000, -0.3, 2.0, 101);
+  for (size_t i = 0; i < xs.size(); ++i) shards[i % 3].Add(xs[i]);
+  QuantileSketch merged;
+  for (const QuantileSketch& shard : shards) ASSERT_TRUE(merged.Merge(shard).ok());
+  {
+    SCOPED_TRACE("merged");
+    ExpectSweepsMatchWalk(merged);
+  }
+  std::string bytes;
+  common::ByteWriter writer(&bytes);
+  merged.SerializeTo(writer);
+  QuantileSketch restored;
+  common::ByteReader reader(bytes);
+  ASSERT_TRUE(restored.DeserializeFrom(reader).ok());
+  {
+    SCOPED_TRACE("deserialized");
+    ExpectSweepsMatchWalk(restored);
+  }
+  const std::vector<double> ps = {0.0, 0.1, 0.5, 0.9, 1.0};
+  EXPECT_EQ(restored.Quantiles(ps), merged.Quantiles(ps));
 }
 
 }  // namespace
