@@ -43,8 +43,9 @@
 //                      (n_q rows, CSR-support-sized), one scalar SampleCol
 //                      at a time — the alias draw in isolation.
 //   sketch_update_ns   ns per QuantileSketch::Add on a Gaussian stream —
-//                      the per-value cost the serve path pays when channel
-//                      sketches are enabled.
+//                      the per-value cost the serve path pays for every
+//                      value of every repaired row (the channel sketches
+//                      are its only drift state).
 //   trace_overhead_disabled  ns per OTFAIR_TRACE_SPAN guard with span
 //   trace_overhead_enabled   collection off (the serving default — must
 //                      be branch-cheap) vs on (two clock reads plus a
@@ -484,7 +485,7 @@ int main(int argc, char** argv) {
   // The crash-safety tax: how long one atomic checkpoint of a loaded
   // service takes (capture + serialize + write-temp + fsync + rename +
   // prune), and how long recovery takes end to end (scan dir, validate the
-  // newest file, rebuild the service, fold the drift/sketch state back in).
+  // newest file, rebuild the service, fold the sketches back in).
   // Checkpointing runs on a background thread, so write cost bounds the
   // fsync pressure, not serve latency; recover cost is restart downtime.
   {
@@ -493,11 +494,10 @@ int main(int argc, char** argv) {
     auto plans = otfair::core::DesignDistributionalRepair(*research, design_options);
     if (!plans.ok()) Die(plans.status().ToString());
     otfair::serve::ServiceOptions service_options;
-    service_options.sketch_sample_every = 4;
     auto service = otfair::serve::RepairService::Create(*plans, service_options);
     if (!service.ok()) Die(service.status().ToString());
-    // Populate drift counts and sketches so the checkpoint carries a
-    // realistic observed-state payload, not empty accumulators.
+    // Populate the sketches so the checkpoint carries a realistic
+    // observed-state payload, not empty ones.
     otfair::serve::RowResponse response;
     for (size_t i = 0; i < archive->size(); ++i) {
       otfair::serve::RowRequest request;
@@ -541,8 +541,7 @@ int main(int argc, char** argv) {
       auto revived =
           otfair::serve::RepairService::Create(recovered->data.plans, recover_options);
       if (!revived.ok()) Die("recover create failed");
-      if (!(*revived)->RestoreObservedState(recovered->data.drift_counts,
-                                            recovered->data.sketches).ok())
+      if (!(*revived)->RestoreObservedState(recovered->data.sketches).ok())
         Die("recover restore failed");
     });
     c = BenchCase{};
@@ -559,28 +558,26 @@ int main(int argc, char** argv) {
   }
 
   // --- sketch_update_ns: streaming sketch ingest in isolation --------------
-  // The per-value cost the serve path pays per sampled channel when
-  // sketches are on (ServiceOptions::sketch_sample_every > 0): one
-  // QuantileSketch::Add per (u, s, k) observation.
+  // The per-value cost the serve path pays for every valid value: one
+  // QuantileSketch::Add per (u, s, k) observation (a table lookup for the
+  // bucket key, no log).
   {
     Rng sketch_rng(0x5ce7);
     const size_t values = smoke ? 50000 : 5000000;
     std::vector<double> stream(values);
     for (double& v : stream) v = sketch_rng.Normal(0.0, 2.0);
     uint64_t sink = 0;
-    double alpha = 0.0;
     const double ms = BestWallMs(repeats, [&] {
       otfair::stats::QuantileSketch sketch;
       for (double v : stream) sketch.Add(v);
       sink += sketch.count();
-      alpha = sketch.relative_accuracy();
     });
     if (sink == 0) Die("sketch_update produced implausible sink");
     BenchCase c;
     c.name = "sketch_update_ns";
     c.threads = 1;
     std::snprintf(params, sizeof(params), "{\"values\": %zu, \"alpha\": %.3f}", values,
-                  alpha);
+                  otfair::stats::QuantileSketch::kRelativeAccuracy);
     c.params_json = params;
     c.repeats = repeats;
     c.wall_ms = ms;
@@ -635,7 +632,7 @@ int main(int argc, char** argv) {
   // then exactly what the background loop runs per attempt: sketch
   // snapshot -> one Quantiles sweep per channel (512 pseudo-samples) ->
   // DesignFromChannelSamples -> validation (one Cdfs sweep per channel)
-  // -> hot ReloadPlan. A successful reload resets the drift state, so each
+  // -> hot ReloadPlan. A successful reload restarts the sketches, so each
   // repeat rebuilds the service and re-streams the shifted rows untimed.
   {
     otfair::core::DesignOptions design_options;
@@ -657,9 +654,7 @@ int main(int argc, char** argv) {
     }
     double best = 0.0;
     for (int r = 0; r < repeats; ++r) {
-      otfair::serve::ServiceOptions service_options;
-      service_options.sketch_sample_every = 1;
-      auto service = otfair::serve::RepairService::Create(*plans, service_options);
+      auto service = otfair::serve::RepairService::Create(*plans);
       if (!service.ok()) Die(service.status().ToString());
       otfair::serve::RedesignerOptions heal_options;
       heal_options.poll_interval_ms = 1000000;  // inert loop; timed call is manual

@@ -7,23 +7,26 @@
 //  2. Repair the archive three ways and compare: with the ground-truth
 //     labels (oracle), with hard MAP label estimates, and with soft
 //     posterior-weighted repair (Monge/quantile map).
-//  3. Run a DriftMonitor over a later, drifted archive batch and show the
-//     alarm that tells the operator to re-collect research data.
+//  3. Judge drift (core::JudgeDrift over per-channel quantile sketches) on
+//     a later, drifted archive batch and show the alarm that tells the
+//     operator to re-collect research data.
 //
 // Run:  ./build/examples/unlabeled_archive [--n_research=2000]
 //           [--n_archive=8000] [--seed=41]
 
 #include <cstdio>
+#include <vector>
 
 #include "common/flags.h"
 #include "common/rng.h"
 #include "core/designer.h"
-#include "core/drift_monitor.h"
+#include "core/drift.h"
 #include "core/label_estimator.h"
 #include "core/quantile_repair.h"
 #include "core/repairer.h"
 #include "fairness/emetric.h"
 #include "sim/gaussian_mixture.h"
+#include "stats/quantile_sketch.h"
 
 using otfair::common::FlagParser;
 using otfair::common::Rng;
@@ -85,20 +88,24 @@ int main(int argc, char** argv) {
   PrintE("repaired with MAP label estimates", *repaired_hard);
   PrintE("repaired with posterior-soft Monge map", *repaired_soft);
 
-  // Drift monitoring on a later batch drawn from a shifted population.
+  // Drift monitoring on a later batch drawn from a shifted population:
+  // one quantile sketch per (u, s, k) channel, judged against the design.
   std::printf("\n-- drift monitor over a later archive batch --\n");
-  auto monitor = otfair::core::DriftMonitor::Create(*plans);
-  if (!monitor.ok()) return 1;
+  auto judge = [&](const otfair::data::Dataset& batch) {
+    std::vector<otfair::stats::QuantileSketch> sketches(2 * 2 * 2);
+    for (size_t i = 0; i < batch.size(); ++i) {
+      const size_t base = static_cast<size_t>(batch.u(i) * 2 + batch.s(i)) * 2;
+      for (size_t k = 0; k < 2; ++k) sketches[base + k].Add(batch.feature(i, k));
+    }
+    return otfair::core::JudgeDrift(*plans, sketches);
+  };
 
   Rng stream_rng(seed + 1);
   auto same = otfair::sim::SimulateGaussianMixture(5000, config, stream_rng);
-  for (size_t i = 0; i < same->size(); ++i) {
-    for (size_t k = 0; k < 2; ++k)
-      monitor->Observe(same->u(i), same->s(i), k, same->feature(i, k));
-  }
-  std::printf("batch 1 (stationary): %s", monitor->Report().drifted ? "DRIFT\n" : "ok\n");
+  const auto stationary = judge(*same);
+  if (!stationary.ok()) return 1;
+  std::printf("batch 1 (stationary): %s", stationary->drifted ? "DRIFT\n" : "ok\n");
 
-  monitor->Reset();
   otfair::sim::GaussianSimConfig drifted = config;
   for (int u = 0; u <= 1; ++u) {
     for (int s = 0; s <= 1; ++s) {
@@ -106,11 +113,9 @@ int main(int argc, char** argv) {
     }
   }
   auto later = otfair::sim::SimulateGaussianMixture(5000, drifted, stream_rng);
-  for (size_t i = 0; i < later->size(); ++i) {
-    for (size_t k = 0; k < 2; ++k)
-      monitor->Observe(later->u(i), later->s(i), k, later->feature(i, k));
-  }
-  const otfair::core::DriftReport report = monitor->Report();
+  const auto judged = judge(*later);
+  if (!judged.ok()) return 1;
+  const otfair::core::DriftReport& report = *judged;
   std::printf("batch 2 (mean-shifted): %s", report.drifted ? "DRIFT DETECTED\n" : "ok\n");
   std::printf("  worst normalized W1 = %.3f, worst out-of-range rate = %.3f\n",
               report.worst_w1, report.worst_out_of_range);

@@ -66,8 +66,8 @@ common::Result<RepairPlanSet> DesignDistributionalRepair(const data::Dataset& re
 /// columns: the online-redesign input, where each (u, s, k) channel's
 /// streamed distribution arrives as values read off a bounded-memory
 /// stats::QuantileSketch, so no raw rows are ever retained.
-/// `channels` is indexed `(u * s_levels + s) * dim + k` (the DriftMonitor
-/// state order), and every channel must hold at least
+/// `channels` is indexed `(u * s_levels + s) * dim + k` (the order
+/// JudgeDrift reads sketches in), and every channel must hold at least
 /// `options.min_group_size` samples. The samples flow through the same
 /// support-grid / KDE-marginal / barycentre / OT-solve pipeline as the
 /// dataset entry point, so the two paths produce the same plan geometry

@@ -29,7 +29,9 @@ using common::Status;
 namespace {
 
 constexpr uint32_t kCheckpointMagic = 0x4F544350;  // "OTCP"
-constexpr uint32_t kCheckpointVersion = 1;
+/// Version 2: the plan and the channel sketches are the whole observed
+/// state. Other versions are unsupported; recovery skips them.
+constexpr uint32_t kCheckpointVersion = 2;
 /// magic + version + payload size + payload crc.
 constexpr size_t kHeaderBytes = 4 + 4 + 8 + 4;
 
@@ -56,12 +58,10 @@ std::string SerializeCheckpoint(const CheckpointData& data) {
   out.U64(data.seed);
   out.U32(data.mode);
   out.F64(data.strength);
-  out.U64(data.sketch_sample_every);
   // The plan rides along in full: a self-heal redesign installs plans
   // that exist nowhere on disk, and recovery must serve exactly what the
   // pre-crash process served.
   out.String(data.plans.SerializeToString());
-  out.String(data.drift_counts);
   out.U64(data.sketches.size());
   for (const stats::QuantileSketch& sketch : data.sketches) sketch.SerializeTo(out);
 
@@ -105,7 +105,7 @@ Result<CheckpointData> ParseCheckpoint(const char* data, size_t size,
   uint8_t episode_open = 0;
   if (!in.U64(&out.generation) || !in.U64(&out.plan_version) || !in.U8(&degraded) ||
       !in.U8(&episode_open) || !in.U64(&out.seed) || !in.U32(&out.mode) ||
-      !in.F64(&out.strength) || !in.U64(&out.sketch_sample_every))
+      !in.F64(&out.strength))
     return Status::IoError("truncated checkpoint payload: " + context);
   if (out.generation == 0 || out.plan_version == 0)
     return Status::IoError("corrupt checkpoint counters in " + context);
@@ -126,15 +126,12 @@ Result<CheckpointData> ParseCheckpoint(const char* data, size_t size,
   if (!plans.ok()) return plans.status();
   out.plans = std::move(*plans);
 
-  if (!in.String(&out.drift_counts, in.remaining()))
-    return Status::IoError("truncated checkpoint drift counts: " + context);
-
   uint64_t sketch_count = 0;
   if (!in.U64(&sketch_count))
     return Status::IoError("truncated checkpoint sketches: " + context);
   const uint64_t channels =
       static_cast<uint64_t>(out.plans.u_levels()) * out.plans.s_levels() * out.plans.dim();
-  if (sketch_count != 0 && sketch_count != channels)
+  if (sketch_count != channels)
     return Status::IoError("checkpoint sketch count does not match plan channels in " +
                            context);
   out.sketches.resize(static_cast<size_t>(sketch_count));
@@ -297,12 +294,7 @@ Status Checkpointer::WriteNow() {
   data.seed = service_options.seed;
   data.mode = static_cast<uint32_t>(service_options.mode);
   data.strength = service_options.strength;
-  data.sketch_sample_every = service_options.sketch_sample_every;
   data.plans = std::move(state.plans);
-  if (state.drift.has_value()) {
-    ByteWriter drift_writer(&data.drift_counts);
-    state.drift->SerializeCounts(drift_writer);
-  }
   data.sketches = std::move(state.sketches);
 
   Status status = [&] {

@@ -24,8 +24,8 @@ namespace otfair::serve {
 /// boundary — the plan (embedded in full, because a self-heal redesign
 /// installs plans that exist only in memory), its version, the repair
 /// semantics (seed/mode/strength bind the bit-identity contract), the
-/// drift accumulators, the channel sketches, and the degraded/episode
-/// flags.
+/// channel sketches (the drift verdict and the redesign input both read
+/// them), and the degraded/episode flags.
 struct CheckpointData {
   /// Monotone per-directory write counter; also the filename key.
   uint64_t generation = 0;
@@ -37,13 +37,8 @@ struct CheckpointData {
   uint64_t seed = 0;
   uint32_t mode = 0;
   double strength = 1.0;
-  uint64_t sketch_sample_every = 16;
   core::RepairPlanSet plans;
-  /// Raw DriftMonitor::SerializeCounts payload; empty when absent.
-  /// Deferred-parse: the counts are validated against the restored
-  /// service's real monitor geometry (RepairService::RestoreObservedState)
-  /// rather than trusted here.
-  std::string drift_counts;
+  /// One sketch per (u, s, k) channel of `plans`, in JudgeDrift order.
   std::vector<stats::QuantileSketch> sketches;
 };
 

@@ -116,7 +116,7 @@ Result<ProtocolRequest> ParseRequestLine(const std::string& line, size_t dim, si
   request.row.s = static_cast<int>(s);
   request.row.features.resize(dim);
   // A non-finite feature would poison the repair tables and the
-  // drift/sketch accumulators, so the protocol rejects it at the boundary.
+  // channel sketches, so the protocol rejects it at the boundary.
   for (size_t k = 0; k < dim; ++k) {
     if (!common::ParseFiniteDecimal(tokens[5 + k], &request.row.features[k]))
       return Status::InvalidArgument("bad feature value '" + SanitizeToken(tokens[5 + k]) +
@@ -148,7 +148,7 @@ std::string AnswerControlRequest(const ProtocolRequest& request, RepairService& 
         return FormatErrorLine(Status::FailedPrecondition(
             "checkpointing disabled (serve with --checkpoint_dir)"));
       // Without the flush a partial batch could still be queued, and its
-      // drift/sketch updates would miss the acked checkpoint.
+      // sketch updates would miss the acked checkpoint.
       batcher.Flush();
       auto generation = checkpoint();
       if (!generation.ok()) return FormatErrorLine(generation.status());

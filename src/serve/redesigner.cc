@@ -1,15 +1,13 @@
 #include "serve/redesigner.h"
 
 #include <algorithm>
-#include <cmath>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/designer.h"
-#include "core/drift_monitor.h"
+#include "core/drift.h"
 #include "obs/trace.h"
-#include "ot/measure.h"
 
 namespace otfair::serve {
 
@@ -20,30 +18,16 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Normalized W1 between the sketch's streamed distribution and a design
-/// marginal, both expressed on the marginal's grid — the same statistic
-/// (and normalization) DriftMonitor judges the live plan by, so the
-/// candidate's fit is directly comparable to the drift level that
-/// triggered the redesign.
-double SketchFitW1(const stats::QuantileSketch& sketch, const core::SupportGrid& grid,
-                   const ot::DiscreteMeasure& marginal) {
-  const std::vector<double>& points = grid.points();
-  const size_t n = points.size();
-  if (n < 2 || sketch.count() == 0) return 0.0;
-  // CDF at the midpoint between states i and i+1: every streamed value
-  // below it bins to state <= i (nearest-state binning, as the drift
-  // histogram does). Out-of-range mass clamps into the end states.
-  std::vector<double> midpoints(n - 1);
-  for (size_t i = 0; i + 1 < n; ++i) midpoints[i] = 0.5 * (points[i] + points[i + 1]);
-  const std::vector<double> cum_stream = sketch.Cdfs(midpoints);
-  double gap_sum = 0.0;
-  double cum_design = 0.0;
-  for (size_t i = 0; i + 1 < n; ++i) {
-    cum_design += marginal.weight_at(i);
-    gap_sum += std::fabs(cum_stream[i] - cum_design);
-  }
-  const double span = grid.hi() - grid.lo();
-  return span > 0.0 ? grid.step() * gap_sum / span : 0.0;
+/// `live` minus `stash`, channel by channel: the sketches of what arrived
+/// after the stash was taken. kInvalidArgument when the stash is not a
+/// prefix of `live`.
+Status SubtractStash(std::vector<stats::QuantileSketch>* live,
+                     const std::vector<stats::QuantileSketch>& stash) {
+  if (live->size() != stash.size())
+    return Status::InvalidArgument("stash holds " + std::to_string(stash.size()) +
+                                   " sketches, the service " + std::to_string(live->size()));
+  for (size_t c = 0; c < stash.size(); ++c) OTFAIR_RETURN_IF_ERROR((*live)[c].Subtract(stash[c]));
+  return Status::Ok();
 }
 
 }  // namespace
@@ -76,9 +60,6 @@ Result<std::unique_ptr<Redesigner>> Redesigner::Create(RepairService* service,
   if (options.cooldown_ms < 0) return Status::InvalidArgument("cooldown_ms must be >= 0");
   if (options.fresh_sketch_wait_ms < 0)
     return Status::InvalidArgument("fresh_sketch_wait_ms must be >= 0");
-  if (service->options().sketch_sample_every == 0)
-    return Status::FailedPrecondition(
-        "service has sketch_sample_every = 0: no streaming sketches to redesign from");
   // Fault spec precedence: service options, then the OTFAIR_FAULTS
   // environment.
   Result<FaultInjector> faults = !service->options().faults.empty()
@@ -149,6 +130,16 @@ void Redesigner::Loop() {
   }
 }
 
+bool Redesigner::EpisodeWindow(std::vector<stats::QuantileSketch>* window) const {
+  *window = service_->SketchSnapshot();
+  return SubtractStash(window, stash_).ok();
+}
+
+void Redesigner::CloseEpisode() {
+  stash_.clear();
+  episode_open_.store(false, std::memory_order_relaxed);
+}
+
 void Redesigner::StepOnce() {
   if (Clock::now() < [&] {
         std::lock_guard<std::mutex> lock(mu_);
@@ -160,47 +151,43 @@ void Redesigner::StepOnce() {
   // it gave up) clears the flag on the service.
   if (service_->degraded()) return;
   if (!service_->Health().drifted) {
-    fresh_sketches_ = false;
-    episode_open_.store(false, std::memory_order_relaxed);
+    CloseEpisode();
     return;
   }
-  // A drift episode opens: stash the accumulated sketches and restart
-  // them, so the redesign input reflects post-drift traffic only.
-  // Sketches accumulated since plan install are dominated by the
-  // pre-shift distribution — designing from that mixture would install a
-  // plan the ongoing stream immediately drifts against.
-  if (!fresh_sketches_) {
-    stashed_sketches_ = service_->SketchSnapshot();
-    service_->ResetSketches();
-    fresh_since_ = Clock::now();
-    fresh_sketches_ = true;
+  // A drift episode opens: stash the sketches, so the redesign input is
+  // the traffic that arrives from here on. Sketches accumulated since plan
+  // install are dominated by the pre-shift distribution — designing from
+  // that mixture would install a plan the ongoing stream immediately
+  // drifts against. The sketches themselves keep accumulating, so the
+  // drift verdict still sees every row.
+  if (!episode_open()) {
+    stash_ = service_->SketchSnapshot();
+    opened_at_ = Clock::now();
     episode_open_.store(true, std::memory_order_relaxed);
     return;
   }
-  // Thin sketches: drift tripped but the restarted sketches haven't seen
-  // enough sampled rows per channel yet. Keep waiting — burning the retry
-  // budget here would flag degraded on a stream that merely needs time.
-  // If the stream went quiet instead (a finite replay draining after the
-  // shift), fall back to the pre-trip stash after `fresh_sketch_wait_ms`:
-  // it still contains the drifted suffix, and a mixture-fit plan beats
-  // waiting forever on traffic that will never come.
-  const std::vector<stats::QuantileSketch>* sketches_override = nullptr;
-  {
-    const std::vector<stats::QuantileSketch> sketches = service_->SketchSnapshot();
-    const uint64_t need =
-        std::max<uint64_t>(options_.min_channel_count, core::DesignOptions{}.min_group_size);
-    bool ripe = true;
-    for (const stats::QuantileSketch& sketch : sketches)
-      if (sketch.count() < need) {
-        ripe = false;
-        break;
-      }
-    if (!ripe) {
-      if (Clock::now() <
-          fresh_since_ + std::chrono::milliseconds(options_.fresh_sketch_wait_ms))
-        return;
-      sketches_override = &stashed_sketches_;
-    }
+  // Thin window: drift tripped but not enough values per channel have
+  // arrived since the stash. Keep waiting — burning the retry budget here
+  // would flag degraded on a stream that merely needs time. If the stream
+  // went quiet instead (a finite replay draining after the shift), fall
+  // back to the live sketches after `fresh_sketch_wait_ms`: they still
+  // contain the drifted suffix, and a mixture-fit plan beats waiting
+  // forever on traffic that will never come.
+  const std::vector<stats::QuantileSketch>* stash = &stash_;
+  std::vector<stats::QuantileSketch> window;
+  if (!EpisodeWindow(&window)) {
+    // A reload swapped the snapshot since the episode opened; the next
+    // poll judges the new plan afresh.
+    CloseEpisode();
+    return;
+  }
+  const uint64_t need =
+      std::max<uint64_t>(options_.min_channel_count, core::DesignOptions{}.min_group_size);
+  if (!std::all_of(window.begin(), window.end(),
+                   [&](const stats::QuantileSketch& sketch) { return sketch.count() >= need; })) {
+    if (Clock::now() < opened_at_ + std::chrono::milliseconds(options_.fresh_sketch_wait_ms))
+      return;
+    stash = nullptr;
   }
 
   // A drift episode: attempt, retry with doubling backoff, and either
@@ -210,14 +197,21 @@ void Redesigner::StepOnce() {
   busy_.store(true, std::memory_order_relaxed);
   service_->metrics().AddRedesignEpisode();
   Status status;
+  bool superseded = false;
   int backoff_ms = options_.backoff_initial_ms;
   for (int attempt = 0; attempt < options_.max_retries; ++attempt) {
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (stop_) break;
     }
+    status = AttemptRedesign(stash);
+    // A reload that landed since the episode opened ends it: neither an
+    // attempt nor a failure.
+    if (!status.ok() && stash != nullptr && !EpisodeWindow(&window)) {
+      superseded = true;
+      break;
+    }
     service_->metrics().AddRedesignAttempt();
-    status = AttemptRedesign(sketches_override);
     if (status.ok()) break;
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -240,22 +234,18 @@ void Redesigner::StepOnce() {
   }
   if (status.ok()) {
     service_->metrics().AddRedesignReload();
-  } else if (!stopped_mid_episode) {
+  } else if (!stopped_mid_episode && !superseded) {
+    // Exhausted every retry: degrade — but keep serving. A Stop() or a
+    // reload mid-episode is not a verdict.
     service_->metrics().AddRedesignGaveUp();
+    service_->SetDegraded(true);
   }
-  // Exhausted every retry: degrade — but keep serving. A Stop() mid-episode
-  // is not a verdict.
-  if (!status.ok() && !stopped_mid_episode) service_->SetDegraded(true);
-  // The episode is over either way; the next one starts from fresh
-  // sketches again (a successful reload already reset them structurally).
-  fresh_sketches_ = false;
-  stashed_sketches_.clear();
-  episode_open_.store(false, std::memory_order_relaxed);
+  // The episode is over either way; the next one stashes afresh.
+  CloseEpisode();
   busy_.store(false, std::memory_order_relaxed);
 }
 
-Status Redesigner::AttemptRedesign(
-    const std::vector<stats::QuantileSketch>* sketches_override) {
+Status Redesigner::AttemptRedesign(const std::vector<stats::QuantileSketch>* stash) {
   OTFAIR_TRACE_SPAN("redesign_attempt");
   const Clock::time_point deadline =
       Clock::now() + std::chrono::milliseconds(options_.redesign_timeout_ms);
@@ -263,17 +253,19 @@ Status Redesigner::AttemptRedesign(
 
   if (faults_.ShouldInject(Fault::kRedesignThrow))
     return Status::Internal("injected fault: redesign throw");
-  if (faults_.ShouldInject(Fault::kSlowSketchMerge))
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
 
-  // Stage 1: bounded-memory inputs. The sketch snapshot and the drift
-  // level the candidate must beat are taken back to back, so both describe
-  // the same serving snapshot (a concurrent reload would reset both).
-  const std::vector<stats::QuantileSketch> sketches =
-      sketches_override != nullptr ? *sketches_override : service_->SketchSnapshot();
-  if (sketches.empty())
-    return Status::FailedPrecondition("sketches disabled; cannot redesign from stream");
-  const core::DriftReport current = service_->DriftSnapshot();
+  // Stage 1: bounded-memory inputs. One copy of the live sketches gives
+  // both the drift level the candidate must beat (the live plan judged
+  // against the copy) and, minus the stash, the design input.
+  std::vector<stats::QuantileSketch> sketches;
+  core::DriftReport current;
+  {
+    OTFAIR_TRACE_SPAN("redesign_snapshot");
+    if (faults_.ShouldInject(Fault::kSlowSketchMerge))
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    sketches = service_->SketchSnapshot(&current);
+    if (stash != nullptr) OTFAIR_RETURN_IF_ERROR(SubtractStash(&sketches, *stash));
+  }
 
   if (faults_.ShouldInject(Fault::kRedesignTimeout))
     std::this_thread::sleep_for(
@@ -309,11 +301,10 @@ Status Redesigner::AttemptRedesign(
                                " ms deadline after design; result discarded");
 
   // Stage 3: validation. Structural invariants, then the fit gate: the
-  // candidate's own drift statistic against the streamed distribution must
-  // clear the drift threshold AND improve on the current plan's drift
-  // level (the E-improvement proxy — both are the normalized W1 the
-  // monitor alarms on; the integration test closes the loop on the real
-  // E-metric).
+  // candidate's own drift statistic against the design input must clear
+  // the drift threshold AND improve on the current plan's drift level (the
+  // E-improvement proxy — both are the normalized W1 the drift verdict
+  // alarms on; the integration test closes the loop on the real E-metric).
   if (Status validate_status = [&]() -> Status {
         OTFAIR_TRACE_SPAN("redesign_validate");
         if (faults_.ShouldInject(Fault::kInvalidPlan))
@@ -321,18 +312,11 @@ Status Redesigner::AttemptRedesign(
         if (Status status = candidate->Validate(1e-5); !status.ok())
           return Status::FailedPrecondition("candidate plan failed validation: " +
                                             status.message());
+        auto fit = core::JudgeDrift(*candidate, sketches, service_->options().drift);
+        if (!fit.ok()) return fit.status();
         double worst_fit = 0.0;
-        const size_t u_levels = service_->u_levels();
-        for (size_t u = 0; u < u_levels; ++u) {
-          for (size_t k = 0; k < dim; ++k) {
-            const core::ChannelPlan& channel = candidate->At(static_cast<int>(u), k);
-            for (size_t s = 0; s < s_levels; ++s) {
-              const double fit = SketchFitW1(sketches[(u * s_levels + s) * dim + k],
-                                             channel.grid, channel.marginal[s]);
-              worst_fit = std::max(worst_fit, fit);
-            }
-          }
-        }
+        for (const core::ChannelDrift& channel : fit->channels)
+          worst_fit = std::max(worst_fit, channel.w1_normalized);
         const double threshold = service_->options().drift.w1_threshold;
         if (worst_fit > threshold)
           return Status::FailedPrecondition(

@@ -38,16 +38,17 @@ struct RedesignerOptions {
   /// snapshot + design + validation). Checked between stages: a late
   /// result is discarded, never installed.
   int redesign_timeout_ms = 30000;
-  /// Minimum sketch observations per (u, s, k) channel before a redesign
-  /// is attempted; below it the loop keeps waiting (drift stays flagged)
-  /// rather than burning retry budget on thin data.
+  /// Minimum values per (u, s, k) channel that must arrive after an
+  /// episode opens before a redesign is attempted; below it the loop keeps
+  /// waiting (drift stays flagged) rather than burning retry budget on
+  /// thin data.
   uint64_t min_channel_count = 32;
-  /// How long an episode waits for post-drift sketches to ripen before
-  /// falling back to the pre-trip sketch snapshot. A live stream ripens
-  /// fresh sketches well inside this and gets a pure post-shift redesign;
-  /// a stream that went quiet right after tripping (e.g. a finite replay
-  /// draining) falls back to the stashed mixture — which still contains
-  /// the drifted suffix — instead of waiting forever.
+  /// How long an episode waits for post-drift values to ripen before
+  /// falling back to the live sketches. A live stream ripens the episode's
+  /// window well inside this and gets a pure post-shift redesign; a stream
+  /// that went quiet right after tripping (e.g. a finite replay draining)
+  /// falls back to everything observed since plan install — which still
+  /// contains the drifted suffix — instead of waiting forever.
   int fresh_sketch_wait_ms = 2000;
 };
 
@@ -66,20 +67,25 @@ std::vector<double> SketchPseudoSamples(const stats::QuantileSketch& sketch);
 /// streaming quantile sketches and hot-swaps it — no raw-row retention, no
 /// restart, no dropped requests.
 ///
-/// One drift episode runs: restart the channel sketches (so the redesign
-/// sees post-drift traffic only, not the stale mixture accumulated since
-/// plan install) -> wait until every channel ripens past
-/// `min_channel_count` -> snapshot sketches -> SketchPseudoSamples per
-/// channel -> DesignFromChannelSamples (inheriting the live plan's
-/// geometry) -> validate (structural Validate, sketch-fit W1 must clear
-/// the drift threshold AND improve on the current drift level) ->
-/// ReloadPlan. Failures retry with exponential backoff up
-/// to `max_retries`; the old snapshot serves untouched throughout, and
-/// exhaustion flags the service `degraded` instead of dying. A successful
-/// reload resets the drift accumulator and sketches by construction (they
-/// live in the plan snapshot), and the episode cooldown guards against
-/// flapping. Degraded is sticky until the next successful reload (the
-/// loop's own later success, after cooldown, or an operator `reload`).
+/// One drift episode runs: stash the channel sketches (the redesign input
+/// is the window `live - stash`, post-drift traffic only, not the stale
+/// mixture accumulated since plan install; the sketches themselves keep
+/// accumulating, so the drift evidence stays continuous) -> wait until
+/// every channel's window ripens past `min_channel_count` -> copy the live
+/// sketches and subtract the stash -> SketchPseudoSamples per channel ->
+/// DesignFromChannelSamples (inheriting the live plan's geometry) ->
+/// validate (structural Validate; the candidate's drift W1 against the
+/// window must clear the drift threshold AND improve on the live plan's
+/// drift level, judged from the same live copy) -> ReloadPlan. Failures
+/// retry with exponential backoff up to `max_retries`; the old snapshot
+/// serves untouched throughout, and exhaustion flags the service
+/// `degraded` instead of dying. A reload restarts the sketches by
+/// construction (they live in the plan snapshot): when another reload
+/// lands mid-episode the stash stops being a prefix of the live sketches,
+/// and the episode closes without counting an attempt. The episode
+/// cooldown guards against flapping. Degraded is sticky until the next
+/// successful reload (the loop's own later success, after cooldown, or an
+/// operator `reload`).
 class Redesigner {
  public:
   /// Validates options, resolves the fault spec and starts the thread.
@@ -99,11 +105,11 @@ class Redesigner {
   /// progress). Replay drivers drain on this before judging final health.
   bool busy() const { return busy_.load(std::memory_order_relaxed); }
 
-  /// True from the moment a drift episode opens (sketches stashed and
-  /// restarted) until it closes (reload landed, retries exhausted, or the
-  /// drift verdict cleared on its own). The checkpointer records this so a
-  /// post-crash operator can see the crash landed mid-episode; recovery
-  /// restarts the episode from the restored drift accumulators.
+  /// True from the moment a drift episode opens (sketches stashed) until
+  /// it closes (reload landed, retries exhausted, or the drift verdict
+  /// cleared on its own). The checkpointer records this so a post-crash
+  /// operator can see the crash landed mid-episode; recovery restarts the
+  /// episode from the restored sketches.
   bool episode_open() const { return episode_open_.load(std::memory_order_relaxed); }
 
   /// Last attempt failure (Ok if none); for logs and tests.
@@ -111,11 +117,11 @@ class Redesigner {
 
   /// One synchronous redesign attempt — the unit the background loop
   /// retries. Public for tests and the redesign_to_reload benchmark; the
-  /// background loop calls exactly this. `sketches_override`, when given,
-  /// replaces the live sketch snapshot as the design input (the loop's
-  /// stale-stream fallback); the caller keeps ownership.
-  common::Status AttemptRedesign(
-      const std::vector<stats::QuantileSketch>* sketches_override = nullptr);
+  /// background loop calls exactly this. The design input is a copy of
+  /// the live sketches, minus `stash` when given (the episode's window;
+  /// the loop's quiet-stream fallback passes none). A `stash` that is not
+  /// a prefix of the live sketches is kInvalidArgument.
+  common::Status AttemptRedesign(const std::vector<stats::QuantileSketch>* stash = nullptr);
 
  private:
   Redesigner(RepairService* service, const RedesignerOptions& options,
@@ -127,6 +133,11 @@ class Redesigner {
   void StepOnce();
   /// Interruptible sleep; returns false if stopped while waiting.
   bool SleepUnlessStopped(int ms);
+  /// The live sketches minus the episode's stash into `window`; false when
+  /// the stash is no longer a prefix (a reload swapped the snapshot).
+  bool EpisodeWindow(std::vector<stats::QuantileSketch>* window) const;
+  /// Ends the open episode (loop thread only).
+  void CloseEpisode();
 
   RepairService* service_;
   RedesignerOptions options_;
@@ -135,13 +146,12 @@ class Redesigner {
   mutable std::mutex mu_;
   std::condition_variable cv_;
   bool stop_ = false;
-  /// Episode-open state (loop thread only). See StepOnce: a tripped
-  /// monitor first stashes and resets the sketches, then waits for
-  /// post-drift traffic to ripen fresh ones — falling back to the stash
+  /// Episode state (loop thread only). See StepOnce: a tripped verdict
+  /// first stashes the sketches, then waits for post-drift traffic to
+  /// ripen the window past the stash — falling back to the live sketches
   /// after `fresh_sketch_wait_ms` if the stream went quiet.
-  bool fresh_sketches_ = false;
-  std::vector<stats::QuantileSketch> stashed_sketches_;
-  std::chrono::steady_clock::time_point fresh_since_;
+  std::vector<stats::QuantileSketch> stash_;
+  std::chrono::steady_clock::time_point opened_at_;
   common::Status last_error_;
   std::chrono::steady_clock::time_point cooldown_until_;
 

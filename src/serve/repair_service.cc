@@ -3,7 +3,7 @@
 #include <cmath>
 #include <utility>
 
-#include "common/byte_io.h"
+#include "common/check.h"
 #include "common/json_writer.h"
 #include "common/rng.h"
 #include "obs/trace.h"
@@ -20,38 +20,15 @@ using common::Status;
 struct RepairService::Snapshot {
   core::OffSampleRepairer repairer;
   uint64_t version;
-  /// Guards `drift` and `sketches`. A batch observes under it once, after
-  /// its repair; health, scrapes and checkpoints read under it.
-  std::mutex observed_mu;
-  core::DriftMonitor drift;
-  /// Per-channel streaming quantile sketches (same (u, s, k) state order
-  /// as the monitor), fed on sampled rows. Empty when sketching is
-  /// disabled.
+  /// Guards `sketches`. A batch observes under it once, after its repair;
+  /// health, scrapes, redesigns and checkpoints read under it.
+  mutable std::mutex observed_mu;
+  /// Per-channel streaming quantile sketches, indexed
+  /// `(u * s_levels + s) * dim + k`, fed every valid value.
   std::vector<stats::QuantileSketch> sketches;
 
-  Snapshot(core::OffSampleRepairer r, uint64_t v, core::DriftMonitor d, size_t sketch_channels)
-      : repairer(std::move(r)), version(v), drift(std::move(d)), sketches(sketch_channels) {}
-
-  /// One valid row into the drift histograms and (on sampled row
-  /// indices) the quantile sketches. Sampling keys off the request's
-  /// row_index — deterministic in the request identity, so replays
-  /// sketch identically regardless of interleaving. Caller holds
-  /// `observed_mu`.
-  void ObserveRow(const RowRequest& request, size_t dim, size_t s_levels,
-                  uint64_t sketch_every) {
-    for (size_t k = 0; k < dim; ++k) drift.Observe(request.u, request.s, k, request.features[k]);
-    if (sketches.empty()) return;
-    // Sampling keys off row_index alone, so the hot path pays one mask
-    // (the default cadence 16 — any power of two — avoids the 64-bit
-    // modulo) and the 15/16 unsampled rows skip the sketch loop cold.
-    const bool sampled = (sketch_every & (sketch_every - 1)) == 0
-                             ? (request.row_index & (sketch_every - 1)) == 0
-                             : request.row_index % sketch_every == 0;
-    if (!sampled) return;
-    const size_t base =
-        (static_cast<size_t>(request.u) * s_levels + static_cast<size_t>(request.s)) * dim;
-    for (size_t k = 0; k < dim; ++k) sketches[base + k].Add(request.features[k]);
-  }
+  Snapshot(core::OffSampleRepairer r, uint64_t v, size_t channels)
+      : repairer(std::move(r)), version(v), sketches(channels) {}
 };
 
 namespace {
@@ -110,16 +87,10 @@ Result<std::shared_ptr<RepairService::Snapshot>> RepairService::BuildSnapshot(
   repair_options.mode = options.mode;
   repair_options.strength = options.strength;
   repair_options.threads = options.threads;
-  // The drift monitor copies what it needs from the plans (and validates
-  // them) before the repairer takes ownership.
-  const size_t sketch_channels =
-      options.sketch_sample_every > 0 ? plans.u_levels() * plans.s_levels() * plans.dim() : 0;
-  auto monitor = core::DriftMonitor::Create(plans, options.drift);
-  if (!monitor.ok()) return monitor.status();
+  const size_t channels = plans.u_levels() * plans.s_levels() * plans.dim();
   auto repairer = core::OffSampleRepairer::Create(std::move(plans), repair_options);
   if (!repairer.ok()) return repairer.status();
-  return std::make_shared<Snapshot>(std::move(*repairer), version, std::move(*monitor),
-                                    sketch_channels);
+  return std::make_shared<Snapshot>(std::move(*repairer), version, channels);
 }
 
 Result<std::unique_ptr<RepairService>> RepairService::Create(core::RepairPlanSet plans,
@@ -132,6 +103,11 @@ Result<std::unique_ptr<RepairService>> RepairService::Create(core::RepairPlanSet
   const size_t u_levels = plans.u_levels();
   auto snapshot = BuildSnapshot(std::move(plans), options, options.initial_plan_version);
   if (!snapshot.ok()) return snapshot.status();
+  // Bad drift options fail here, not at the first health poll.
+  if (auto judged = core::JudgeDrift((*snapshot)->repairer.plans(), (*snapshot)->sketches,
+                                     options.drift);
+      !judged.ok())
+    return judged.status();
   std::unique_ptr<RepairService> service(
       new RepairService(dim, s_levels, u_levels, options));
   service->snapshot_ = std::move(*snapshot);
@@ -254,13 +230,18 @@ void RepairService::RepairBatch(const RowRequest* requests, size_t count,
   // bit-identical to the same row of an offline RepairDataset.
   snap->repairer.RepairRows(count, RequestRows{*this, requests, responses->data()});
 
-  // Drift observation, amortized: one lock per batch, taken after the
-  // repair. Concurrent batches come only from the front ends' own threads
+  // Observation, amortized: one lock per batch, taken after the repair.
+  // Concurrent batches come only from the front ends' own threads
   // (sessions, net workers), so the lock sees at most that many.
   std::lock_guard<std::mutex> lock(snap->observed_mu);
   for (size_t i = 0; i < count; ++i) {
     if (!(*responses)[i].status.ok()) continue;
-    snap->ObserveRow(requests[i], dim_, s_levels_, options_.sketch_sample_every);
+    const RowRequest& request = requests[i];
+    stats::QuantileSketch::AddRow(
+        &snap->sketches[(static_cast<size_t>(request.u) * s_levels_ +
+                         static_cast<size_t>(request.s)) *
+                        dim_],
+        request.features.data(), dim_);
   }
 }
 
@@ -332,62 +313,61 @@ RepairService::PlanGeometry RepairService::Geometry() const {
   return geometry;
 }
 
+std::vector<stats::QuantileSketch> RepairService::CopySketches(const Snapshot& snapshot,
+                                                                core::DriftReport* drift) const {
+  std::vector<stats::QuantileSketch> sketches;
+  {
+    std::lock_guard<std::mutex> lock(snapshot.observed_mu);
+    sketches = snapshot.sketches;
+  }
+  if (drift != nullptr) {
+    // Create judged these options against this shape; every snapshot
+    // keeps the shape.
+    auto report = core::JudgeDrift(snapshot.repairer.plans(), sketches, options_.drift);
+    OTFAIR_CHECK(report.ok()) << report.status().ToString();
+    *drift = std::move(*report);
+  }
+  return sketches;
+}
+
 core::DriftReport RepairService::DriftSnapshot() const {
-  std::shared_ptr<Snapshot> snap = CurrentSnapshot();
-  std::lock_guard<std::mutex> lock(snap->observed_mu);
-  return snap->drift.Report();
+  core::DriftReport report;
+  CopySketches(*CurrentSnapshot(), &report);
+  return report;
 }
 
-std::vector<stats::QuantileSketch> RepairService::SketchSnapshot() const {
-  std::shared_ptr<Snapshot> snap = CurrentSnapshot();
-  std::lock_guard<std::mutex> lock(snap->observed_mu);
-  return snap->sketches;
-}
-
-void RepairService::ResetSketches() {
-  std::shared_ptr<Snapshot> snap = CurrentSnapshot();
-  std::lock_guard<std::mutex> lock(snap->observed_mu);
-  for (stats::QuantileSketch& sketch : snap->sketches) sketch.Reset();
+std::vector<stats::QuantileSketch> RepairService::SketchSnapshot(core::DriftReport* drift) const {
+  return CopySketches(*CurrentSnapshot(), drift);
 }
 
 RepairService::CheckpointState RepairService::StateForCheckpoint() const {
-  // ONE snapshot acquisition: plan, version, and observed state all
-  // describe the same serving snapshot, even mid-reload; one lock
-  // acquisition, so no batch lands between the drift and sketch captures.
+  // ONE snapshot acquisition: plan, version, and sketches all describe the
+  // same serving snapshot, even mid-reload.
   std::shared_ptr<Snapshot> snap = CurrentSnapshot();
   CheckpointState state;
   state.plan_version = snap->version;
   state.degraded = degraded();
   state.plans = snap->repairer.plans();
   std::lock_guard<std::mutex> lock(snap->observed_mu);
-  state.drift = snap->drift;
   state.sketches = snap->sketches;
   return state;
 }
 
-Status RepairService::RestoreObservedState(const std::string& drift_counts,
-                                           const std::vector<stats::QuantileSketch>& sketches) {
+Status RepairService::RestoreObservedState(const std::vector<stats::QuantileSketch>& sketches) {
   std::shared_ptr<Snapshot> snap = CurrentSnapshot();
   std::lock_guard<std::mutex> lock(snap->observed_mu);
-  if (!drift_counts.empty()) {
-    common::ByteReader reader(drift_counts);
-    OTFAIR_RETURN_IF_ERROR(snap->drift.RestoreCounts(reader));
-    if (!reader.exhausted())
-      return Status::InvalidArgument("trailing bytes after drift counts");
-  }
-  if (!sketches.empty()) {
-    if (snap->sketches.size() != sketches.size())
-      return Status::InvalidArgument(
-          "checkpoint carries " + std::to_string(sketches.size()) +
-          " sketches, service has " + std::to_string(snap->sketches.size()) + " channels");
-    for (size_t c = 0; c < sketches.size(); ++c)
-      OTFAIR_RETURN_IF_ERROR(snap->sketches[c].Merge(sketches[c]));
-  }
+  if (snap->sketches.size() != sketches.size())
+    return Status::InvalidArgument(
+        "checkpoint carries " + std::to_string(sketches.size()) + " sketches, service has " +
+        std::to_string(snap->sketches.size()) + " channels");
+  for (size_t c = 0; c < sketches.size(); ++c) snap->sketches[c].Merge(sketches[c]);
   return Status::Ok();
 }
 
 ServiceHealth RepairService::Health() const {
-  const core::DriftReport report = DriftSnapshot();
+  std::shared_ptr<Snapshot> snap = CurrentSnapshot();
+  core::DriftReport report;
+  CopySketches(*snap, &report);
   const MetricsSnapshot metrics = metrics_.Snapshot();
   ServiceHealth health;
   health.drifted = report.drifted;
@@ -395,7 +375,7 @@ ServiceHealth RepairService::Health() const {
   health.worst_w1 = report.worst_w1;
   health.worst_out_of_range = report.worst_out_of_range;
   for (const core::ChannelDrift& c : report.channels) health.values_observed += c.count;
-  health.plan_version = plan_version();
+  health.plan_version = snap->version;
   health.reloads_total = metrics.reloads;
   health.reloads_failed = metrics.reloads_failed;
   health.recovered_generation = recovered_generation();

@@ -5,13 +5,12 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/result.h"
 #include "common/status.h"
-#include "core/drift_monitor.h"
+#include "core/drift.h"
 #include "core/repair_plan.h"
 #include "core/repairer.h"
 #include "serve/metrics.h"
@@ -64,7 +63,7 @@ struct ServiceHealth {
   bool degraded = false;
   double worst_w1 = 0.0;
   double worst_out_of_range = 0.0;
-  /// Total values streamed into the drift accumulator since the current
+  /// Total values streamed into the channel sketches since the current
   /// plan snapshot was installed.
   uint64_t values_observed = 0;
   uint64_t plan_version = 1;
@@ -93,16 +92,13 @@ struct ServiceOptions {
   uint64_t seed = 0x07fa12u;
   core::TransportMode mode = core::TransportMode::kStochastic;
   double strength = 1.0;
-  /// Lanes for one RepairBatch (0: process default, 1: serial). Serving
-  /// front ends take their concurrency from their own threads; this
-  /// per-batch fan-out is kept for callers that set it.
-  int threads = 0;
-  core::DriftMonitorOptions drift;
-  /// Per-channel streaming quantile sketches feed on every
-  /// `sketch_sample_every`-th row index (the same 1/16 cadence as batcher
-  /// latency sampling, so hot-path cost stays negligible). 0 disables
-  /// sketch accumulation (and with it sketch-based redesign).
-  uint64_t sketch_sample_every = 16;
+  /// Lanes for one RepairBatch (1: the calling thread, 0: the process
+  /// thread pool). Serving front ends take their concurrency from their
+  /// own threads, so a batch repairs on the thread that submitted it;
+  /// fanning one batch out over the shared pool only queues concurrent
+  /// sessions behind each other.
+  int threads = 1;
+  core::DriftOptions drift;
   /// Fault-injection spec for the self-heal path (see serve::FaultInjector
   /// for the syntax); the redesigner reads it. Empty defers to the
   /// OTFAIR_FAULTS environment variable; production leaves both unset.
@@ -116,7 +112,7 @@ struct ServiceOptions {
 
 /// A long-lived, thread-safe repair server over a `RepairPlanSet`.
 ///
-/// The plan, its O(1) sampling tables, and the drift accumulator live in
+/// The plan, its O(1) sampling tables, and the channel sketches live in
 /// one immutable-by-readers snapshot held through a mutex-guarded
 /// `std::shared_ptr`. The service owns no thread: every call runs on its
 /// caller's (sessions, net workers, the checkpoint and self-heal loops).
@@ -138,13 +134,14 @@ struct ServiceOptions {
 /// schedule, or snapshot identity — so concurrent serving is bit-
 /// identical to offline batch repair per session (see RowRequest).
 ///
-/// Drift: every repaired row also feeds the snapshot's one
-/// `core::DriftMonitor` (and, on sampled rows, its channel sketches), one
-/// lock acquisition per batch; `Health()` reports it under that lock and
-/// applies the configured thresholds, so operators learn when the serving
-/// plan has gone stale (the paper's stationarity assumption, §IV/§VI).
-/// Reloading a plan resets the accumulator — drift is always judged
-/// against the live design.
+/// Drift: every value of every repaired row also feeds the snapshot's
+/// per-(u, s, k) `stats::QuantileSketch`, one lock acquisition per batch;
+/// `Health()` copies them under that lock and judges the copy against the
+/// plan (`core::JudgeDrift`, thresholds from `options.drift`), so operators
+/// learn when the serving plan has gone stale (the paper's stationarity
+/// assumption, §IV/§VI). The same sketches are the self-heal redesign
+/// input and the checkpointed observed state. Reloading a plan restarts
+/// them — drift is always judged against the live design.
 class RepairService {
  public:
   /// Validates the plans and options and builds the first snapshot.
@@ -165,8 +162,8 @@ class RepairService {
   /// Repairs one row: a RepairBatch of one. Thread-safe.
   common::Status RepairRow(const RowRequest& request, RowResponse* response);
 
-  /// Repairs a batch of rows, fanning out over `options.threads` lanes on
-  /// the process thread pool. Per-row failures land in the matching
+  /// Repairs a batch of rows on `options.threads` lanes (the calling
+  /// thread by default). Per-row failures land in the matching
   /// response's `status`; the batch itself always completes. `responses`
   /// is resized to match and its element capacity is reused.
   void RepairBatch(const RowRequest* requests, size_t count,
@@ -176,9 +173,9 @@ class RepairService {
   /// same dimensionality and |U|/|S| level counts (the group-label wire
   /// contract of live sessions must not change under them). Existing
   /// traffic is never blocked or dropped; requests concurrent with the
-  /// swap use whichever snapshot they acquired first. The drift
-  /// accumulator (and the streaming sketches) restart against the new
-  /// plan, and a successful reload clears any `degraded` verdict.
+  /// swap use whichever snapshot they acquired first. The channel sketches
+  /// restart against the new plan, and a successful reload clears any
+  /// `degraded` verdict.
   ///
   /// Concurrent reloads: calls serialize on an internal mutex (readers
   /// never touch it) and resolve last-writer-wins — each successful call
@@ -213,52 +210,38 @@ class RepairService {
   };
   PlanGeometry Geometry() const;
 
-  /// Drift report of the live snapshot's accumulator.
+  /// Drift report of the live snapshot: its plan judged against its
+  /// channel sketches.
   core::DriftReport DriftSnapshot() const;
 
   /// Copy of the live snapshot's per-channel quantile sketches, indexed
-  /// `(u * s_levels + s) * dim + k` (the DriftMonitor state order). The
-  /// sketches hold integer bucket counts, so they are deterministic for a
-  /// given set of observed rows, whatever order the batches landed in.
-  /// Empty when `sketch_sample_every` is 0.
-  std::vector<stats::QuantileSketch> SketchSnapshot() const;
-
-  /// Restarts every channel sketch of the live snapshot (the drift
-  /// accumulator is untouched). The self-heal loop calls this when a drift
-  /// episode opens, so the redesign input reflects post-drift traffic only
-  /// — sketches accumulated since plan install are dominated by the
-  /// pre-shift distribution and would bake the stale mixture into the
-  /// redesigned plan. No-op when sketching is disabled.
-  void ResetSketches();
+  /// `(u * s_levels + s) * dim + k` (the JudgeDrift order). The sketches
+  /// hold integer bucket counts, so they are deterministic for a given set
+  /// of observed rows, whatever order the batches landed in. When `drift`
+  /// is given it receives the copy's report against the same snapshot's
+  /// plan — the verdict and the sketches describe the same rows.
+  std::vector<stats::QuantileSketch> SketchSnapshot(core::DriftReport* drift = nullptr) const;
 
   /// Everything the checkpointer persists, captured from ONE snapshot
-  /// acquisition so the plan, its version, and the observed
-  /// drift/sketch state are mutually coherent even when a reload lands
-  /// concurrently (the pieces all describe the same snapshot — a reload
-  /// concurrent with the capture is either entirely before or entirely
-  /// after it). The drift and sketch state are copied under one lock, so
-  /// both cover the same batches.
+  /// acquisition so the plan, its version, and the channel sketches are
+  /// mutually coherent even when a reload lands concurrently (the pieces
+  /// all describe the same snapshot — a reload concurrent with the capture
+  /// is either entirely before or entirely after it).
   struct CheckpointState {
     uint64_t plan_version = 1;
     bool degraded = false;
     core::RepairPlanSet plans;
-    /// The drift accumulator (engaged whenever the capture succeeded;
-    /// optional only because DriftMonitor has no default construction).
-    std::optional<core::DriftMonitor> drift;
-    /// The channel sketches; empty when sketching is disabled.
     std::vector<stats::QuantileSketch> sketches;
   };
   CheckpointState StateForCheckpoint() const;
 
-  /// Folds checkpointed observed state into the live snapshot:
-  /// `drift_counts` is a DriftMonitor::SerializeCounts payload, validated
-  /// against the live monitor's real geometry before anything mutates;
-  /// `sketches` merge channel-wise (the exactly-commutative integer-count
-  /// merge, so restoring into a fresh service reproduces the checkpointed
-  /// sketches bit-identically). Call once, right after Create, before
-  /// traffic. An empty `drift_counts` / `sketches` restores nothing.
-  common::Status RestoreObservedState(const std::string& drift_counts,
-                                      const std::vector<stats::QuantileSketch>& sketches);
+  /// Folds checkpointed channel sketches into the live snapshot's: one
+  /// per channel, merged channel-wise (the exactly-commutative
+  /// integer-count merge, so restoring into a fresh service reproduces the
+  /// checkpointed sketches bit-identically). Call once, right after
+  /// Create, before traffic. A sketch count that does not match the
+  /// service's channels is kInvalidArgument and restores nothing.
+  common::Status RestoreObservedState(const std::vector<stats::QuantileSketch>& sketches);
 
   /// Records that this service was started from a recovered checkpoint
   /// (generation > 0); surfaces in Health().
@@ -269,7 +252,8 @@ class RepairService {
     return recovered_generation_.load(std::memory_order_relaxed);
   }
 
-  /// Cheap health verdict (thresholds from options.drift).
+  /// Health verdict (thresholds from options.drift): the drift report and
+  /// the plan version come from one snapshot acquisition.
   ServiceHealth Health() const;
 
   /// Flags (or clears) the degraded verdict — set by the self-heal loop
@@ -291,6 +275,12 @@ class RepairService {
 
   static common::Result<std::shared_ptr<Snapshot>> BuildSnapshot(
       core::RepairPlanSet plans, const ServiceOptions& options, uint64_t version);
+
+  /// Copies `snapshot`'s sketches under its lock; when `drift` is given,
+  /// also judges the copy against `snapshot`'s plan (options.drift)
+  /// outside the lock, so serving batches wait only for the copy.
+  std::vector<stats::QuantileSketch> CopySketches(const Snapshot& snapshot,
+                                                  core::DriftReport* drift) const;
 
   /// Checks feature count and label ranges, stamping the response's
   /// identity and (on failure) its error status.

@@ -5,13 +5,12 @@
 //
 //  - the recovered process serves the same plan version bit-identically
 //    (same repaired bytes for the same (session, row) requests);
-//  - observed state (drift accumulators, channel sketches) resumes at the
-//    last checkpoint — traffic after the final checkpoint is lost, and
-//    nothing else;
+//  - observed state (the channel sketches) resumes at the last checkpoint
+//    — traffic after the final checkpoint is lost, and nothing else;
 //  - recovery falls back past a corrupt newest generation, and cold-starts
 //    when nothing is intact — it never refuses to serve;
 //  - a crash mid-self-heal-episode recovers and the redesigner converges
-//    on the restored accumulators.
+//    on the restored sketches.
 //
 // The true kill -9 variant (separate processes, SIGKILL mid-replay) runs
 // in tools/chaos_replay.sh / CI; these tests keep the same state machine
@@ -121,13 +120,11 @@ std::unique_ptr<serve::RepairService> Recover(const std::string& dir,
   base.seed = data.seed;
   base.mode = static_cast<core::TransportMode>(data.mode);
   base.strength = data.strength;
-  base.sketch_sample_every = data.sketch_sample_every;
   base.initial_plan_version = data.plan_version;
   auto service = serve::RepairService::Create(std::move(data.plans), base);
   EXPECT_TRUE(service.ok()) << service.status().ToString();
   if (!service.ok()) return nullptr;
-  EXPECT_TRUE(
-      (*service)->RestoreObservedState(data.drift_counts, data.sketches).ok());
+  EXPECT_TRUE((*service)->RestoreObservedState(data.sketches).ok());
   (*service)->SetDegraded(data.degraded);
   (*service)->MarkRecovered(data.generation);
   if (out_generation != nullptr) *out_generation = data.generation;
@@ -145,7 +142,6 @@ TEST(ChaosTest, CrashAfterCheckpointRecoversBitIdenticalServing) {
   const std::string dir = TempDirFor("chaos_bit_identical");
   serve::ServiceOptions options;
   options.seed = 4242;
-  options.sketch_sample_every = 4;
 
   common::Matrix pre_crash(0, 0);
   uint64_t checkpoint_sketch_rows = 0;
@@ -188,11 +184,10 @@ TEST(ChaosTest, CrashAfterCheckpointRecoversBitIdenticalServing) {
       ASSERT_EQ(post(i, k), pre_crash(i, k)) << "row " << i << " k " << k;
 
   // Observed state resumed at the checkpoint boundary: the session-9
-  // probe rows above observed into the recovered accumulators, so
+  // probe rows above observed into the recovered sketches, so
   // subtract them; what remains is exactly the checkpointed state — the
   // 300 post-checkpoint rows (and only those) were lost.
-  const uint64_t probe_sketch_rows =
-      400 / options.sketch_sample_every * fx.archive.dim();
+  const uint64_t probe_sketch_rows = 400 * fx.archive.dim();
   EXPECT_EQ(TotalSketchCount(recovered->SketchSnapshot()) - probe_sketch_rows,
             checkpoint_sketch_rows);
   const auto drift = recovered->DriftSnapshot();
@@ -282,9 +277,9 @@ TEST(ChaosTest, CheckpointDuringReloadRecoversAWholeVersion) {
 TEST(ChaosTest, SelfHealConvergesAfterCrashMidEpisode) {
   // Drift trips, the redesigner opens an episode, and the process dies
   // before the redesign lands. The recovered process restores the tripped
-  // drift accumulators, its own redesigner re-opens the episode, ripens
-  // sketches on continuing post-shift traffic, and lands the redesign —
-  // ending healthy with a bumped plan version.
+  // sketches, its own redesigner re-opens the episode, ripens its window
+  // on continuing post-shift traffic, and lands the redesign — ending
+  // healthy with a bumped plan version.
   common::Rng rng(5);
   const auto config = sim::GaussianSimConfig::PaperDefault();
   auto research = sim::SimulateGaussianMixture(600, config, rng);
@@ -306,15 +301,14 @@ TEST(ChaosTest, SelfHealConvergesAfterCrashMidEpisode) {
 
   const std::string dir = TempDirFor("chaos_mid_episode");
   serve::ServiceOptions options;
-  options.sketch_sample_every = 1;
 
   serve::RedesignerOptions heal;
   heal.poll_interval_ms = 5;
   heal.backoff_initial_ms = 1;
   heal.cooldown_ms = 1;
   heal.min_channel_count = 64;
-  // Long fresh-sketch wait: after the episode opens (sketches restarted),
-  // the redesign blocks on post-drift samples. Phase 1 sends no more
+  // Long fresh-sketch wait: after the episode opens (sketches stashed),
+  // the redesign blocks on post-drift values. Phase 1 sends no more
   // traffic, so the episode deterministically stays open across the
   // checkpoint and the crash; phase 2's traffic ripens it.
   heal.fresh_sketch_wait_ms = 60000;
@@ -328,7 +322,7 @@ TEST(ChaosTest, SelfHealConvergesAfterCrashMidEpisode) {
         service->get(), {dir, 60000, /*keep=*/3}, redesigner->get());
     ASSERT_TRUE(checkpointer.ok());
 
-    // Enough shifted traffic to trip the monitor, then wait for the
+    // Enough shifted traffic to trip the drift verdict, then wait for the
     // episode to open and checkpoint inside it.
     StreamRows(service->get(), shifted, 0, 2000);
     const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
@@ -341,8 +335,8 @@ TEST(ChaosTest, SelfHealConvergesAfterCrashMidEpisode) {
                             // joins the thread so the scope exit is clean
   }
 
-  // Recovery: the tripped drift accumulators must have survived the crash
-  // — that is what lets the new process's redesigner re-open the episode.
+  // Recovery: the tripped sketches must have survived the crash — that is
+  // what lets the new process's redesigner re-open the episode.
   auto recovered = Recover(dir, options);
   ASSERT_NE(recovered, nullptr);
   EXPECT_TRUE(recovered->Health().drifted);

@@ -31,6 +31,9 @@
 #ifndef OTFAIR_CLI_PATH
 #define OTFAIR_CLI_PATH "./tools/otfair"
 #endif
+#ifndef OTFAIR_GOLDEN_DIR
+#error "build must define OTFAIR_GOLDEN_DIR"
+#endif
 
 namespace otfair {
 namespace {
@@ -406,6 +409,33 @@ TEST_F(CliTest, ServeReplayHealthyAndDriftedExits) {
   EXPECT_EQ(Run("serve --plan=" + plan_path_ + " --replay=" + drifted_path +
                 " --sessions=1"),
             3);
+}
+
+TEST_F(CliTest, ServeRecoverSkipsVersionOneCheckpointAndColdStarts) {
+  ASSERT_EQ(Run("design --research=" + research_path_ + " --plan=" + plan_path_ +
+                " --n_q=40"),
+            0);
+  // checkpoint_v1.otcp is a checkpoint in the previous format (version 1:
+  // drift histograms and a sketch cadence beside the sketches). Recovery
+  // skips it like any unsupported version and cold-starts from --plan.
+  const std::string ckpt_dir = dir_ + "/ckpt_v1";
+  ASSERT_EQ(std::system(("mkdir -p " + ckpt_dir + " && cp " + OTFAIR_GOLDEN_DIR +
+                         "/checkpoint_v1.otcp " + ckpt_dir +
+                         "/checkpoint-00000000000000000001.otcp")
+                            .c_str()),
+            0);
+  const std::string serve = "serve --recover --checkpoint_dir=" + ckpt_dir +
+                            " --plan=" + plan_path_ + " --replay=" + archive_path_;
+  int exit_code = -1;
+  std::string err = RunCaptureStderr(serve, &exit_code);
+  EXPECT_EQ(exit_code, 0) << err;
+  EXPECT_NE(err.find("unsupported checkpoint version"), std::string::npos) << err;
+  EXPECT_NE(err.find("cold-starting from " + plan_path_), std::string::npos) << err;
+  // The cold-started server's final checkpoint (version 2) replaced it and
+  // recovers.
+  err = RunCaptureStderr(serve, &exit_code);
+  EXPECT_EQ(exit_code, 0) << err;
+  EXPECT_NE(err.find("recovered checkpoint generation 1"), std::string::npos) << err;
 }
 
 TEST_F(CliTest, ServeReplayInputErrorsExitOneUnderPromDump) {

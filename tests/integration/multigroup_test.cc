@@ -13,7 +13,7 @@
 
 #include "common/rng.h"
 #include "core/designer.h"
-#include "core/drift_monitor.h"
+#include "core/drift.h"
 #include "core/geometric.h"
 #include "core/label_estimator.h"
 #include "core/pipeline.h"
@@ -23,6 +23,7 @@
 #include "fairness/emetric.h"
 #include "serve/repair_service.h"
 #include "sim/gaussian_mixture.h"
+#include "stats/quantile_sketch.h"
 
 namespace otfair {
 namespace {
@@ -192,25 +193,26 @@ TEST(MultiGroupTest, GeometricRepairHandlesKGroups) {
 TEST(MultiGroupTest, DriftMonitorShardsPerGroup) {
   data::Dataset research = Simulate(3000, 4, 2, 14);
   core::RepairPlanSet plans = Design(research);
-  auto monitor = core::DriftMonitor::Create(plans);
-  ASSERT_TRUE(monitor.ok());
+  // One sketch per (u, s, k) channel, fed every value.
+  auto judge = [&](const data::Dataset& stream) {
+    std::vector<stats::QuantileSketch> sketches(plans.u_levels() * plans.s_levels() *
+                                                plans.dim());
+    for (size_t i = 0; i < stream.size(); ++i) {
+      const size_t base = (static_cast<size_t>(stream.u(i)) * plans.s_levels() +
+                           static_cast<size_t>(stream.s(i))) *
+                          plans.dim();
+      for (size_t k = 0; k < stream.dim(); ++k) sketches[base + k].Add(stream.feature(i, k));
+    }
+    auto report = core::JudgeDrift(plans, sketches);
+    EXPECT_TRUE(report.ok()) << report.status();
+    return report.ok() ? *report : core::DriftReport{};
+  };
   // Stationary stream: no drift across all |U| x |S| x d channels.
-  data::Dataset stationary = Simulate(20000, 4, 2, 15);
-  for (size_t i = 0; i < stationary.size(); ++i) {
-    for (size_t k = 0; k < stationary.dim(); ++k)
-      monitor->Observe(stationary.u(i), stationary.s(i), k, stationary.feature(i, k));
-  }
-  core::DriftReport report = monitor->Report();
+  const core::DriftReport report = judge(Simulate(20000, 4, 2, 15));
   EXPECT_EQ(report.channels.size(), 4u * 2u * 2u);
   EXPECT_FALSE(report.drifted);
   // Shifted stream: drift must trip.
-  monitor->Reset();
-  data::Dataset drifted = Simulate(20000, 4, 2, 16, /*shift=*/2.0);
-  for (size_t i = 0; i < drifted.size(); ++i) {
-    for (size_t k = 0; k < drifted.dim(); ++k)
-      monitor->Observe(drifted.u(i), drifted.s(i), k, drifted.feature(i, k));
-  }
-  EXPECT_TRUE(monitor->Report().drifted);
+  EXPECT_TRUE(judge(Simulate(20000, 4, 2, 16, /*shift=*/2.0)).drifted);
 }
 
 TEST(MultiGroupTest, LabelEstimatorRecoversKClasses) {

@@ -1,5 +1,5 @@
 // The self-healing serving loop, end to end and in-process: a stream that
-// shifts mid-flight trips the drift monitor, the background redesigner
+// shifts mid-flight trips the drift verdict, the background redesigner
 // rebuilds the plan from streaming quantile sketches (no raw-row
 // retention) and hot-swaps it — zero dropped requests, no restart — and
 // the paper's E-metric on service-repaired post-shift traffic lands back
@@ -102,7 +102,6 @@ TEST(SelfHealIntegrationTest, MidStreamShiftConvergesBelowThresholdWithZeroDrops
   const data::Dataset shifted = Shifted(*archive, 2.0);
 
   serve::ServiceOptions service_options;
-  service_options.sketch_sample_every = 1;
   auto service = serve::RepairService::Create(*plans, service_options);
   ASSERT_TRUE(service.ok());
   serve::RedesignerOptions heal_options;
@@ -118,9 +117,9 @@ TEST(SelfHealIntegrationTest, MidStreamShiftConvergesBelowThresholdWithZeroDrops
 
   // Phase 2: the shift hits. Keep streaming shifted traffic (row indices
   // keep counting, archive rows recycle) until the self-heal loop trips,
-  // restarts its sketches, ripens them on the post-shift stream, redesigns
-  // and hot-swaps — mid-stream, on the live service, with every row still
-  // answered.
+  // stashes its sketches, ripens the window past the stash on the
+  // post-shift stream, redesigns and hot-swaps — mid-stream, on the live
+  // service, with every row still answered.
   size_t next = cut;
   const Clock::time_point deadline = Clock::now() + std::chrono::seconds(120);
   while ((*service)->plan_version() < 2 && Clock::now() < deadline) {
@@ -202,7 +201,6 @@ TEST(SelfHealIntegrationTest, InjectedFaultDegradesWithoutDroppingTraffic) {
   const data::Dataset shifted = Shifted(*archive, 2.0);
 
   serve::ServiceOptions service_options;
-  service_options.sketch_sample_every = 1;
   service_options.faults = "redesign_throw";  // every attempt fails
   auto service = serve::RepairService::Create(*plans, service_options);
   ASSERT_TRUE(service.ok());

@@ -1,10 +1,12 @@
 // Checkpoint subsystem contracts:
 //
 //  - serialize -> parse is a bit-identical round trip for every field,
-//    including sketch and drift payloads;
+//    including the channel sketches;
 //  - every corruption class (truncation at any prefix, bit flips,
 //    oversize, wrong magic/version, CRC mismatch) is rejected with a
-//    clean Status — never a crash, hang, or huge allocation;
+//    clean Status — never a crash, hang, or huge allocation; a version-1
+//    file (the format before the sketches became the only observed state)
+//    is unsupported, and recovery skips it;
 //  - recovery picks the newest intact generation, falling back past
 //    corrupt files, and reports kNotFound when nothing validates;
 //  - the live Checkpointer writes parseable generations under concurrent
@@ -18,6 +20,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <utility>
@@ -60,8 +63,8 @@ std::string TempDirFor(const std::string& name) {
   return dir;
 }
 
-/// A populated CheckpointData: real plans, drift counts, and sketches from
-/// a service that has observed traffic.
+/// A populated CheckpointData: real plans and sketches from a service that
+/// has observed traffic.
 CheckpointData MakeCheckpoint(uint64_t seed, uint64_t generation = 7) {
   auto service = RepairService::Create(DesignedPlans(seed), {});
   EXPECT_TRUE(service.ok());
@@ -85,10 +88,7 @@ CheckpointData MakeCheckpoint(uint64_t seed, uint64_t generation = 7) {
   data.seed = (*service)->options().seed;
   data.mode = static_cast<uint32_t>((*service)->options().mode);
   data.strength = (*service)->options().strength;
-  data.sketch_sample_every = (*service)->options().sketch_sample_every;
   data.plans = std::move(state.plans);
-  common::ByteWriter writer(&data.drift_counts);
-  state.drift->SerializeCounts(writer);
   data.sketches = std::move(state.sketches);
   return data;
 }
@@ -105,8 +105,6 @@ TEST(CheckpointSerializationTest, RoundTripIsBitIdentical) {
   EXPECT_EQ(parsed->seed, data.seed);
   EXPECT_EQ(parsed->mode, data.mode);
   EXPECT_EQ(parsed->strength, data.strength);
-  EXPECT_EQ(parsed->sketch_sample_every, data.sketch_sample_every);
-  EXPECT_EQ(parsed->drift_counts, data.drift_counts);
   // Plan and sketches re-serialize to the same bytes — the strongest
   // bit-identity statement without field-by-field plumbing.
   EXPECT_EQ(parsed->plans.SerializeToString(), data.plans.SerializeToString());
@@ -224,6 +222,32 @@ TEST(CheckpointRecoveryTest, MismatchedFilenameGenerationIsSkipped) {
   ASSERT_TRUE(recovered.ok());
   EXPECT_EQ(recovered->data.generation, 3u);
   ASSERT_EQ(recovered->skipped.size(), 1u);
+}
+
+TEST(CheckpointRecoveryTest, VersionOneCheckpointIsSkipped) {
+  // Version 1 (drift histograms and a sketch cadence beside the sketches)
+  // is no longer read: recovery skips it like any unsupported version and
+  // falls back to the newest version-2 generation, or reports kNotFound so
+  // the caller cold-starts.
+  const std::string dir = TempDirFor("recover_v1");
+  std::string v1 = SerializeCheckpoint(MakeCheckpoint(14, 2));
+  const uint32_t version_one = 1;
+  std::memcpy(&v1[4], &version_one, sizeof(version_one));  // the header's version field
+  ASSERT_TRUE(common::AtomicWriteFile(CheckpointPath(dir, 2), v1).ok());
+  auto alone = RecoverNewestCheckpoint(dir);
+  ASSERT_FALSE(alone.ok());
+  EXPECT_EQ(alone.status().code(), common::StatusCode::kNotFound);
+  EXPECT_NE(alone.status().message().find("unsupported checkpoint version"), std::string::npos)
+      << alone.status();
+
+  ASSERT_TRUE(common::AtomicWriteFile(CheckpointPath(dir, 1),
+                                      SerializeCheckpoint(MakeCheckpoint(14, 1)))
+                  .ok());
+  auto recovered = RecoverNewestCheckpoint(dir);
+  ASSERT_TRUE(recovered.ok()) << recovered.status();
+  EXPECT_EQ(recovered->data.generation, 1u);
+  ASSERT_EQ(recovered->skipped.size(), 1u);
+  EXPECT_NE(recovered->skipped[0].find("unsupported checkpoint version"), std::string::npos);
 }
 
 TEST(CheckpointRecoveryTest, NothingIntactIsNotFound) {

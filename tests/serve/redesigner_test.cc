@@ -83,10 +83,9 @@ void StreamShifted(RepairService* service, const data::Dataset& archive, double 
   for (const RowResponse& response : responses) ASSERT_TRUE(response.status.ok());
 }
 
-/// Service with per-row sketching so unit tests ripen sketches quickly.
+/// The service under test, with an optional fault spec.
 std::unique_ptr<RepairService> MakeService(Fixture& fx, std::string faults = "") {
   ServiceOptions options;
-  options.sketch_sample_every = 1;
   options.faults = std::move(faults);
   auto service = RepairService::Create(fx.plans, options);
   EXPECT_TRUE(service.ok()) << service.status();
@@ -104,8 +103,9 @@ std::unique_ptr<Redesigner> MakeInertRedesigner(RepairService* service,
 }
 
 /// Waits for `predicate` while keeping shifted traffic flowing at fresh
-/// row indices — the self-heal loop restarts the sketches when an episode
-/// opens, so it needs live post-drift rows to ripen them.
+/// row indices — the self-heal loop stashes the sketches when an episode
+/// opens and redesigns from the rows that arrive after, so it needs live
+/// post-drift rows to ripen that window.
 bool WaitWithShiftedTraffic(RepairService* service, const data::Dataset& archive,
                             uint64_t* next_row, const std::function<bool()>& predicate,
                             int timeout_ms = 90000) {
@@ -179,16 +179,6 @@ TEST(FaultInjectorTest, FaultNamesRoundTripThroughParser) {
 
 // --- Redesigner construction ------------------------------------------------
 
-TEST(RedesignerTest, RequiresSketchesEnabled) {
-  Fixture fx = MakeFixture(1);
-  ServiceOptions options;
-  options.sketch_sample_every = 0;  // sketches off => nothing to redesign from
-  auto service = RepairService::Create(fx.plans, options);
-  ASSERT_TRUE(service.ok());
-  EXPECT_EQ(Redesigner::Create(service->get()).status().code(),
-            common::StatusCode::kFailedPrecondition);
-}
-
 TEST(RedesignerTest, RejectsBadOptions) {
   Fixture fx = MakeFixture(2);
   auto service = MakeService(fx);
@@ -241,6 +231,25 @@ TEST(RedesignerTest, RedesignedPlanKeepsGeometry) {
   EXPECT_EQ(after.feature_names, before.feature_names);
   EXPECT_EQ(after.lambdas, before.lambdas);
   EXPECT_EQ(after.target_t, before.target_t);
+}
+
+TEST(RedesignerTest, StashThatIsNotAPrefixIsRefused) {
+  // A stash from another snapshot (here: taken before a reload restarted
+  // the sketches) does not describe a prefix of the live stream.
+  Fixture fx = MakeFixture(13);
+  auto service = MakeService(fx);
+  StreamShifted(service.get(), fx.archive, 2.0);
+  const std::vector<stats::QuantileSketch> stale = service->SketchSnapshot();
+  ASSERT_TRUE(service->ReloadPlan(fx.plans).ok());
+  StreamShifted(service.get(), fx.archive, 2.0, 0, 1000);
+  auto redesigner = MakeInertRedesigner(service.get());
+  EXPECT_EQ(redesigner->AttemptRedesign(&stale).code(), common::StatusCode::kInvalidArgument);
+  EXPECT_EQ(service->plan_version(), 2u);
+  // The live stash redesigns from the rows after it.
+  const std::vector<stats::QuantileSketch> stash = service->SketchSnapshot();
+  StreamShifted(service.get(), fx.archive, 2.0, 1000, 3000);
+  ASSERT_TRUE(redesigner->AttemptRedesign(&stash).ok());
+  EXPECT_EQ(service->plan_version(), 3u);
 }
 
 TEST(RedesignerTest, UndriftedServiceDoesNotRedesign) {
@@ -419,11 +428,45 @@ TEST(RedesignerLoopTest, TransientFaultIsAbsorbedByRetries) {
   EXPECT_FALSE(service->degraded());
 }
 
+TEST(RedesignerLoopTest, ReloadMidEpisodeClosesItWithoutCountingAnAttempt) {
+  // An operator reload lands while an episode waits for its window: the
+  // stash no longer describes the live stream, so the episode closes
+  // without an attempt, a failure or a degraded verdict, and the next one
+  // opens on the new snapshot and heals it.
+  Fixture fx = MakeFixture(14);
+  auto service = MakeService(fx);
+  StreamShifted(service.get(), fx.archive, 2.0);
+  RedesignerOptions options;
+  options.poll_interval_ms = 20;
+  options.backoff_initial_ms = 1;
+  options.fresh_sketch_wait_ms = 600000;  // never fall back to the live sketches
+  auto redesigner = Redesigner::Create(service.get(), options);
+  ASSERT_TRUE(redesigner.ok());
+  const Clock::time_point deadline = Clock::now() + std::chrono::seconds(20);
+  while (!(*redesigner)->episode_open() && Clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  ASSERT_TRUE((*redesigner)->episode_open());
+  // A fresh snapshot, drifted again by fewer rows than the stash holds.
+  ASSERT_TRUE(service->ReloadPlan(fx.plans).ok());
+  StreamShifted(service.get(), fx.archive, 2.0, 0, 1000);
+  uint64_t next_row = 1000;
+  ASSERT_TRUE(WaitWithShiftedTraffic(service.get(), fx.archive, &next_row, [&] {
+    return service->plan_version() >= 3 && !(*redesigner)->busy();
+  })) << "self-heal did not reload; last error: " << (*redesigner)->last_error();
+  const MetricsSnapshot metrics = service->metrics().Snapshot();
+  EXPECT_EQ(metrics.redesign_attempts, 1u);
+  EXPECT_EQ(metrics.redesign_failures, 0u);
+  EXPECT_EQ(metrics.redesign_gave_up, 0u);
+  EXPECT_EQ(metrics.redesign_reloads, 1u);
+  EXPECT_FALSE(service->degraded());
+}
+
 TEST(RedesignerLoopTest, QuietStreamFallsBackToPreTripSketches) {
   // A finite stream that ends right after tripping drift (the replay
   // drain scenario): no post-drift traffic ever arrives, so the episode's
-  // restarted sketches never ripen. After fresh_sketch_wait_ms the loop
-  // must redesign from the pre-trip stash instead of waiting forever.
+  // window never ripens. After fresh_sketch_wait_ms the loop must
+  // redesign from the live sketches (everything observed before the
+  // trip) instead of waiting forever.
   Fixture fx = MakeFixture(12);
   auto service = MakeService(fx);
   StreamShifted(service.get(), fx.archive, 2.0);  // then silence

@@ -291,7 +291,7 @@ TEST(RepairServiceTest, InvalidRowsReportPerRowStatus) {
   const MetricsSnapshot metrics = (*service)->metrics().Snapshot();
   EXPECT_EQ(metrics.rows_invalid, 3u);
   EXPECT_EQ(metrics.rows_repaired, 1u);
-  // Invalid rows must not pollute the drift accumulator.
+  // Invalid rows must not pollute the channel sketches.
   EXPECT_EQ((*service)->Health().values_observed, fx.archive.dim());
 }
 
@@ -385,9 +385,7 @@ TEST(RepairServiceTest, SuccessfulReloadClearsDegraded) {
 
 TEST(RepairServiceTest, SketchesAccumulatePerChannelAndResetOnReload) {
   Fixture fx = MakeFixture(16);
-  ServiceOptions options;
-  options.sketch_sample_every = 1;  // sketch every row
-  auto service = RepairService::Create(fx.plans, options);
+  auto service = RepairService::Create(fx.plans);
   ASSERT_TRUE(service.ok());
   const size_t dim = fx.archive.dim();
   std::vector<RowRequest> requests;
@@ -399,30 +397,9 @@ TEST(RepairServiceTest, SketchesAccumulatePerChannelAndResetOnReload) {
   uint64_t total = 0;
   for (const auto& sketch : sketches) total += sketch.count();
   EXPECT_EQ(total, 500 * dim);  // every row sketched exactly once
-  // Reload restarts the sketches with the drift accumulator.
+  // Reload restarts the sketches.
   ASSERT_TRUE((*service)->ReloadPlan(fx.plans).ok());
   for (const auto& sketch : (*service)->SketchSnapshot()) EXPECT_EQ(sketch.count(), 0u);
-}
-
-TEST(RepairServiceTest, SketchSamplingHonorsCadence) {
-  Fixture fx = MakeFixture(17);
-  ServiceOptions options;
-  options.sketch_sample_every = 4;
-  auto service = RepairService::Create(fx.plans, options);
-  ASSERT_TRUE(service.ok());
-  RowResponse response;
-  for (size_t i = 0; i < 400; ++i)
-    ASSERT_TRUE((*service)->RepairRow(ArchiveRequest(fx.archive, 0, i), &response).ok());
-  uint64_t total = 0;
-  for (const auto& sketch : (*service)->SketchSnapshot()) total += sketch.count();
-  EXPECT_EQ(total, 100 * fx.archive.dim());  // rows 0, 4, 8, ...
-  // Disabled sketches: empty snapshot, zero overhead.
-  ServiceOptions off;
-  off.sketch_sample_every = 0;
-  auto plain = RepairService::Create(fx.plans, off);
-  ASSERT_TRUE(plain.ok());
-  ASSERT_TRUE((*plain)->RepairRow(ArchiveRequest(fx.archive, 0, 0), &response).ok());
-  EXPECT_TRUE((*plain)->SketchSnapshot().empty());
 }
 
 TEST(RepairServiceTest, ConcurrentBatchesAccountLikeOneThread) {
@@ -440,57 +417,46 @@ TEST(RepairServiceTest, ConcurrentBatchesAccountLikeOneThread) {
     for (double& x : request.features) x += 1.5;  // partly off the design grid
     requests.push_back(std::move(request));
   }
-  for (const uint64_t sketch_every : {uint64_t{1}, uint64_t{16}}) {
-    SCOPED_TRACE("sketch_sample_every=" + std::to_string(sketch_every));
-    ServiceOptions options;
-    options.threads = 1;
-    options.sketch_sample_every = sketch_every;
-    auto service = RepairService::Create(fx.plans, options);
-    ASSERT_TRUE(service.ok());
-    constexpr size_t kThreads = 4;
-    constexpr size_t kBatch = 64;
-    std::vector<std::thread> threads;
-    for (size_t t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&, t] {
-        std::vector<RowResponse> responses;
-        const size_t begin = rows * t / kThreads;
-        const size_t end = rows * (t + 1) / kThreads;
-        for (size_t i = begin; i < end; i += kBatch)
-          (*service)->RepairBatch(requests.data() + i, std::min(kBatch, end - i), &responses);
-      });
-    }
-    for (std::thread& thread : threads) thread.join();
+  auto service = RepairService::Create(fx.plans);
+  ASSERT_TRUE(service.ok());
+  constexpr size_t kThreads = 4;
+  constexpr size_t kBatch = 64;
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<RowResponse> responses;
+      const size_t begin = rows * t / kThreads;
+      const size_t end = rows * (t + 1) / kThreads;
+      for (size_t i = begin; i < end; i += kBatch)
+        (*service)->RepairBatch(requests.data() + i, std::min(kBatch, end - i), &responses);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
 
-    auto serial = core::DriftMonitor::Create(fx.plans, options.drift);
-    ASSERT_TRUE(serial.ok());
-    std::vector<stats::QuantileSketch> sketches(fx.plans.u_levels() * s_levels * dim);
-    for (const RowRequest& request : requests) {
-      const size_t base =
-          (static_cast<size_t>(request.u) * s_levels + static_cast<size_t>(request.s)) * dim;
-      for (size_t k = 0; k < dim; ++k) {
-        serial->Observe(request.u, request.s, k, request.features[k]);
-        if (request.row_index % sketch_every == 0) sketches[base + k].Add(request.features[k]);
-      }
-    }
-    const core::DriftReport expected = serial->Report();
-    const core::DriftReport actual = (*service)->DriftSnapshot();
-    EXPECT_TRUE(expected.drifted);
-    ASSERT_EQ(actual.channels.size(), expected.channels.size());
-    for (size_t c = 0; c < expected.channels.size(); ++c) {
-      EXPECT_EQ(actual.channels[c].count, expected.channels[c].count) << "channel " << c;
-      EXPECT_EQ(actual.channels[c].out_of_range_rate, expected.channels[c].out_of_range_rate)
-          << "channel " << c;
-      EXPECT_EQ(actual.channels[c].w1_normalized, expected.channels[c].w1_normalized)
-          << "channel " << c;
-    }
-    const std::vector<stats::QuantileSketch> served = (*service)->SketchSnapshot();
-    ASSERT_EQ(served.size(), sketches.size());
-    for (size_t c = 0; c < sketches.size(); ++c) {
-      EXPECT_EQ(served[c].count(), sketches[c].count()) << "channel " << c;
-      for (const double p : {0.1, 0.5, 0.9})
-        EXPECT_EQ(served[c].Quantile(p), sketches[c].Quantile(p))
-            << "channel " << c << " p " << p;
-    }
+  std::vector<stats::QuantileSketch> sketches(fx.plans.u_levels() * s_levels * dim);
+  for (const RowRequest& request : requests) {
+    const size_t base =
+        (static_cast<size_t>(request.u) * s_levels + static_cast<size_t>(request.s)) * dim;
+    for (size_t k = 0; k < dim; ++k) sketches[base + k].Add(request.features[k]);
+  }
+  auto expected = core::JudgeDrift(fx.plans, sketches);
+  ASSERT_TRUE(expected.ok());
+  const core::DriftReport actual = (*service)->DriftSnapshot();
+  EXPECT_TRUE(expected->drifted);
+  ASSERT_EQ(actual.channels.size(), expected->channels.size());
+  for (size_t c = 0; c < expected->channels.size(); ++c) {
+    EXPECT_EQ(actual.channels[c].count, expected->channels[c].count) << "channel " << c;
+    EXPECT_EQ(actual.channels[c].out_of_range_rate, expected->channels[c].out_of_range_rate)
+        << "channel " << c;
+    EXPECT_EQ(actual.channels[c].w1_normalized, expected->channels[c].w1_normalized)
+        << "channel " << c;
+  }
+  const std::vector<stats::QuantileSketch> served = (*service)->SketchSnapshot();
+  ASSERT_EQ(served.size(), sketches.size());
+  for (size_t c = 0; c < sketches.size(); ++c) {
+    EXPECT_EQ(served[c].count(), sketches[c].count()) << "channel " << c;
+    for (const double p : {0.1, 0.5, 0.9})
+      EXPECT_EQ(served[c].Quantile(p), sketches[c].Quantile(p)) << "channel " << c << " p " << p;
   }
 }
 

@@ -12,6 +12,10 @@
 //    no matter how many values stream in.
 //  - Sweep parity: the batch Quantiles/Cdfs answer every probe bit for bit
 //    as a per-probe walk over every bucket does.
+//  - Keys: the table lookup Add keys values with gives the log formula's
+//    key at every key boundary and on 10M random magnitudes.
+//  - Subtract: removing a prefix's sketch leaves exactly the suffix's
+//    buckets, and a non-prefix is refused without touching the sketch.
 
 #include "stats/quantile_sketch.h"
 
@@ -98,7 +102,7 @@ TEST(QuantileSketchTest, AccuracyAgainstExactQuantilesGaussian) {
   for (double x : xs) sketch.Add(x);
   EXPECT_EQ(sketch.count(), xs.size());
   for (double p : {0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99})
-    ExpectQuantileWithinBound(sketch, xs, p, sketch.relative_accuracy());
+    ExpectQuantileWithinBound(sketch, xs, p, QuantileSketch::kRelativeAccuracy);
 }
 
 TEST(QuantileSketchTest, AccuracyOnBinarySimulatedChannels) {
@@ -118,7 +122,7 @@ TEST(QuantileSketchTest, AccuracyOnBinarySimulatedChannels) {
     }
     ASSERT_GT(xs.size(), 1000u);
     for (double p : {0.05, 0.25, 0.5, 0.75, 0.95})
-      ExpectQuantileWithinBound(sketch, xs, p, sketch.relative_accuracy());
+      ExpectQuantileWithinBound(sketch, xs, p, QuantileSketch::kRelativeAccuracy);
   }
 }
 
@@ -132,7 +136,7 @@ TEST(QuantileSketchTest, AccuracyOnFourLevelMixture) {
         GaussianSample(6000, means[level], 0.7, 40 + static_cast<uint64_t>(level));
     for (double x : xs) sketch.Add(x);
     for (double p : {0.1, 0.5, 0.9})
-      ExpectQuantileWithinBound(sketch, xs, p, sketch.relative_accuracy());
+      ExpectQuantileWithinBound(sketch, xs, p, QuantileSketch::kRelativeAccuracy);
   }
 }
 
@@ -148,7 +152,7 @@ TEST(QuantileSketchTest, MergeMatchesSingleStreamExactly) {
     shards[i % 3].Add(xs[i]);
   }
   QuantileSketch merged;
-  for (const QuantileSketch& shard : shards) ASSERT_TRUE(merged.Merge(shard).ok());
+  for (const QuantileSketch& shard : shards) merged.Merge(shard);
   ASSERT_EQ(merged.count(), whole.count());
   EXPECT_EQ(merged.min(), whole.min());
   EXPECT_EQ(merged.max(), whole.max());
@@ -170,7 +174,7 @@ TEST(QuantileSketchTest, MergeIsCommutativeAndAssociativeBitForBit) {
   }
   auto combine = [&](const std::vector<size_t>& order) {
     QuantileSketch out;
-    for (size_t i : order) EXPECT_TRUE(out.Merge(shards[i]).ok());
+    for (size_t i : order) out.Merge(shards[i]);
     return out;
   };
   const QuantileSketch forward = combine({0, 1, 2, 3, 4});
@@ -178,10 +182,13 @@ TEST(QuantileSketchTest, MergeIsCommutativeAndAssociativeBitForBit) {
   const QuantileSketch shuffled = combine({2, 0, 4, 1, 3});
   // Associativity: ((0+1)+(2+3))+4 as a different grouping.
   QuantileSketch left, right, grouped;
-  ASSERT_TRUE(left.Merge(shards[0]).ok() && left.Merge(shards[1]).ok());
-  ASSERT_TRUE(right.Merge(shards[2]).ok() && right.Merge(shards[3]).ok());
-  ASSERT_TRUE(grouped.Merge(left).ok() && grouped.Merge(right).ok() &&
-              grouped.Merge(shards[4]).ok());
+  left.Merge(shards[0]);
+  left.Merge(shards[1]);
+  right.Merge(shards[2]);
+  right.Merge(shards[3]);
+  grouped.Merge(left);
+  grouped.Merge(right);
+  grouped.Merge(shards[4]);
   for (double p = 0.0; p <= 1.0; p += 0.01) {
     const double reference = forward.Quantile(p);
     EXPECT_EQ(backward.Quantile(p), reference) << "p=" << p;
@@ -190,15 +197,6 @@ TEST(QuantileSketchTest, MergeIsCommutativeAndAssociativeBitForBit) {
   }
   EXPECT_EQ(backward.count(), forward.count());
   EXPECT_EQ(grouped.bucket_count(), forward.bucket_count());
-}
-
-TEST(QuantileSketchTest, MergeRejectsMismatchedGeometry) {
-  QuantileSketch::Options coarse;
-  coarse.relative_accuracy = 0.05;
-  QuantileSketch a;
-  QuantileSketch b(coarse);
-  b.Add(1.0);
-  EXPECT_FALSE(a.Merge(b).ok());
 }
 
 TEST(QuantileSketchTest, BoundedMemoryUnderAdversarialStream) {
@@ -336,8 +334,7 @@ class BucketWalkOracle {
     common::ByteWriter writer(&bytes);
     sketch.SerializeTo(writer);
     common::ByteReader reader(bytes);
-    double alpha = 0.0;
-    EXPECT_TRUE(reader.F64(&alpha));
+    const double alpha = QuantileSketch::kRelativeAccuracy;
     const double gamma = (1.0 + alpha) / (1.0 - alpha);
     std::vector<std::pair<double, uint64_t>> stores[2];  // negative, positive
     for (auto& store : stores) {
@@ -498,9 +495,7 @@ TEST(QuantileSketchSweepTest, MatchesBucketWalkOnRandomizedMixedSignSketches) {
   for (uint64_t seed = 1; seed <= 6; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     common::Rng rng(seed);
-    QuantileSketch::Options options;
-    options.relative_accuracy = seed % 2 == 0 ? 0.01 : 0.05;
-    QuantileSketch sketch(options);
+    QuantileSketch sketch;
     const size_t n = 1 + static_cast<size_t>(rng.UniformInt(4000));
     const double mean = rng.Uniform() * 4.0 - 2.0;
     const double sd = 0.1 + rng.Uniform() * 3.0;
@@ -524,7 +519,7 @@ TEST(QuantileSketchSweepTest, MatchesBucketWalkOnMergedAndDeserializedSketches) 
   const std::vector<double> xs = GaussianSample(9000, -0.3, 2.0, 101);
   for (size_t i = 0; i < xs.size(); ++i) shards[i % 3].Add(xs[i]);
   QuantileSketch merged;
-  for (const QuantileSketch& shard : shards) ASSERT_TRUE(merged.Merge(shard).ok());
+  for (const QuantileSketch& shard : shards) merged.Merge(shard);
   {
     SCOPED_TRACE("merged");
     ExpectSweepsMatchWalk(merged);
@@ -541,6 +536,206 @@ TEST(QuantileSketchSweepTest, MatchesBucketWalkOnMergedAndDeserializedSketches) 
   }
   const std::vector<double> ps = {0.0, 0.1, 0.5, 0.9, 1.0};
   EXPECT_EQ(restored.Quantiles(ps), merged.Quantiles(ps));
+}
+
+// --- Bucket keys ------------------------------------------------------------
+
+/// The bucket key by the log formula Add computed before its lookup
+/// tables: clamp(ceil(log(x) / log(gamma))) into the keys of [1e-12, 1e12].
+class LogFormulaKeys {
+ public:
+  LogFormulaKeys()
+      : inv_log_gamma_(1.0 / std::log((1.0 + QuantileSketch::kRelativeAccuracy) /
+                                      (1.0 - QuantileSketch::kRelativeAccuracy))),
+        min_key_(static_cast<int>(std::ceil(std::log(1e-12) * inv_log_gamma_))),
+        max_key_(static_cast<int>(std::ceil(std::log(1e12) * inv_log_gamma_))) {}
+
+  int Key(double magnitude) const {
+    const double k = std::ceil(std::log(magnitude) * inv_log_gamma_);
+    if (k <= min_key_) return min_key_;
+    if (k >= max_key_) return max_key_;
+    return static_cast<int>(k);
+  }
+
+  /// The least double the formula keys `k` or above: bisection over the
+  /// bit patterns of the positive doubles in [1e-13, 1e13].
+  double LeastDoubleOfKey(int k) const {
+    uint64_t lo = std::bit_cast<uint64_t>(1e-13);  // keys below k
+    uint64_t hi = std::bit_cast<uint64_t>(1e13);   // keys k or above
+    while (hi - lo > 1) {
+      const uint64_t mid = lo + (hi - lo) / 2;
+      (Key(std::bit_cast<double>(mid)) >= k ? hi : lo) = mid;
+    }
+    return std::bit_cast<double>(hi);
+  }
+
+  int min_key() const { return min_key_; }
+  int max_key() const { return max_key_; }
+
+ private:
+  double inv_log_gamma_;
+  int min_key_;
+  int max_key_;
+};
+
+/// The key Add filed `x` under, read back from the serialized store of a
+/// one-value sketch (its base is the key).
+int AddedKey(double x) {
+  QuantileSketch sketch;
+  sketch.Add(x);
+  std::string bytes;
+  common::ByteWriter writer(&bytes);
+  sketch.SerializeTo(writer);
+  common::ByteReader reader(bytes);
+  int32_t base[2] = {0, 0};
+  for (int32_t& store_base : base) {
+    uint64_t size = 0;
+    EXPECT_TRUE(reader.I32(&store_base) && reader.U64(&size));
+    std::vector<uint64_t> counts(size);
+    EXPECT_TRUE(reader.U64s(counts.data(), counts.size()));
+  }
+  return x > 0.0 ? base[1] : base[0];
+}
+
+TEST(QuantileSketchKeyTest, TableKeyMatchesLogFormulaAtEveryKeyBoundary) {
+  const LogFormulaKeys formula;
+  const double inf = std::numeric_limits<double>::infinity();
+  size_t boundaries = 0;
+  size_t mismatches = 0;
+  for (int k = formula.min_key() + 1; k <= formula.max_key(); ++k) {
+    const double least = formula.LeastDoubleOfKey(k);
+    ASSERT_EQ(formula.Key(least), k);
+    ASSERT_EQ(formula.Key(std::nextafter(least, 0.0)), k - 1);
+    ++boundaries;
+    for (double x : {std::nextafter(least, 0.0), least, std::nextafter(least, inf)}) {
+      if (QuantileSketch::KeyOf(x) != formula.Key(x)) {
+        ++mismatches;
+        ADD_FAILURE() << "KeyOf(" << x << ") = " << QuantileSketch::KeyOf(x) << ", formula "
+                      << formula.Key(x);
+      }
+      // Add files both signs under the same key.
+      if (x >= 1e-12) {
+        EXPECT_EQ(AddedKey(x), formula.Key(x)) << "x=" << x;
+        EXPECT_EQ(AddedKey(-x), formula.Key(x)) << "x=" << -x;
+      }
+    }
+  }
+  EXPECT_EQ(boundaries, 2763u);
+  EXPECT_EQ(mismatches, 0u);
+  // The clamped ends.
+  for (double x : {1e-300, 1e-13, 1e-12, 1e12, 1e13, 1e300})
+    EXPECT_EQ(QuantileSketch::KeyOf(x), formula.Key(x)) << "x=" << x;
+}
+
+TEST(QuantileSketchKeyTest, TableKeyMatchesLogFormulaOnTenMillionRandomMagnitudes) {
+  const LogFormulaKeys formula;
+  common::Rng rng(2025);
+  const double log_lo = std::log(1e-13);
+  const double log_span = std::log(1e13) - log_lo;
+  size_t mismatches = 0;
+  for (int i = 0; i < 10000000; ++i) {
+    const double x = std::exp(log_lo + rng.Uniform() * log_span);
+    if (QuantileSketch::KeyOf(x) != formula.Key(x) && ++mismatches <= 5)
+      ADD_FAILURE() << "KeyOf(" << x << ") = " << QuantileSketch::KeyOf(x) << ", formula "
+                    << formula.Key(x);
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+// --- Subtract ---------------------------------------------------------------
+
+/// Serialized bytes without the trailing min/max pair: the buckets and the
+/// counters.
+std::string BucketBytes(const QuantileSketch& sketch) {
+  std::string bytes;
+  common::ByteWriter writer(&bytes);
+  sketch.SerializeTo(writer);
+  return bytes.substr(0, bytes.size() - 2 * sizeof(double));
+}
+
+TEST(QuantileSketchSubtractTest, SubtractingAPrefixLeavesTheSuffix) {
+  // Mixed signs, zeros and dropped values on both sides of the cut.
+  std::vector<double> xs = GaussianSample(6000, 0.3, 2.0, 111);
+  for (size_t i = 0; i < xs.size(); i += 97) xs[i] = 0.0;
+  xs[1234] = std::numeric_limits<double>::quiet_NaN();
+  xs[4321] = std::numeric_limits<double>::infinity();
+  QuantileSketch prefix, suffix, whole;
+  for (size_t i = 0; i < xs.size(); ++i) {
+    (i < 2500 ? prefix : suffix).Add(xs[i]);
+    whole.Add(xs[i]);
+  }
+  QuantileSketch difference = whole;
+  ASSERT_TRUE(difference.Subtract(prefix).ok());
+  EXPECT_EQ(difference.count(), suffix.count());
+  EXPECT_EQ(difference.dropped(), suffix.dropped());
+  EXPECT_EQ(difference.bucket_count(), suffix.bucket_count());
+  EXPECT_EQ(BucketBytes(difference), BucketBytes(suffix));
+  // The extremes stay the whole stream's: an enclosure of the suffix.
+  EXPECT_EQ(difference.min(), whole.min());
+  EXPECT_EQ(difference.max(), whole.max());
+  EXPECT_LE(difference.min(), suffix.min());
+  EXPECT_GE(difference.max(), suffix.max());
+  // Inside the suffix's range the CDF is the suffix's, bit for bit.
+  std::vector<double> probes;
+  for (int i = 0; i < 200; ++i)
+    probes.push_back(suffix.min() + (suffix.max() - suffix.min()) * i / 200.0);
+  EXPECT_EQ(difference.Cdfs(probes), suffix.Cdfs(probes));
+  // Adding the prefix back restores the whole sketch exactly.
+  difference.Merge(prefix);
+  EXPECT_EQ(BucketBytes(difference), BucketBytes(whole));
+
+  // A sketch minus itself is empty, and serializes as a fresh sketch does.
+  QuantileSketch emptied = whole;
+  ASSERT_TRUE(emptied.Subtract(whole).ok());
+  EXPECT_EQ(emptied.count(), 0u);
+  EXPECT_EQ(emptied.bucket_count(), 0u);
+  EXPECT_TRUE(std::isnan(emptied.Quantile(0.5)));
+  std::string emptied_bytes, fresh_bytes;
+  common::ByteWriter emptied_writer(&emptied_bytes), fresh_writer(&fresh_bytes);
+  emptied.SerializeTo(emptied_writer);
+  QuantileSketch().SerializeTo(fresh_writer);
+  EXPECT_EQ(emptied_bytes, fresh_bytes);
+  // Subtracting an empty sketch changes nothing.
+  QuantileSketch unchanged = whole;
+  ASSERT_TRUE(unchanged.Subtract(QuantileSketch()).ok());
+  EXPECT_EQ(BucketBytes(unchanged), BucketBytes(whole));
+}
+
+TEST(QuantileSketchSubtractTest, NonPrefixIsRejectedAndLeavesTheSketchUntouched) {
+  // Positive values around 10, plus 1 and 100: the buckets near 30 are
+  // empty although 30 lies inside [min, max].
+  QuantileSketch sketch;
+  for (double x : GaussianSample(3000, 10.0, 1.0, 121)) sketch.Add(x);
+  sketch.Add(1.0);
+  sketch.Add(100.0);
+  std::string before;
+  common::ByteWriter writer(&before);
+  sketch.SerializeTo(writer);
+
+  QuantileSketch other_stream;  // as many values, drawn afresh
+  for (double x : GaussianSample(3002, 10.0, 1.0, 122)) other_stream.Add(x);
+  QuantileSketch longer = sketch;  // a superset, not a prefix
+  longer.Add(10.0);
+  QuantileSketch gap;  // inside [min, max], in an empty bucket
+  gap.Add(30.0);
+  QuantileSketch wider;  // an occupied bucket, but a value beyond max
+  wider.Add(std::nextafter(100.0, 1000.0));
+  QuantileSketch dropped;  // a dropped value this sketch never saw
+  dropped.Add(std::numeric_limits<double>::quiet_NaN());
+  QuantileSketch zero;  // a zero this sketch never saw
+  zero.Add(0.0);
+  QuantileSketch negative;  // a sign this sketch never saw
+  negative.Add(-10.0);
+  for (const QuantileSketch* earlier :
+       {&other_stream, &longer, &gap, &wider, &dropped, &zero, &negative}) {
+    QuantileSketch target = sketch;
+    const common::Status status = target.Subtract(*earlier);
+    EXPECT_EQ(status.code(), common::StatusCode::kInvalidArgument) << status;
+    std::string after;
+    common::ByteWriter after_writer(&after);
+    target.SerializeTo(after_writer);
+    EXPECT_EQ(after, before);
+  }
 }
 
 }  // namespace

@@ -15,7 +15,7 @@
 #      uncrashed server produces for the same requests (determinism
 #      contract: repairs key on (session, row), not process history),
 #   4. the recovered server keeps checkpointing (generations advance),
-#   5. drift/sketch state survives: values_observed after recovery
+#   5. the channel sketches survive: values_observed after recovery
 #      matches what the crashed server had checkpointed.
 
 set -u -o pipefail
@@ -50,7 +50,7 @@ make_requests 0   200 "$WORK/phase1.req"
 make_requests 200 100 "$WORK/phase2.req"
 
 SERVE_FLAGS=(--plan="$WORK/plan.bin" --seed=99 --checkpoint_dir="$CKPT"
-             --checkpoint_interval_ms=100000 --sketch_every=4)
+             --checkpoint_interval_ms=100000)
 
 # --- Reference run: no crash, phase1 + checkpoint + phase2 --------------
 { cat "$WORK/phase1.req"; echo "checkpoint"; cat "$WORK/phase2.req"; echo "quit"; } \

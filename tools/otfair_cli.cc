@@ -45,7 +45,7 @@
 #include "common/string_util.h"
 #include "common/timer.h"
 #include "core/designer.h"
-#include "core/drift_monitor.h"
+#include "core/drift.h"
 #include "core/label_estimator.h"
 #include "core/pipeline.h"
 #include "core/quantile_repair.h"
@@ -63,6 +63,7 @@
 #include "serve/redesigner.h"
 #include "serve/repair_service.h"
 #include "sim/gaussian_mixture.h"
+#include "stats/quantile_sketch.h"
 
 namespace {
 
@@ -168,7 +169,8 @@ void PrintServeUsage(std::FILE* out) {
                "    --seed=N           base repair seed (session 0 = offline batch seed)\n"
                "    --mode=stochastic|mean\n"
                "    --strength=1.0     partial-repair strength\n"
-               "    --threads=N        repair lanes per batch\n"
+               "    --threads=N        worker threads a self-heal redesign designs on\n"
+               "                       (every batch repairs on its serving thread)\n"
                "    --max_batch=256    rows coalesced per micro-batch\n"
                "    --w1_threshold=0.10 --oor_threshold=0.05  drift thresholds\n"
                "  Replay mode (self-driving load, no sockets):\n"
@@ -187,13 +189,12 @@ void PrintServeUsage(std::FILE* out) {
                "    --port-file=F      write the bound port to F (for scripts/CI)\n"
                "  Self-healing (drift -> sketch-based redesign -> hot reload):\n"
                "    --self-heal        enable the background redesigner\n"
-               "    --sketch_every=16  sketch sampling stride (0 disables sketches)\n"
                "    --heal_poll_ms=200 --heal_cooldown_ms=5000 --heal_retries=3\n"
                "    --heal_backoff_ms=250 --heal_backoff_max_ms=5000\n"
                "    --heal_timeout_ms=30000   per-redesign deadline\n"
-               "    --heal_min_channel=32     sketch samples per channel needed\n"
-               "    --heal_fresh_wait_ms=2000 wait for post-drift sketches before\n"
-               "                       falling back to the pre-trip snapshot\n"
+               "    --heal_min_channel=32     post-drift values per channel needed\n"
+               "    --heal_fresh_wait_ms=2000 wait for post-drift values before\n"
+               "                       falling back to the live sketches\n"
                "    --heal_drain_ms=20000     replay: settle wait before exit\n"
                "    --faults=SPEC      fault injection (also OTFAIR_FAULTS env);\n"
                "                       name[:count] list, see README\n"
@@ -202,7 +203,7 @@ void PrintServeUsage(std::FILE* out) {
                "    --checkpoint_interval_ms=1000  background checkpoint cadence\n"
                "    --checkpoint_keep=3       generations retained (recovery window)\n"
                "    --recover          start from the newest intact checkpoint in\n"
-               "                       --checkpoint_dir (plan, version, drift state,\n"
+               "                       --checkpoint_dir (plan, version, channel\n"
                "                       sketches; seed/mode/strength come from the\n"
                "                       checkpoint — the bit-identity contract), falling\n"
                "                       back generation-by-generation past corrupt files\n"
@@ -496,15 +497,12 @@ otfair::common::Result<otfair::serve::ServiceOptions> ServeServiceOptions(
   } else {
     return Status::InvalidArgument("serve supports --mode=stochastic|mean (got " + mode + ")");
   }
-  auto threads = ResolveThreadsFlag(flags);
-  if (!threads.ok()) return threads.status();
-  options.threads = *threads;
+  // --threads sizes the process pool a self-heal redesign designs on;
+  // batches repair on their serving threads (ServiceOptions::threads = 1).
+  if (auto threads = ResolveThreadsFlag(flags); !threads.ok()) return threads.status();
   options.drift.w1_threshold = flags.GetDouble("w1_threshold", options.drift.w1_threshold);
   options.drift.out_of_range_threshold =
       flags.GetDouble("oor_threshold", options.drift.out_of_range_threshold);
-  const int sketch_every = flags.GetInt("sketch_every", 16);
-  if (sketch_every < 0) return Status::InvalidArgument("--sketch_every must be >= 0");
-  options.sketch_sample_every = static_cast<uint64_t>(sketch_every);
   options.faults = flags.GetString("faults", "");
   return options;
 }
@@ -759,7 +757,7 @@ int RunServeNet(otfair::serve::RepairService& service, const FlagParser& flags,
 }
 
 /// Builds the service from the newest intact checkpoint. The checkpoint's
-/// repair semantics (seed/mode/strength/sketch cadence) override any flags
+/// repair semantics (seed/mode/strength) override any flags
 /// — they bind the bit-identity contract pre-crash sessions were served
 /// under — with a stderr warning when a flag would have disagreed. Returns
 /// kNotFound (checkpoint directory empty/corrupt-through) for the caller
@@ -784,22 +782,19 @@ otfair::common::Result<std::unique_ptr<otfair::serve::RepairService>> RecoverSer
   warn_override("seed", options.seed != data.seed);
   warn_override("mode", static_cast<uint32_t>(options.mode) != data.mode);
   warn_override("strength", options.strength != data.strength);
-  warn_override("sketch_every", options.sketch_sample_every != data.sketch_sample_every);
   options.seed = data.seed;
   options.mode = static_cast<otfair::core::TransportMode>(data.mode);
   options.strength = data.strength;
-  options.sketch_sample_every = data.sketch_sample_every;
   options.initial_plan_version = data.plan_version;
 
   auto service = otfair::serve::RepairService::Create(std::move(data.plans), options);
   if (!service.ok()) return service.status();
   // Observed state is best-effort: a restore failure costs drift history,
-  // not availability (fresh accumulators are the cold-start behaviour).
-  if (Status status = (*service)->RestoreObservedState(data.drift_counts, data.sketches);
-      !status.ok())
+  // not availability (fresh sketches are the cold-start behaviour).
+  if (Status status = (*service)->RestoreObservedState(data.sketches); !status.ok())
     std::fprintf(stderr,
                  "warning: checkpoint observed-state restore failed (%s); "
-                 "continuing with fresh drift state\n",
+                 "continuing with fresh sketches\n",
                  status.ToString().c_str());
   (*service)->SetDegraded(data.degraded);
   (*service)->MarkRecovered(data.generation);
@@ -888,8 +883,8 @@ int RunServe(const FlagParser& flags) {
   // The self-heal loop runs identically under both modes; it only talks to
   // the service. Held here so it outlives whichever mode runs and stops
   // (thread join) before the service dies. After a crash mid-episode the
-  // restored drift accumulators still trip the monitor, so the loop
-  // re-opens the episode on its own — no episode state needs replaying.
+  // restored sketches still trip the drift verdict, so the loop re-opens
+  // the episode on its own — no episode state needs replaying.
   std::unique_ptr<otfair::serve::Redesigner> redesigner;
   if (flags.GetBool("self-heal", false)) {
     auto created =
@@ -1107,10 +1102,8 @@ int RunInspect(const FlagParser& flags) {
           .Key("seed").Uint(data->seed)
           .Key("mode").String(mode)
           .Key("strength").Double(data->strength)
-          .Key("sketch_sample_every").Uint(data->sketch_sample_every)
           .Key("sketches").Uint(data->sketches.size())
           .Key("sketch_rows").Uint(sketch_rows)
-          .Key("drift_counts_bytes").Uint(data->drift_counts.size())
           .Key("dim").Uint(data->plans.dim())
           .Key("s_levels").Uint(data->plans.s_levels())
           .Key("u_levels").Uint(data->plans.u_levels())
@@ -1121,16 +1114,15 @@ int RunInspect(const FlagParser& flags) {
     std::printf(
         "checkpoint %s\n"
         "  generation %llu, plan version %llu%s%s\n"
-        "  repair semantics: seed=%llu mode=%s strength=%.3f sketch_every=%llu\n"
+        "  repair semantics: seed=%llu mode=%s strength=%.3f\n"
         "  plan: dim=%zu |S|=%zu |U|=%zu\n"
-        "  observed state: %zu sketches (%llu sampled values), %zu drift-count bytes\n",
+        "  observed state: %zu sketches (%llu values)\n",
         checkpoint_path.c_str(), static_cast<unsigned long long>(data->generation),
         static_cast<unsigned long long>(data->plan_version),
         data->degraded ? ", degraded" : "", data->episode_open ? ", episode open" : "",
-        static_cast<unsigned long long>(data->seed), mode, data->strength,
-        static_cast<unsigned long long>(data->sketch_sample_every), data->plans.dim(),
+        static_cast<unsigned long long>(data->seed), mode, data->strength, data->plans.dim(),
         data->plans.s_levels(), data->plans.u_levels(), data->sketches.size(),
-        static_cast<unsigned long long>(sketch_rows), data->drift_counts.size());
+        static_cast<unsigned long long>(sketch_rows));
     return 0;
   }
   if (!plan_path.empty()) {
@@ -1260,9 +1252,8 @@ int RunDrift(const FlagParser& flags) {
   if (archive->dim() != plans->dim())
     return Fail(Status::InvalidArgument("archive/plan dimensionality mismatch"));
   // Archives carry arbitrary categorical labels; reject actual label
-  // values outside the plan's level grid here rather than letting
-  // Observe() CHECK-fail (declared-but-unobserved archive levels are
-  // fine — only values matter).
+  // values outside the plan's level grid (declared-but-unobserved archive
+  // levels are fine — only values matter).
   for (size_t i = 0; i < archive->size(); ++i) {
     if (static_cast<size_t>(archive->s(i)) >= plans->s_levels() ||
         static_cast<size_t>(archive->u(i)) >= plans->u_levels())
@@ -1271,13 +1262,19 @@ int RunDrift(const FlagParser& flags) {
           ", s=" + std::to_string(archive->s(i)) + ") but the plan was designed for |U|=" +
           std::to_string(plans->u_levels()) + ", |S|=" + std::to_string(plans->s_levels())));
   }
-  auto monitor = otfair::core::DriftMonitor::Create(*plans);
-  if (!monitor.ok()) return Fail(monitor.status());
+  // One sketch per (u, s, k) channel, fed every value, judged as serving
+  // judges its live stream.
+  std::vector<otfair::stats::QuantileSketch> sketches(plans->u_levels() * plans->s_levels() *
+                                                      plans->dim());
   for (size_t i = 0; i < archive->size(); ++i) {
-    for (size_t k = 0; k < archive->dim(); ++k)
-      monitor->Observe(archive->u(i), archive->s(i), k, archive->feature(i, k));
+    const size_t base = (static_cast<size_t>(archive->u(i)) * plans->s_levels() +
+                         static_cast<size_t>(archive->s(i))) *
+                        plans->dim();
+    for (size_t k = 0; k < archive->dim(); ++k) sketches[base + k].Add(archive->feature(i, k));
   }
-  const otfair::core::DriftReport report = monitor->Report();
+  auto judged = otfair::core::JudgeDrift(*plans, sketches);
+  if (!judged.ok()) return Fail(judged.status());
+  const otfair::core::DriftReport& report = *judged;
   if (flags.GetBool("json", false)) {
     JsonWriter w;
     w.BeginObject()
