@@ -126,7 +126,7 @@ int main(int argc, char** argv) {
               "design ms");
   struct SolverCase {
     const char* name;
-    const char* registry_name;
+    const char* backend;
     double epsilon;
   };
   const SolverCase cases[] = {
@@ -138,11 +138,8 @@ int main(int argc, char** argv) {
   for (const SolverCase& c : cases) {
     otfair::core::DesignOptions design;
     otfair::ot::SolverOptions solver_options;
-    if (c.epsilon > 0.0) {
-      solver_options.sinkhorn.epsilon = c.epsilon;
-      solver_options.sinkhorn.log_domain = true;
-    }
-    design.solver = *otfair::ot::MakeSolver(c.registry_name, solver_options);
+    if (c.epsilon > 0.0) solver_options.sinkhorn.epsilon = c.epsilon;
+    design.solver = *otfair::ot::MakeSolver(c.backend, solver_options);
     Timer timer;
     auto plans = otfair::core::DesignDistributionalRepair(*research, design);
     const double ms = timer.ElapsedMillis();

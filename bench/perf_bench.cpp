@@ -16,9 +16,9 @@
 //   repair_throughput_s4_soa  (|S| = 4): the multi-group K-scaling rows —
 //                      design does |S| solves per channel, repair carries
 //                      |S| x |U| x dim tables.
-//   sinkhorn_standard  single-thread entropic solve, n x n, standard
-//   sinkhorn_log       domain and log domain; ms_per_iter is the
-//                      schedule-independent metric.
+//   sinkhorn_log       single-thread entropic solve, n x n, on log-scaled
+//                      potentials; ms_per_iter is the schedule-independent
+//                      metric.
 //   exact_solver       successive-shortest-path Kantorovich solve, n x n.
 //   table_build        OffSampleRepairer::Create on CSR plans — the live
 //                      O(nnz) repair-table path, per thread count.
@@ -755,38 +755,35 @@ int main(int argc, char** argv) {
     otfair::common::parallel::SetThreadCount(0);
   }
 
-  // --- sinkhorn: single-thread, both domains -------------------------------
+  // --- sinkhorn_log: single-thread entropic solve --------------------------
   {
     otfair::common::parallel::SetThreadCount(1);
     const OtProblem p = RandomOtProblem(sinkhorn_n, 0x51f0);
-    for (const bool log_domain : {false, true}) {
-      otfair::ot::SinkhornOptions options;
-      options.epsilon = 0.05;
-      options.tolerance = 1e-6;
-      options.max_iterations = log_domain ? 300 : 1000;
-      options.log_domain = log_domain;
-      size_t iterations = 0;
-      const double ms = BestWallMs(repeats, [&] {
-        auto result = otfair::ot::SolveSinkhorn(p.a, p.b, p.cost, options);
-        if (!result.ok()) Die(result.status().ToString());
-        iterations = result->iterations;
-      });
-      BenchCase c;
-      c.name = log_domain ? "sinkhorn_log" : "sinkhorn_standard";
-      c.threads = 1;
-      std::snprintf(params, sizeof(params),
-                    "{\"n\": %zu, \"epsilon\": 0.05, \"tolerance\": 1e-6, "
-                    "\"max_iterations\": %zu}",
-                    sinkhorn_n, options.max_iterations);
-      c.params_json = params;
-      c.repeats = repeats;
-      c.wall_ms = ms;
-      c.iterations = iterations;
-      c.ms_per_iter = iterations > 0 ? ms / static_cast<double>(iterations) : 0.0;
-      cases.push_back(c);
-      std::fprintf(stderr, "%-17s threads=1  %10.2f ms  (%zu iters, %.4f ms/iter)\n",
-                   c.name.c_str(), ms, iterations, c.ms_per_iter);
-    }
+    otfair::ot::SinkhornOptions options;
+    options.epsilon = 0.05;
+    options.tolerance = 1e-6;
+    options.max_iterations = 300;
+    size_t iterations = 0;
+    const double ms = BestWallMs(repeats, [&] {
+      auto result = otfair::ot::SolveSinkhorn(p.a, p.b, p.cost, options);
+      if (!result.ok()) Die(result.status().ToString());
+      iterations = result->iterations;
+    });
+    BenchCase c;
+    c.name = "sinkhorn_log";
+    c.threads = 1;
+    std::snprintf(params, sizeof(params),
+                  "{\"n\": %zu, \"epsilon\": 0.05, \"tolerance\": 1e-6, "
+                  "\"max_iterations\": %zu}",
+                  sinkhorn_n, options.max_iterations);
+    c.params_json = params;
+    c.repeats = repeats;
+    c.wall_ms = ms;
+    c.iterations = iterations;
+    c.ms_per_iter = iterations > 0 ? ms / static_cast<double>(iterations) : 0.0;
+    cases.push_back(c);
+    std::fprintf(stderr, "%-17s threads=1  %10.2f ms  (%zu iters, %.4f ms/iter)\n",
+                 c.name.c_str(), ms, iterations, c.ms_per_iter);
     otfair::common::parallel::SetThreadCount(0);
   }
 

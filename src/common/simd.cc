@@ -13,9 +13,6 @@
 #if defined(__x86_64__) || defined(_M_X64)
 #define OTFAIR_SIMD_X86 1
 #include <immintrin.h>
-#elif defined(__aarch64__)
-#define OTFAIR_SIMD_NEON 1
-#include <arm_neon.h>
 #endif
 
 namespace otfair::common::simd {
@@ -30,12 +27,6 @@ namespace {
 double ScalarSum(const double* x, size_t n) {
   double acc = 0.0;
   for (size_t i = 0; i < n; ++i) acc += x[i];
-  return acc;
-}
-
-double ScalarDot(const double* x, const double* y, size_t n) {
-  double acc = 0.0;
-  for (size_t i = 0; i < n; ++i) acc += x[i] * y[i];
   return acc;
 }
 
@@ -58,11 +49,6 @@ double ScalarMaxAbsDiff(const double* x, const double* y, size_t n) {
 
 void ScalarAddInPlace(double* dst, const double* x, size_t n) {
   for (size_t i = 0; i < n; ++i) dst[i] += x[i];
-}
-
-void ScalarScaledMul(double* dst, const double* x, const double* y, double c,
-                     size_t n) {
-  for (size_t i = 0; i < n; ++i) dst[i] = c * x[i] * y[i];
 }
 
 // Two-pass fused log-sum-exp over a difference, matching the former
@@ -177,9 +163,9 @@ size_t ScalarTransport(const TransportChannel& channel, const TransportRecords& 
 }
 
 constexpr Ops kScalarOps = {
-    "scalar",         ScalarSum,         ScalarDot,          ScalarMax,
-    ScalarMaxAbsDiff, ScalarAddInPlace,  ScalarScaledMul,    ScalarLseDiff,
-    ScalarKdeWalks,   ScalarCrc32Update, ScalarParseDecimal, ScalarTransport,
+    "scalar",           ScalarSum,       ScalarMax,      ScalarMaxAbsDiff,
+    ScalarAddInPlace,   ScalarLseDiff,   ScalarKdeWalks, ScalarCrc32Update,
+    ScalarParseDecimal, ScalarTransport,
 };
 
 #if defined(OTFAIR_SIMD_X86)
@@ -227,27 +213,6 @@ OTFAIR_AVX2 double Avx2Sum(const double* x, size_t n) {
   return acc;
 }
 
-OTFAIR_AVX2 double Avx2Dot(const double* x, const double* y, size_t n) {
-  __m256d a0 = _mm256_setzero_pd(), a1 = _mm256_setzero_pd();
-  __m256d a2 = _mm256_setzero_pd(), a3 = _mm256_setzero_pd();
-  size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    a0 = _mm256_fmadd_pd(_mm256_loadu_pd(x + i), _mm256_loadu_pd(y + i), a0);
-    a1 = _mm256_fmadd_pd(_mm256_loadu_pd(x + i + 4), _mm256_loadu_pd(y + i + 4),
-                         a1);
-    a2 = _mm256_fmadd_pd(_mm256_loadu_pd(x + i + 8), _mm256_loadu_pd(y + i + 8),
-                         a2);
-    a3 = _mm256_fmadd_pd(_mm256_loadu_pd(x + i + 12),
-                         _mm256_loadu_pd(y + i + 12), a3);
-  }
-  for (; i + 4 <= n; i += 4) {
-    a0 = _mm256_fmadd_pd(_mm256_loadu_pd(x + i), _mm256_loadu_pd(y + i), a0);
-  }
-  double acc = HAdd(_mm256_add_pd(_mm256_add_pd(a0, a1), _mm256_add_pd(a2, a3)));
-  for (; i < n; ++i) acc += x[i] * y[i];
-  return acc;
-}
-
 OTFAIR_AVX2 double Avx2Max(const double* x, size_t n) {
   double hi = -std::numeric_limits<double>::infinity();
   size_t i = 0;
@@ -290,19 +255,6 @@ OTFAIR_AVX2 void Avx2AddInPlace(double* dst, const double* x, size_t n) {
                                    _mm256_loadu_pd(x + i)));
   }
   for (; i < n; ++i) dst[i] += x[i];
-}
-
-OTFAIR_AVX2 void Avx2ScaledMul(double* dst, const double* x, const double* y,
-                               double c, size_t n) {
-  const __m256d vc = _mm256_set1_pd(c);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    // Two explicit rounded multiplies, c*x then *y, matching the scalar
-    // `c * x[i] * y[i]` evaluation order with no FMA contraction.
-    const __m256d cx = _mm256_mul_pd(vc, _mm256_loadu_pd(x + i));
-    _mm256_storeu_pd(dst + i, _mm256_mul_pd(cx, _mm256_loadu_pd(y + i)));
-  }
-  for (; i < n; ++i) dst[i] = c * x[i] * y[i];
 }
 
 // Cephes-style vectorized exp(x) for doubles (accurate to < 2 ulp over the
@@ -842,119 +794,12 @@ OTFAIR_AVX2_NO_FMA size_t Avx2Transport(const TransportChannel& channel,
 #undef OTFAIR_AVX2_NO_FMA
 
 constexpr Ops kAvx2Ops = {
-    "avx2",         Avx2Sum,           Avx2Dot,          Avx2Max,
-    Avx2MaxAbsDiff, Avx2AddInPlace,    Avx2ScaledMul,    Avx2LseDiff,
-    Avx2KdeWalks,   PclmulCrc32Update, Avx2ParseDecimal, Avx2Transport,
+    "avx2",           Avx2Sum,       Avx2Max,      Avx2MaxAbsDiff,
+    Avx2AddInPlace,   Avx2LseDiff,   Avx2KdeWalks, PclmulCrc32Update,
+    Avx2ParseDecimal, Avx2Transport,
 };
 
 #endif  // OTFAIR_SIMD_X86
-
-#if defined(OTFAIR_SIMD_NEON)
-
-// ---------------------------------------------------------------------------
-// NEON (aarch64) kernels: 2-lane doubles. exp stays scalar in LseDiff — the
-// reduction and max passes are still vectorized, which is where the win is
-// for the small rows this path sees.
-// ---------------------------------------------------------------------------
-
-double NeonSum(const double* x, size_t n) {
-  float64x2_t a0 = vdupq_n_f64(0.0), a1 = vdupq_n_f64(0.0);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    a0 = vaddq_f64(a0, vld1q_f64(x + i));
-    a1 = vaddq_f64(a1, vld1q_f64(x + i + 2));
-  }
-  double acc = vaddvq_f64(vaddq_f64(a0, a1));
-  for (; i < n; ++i) acc += x[i];
-  return acc;
-}
-
-double NeonDot(const double* x, const double* y, size_t n) {
-  float64x2_t a0 = vdupq_n_f64(0.0), a1 = vdupq_n_f64(0.0);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    a0 = vfmaq_f64(a0, vld1q_f64(x + i), vld1q_f64(y + i));
-    a1 = vfmaq_f64(a1, vld1q_f64(x + i + 2), vld1q_f64(y + i + 2));
-  }
-  double acc = vaddvq_f64(vaddq_f64(a0, a1));
-  for (; i < n; ++i) acc += x[i] * y[i];
-  return acc;
-}
-
-double NeonMax(const double* x, size_t n) {
-  double hi = -std::numeric_limits<double>::infinity();
-  size_t i = 0;
-  if (n >= 2) {
-    float64x2_t m = vld1q_f64(x);
-    for (i = 2; i + 2 <= n; i += 2) m = vmaxq_f64(m, vld1q_f64(x + i));
-    hi = vmaxvq_f64(m);
-  }
-  for (; i < n; ++i) {
-    if (x[i] > hi) hi = x[i];
-  }
-  return hi;
-}
-
-double NeonMaxAbsDiff(const double* x, const double* y, size_t n) {
-  float64x2_t m = vdupq_n_f64(0.0);
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    m = vmaxq_f64(m, vabdq_f64(vld1q_f64(x + i), vld1q_f64(y + i)));
-  }
-  double hi = vmaxvq_f64(m);
-  for (; i < n; ++i) {
-    const double d = std::abs(x[i] - y[i]);
-    if (d > hi) hi = d;
-  }
-  return hi;
-}
-
-void NeonAddInPlace(double* dst, const double* x, size_t n) {
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    vst1q_f64(dst + i, vaddq_f64(vld1q_f64(dst + i), vld1q_f64(x + i)));
-  }
-  for (; i < n; ++i) dst[i] += x[i];
-}
-
-void NeonScaledMul(double* dst, const double* x, const double* y, double c,
-                   size_t n) {
-  const float64x2_t vc = vdupq_n_f64(c);
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const float64x2_t cx = vmulq_f64(vc, vld1q_f64(x + i));
-    vst1q_f64(dst + i, vmulq_f64(cx, vld1q_f64(y + i)));
-  }
-  for (; i < n; ++i) dst[i] = c * x[i] * y[i];
-}
-
-double NeonLseDiff(const double* x, const double* y, size_t n) {
-  double hi = -std::numeric_limits<double>::infinity();
-  size_t i = 0;
-  if (n >= 2) {
-    float64x2_t m = vsubq_f64(vld1q_f64(x), vld1q_f64(y));
-    for (i = 2; i + 2 <= n; i += 2) {
-      m = vmaxq_f64(m, vsubq_f64(vld1q_f64(x + i), vld1q_f64(y + i)));
-    }
-    hi = vmaxvq_f64(m);
-  }
-  for (; i < n; ++i) {
-    const double d = x[i] - y[i];
-    if (d > hi) hi = d;
-  }
-  if (!std::isfinite(hi)) return hi;
-  double acc = 0.0;
-  for (i = 0; i < n; ++i) acc += std::exp((x[i] - y[i]) - hi);
-  return hi + std::log(acc);
-}
-
-constexpr Ops kNeonOps = {
-    "neon",         NeonSum,        NeonDot,       NeonMax,
-    NeonMaxAbsDiff, NeonAddInPlace, NeonScaledMul, NeonLseDiff,
-    ScalarKdeWalks, ScalarCrc32Update, ScalarParseDecimal, ScalarTransport,
-};
-
-#endif  // OTFAIR_SIMD_NEON
 
 const Ops* DetectBest() {
 #if defined(OTFAIR_SIMD_X86)
@@ -962,8 +807,6 @@ const Ops* DetectBest() {
       __builtin_cpu_supports("pclmul")) {
     return &kAvx2Ops;
   }
-#elif defined(OTFAIR_SIMD_NEON)
-  return &kNeonOps;  // NEON is architecturally guaranteed on aarch64
 #endif
   return &kScalarOps;
 }

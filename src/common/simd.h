@@ -81,8 +81,8 @@ struct TransportRecords {
 /// plan/checkpoint CRC and the decimal reader behind CSV files and the
 /// serving protocol.
 ///
-/// One kernel table per instruction set (AVX2+FMA+PCLMULQDQ on x86-64,
-/// NEON on aarch64, plus a portable scalar fallback) is compiled in; which
+/// Two kernel tables are compiled in, AVX2+FMA+PCLMULQDQ on x86-64 and a
+/// portable scalar one everywhere (other ISAs take the scalar table); which
 /// table actually runs is decided once, at first use, by a runtime check:
 /// the CPU must support the compiled ISA (`__builtin_cpu_supports`) and
 /// the `OTFAIR_NO_SIMD` environment variable (or a `SetForceScalar`
@@ -93,10 +93,10 @@ struct TransportRecords {
 ///
 /// Numerical contract: every kernel computes the same mathematical
 /// quantity as its scalar reference, but the vector reductions (Sum,
-/// Dot, LseDiff) accumulate in lane-parallel partials, so their results
+/// LseDiff) accumulate in lane-parallel partials, so their results
 /// may differ from the scalar path in the last bits — they are only
 /// used in tolerance-checked contexts (Sinkhorn iterations, plan
-/// validation). Element-wise kernels (AddInPlace, ScaledMul), the KDE
+/// validation). The element-wise kernel (AddInPlace), the KDE
 /// grid walks (`kde_walks`), the CRC-32 (`crc32_update`), the decimal
 /// reader (`parse_decimal`) and the exact comparisons (Max) are
 /// bit-identical to scalar, so plan bytes, their CRC and the values read
@@ -108,12 +108,10 @@ struct TransportRecords {
 /// bit-identical across scalar/SIMD — the determinism suite asserts
 /// exactly that.
 struct Ops {
-  /// Short ISA tag: "avx2", "neon", or "scalar".
+  /// Short ISA tag: "avx2" or "scalar".
   const char* isa;
   /// sum_i x[i]
   double (*sum)(const double* x, size_t n);
-  /// sum_i x[i] * y[i]
-  double (*dot)(const double* x, const double* y, size_t n);
   /// max_i x[i]; -inf for n == 0. NaN inputs are not propagated
   /// (comparisons ignore them), matching the scalar `if (v > hi)` idiom.
   double (*max)(const double* x, size_t n);
@@ -121,10 +119,6 @@ struct Ops {
   double (*max_abs_diff)(const double* x, const double* y, size_t n);
   /// dst[i] += x[i] (element-wise, bit-identical to scalar)
   void (*add_in_place)(double* dst, const double* x, size_t n);
-  /// dst[i] = c * x[i] * y[i] (element-wise, no FMA contraction, so
-  /// bit-identical to scalar)
-  void (*scaled_mul)(double* dst, const double* x, const double* y, double c,
-                     size_t n);
   /// log sum_i exp(x[i] - y[i]), the fused two-pass (max, then exp-sum)
   /// log-sum-exp over a difference; -inf when n == 0 or every term is
   /// -inf. The AVX2 path uses a Cephes-style vector exp (< 2 ulp).
@@ -200,19 +194,12 @@ const char* ActiveIsa();
 
 // Convenience forwarders through the dispatched table.
 inline double Sum(const double* x, size_t n) { return Active().sum(x, n); }
-inline double Dot(const double* x, const double* y, size_t n) {
-  return Active().dot(x, y, n);
-}
 inline double Max(const double* x, size_t n) { return Active().max(x, n); }
 inline double MaxAbsDiff(const double* x, const double* y, size_t n) {
   return Active().max_abs_diff(x, y, n);
 }
 inline void AddInPlace(double* dst, const double* x, size_t n) {
   Active().add_in_place(dst, x, n);
-}
-inline void ScaledMul(double* dst, const double* x, const double* y, double c,
-                      size_t n) {
-  Active().scaled_mul(dst, x, y, c, n);
 }
 inline double LseDiff(const double* x, const double* y, size_t n) {
   return Active().lse_diff(x, y, n);

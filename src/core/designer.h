@@ -31,9 +31,9 @@ struct DesignOptions {
   std::vector<double> lambdas;
   /// OT backend for the per-channel plans pi*_{u,s,k} (Eq. 13). Null
   /// means `ot::DefaultSolver()` — the O(n_Q) monotone map, exact for the
-  /// 1-D squared-Euclidean cost used here. Any backend registered in
-  /// `ot::SolverRegistry` can be injected (e.g. `ot::MakeSolver("exact")`
-  /// for cross-validation, or "sinkhorn" with tuned `SolverOptions`).
+  /// 1-D squared-Euclidean cost used here. Any built-in backend can be
+  /// injected by name (e.g. `ot::MakeSolver("exact")` for
+  /// cross-validation, or "sinkhorn" with tuned `SolverOptions`).
   std::shared_ptr<const ot::Solver> solver;
   MarginalOptions marginal;
   /// Minimum samples per (u, s, k) channel (research rows per (u, s)

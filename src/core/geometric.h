@@ -24,7 +24,7 @@ struct GeometricOptions {
   size_t min_group_size = 2;
   /// OT backend for the empirical coupling pi* between the s-conditional
   /// samples. Null means `ot::DefaultSolver()` (monotone — exact here and
-  /// O(n)); injecting "exact" or "sinkhorn" from the registry reproduces
+  /// O(n)); injecting `ot::MakeSolver("exact")` or "sinkhorn" reproduces
   /// the baseline under alternative solvers.
   std::shared_ptr<const ot::Solver> solver;
 };

@@ -155,7 +155,7 @@ Result<Matrix> EntropicPlan(const SeparableKernel& kernel, const std::vector<dou
 }
 
 /// Dense 2-D squared-Euclidean cost over the flattened product states,
-/// for solving the joint plans through an injected registry backend.
+/// for solving the joint plans through an injected backend.
 Matrix ProductGridCost(const SupportGrid& gx, const SupportGrid& gy) {
   const size_t ny = gy.size();
   const size_t states = gx.size() * ny;

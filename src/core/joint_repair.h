@@ -41,9 +41,9 @@ struct JointDesignOptions {
   /// Optional OT backend for the per-s plans mu_s -> nu on the flattened
   /// product grid. Null (default) uses the built-in separable-kernel
   /// entropic path, which exploits the product structure for an
-  /// O(n_q^3)-per-application kernel. A registry backend (e.g. "exact"
-  /// for cross-validation) instead solves the dense n_q^2-state problem
-  /// under the true 2-D squared-Euclidean cost — only sensible for
+  /// O(n_q^3)-per-application kernel. A `ot::MakeSolver` backend (e.g.
+  /// "exact" for cross-validation) instead solves the dense n_q^2-state
+  /// problem under the true 2-D squared-Euclidean cost — only sensible for
   /// moderate n_q, and it must support general costs ("monotone" is
   /// rejected, being 1-D only). The barycentre itself is always entropic.
   std::shared_ptr<const ot::Solver> solver;

@@ -13,11 +13,10 @@ namespace otfair::core {
 /// End-to-end repair pipeline options.
 ///
 /// The OT backend is injected via `design.solver` (an `ot::Solver` from
-/// the registry); the design stage — the only stage of this pipeline
-/// that solves transport problems — uses it for every channel plan, so
-/// registering a new backend makes it available here, to the CLI and to
-/// the benches at once. (The geometric baseline and the joint repairer
-/// take their own solver in their respective option structs.)
+/// `ot::MakeSolver`); the design stage — the only stage of this pipeline
+/// that solves transport problems — uses it for every channel plan.
+/// (The geometric baseline and the joint repairer take their own solver
+/// in their respective option structs.)
 struct PipelineOptions {
   DesignOptions design;
   RepairOptions repair;

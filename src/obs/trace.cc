@@ -164,9 +164,9 @@ struct ThreadRingHandle {
 
 }  // namespace
 
-void EmitCompletedSpan(const char* name, uint64_t start_ns, uint64_t end_ns) {
+TraceRing& ThreadRing() {
   thread_local ThreadRingHandle handle;
-  handle.ring->Push(name, start_ns, end_ns);
+  return *handle.ring;
 }
 
 }  // namespace internal

@@ -125,7 +125,8 @@ class TraceCollector {
   /// ring's cursor past its current contents. Test isolation only.
   void ResetForTest();
 
-  /// Called by the thread-local ring handle on a thread's first span.
+  /// Called by the thread-local ring handle when a thread first opens a
+  /// span.
   void RegisterThread(std::shared_ptr<TraceRing>* ring, uint32_t* tid);
 
   /// The enable flag, exposed for the inline fast path.
@@ -150,8 +151,8 @@ namespace internal {
 /// The global enable flag, reachable without a function call so the
 /// disabled span constructor inlines to load + branch.
 extern std::atomic<bool>* const g_trace_enabled;
-/// Pushes into the calling thread's ring (registering it on first use).
-void EmitCompletedSpan(const char* name, uint64_t start_ns, uint64_t end_ns);
+/// The calling thread's ring, allocated and registered on first use.
+TraceRing& ThreadRing();
 }  // namespace internal
 
 inline bool TraceEnabled() {
@@ -164,18 +165,23 @@ class TraceSpan {
  public:
   explicit TraceSpan(const char* name) {
     if (!TraceEnabled()) return;
+    // The ring before the clock: a thread's first span is its outermost
+    // one, so the ring's allocation lands before every span on the
+    // thread instead of inside one.
+    ring_ = &internal::ThreadRing();
     name_ = name;
     start_ns_ = TraceNowNs();
   }
   ~TraceSpan() {
-    if (name_ == nullptr) return;
-    internal::EmitCompletedSpan(name_, start_ns_, TraceNowNs());
+    if (ring_ == nullptr) return;
+    ring_->Push(name_, start_ns_, TraceNowNs());
   }
 
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
  private:
+  TraceRing* ring_ = nullptr;
   const char* name_ = nullptr;
   uint64_t start_ns_ = 0;
 };

@@ -10,26 +10,6 @@ namespace otfair::ot {
 using common::Result;
 using common::Status;
 
-Result<DiscreteMeasure> DisplacementInterpolation(const std::vector<PlanEntry>& entries,
-                                                  const std::vector<double>& xs,
-                                                  const std::vector<double>& ys, double t) {
-  if (!(t >= 0.0 && t <= 1.0)) return Status::InvalidArgument("t must lie in [0, 1]");
-  if (entries.empty()) return Status::InvalidArgument("empty plan");
-  std::vector<double> support;
-  std::vector<double> weights;
-  support.reserve(entries.size());
-  weights.reserve(entries.size());
-  for (const PlanEntry& e : entries) {
-    if (e.i >= xs.size() || e.j >= ys.size())
-      return Status::InvalidArgument("plan entry out of support range");
-    support.push_back((1.0 - t) * xs[e.i] + t * ys[e.j]);
-    weights.push_back(e.mass);
-  }
-  auto measure = DiscreteMeasure::Create(std::move(support), std::move(weights));
-  if (!measure.ok()) return measure.status();
-  return measure->SortedBySupport();
-}
-
 Result<DiscreteMeasure> ProjectToGrid(const DiscreteMeasure& measure,
                                       const std::vector<double>& grid) {
   if (grid.empty()) return Status::InvalidArgument("empty grid");

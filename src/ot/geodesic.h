@@ -5,19 +5,8 @@
 
 #include "common/result.h"
 #include "ot/measure.h"
-#include "ot/plan.h"
 
 namespace otfair::ot {
-
-/// Displacement (McCann) interpolation along a transport plan: every plan
-/// entry (i, j, m) between source atoms `xs` and target atoms `ys` becomes
-/// an atom of mass m at `(1 - t) xs[i] + t ys[j]`. For the W2-optimal plan
-/// this traces the Wasserstein geodesic nu_t of paper Eq. 7; t = 0 recovers
-/// the source, t = 1 the target.
-common::Result<DiscreteMeasure> DisplacementInterpolation(const std::vector<PlanEntry>& entries,
-                                                          const std::vector<double>& xs,
-                                                          const std::vector<double>& ys,
-                                                          double t);
 
 /// Projects an arbitrary 1-D measure onto a fixed, strictly-increasing grid
 /// by splitting each atom's mass between its two neighbouring grid points

@@ -14,27 +14,6 @@ using common::Matrix;
 using common::Result;
 using common::Status;
 
-std::vector<PlanEntry> TransportPlan::ToSparse(double threshold) const {
-  // Two passes: count then fill, so the output vector is allocated once
-  // instead of doubling its way up through push_back growth.
-  size_t count = 0;
-  for (size_t i = 0; i < coupling.rows(); ++i) {
-    const double* row = coupling.row(i);
-    for (size_t j = 0; j < coupling.cols(); ++j) {
-      if (row[j] > threshold) ++count;
-    }
-  }
-  std::vector<PlanEntry> out;
-  out.reserve(count);
-  for (size_t i = 0; i < coupling.rows(); ++i) {
-    const double* row = coupling.row(i);
-    for (size_t j = 0; j < coupling.cols(); ++j) {
-      if (row[j] > threshold) out.push_back({i, j, row[j]});
-    }
-  }
-  return out;
-}
-
 double TransportPlan::MarginalError(const std::vector<double>& a,
                                     const std::vector<double>& b) const {
   OTFAIR_CHECK_EQ(coupling.rows(), a.size());
@@ -318,21 +297,6 @@ SparsePlan TruncateToSparse(const Matrix& dense, double rel_threshold) {
     }
   }
   return SparsePlan::FromEntries(std::move(entries), n, m);
-}
-
-Matrix SparseToDense(const std::vector<PlanEntry>& entries, size_t n, size_t m) {
-  Matrix dense(n, m);
-  for (const PlanEntry& e : entries) {
-    OTFAIR_CHECK(e.i < n && e.j < m);
-    dense(e.i, e.j) += e.mass;
-  }
-  return dense;
-}
-
-double SparsePlanCost(const std::vector<PlanEntry>& entries, const Matrix& cost) {
-  double total = 0.0;
-  for (const PlanEntry& e : entries) total += e.mass * cost(e.i, e.j);
-  return total;
 }
 
 }  // namespace otfair::ot

@@ -22,14 +22,11 @@ struct PlanEntry {
 /// transport objective `<C, pi>` (paper Eq. 5/6).
 ///
 /// The coupling is stored densely (n x m); optimal plans are sparse (at most
-/// n + m - 1 non-zeros for exact solvers) and `ToSparse()` extracts the
-/// non-zero entries.
+/// n + m - 1 non-zeros for exact solvers) and `SparsePlan::FromDense`
+/// extracts the non-zero entries.
 struct TransportPlan {
   common::Matrix coupling;
   double cost = 0.0;
-
-  /// Non-zero entries above `threshold`.
-  std::vector<PlanEntry> ToSparse(double threshold = 1e-15) const;
 
   /// Largest violation of the two marginal constraints against `a` (rows)
   /// and `b` (columns); exact solvers should report ~1e-12 here.
@@ -141,12 +138,6 @@ class SparsePlan {
 /// column marginals to rel_threshold * total mass. A non-positive
 /// rel_threshold keeps every strictly positive entry.
 SparsePlan TruncateToSparse(const common::Matrix& dense, double rel_threshold);
-
-/// Densifies a sparse plan into an n x m coupling matrix.
-common::Matrix SparseToDense(const std::vector<PlanEntry>& entries, size_t n, size_t m);
-
-/// Transport objective of a sparse plan under cost matrix C.
-double SparsePlanCost(const std::vector<PlanEntry>& entries, const common::Matrix& cost);
 
 }  // namespace otfair::ot
 

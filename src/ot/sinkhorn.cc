@@ -26,23 +26,22 @@ constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 /// process-wide thread count.
 size_t RowUpdateThreads(size_t n, size_t m) { return n * m < 16384 ? 1 : 0; }
 
-/// Both scaling iterations below are written cache-aware: the u/f update
-/// streams rows of the kernel/cost, the v/g update streams rows of a
+/// The scaling iteration below is written cache-aware: the f update
+/// streams rows of the scaled cost, the g update streams rows of a
 /// transposed copy kept alongside, so neither direction strides
 /// column-wise through row-major storage. The full plan matrix is only
 /// materialized when convergence is plausible, not every few iterations.
 ///
-/// Two-tier convergence check. Cheap tier, every iteration: after the u
-/// (resp. f) update the half-updated plan's row marginals match `a` by
+/// Two-tier convergence check. Cheap tier, every iteration: after the f
+/// update the half-updated plan's row marginals match `a` by
 /// construction, so its worst violation is carried entirely by the
 /// columns,
-///     standard:  err_j = | v_j * (K^T u)_j - b_j |
-///     log:       err_j = | exp(g_j / eps + LSE_i((f_i - C_ij)/eps)) - b_j |
-/// and (K^T u)_j / the LSE are exactly the quantities the v/g update
-/// computes anyway, so this tier is free. Certifying tier: only when the
-/// cheap violation clears tolerance (or the iteration cap is hit) is the
-/// actual plan rebuilt and measured — `converged == true` always refers
-/// to the returned plan, same contract as before the rewrite.
+///     err_j = | exp(g_j / eps + LSE_i((f_i - C_ij)/eps)) - b_j |
+/// and the LSE is exactly the quantity the g update computes anyway, so
+/// this tier is free. Certifying tier: only when the cheap violation
+/// clears tolerance (or the iteration cap is hit) is the actual plan
+/// rebuilt and measured — `converged == true` always refers to the
+/// returned plan.
 
 /// Worst marginal violation of the plan itself (the certifying check).
 /// Both the marginal sums and the |sums - target| reductions run through
@@ -54,80 +53,6 @@ double MarginalViolation(const Matrix& plan, const std::vector<double>& a,
   const std::vector<double> cols = plan.ColSums();
   return std::max(common::simd::MaxAbsDiff(rows.data(), a.data(), a.size()),
                   common::simd::MaxAbsDiff(cols.data(), b.data(), b.size()));
-}
-
-Result<SinkhornResult> SolveStandard(const std::vector<double>& a, const std::vector<double>& b,
-                                     const Matrix& cost, const SinkhornOptions& opt) {
-  const size_t n = a.size();
-  const size_t m = b.size();
-  const size_t row_threads = RowUpdateThreads(n, m);
-  // Gibbs kernel K = exp(-C / eps), plus its transpose for the v update.
-  Matrix kernel(n, m);
-  Matrix kernel_t(m, n);
-  ParallelFor(0, n, [&](size_t i) {
-    const double* crow = cost.row(i);
-    double* krow = kernel.row(i);
-    for (size_t j = 0; j < m; ++j) krow[j] = std::exp(-crow[j] / opt.epsilon);
-  }, row_threads);
-  ParallelFor(0, m, [&](size_t j) {
-    double* trow = kernel_t.row(j);
-    for (size_t i = 0; i < n; ++i) trow[i] = kernel(i, j);
-  }, row_threads);
-
-  std::vector<double> u(n, 1.0);
-  std::vector<double> v(m, 1.0);
-  std::vector<double> col_err(m, 0.0);
-  SinkhornResult out;
-  Matrix plan(n, m);
-  bool plan_current = false;
-  auto rebuild_plan = [&] {
-    ParallelFor(0, n, [&](size_t i) {
-      // prow = u_i * krow ∘ v, element-wise with scalar evaluation order
-      // (no FMA contraction), so the rebuilt plan is ISA-independent.
-      common::simd::ScaledMul(plan.row(i), kernel.row(i), v.data(), u[i], m);
-    }, row_threads);
-  };
-
-  for (size_t iter = 1; iter <= opt.max_iterations; ++iter) {
-    OTFAIR_TRACE_SPAN("sinkhorn_iter");
-    // u = a ./ (K v) — the row-kernel dot is the standard iteration's
-    // inner loop and vectorizes to a straight fused multiply-add chain.
-    ParallelFor(0, n, [&](size_t i) {
-      const double denom = common::simd::Dot(kernel.row(i), v.data(), m);
-      u[i] = (denom > 0.0) ? a[i] / denom : 0.0;
-    }, row_threads);
-    for (size_t i = 0; i < n; ++i) {
-      if (std::isnan(u[i]))
-        return Status::NotConverged("sinkhorn diverged (NaN scaling); use log_domain or larger epsilon");
-    }
-    // v = b ./ (K' u); col_err records the pre-update column violation.
-    ParallelFor(0, m, [&](size_t j) {
-      const double denom = common::simd::Dot(kernel_t.row(j), u.data(), n);
-      col_err[j] = std::fabs(v[j] * denom - b[j]);
-      v[j] = (denom > 0.0) ? b[j] / denom : 0.0;
-    }, row_threads);
-    for (size_t j = 0; j < m; ++j) {
-      if (std::isnan(v[j]))
-        return Status::NotConverged("sinkhorn diverged (NaN scaling); use log_domain or larger epsilon");
-    }
-    out.iterations = iter;
-    const double err = common::simd::Max(col_err.data(), m);
-    if (err < opt.tolerance || iter == opt.max_iterations) {
-      // Candidate convergence: certify on the plan actually returned.
-      rebuild_plan();
-      plan_current = true;
-      if (MarginalViolation(plan, a, b) < opt.tolerance) {
-        out.converged = true;
-        break;
-      }
-      if (iter < opt.max_iterations) plan_current = false;
-    }
-  }
-
-  if (!plan_current) rebuild_plan();
-  out.plan.cost = plan.Dot(cost);
-  out.plan.coupling = std::move(plan);
-  return out;
 }
 
 Result<SinkhornResult> SolveLogDomain(const std::vector<double>& a, const std::vector<double>& b,
@@ -248,8 +173,7 @@ Result<SinkhornResult> SolveSinkhorn(const std::vector<double>& a, const std::ve
   if (std::fabs(sum_a - sum_b) > 1e-9 * std::max(sum_a, sum_b))
     return Status::InvalidArgument("unbalanced problem: marginal totals differ");
 
-  return options.log_domain ? SolveLogDomain(a, b, cost, options)
-                            : SolveStandard(a, b, cost, options);
+  return SolveLogDomain(a, b, cost, options);
 }
 
 }  // namespace otfair::ot

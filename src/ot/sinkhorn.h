@@ -12,15 +12,12 @@ namespace otfair::ot {
 /// Options for entropy-regularized OT (Cuturi 2013; Sinkhorn-Knopp 1967).
 struct SinkhornOptions {
   /// Entropic regularization strength. Smaller -> closer to the exact plan,
-  /// but slower convergence and (without log_domain) numerical underflow.
+  /// but slower convergence.
   double epsilon = 0.05;
   /// Maximum Sinkhorn iterations before giving up.
   size_t max_iterations = 10000;
   /// Converged when the worst marginal violation falls below this.
   double tolerance = 1e-9;
-  /// Run the iteration on log-scaled potentials; slower per iteration but
-  /// immune to under/overflow at small epsilon.
-  bool log_domain = false;
   /// Mass-relative truncation applied when the plan is materialized as a
   /// `SparsePlan` (the Solver::Solve1DSparse path): row i drops entries
   /// below `plan_truncation * row_mass / n` and folds the dropped mass
@@ -49,9 +46,11 @@ struct SinkhornResult {
 ///     pi_eps = argmin <C, pi> - eps * H(pi)  s.t.  pi in Pi(a, b)
 ///
 /// by Sinkhorn-Knopp matrix scaling. This is the O(n^2 / eps^2) alternative
-/// the paper cites (§IV-A1, refs [33]-[35]) to the cubic exact solver.
-/// Returns NotConverged only if the iteration diverges (NaN); hitting the
-/// iteration cap reports `converged = false` with the best plan found.
+/// the paper cites (§IV-A1, refs [33]-[35]) to the cubic exact solver. The
+/// iteration runs on log-scaled potentials (the log-domain stabilisation
+/// of Schmitzer, SIAM J. Sci. Comput. 2019), so small epsilon neither
+/// underflows nor overflows. Hitting the iteration cap reports
+/// `converged = false` with the best plan found.
 common::Result<SinkhornResult> SolveSinkhorn(const std::vector<double>& a,
                                              const std::vector<double>& b,
                                              const common::Matrix& cost,

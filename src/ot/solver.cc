@@ -1,8 +1,8 @@
 #include "ot/solver.h"
 
-#include <algorithm>
 #include <utility>
 
+#include "common/status.h"
 #include "ot/cost.h"
 #include "ot/monotone.h"
 
@@ -16,8 +16,16 @@ namespace {
 
 Status RequireSorted(const DiscreteMeasure& mu, const DiscreteMeasure& nu) {
   if (!mu.IsSorted() || !nu.IsSorted())
-    return Status::InvalidArgument("Solve1D requires sorted supports");
+    return Status::InvalidArgument("Solve1DSparse requires sorted supports");
   return Status::Ok();
+}
+
+/// Dense coupling of mu -> nu under the squared-Euclidean cost.
+Result<TransportPlan> SolveDense1D(const Solver& solver, const DiscreteMeasure& mu,
+                                   const DiscreteMeasure& nu) {
+  if (Status status = RequireSorted(mu, nu); !status.ok()) return status;
+  return solver.Solve(mu.weights(), nu.weights(),
+                      SquaredEuclideanCost(mu.support(), nu.support()));
 }
 
 /// Exact successive-shortest-paths backend (ot/exact.h).
@@ -29,7 +37,6 @@ class ExactSolver : public Solver {
     static const std::string kName = "exact";
     return kName;
   }
-  bool is_exact() const override { return true; }
   bool supports_general_cost() const override { return true; }
 
   Result<TransportPlan> Solve(const std::vector<double>& a, const std::vector<double>& b,
@@ -50,7 +57,6 @@ class SinkhornSolver : public Solver {
     static const std::string kName = "sinkhorn";
     return kName;
   }
-  bool is_exact() const override { return false; }
   bool supports_general_cost() const override { return true; }
 
   Result<TransportPlan> Solve(const std::vector<double>& a, const std::vector<double>& b,
@@ -67,9 +73,9 @@ class SinkhornSolver : public Solver {
   /// column marginals within solver tolerance (see SinkhornOptions).
   Result<SparsePlan> Solve1DSparse(const DiscreteMeasure& mu,
                                    const DiscreteMeasure& nu) const override {
-    auto dense = Solve1DDense(mu, nu);
+    auto dense = SolveDense1D(*this, mu, nu);
     if (!dense.ok()) return dense.status();
-    return TruncateToSparse(*dense, options_.plan_truncation);
+    return TruncateToSparse(dense->coupling, options_.plan_truncation);
   }
 
  private:
@@ -85,121 +91,50 @@ class MonotoneSolver : public Solver {
     static const std::string kName = "monotone";
     return kName;
   }
-  bool is_exact() const override { return true; }
   bool supports_general_cost() const override { return false; }
 
   Result<TransportPlan> Solve(const std::vector<double>& /*a*/,
                               const std::vector<double>& /*b*/,
                               const Matrix& /*cost*/) const override {
     return Status::Unimplemented(
-        "monotone solver is 1-D only (no general ground cost); use Solve1D "
+        "monotone solver is 1-D only (no general ground cost); use Solve1DSparse "
         "or pick the exact/sinkhorn backend");
   }
 
-  Result<std::vector<PlanEntry>> Solve1D(const DiscreteMeasure& mu,
-                                         const DiscreteMeasure& nu) const override {
+  /// The staircase goes straight into CSR, already in row-major order.
+  Result<SparsePlan> Solve1DSparse(const DiscreteMeasure& mu,
+                                   const DiscreteMeasure& nu) const override {
     if (Status status = RequireSorted(mu, nu); !status.ok()) return status;
     auto coupling = SolveMonotone1D(mu, nu);
     if (!coupling.ok()) return coupling.status();
-    return std::move(coupling->entries);
+    return SparsePlan::FromEntries(std::move(coupling->entries), mu.size(), nu.size());
   }
 };
 
 }  // namespace
 
-Result<std::vector<PlanEntry>> Solver::Solve1D(const DiscreteMeasure& mu,
-                                               const DiscreteMeasure& nu) const {
-  if (Status status = RequireSorted(mu, nu); !status.ok()) return status;
-  const Matrix cost = SquaredEuclideanCost(mu.support(), nu.support());
-  auto plan = Solve(mu.weights(), nu.weights(), cost);
-  if (!plan.ok()) return plan.status();
-  return plan->ToSparse();
-}
-
-Result<Matrix> Solver::Solve1DDense(const DiscreteMeasure& mu,
-                                    const DiscreteMeasure& nu) const {
-  // Dense backends already produce the coupling matrix — return it
-  // directly rather than roundtripping through the sparse representation
-  // (this is the per-channel hot call of Algorithm 1).
-  if (supports_general_cost()) {
-    if (Status status = RequireSorted(mu, nu); !status.ok()) return status;
-    const Matrix cost = SquaredEuclideanCost(mu.support(), nu.support());
-    auto plan = Solve(mu.weights(), nu.weights(), cost);
-    if (!plan.ok()) return plan.status();
-    return std::move(plan->coupling);
-  }
-  auto entries = Solve1D(mu, nu);
-  if (!entries.ok()) return entries.status();
-  return SparseToDense(*entries, mu.size(), nu.size());
-}
-
 Result<SparsePlan> Solver::Solve1DSparse(const DiscreteMeasure& mu,
                                          const DiscreteMeasure& nu) const {
-  // Default route: whatever `Solve1D` produces (the monotone staircase
-  // directly, or a dense backend's extracted support set) compresses to
-  // CSR in O(nnz) — external registry backends need no changes.
-  auto entries = Solve1D(mu, nu);
-  if (!entries.ok()) return entries.status();
-  return SparsePlan::FromEntries(std::move(*entries), mu.size(), nu.size());
-}
-
-SolverRegistry& SolverRegistry::Global() {
-  static SolverRegistry* registry = [] {
-    auto* r = new SolverRegistry();
-    // Built-ins; registration into an empty map cannot fail.
-    (void)r->Register("monotone", [](const SolverOptions&) {
-      return std::make_shared<const MonotoneSolver>();
-    });
-    (void)r->Register("exact", [](const SolverOptions& options) {
-      return std::make_shared<const ExactSolver>(options.exact);
-    });
-    (void)r->Register("sinkhorn", [](const SolverOptions& options) {
-      return std::make_shared<const SinkhornSolver>(options.sinkhorn);
-    });
-    return r;
-  }();
-  return *registry;
-}
-
-Status SolverRegistry::Register(const std::string& name, Factory factory) {
-  if (name.empty()) return Status::InvalidArgument("solver name must be non-empty");
-  if (Contains(name))
-    return Status::InvalidArgument("solver '" + name + "' already registered");
-  factories_.emplace_back(name, std::move(factory));
-  return Status::Ok();
-}
-
-Result<std::shared_ptr<const Solver>> SolverRegistry::Create(
-    const std::string& name, const SolverOptions& options) const {
-  for (const auto& [known, factory] : factories_) {
-    if (known == name) return factory(options);
-  }
-  std::string known_names;
-  for (const std::string& n : Names()) {
-    if (!known_names.empty()) known_names += ", ";
-    known_names += n;
-  }
-  return Status::NotFound("unknown solver '" + name + "' (known: " + known_names + ")");
-}
-
-bool SolverRegistry::Contains(const std::string& name) const {
-  for (const auto& [known, factory] : factories_) {
-    if (known == name) return true;
-  }
-  return false;
-}
-
-std::vector<std::string> SolverRegistry::Names() const {
-  std::vector<std::string> names;
-  names.reserve(factories_.size());
-  for (const auto& [name, factory] : factories_) names.push_back(name);
-  std::sort(names.begin(), names.end());
-  return names;
+  auto plan = SolveDense1D(*this, mu, nu);
+  if (!plan.ok()) return plan.status();
+  return SparsePlan::FromDense(plan->coupling, 1e-15);
 }
 
 Result<std::shared_ptr<const Solver>> MakeSolver(const std::string& name,
                                                  const SolverOptions& options) {
-  return SolverRegistry::Global().Create(name, options);
+  std::shared_ptr<const Solver> solver;
+  if (name == "exact") solver = std::make_shared<const ExactSolver>(options.exact);
+  if (name == "monotone") solver = DefaultSolver();
+  if (name == "sinkhorn") solver = std::make_shared<const SinkhornSolver>(options.sinkhorn);
+  if (solver) return solver;
+  std::string known;
+  for (const std::string& n : SolverNames()) known += (known.empty() ? "" : ", ") + n;
+  return Status::NotFound("unknown solver '" + name + "' (known: " + known + ")");
+}
+
+const std::vector<std::string>& SolverNames() {
+  static const std::vector<std::string> names = {"exact", "monotone", "sinkhorn"};
+  return names;
 }
 
 std::shared_ptr<const Solver> DefaultSolver() {

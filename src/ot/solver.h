@@ -1,14 +1,12 @@
 #ifndef OTFAIR_OT_SOLVER_H_
 #define OTFAIR_OT_SOLVER_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/matrix.h"
 #include "common/result.h"
-#include "common/status.h"
 #include "ot/exact.h"
 #include "ot/measure.h"
 #include "ot/plan.h"
@@ -30,20 +28,15 @@ namespace otfair::ot {
 /// Two solve granularities are exposed:
 ///  - `Solve` is the general dense problem under an arbitrary ground
 ///    cost (used by the joint/bivariate repair on product grids);
-///  - `Solve1D` is the 1-D squared-Euclidean problem between two
-///    measures on their own (sorted) supports, returned sparse — the
-///    hot call of the per-channel pipeline.
+///  - `Solve1DSparse` is the 1-D squared-Euclidean problem between two
+///    measures on their own (sorted) supports, returned as CSR — the hot
+///    call of the per-channel pipeline.
 class Solver {
  public:
   virtual ~Solver() = default;
 
-  /// Registry name of the backend ("monotone", "exact", "sinkhorn", ...).
+  /// Backend name ("monotone", "exact" or "sinkhorn").
   virtual const std::string& name() const = 0;
-
-  /// True when returned couplings satisfy the marginal constraints to
-  /// machine precision; entropic backends are approximate and callers
-  /// should widen validation tolerances accordingly.
-  virtual bool is_exact() const = 0;
 
   /// True when `Solve` accepts an arbitrary ground cost. The monotone
   /// backend exploits 1-D convex-cost structure and returns
@@ -59,75 +52,31 @@ class Solver {
                                               const common::Matrix& cost) const = 0;
 
   /// Solves mu -> nu under the squared-Euclidean cost on the measures'
-  /// own supports, which must be sorted (ascending). Entries index atoms
-  /// of `mu` (rows) and `nu` (columns). The base implementation builds
-  /// the dense cost and defers to `Solve`; backends with 1-D shortcuts
-  /// override it.
-  virtual common::Result<std::vector<PlanEntry>> Solve1D(const DiscreteMeasure& mu,
-                                                         const DiscreteMeasure& nu) const;
-
-  /// `Solve1D` densified into an n x m coupling matrix — kept for
-  /// callers that want the dense shape (cross-validation, tests).
-  common::Result<common::Matrix> Solve1DDense(const DiscreteMeasure& mu,
-                                              const DiscreteMeasure& nu) const;
-
-  /// The sparse-native hot path: `Solve1D`'s coupling as a CSR
-  /// `SparsePlan` — the shape the per-channel repair plans store (Eq. 13
-  /// couplings on the support grid). The base implementation routes
-  /// through `Solve1D` (and therefore, for dense backends, the existing
-  /// dense `Solve`), so third-party `SolverRegistry` backends keep
-  /// working unchanged; built-ins with sparse structure override it:
-  /// the monotone staircase becomes CSR with zero densification, and the
-  /// Sinkhorn backend applies its `plan_truncation` band extraction
-  /// (see SinkhornOptions) at materialization time.
+  /// own supports, which must be sorted (ascending), as a CSR plan whose
+  /// rows index atoms of `mu` and columns atoms of `nu` — the shape the
+  /// per-channel repair plans store (Eq. 13 couplings on the support
+  /// grid). The base implementation builds the dense cost, calls `Solve`
+  /// and keeps the entries above 1e-15; the monotone backend writes its
+  /// staircase straight into CSR, and the Sinkhorn backend applies its
+  /// `plan_truncation` band extraction (see SinkhornOptions).
   virtual common::Result<SparsePlan> Solve1DSparse(const DiscreteMeasure& mu,
                                                    const DiscreteMeasure& nu) const;
 };
 
-/// Tuning knobs consumed by the built-in backends at construction; a
-/// registry factory receives one of these so a CLI flag or config file can
-/// parameterize any backend uniformly.
+/// Tuning knobs consumed by the built-in backends at construction, so a
+/// CLI flag or config file can parameterize any backend uniformly.
 struct SolverOptions {
   ExactSolverOptions exact;
   SinkhornOptions sinkhorn;
 };
 
-/// Name -> factory map for OT backends. Registering a backend here makes
-/// it reachable everywhere a solver name is accepted: `DesignOptions`,
-/// `otfair_cli --solver=...`, the benches, and the parity tests.
-///
-/// The three built-ins ("monotone", "exact", "sinkhorn") are registered
-/// on first use of `Global()`. Thread-compatible: registration is
-/// expected at startup, lookups afterwards.
-class SolverRegistry {
- public:
-  using Factory =
-      std::function<std::shared_ptr<const Solver>(const SolverOptions& options)>;
-
-  /// Process-wide registry instance with the built-ins pre-registered.
-  static SolverRegistry& Global();
-
-  /// Registers `factory` under `name`; InvalidArgument on duplicates or
-  /// an empty name.
-  common::Status Register(const std::string& name, Factory factory);
-
-  /// Instantiates the backend registered under `name`; NotFound (with the
-  /// known names in the message) otherwise.
-  common::Result<std::shared_ptr<const Solver>> Create(
-      const std::string& name, const SolverOptions& options = {}) const;
-
-  bool Contains(const std::string& name) const;
-
-  /// Registered names, sorted.
-  std::vector<std::string> Names() const;
-
- private:
-  std::vector<std::pair<std::string, Factory>> factories_;
-};
-
-/// Convenience: `SolverRegistry::Global().Create(name, options)`.
+/// Creates the built-in backend called `name` ("exact", "monotone" or
+/// "sinkhorn"); NotFound, with the known names in the message, otherwise.
 common::Result<std::shared_ptr<const Solver>> MakeSolver(const std::string& name,
                                                          const SolverOptions& options = {});
+
+/// The names `MakeSolver` accepts, sorted.
+const std::vector<std::string>& SolverNames();
 
 /// The pipeline default: a shared monotone solver (exact and O(n) for the
 /// 1-D squared-Euclidean channels of Algorithm 1).

@@ -42,15 +42,14 @@ void ExpectClose(double expected, double actual) {
 
 class SimdParityTest : public ::testing::TestWithParam<size_t> {};
 
+// The name predates the removal of the dot kernel and is kept so the test
+// ids stay comparable across runs.
 TEST_P(SimdParityTest, SumDotMatchScalar) {
   const size_t n = GetParam();
   Rng rng(1234 + n);
   const auto x = RandomVec(rng, n, -3.0, 3.0);
-  const auto y = RandomVec(rng, n, -2.0, 5.0);
   const Ops& best = BestOps();
   ExpectClose(ScalarOps().sum(x.data(), n), best.sum(x.data(), n));
-  ExpectClose(ScalarOps().dot(x.data(), y.data(), n),
-              best.dot(x.data(), y.data(), n));
 }
 
 TEST_P(SimdParityTest, MaxKernelsBitExact) {
@@ -69,17 +68,12 @@ TEST_P(SimdParityTest, ElementwiseKernelsBitExact) {
   const size_t n = GetParam();
   Rng rng(7 + n);
   const auto x = RandomVec(rng, n, -4.0, 4.0);
-  const auto y = RandomVec(rng, n, -4.0, 4.0);
   auto dst_scalar = RandomVec(rng, n, 0.0, 1.0);
   auto dst_vector = dst_scalar;
   const Ops& best = BestOps();
 
   ScalarOps().add_in_place(dst_scalar.data(), x.data(), n);
   best.add_in_place(dst_vector.data(), x.data(), n);
-  for (size_t i = 0; i < n; ++i) EXPECT_EQ(dst_scalar[i], dst_vector[i]);
-
-  ScalarOps().scaled_mul(dst_scalar.data(), x.data(), y.data(), 0.37, n);
-  best.scaled_mul(dst_vector.data(), x.data(), y.data(), 0.37, n);
   for (size_t i = 0; i < n; ++i) EXPECT_EQ(dst_scalar[i], dst_vector[i]);
 }
 
@@ -279,7 +273,6 @@ TEST(SimdTest, TransportBitIdenticalToScalar) {
 TEST(SimdTest, EmptyInputs) {
   const Ops& best = BestOps();
   EXPECT_EQ(0.0, best.sum(nullptr, 0));
-  EXPECT_EQ(0.0, best.dot(nullptr, nullptr, 0));
   EXPECT_EQ(-kInf, best.max(nullptr, 0));
   EXPECT_EQ(0.0, best.max_abs_diff(nullptr, nullptr, 0));
   EXPECT_EQ(-kInf, best.lse_diff(nullptr, nullptr, 0));
@@ -314,7 +307,7 @@ TEST(SimdTest, ForceScalarSwitchesActiveTable) {
 
 TEST(SimdTest, IsaTagIsKnown) {
   const std::string isa = BestOps().isa;
-  EXPECT_TRUE(isa == "scalar" || isa == "avx2" || isa == "neon") << isa;
+  EXPECT_TRUE(isa == "scalar" || isa == "avx2") << isa;
 }
 
 }  // namespace

@@ -97,7 +97,6 @@ TEST(DesignerTest, SinkhornSolverProducesValidPlans) {
   options.n_q = 20;
   ot::SolverOptions solver_options;
   solver_options.sinkhorn.epsilon = 0.1;
-  solver_options.sinkhorn.log_domain = true;
   options.solver = *ot::MakeSolver("sinkhorn", solver_options);
   auto plans = DesignDistributionalRepair(research, options);
   ASSERT_TRUE(plans.ok());

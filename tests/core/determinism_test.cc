@@ -3,6 +3,7 @@
 // structural (per-index result slots, per-row RNG sub-streams, serial
 // reductions), so these tests compare exact doubles, not tolerances.
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "core/joint_repair.h"
 #include "core/pipeline.h"
 #include "core/repairer.h"
+#include "ot/cost.h"
 #include "ot/sinkhorn.h"
 #include "ot/solver.h"
 #include "sim/gaussian_mixture.h"
@@ -223,8 +225,8 @@ TEST(DeterminismTest, JointRepairBitIdenticalAcrossThreadCounts) {
 
 TEST(DeterminismTest, SinkhornBitIdenticalAcrossThreadCounts) {
   // Sinkhorn's row updates write per-index slots, so its plans are exact
-  // matches across thread counts in both domains. n is chosen above the
-  // solver's small-problem grain threshold so the pool really engages.
+  // matches across thread counts. n is chosen above the solver's
+  // small-problem grain threshold so the pool really engages.
   const size_t n = 160;
   common::Rng rng(31);
   std::vector<double> a(n);
@@ -241,23 +243,20 @@ TEST(DeterminismTest, SinkhornBitIdenticalAcrossThreadCounts) {
       cost(i, j) = (static_cast<double>(i) - static_cast<double>(j)) *
                    (static_cast<double>(i) - static_cast<double>(j)) / static_cast<double>(n * n);
 
-  for (const bool log_domain : {false, true}) {
-    ot::SinkhornOptions options;
-    options.epsilon = 0.1;
-    options.log_domain = log_domain;
-    common::parallel::SetThreadCount(1);
-    auto reference = ot::SolveSinkhorn(a, b, cost, options);
-    ASSERT_TRUE(reference.ok());
-    for (size_t threads : {size_t{2}, size_t{8}}) {
-      common::parallel::SetThreadCount(threads);
-      auto result = ot::SolveSinkhorn(a, b, cost, options);
-      ASSERT_TRUE(result.ok()) << "threads=" << threads;
-      EXPECT_EQ(result->iterations, reference->iterations) << "log=" << log_domain;
-      EXPECT_EQ(result->plan.coupling.MaxAbsDiff(reference->plan.coupling), 0.0)
-          << "log=" << log_domain << " threads=" << threads;
-    }
-    common::parallel::SetThreadCount(0);
+  ot::SinkhornOptions options;
+  options.epsilon = 0.1;
+  common::parallel::SetThreadCount(1);
+  auto reference = ot::SolveSinkhorn(a, b, cost, options);
+  ASSERT_TRUE(reference.ok());
+  for (size_t threads : {size_t{2}, size_t{8}}) {
+    common::parallel::SetThreadCount(threads);
+    auto result = ot::SolveSinkhorn(a, b, cost, options);
+    ASSERT_TRUE(result.ok()) << "threads=" << threads;
+    EXPECT_EQ(result->iterations, reference->iterations) << "threads=" << threads;
+    EXPECT_EQ(result->plan.coupling.MaxAbsDiff(reference->plan.coupling), 0.0)
+        << "threads=" << threads;
   }
+  common::parallel::SetThreadCount(0);
 }
 
 // --- Sparse/dense plan parity ------------------------------------------
@@ -283,6 +282,20 @@ ot::DiscreteMeasure RandomSortedMeasure(common::Rng& rng, size_t n) {
   return *m;
 }
 
+/// The dense coupling `solver`'s own `Solve` returns for mu -> nu under the
+/// squared-Euclidean cost. The monotone backend has no dense solve; the
+/// exact backend's plan is the same unique optimum.
+common::Result<common::Matrix> DenseCoupling(const ot::Solver& solver,
+                                             const ot::DiscreteMeasure& mu,
+                                             const ot::DiscreteMeasure& nu) {
+  const std::shared_ptr<const ot::Solver> exact = *ot::MakeSolver("exact");
+  const ot::Solver& dense = solver.supports_general_cost() ? solver : *exact;
+  auto plan = dense.Solve(mu.weights(), nu.weights(),
+                          ot::SquaredEuclideanCost(mu.support(), nu.support()));
+  if (!plan.ok()) return plan.status();
+  return std::move(plan->coupling);
+}
+
 TEST(SparseDenseParityTest, SparsePlanDensifiesToDensePlanForAllBackends) {
   common::Rng rng(401);
   for (int trial = 0; trial < 8; ++trial) {
@@ -293,7 +306,7 @@ TEST(SparseDenseParityTest, SparsePlanDensifiesToDensePlanForAllBackends) {
     for (const char* name : {"monotone", "exact", "sinkhorn"}) {
       auto solver = *ot::MakeSolver(name);
       auto sparse = solver->Solve1DSparse(mu, nu);
-      auto dense = solver->Solve1DDense(mu, nu);
+      auto dense = DenseCoupling(*solver, mu, nu);
       ASSERT_TRUE(sparse.ok() && dense.ok()) << name << " trial " << trial;
       ASSERT_EQ(sparse->rows(), n);
       ASSERT_EQ(sparse->cols(), m);
@@ -320,7 +333,7 @@ TEST(SparseDenseParityTest, SinkhornTruncationRefoldPreservesMarginals) {
     const ot::DiscreteMeasure mu = RandomSortedMeasure(rng, n);
     const ot::DiscreteMeasure nu = RandomSortedMeasure(rng, n);
     auto sparse = solver->Solve1DSparse(mu, nu);
-    auto dense = solver->Solve1DDense(mu, nu);
+    auto dense = DenseCoupling(*solver, mu, nu);
     ASSERT_TRUE(sparse.ok() && dense.ok());
     EXPECT_LT(sparse->nnz(), n * n) << "truncation dropped nothing at eps=0.02";
     // Row marginals match the untruncated plan to roundoff (the refold

@@ -173,7 +173,6 @@ TEST(JointRepairTest, InjectedBackendSolvesProductGridPlans) {
   options.n_q = 8;
   ot::SolverOptions solver_options;
   solver_options.sinkhorn.epsilon = 0.1;
-  solver_options.sinkhorn.log_domain = true;
   options.solver = *ot::MakeSolver("sinkhorn", solver_options);
   auto repairer = JointPairRepairer::Design(fx.research, 0, 1, options);
   ASSERT_TRUE(repairer.ok()) << repairer.status().ToString();

@@ -51,7 +51,6 @@ class RepairPropertyTest : public ::testing::TestWithParam<ParamType> {
     design.n_q = n_q;
     ot::SolverOptions solver_options;
     solver_options.sinkhorn.epsilon = 0.1;
-    solver_options.sinkhorn.log_domain = true;
     auto backend = ot::MakeSolver(solver, solver_options);
     ASSERT_TRUE(backend.ok()) << backend.status().ToString();
     design.solver = std::move(*backend);

@@ -16,12 +16,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/simd.h"
 #include "data/adult_like.h"
 #include "data/csv.h"
 #include "fairness/emetric.h"
@@ -221,8 +223,17 @@ TEST_F(CliTest, FullWorkflow) {
 }
 
 TEST_F(CliTest, EverySolverBackendReachable) {
-  // Each registered backend designs a working plan through --solver, and
+  // Each built-in backend designs a working plan through --solver, and
   // the repaired archive comes out fairer regardless of the backend.
+  // Plan bytes are pinned by each file's trailing CRC32. Monotone and
+  // exact plans do not depend on the kernel table; Sinkhorn's do (the
+  // AVX2 log-sum-exp uses a vector exp), so it has one pin per table.
+  const std::string isa = common::simd::ActiveIsa();
+  const std::map<std::string, uint32_t> pinned_crc = {
+      {"monotone", 0x5e9c4eb9u},
+      {"exact", 0x4f1c1764u},
+      {"sinkhorn", isa == "avx2" ? 0xa21a619bu : 0x0858c48au},
+  };
   for (const std::string solver : {"monotone", "exact", "sinkhorn"}) {
     const std::string plan = dir_ + "/plan_" + solver + ".bin";
     const std::string out = dir_ + "/repaired_" + solver + ".csv";
@@ -230,6 +241,12 @@ TEST_F(CliTest, EverySolverBackendReachable) {
                   " --n_q=30 --solver=" + solver + " --epsilon=0.1"),
               0)
         << solver;
+    const std::string bytes = ReadFileOrEmpty(plan);
+    ASSERT_GE(bytes.size(), sizeof(uint32_t)) << solver;
+    uint32_t crc = 0;
+    std::memcpy(&crc, bytes.data() + bytes.size() - sizeof(crc), sizeof(crc));
+    EXPECT_EQ(crc, pinned_crc.at(solver))
+        << solver << " on the " << isa << " table: 0x" << std::hex << crc;
     ASSERT_EQ(Run("repair --plan=" + plan + " --input=" + archive_path_ +
                   " --output=" + out + " --seed=11"),
               0)

@@ -117,7 +117,7 @@ TEST_F(TraceTest, ConcurrentPushAndDrainNeverTearsASlot) {
   std::thread producer([&] {
     uint64_t i = 0;
     while (!stop.load(std::memory_order_relaxed)) {
-      internal::EmitCompletedSpan("torn_check", 2 * i, 2 * i + 1);
+      internal::ThreadRing().Push("torn_check", 2 * i, 2 * i + 1);
       ++i;
     }
   });
@@ -144,8 +144,8 @@ TEST_F(TraceTest, ChromeTraceJsonMatchesGoldenSchema) {
   // Two spans with known rebased timestamps: the earliest start becomes
   // ts 0, a span starting 1000 ns later gets ts 1 (µs). Everything else
   // in the golden fragment is fixed by the Chrome trace-event schema.
-  internal::EmitCompletedSpan("alpha", 1000, 5000);
-  internal::EmitCompletedSpan("beta", 2000, 3000);
+  internal::ThreadRing().Push("alpha", 1000, 5000);
+  internal::ThreadRing().Push("beta", 2000, 3000);
   const std::string json = TraceCollector::Global().ChromeTraceJson();
   EXPECT_EQ(json.find("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["), 0u) << json;
   EXPECT_NE(json.find("\"name\":\"alpha\",\"cat\":\"otfair\",\"ph\":\"X\",\"pid\":1"),
@@ -158,7 +158,7 @@ TEST_F(TraceTest, ChromeTraceJsonMatchesGoldenSchema) {
 }
 
 TEST_F(TraceTest, WriteChromeTraceProducesLoadableFile) {
-  internal::EmitCompletedSpan("file_span", 10, 20);
+  internal::ThreadRing().Push("file_span", 10, 20);
   const std::string path = ::testing::TempDir() + "/otfair_trace_test.json";
   ASSERT_TRUE(TraceCollector::Global().WriteChromeTrace(path).ok());
   std::FILE* f = std::fopen(path.c_str(), "rb");

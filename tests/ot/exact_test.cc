@@ -85,7 +85,7 @@ TEST(ExactTest, OptimalPlanIsSparse) {
   auto plan = SolveExact(a, b, cost);
   ASSERT_TRUE(plan.ok());
   // Basic solutions of the transportation polytope have <= n + m - 1 atoms.
-  EXPECT_LE(plan->ToSparse(1e-12).size(), 2 * n - 1);
+  EXPECT_LE(SparsePlan::FromDense(plan->coupling, 1e-12).nnz(), 2 * n - 1);
 }
 
 TEST(ExactTest, CostLowerBoundsAnyFeasiblePlan) {
@@ -145,11 +145,9 @@ TEST(ExactTest, SparseDenseRoundTrip) {
   auto plan = SolveExact({0.3, 0.7}, {0.6, 0.4},
                          SquaredEuclideanCost({0.0, 1.0}, {0.0, 1.0}));
   ASSERT_TRUE(plan.ok());
-  auto sparse = plan->ToSparse();
-  common::Matrix dense = SparseToDense(sparse, 2, 2);
-  EXPECT_LT(dense.MaxAbsDiff(plan->coupling), 1e-14);
-  EXPECT_NEAR(SparsePlanCost(sparse, SquaredEuclideanCost({0.0, 1.0}, {0.0, 1.0})),
-              plan->cost, 1e-12);
+  const SparsePlan sparse = SparsePlan::FromDense(plan->coupling, 1e-15);
+  EXPECT_LT(sparse.ToDense().MaxAbsDiff(plan->coupling), 1e-14);
+  EXPECT_NEAR(sparse.Cost(SquaredEuclideanCost({0.0, 1.0}, {0.0, 1.0})), plan->cost, 1e-12);
 }
 
 }  // namespace

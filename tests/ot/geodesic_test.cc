@@ -2,47 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "ot/monotone.h"
-
 namespace otfair::ot {
 namespace {
-
-TEST(DisplacementTest, MidpointOfCoupledAtoms) {
-  std::vector<PlanEntry> entries = {{0, 0, 0.5}, {1, 1, 0.5}};
-  std::vector<double> xs = {0.0, 2.0};
-  std::vector<double> ys = {10.0, 12.0};
-  auto mid = DisplacementInterpolation(entries, xs, ys, 0.5);
-  ASSERT_TRUE(mid.ok());
-  EXPECT_EQ(mid->support(), (std::vector<double>{5.0, 7.0}));
-  EXPECT_DOUBLE_EQ(mid->weight_at(0), 0.5);
-}
-
-TEST(DisplacementTest, EndpointsReproduceMarginals) {
-  auto mu = DiscreteMeasure::FromSamples({0.0, 1.0, 2.0});
-  auto nu = DiscreteMeasure::FromSamples({5.0, 6.0, 9.0});
-  auto coupling = SolveMonotone1D(*mu, *nu);
-  ASSERT_TRUE(coupling.ok());
-  auto at0 = DisplacementInterpolation(coupling->entries, mu->support(), nu->support(), 0.0);
-  auto at1 = DisplacementInterpolation(coupling->entries, mu->support(), nu->support(), 1.0);
-  ASSERT_TRUE(at0.ok() && at1.ok());
-  EXPECT_DOUBLE_EQ(at0->Mean(), mu->Mean());
-  EXPECT_DOUBLE_EQ(at1->Mean(), nu->Mean());
-}
-
-TEST(DisplacementTest, ResultIsSorted) {
-  std::vector<PlanEntry> entries = {{1, 0, 0.5}, {0, 1, 0.5}};
-  auto out = DisplacementInterpolation(entries, {0.0, 10.0}, {1.0, 2.0}, 0.5);
-  ASSERT_TRUE(out.ok());
-  EXPECT_TRUE(out->IsSorted());
-}
-
-TEST(DisplacementTest, RejectsBadInput) {
-  std::vector<PlanEntry> entries = {{0, 5, 1.0}};  // j out of range
-  EXPECT_FALSE(DisplacementInterpolation(entries, {0.0}, {1.0}, 0.5).ok());
-  EXPECT_FALSE(DisplacementInterpolation({}, {0.0}, {1.0}, 0.5).ok());
-  std::vector<PlanEntry> good = {{0, 0, 1.0}};
-  EXPECT_FALSE(DisplacementInterpolation(good, {0.0}, {1.0}, 2.0).ok());
-}
 
 TEST(ProjectToGridTest, AtomOnGridPointStaysPut) {
   auto m = DiscreteMeasure::Create({1.0}, {1.0});

@@ -49,8 +49,8 @@ TEST(MonotoneTest, MarginalsExactlySatisfied) {
   ASSERT_TRUE(mu.ok() && nu.ok());
   auto coupling = SolveMonotone1D(*mu, *nu);
   ASSERT_TRUE(coupling.ok());
-  common::Matrix dense = SparseToDense(coupling->entries, mu->size(), nu->size());
-  TransportPlan plan{dense, 0.0};
+  TransportPlan plan{
+      SparsePlan::FromEntries(coupling->entries, mu->size(), nu->size()).ToDense(), 0.0};
   EXPECT_LT(plan.MarginalError(mu->weights(), nu->weights()), 1e-12);
 }
 

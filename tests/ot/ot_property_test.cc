@@ -57,7 +57,8 @@ TEST_P(SolverAgreementTest, MonotoneCostEqualsExactCost) {
   auto coupling = SolveMonotone1D(mu, nu);
   ASSERT_TRUE(coupling.ok());
   const common::Matrix cost = LpCost(mu.support(), nu.support(), p_);
-  const double monotone_cost = SparsePlanCost(coupling->entries, cost);
+  const double monotone_cost =
+      SparsePlan::FromEntries(coupling->entries, mu.size(), nu.size()).Cost(cost);
   auto exact = SolveExact(mu.weights(), nu.weights(), cost);
   ASSERT_TRUE(exact.ok());
   EXPECT_NEAR(monotone_cost, exact->cost, 1e-9 * (1.0 + std::fabs(exact->cost)));
@@ -75,7 +76,8 @@ TEST_P(SolverAgreementTest, MonotonePlanSatisfiesMarginals) {
   const DiscreteMeasure nu = nu_.SortedBySupport();
   auto coupling = SolveMonotone1D(mu, nu);
   ASSERT_TRUE(coupling.ok());
-  TransportPlan plan{SparseToDense(coupling->entries, mu.size(), nu.size()), 0.0};
+  TransportPlan plan{
+      SparsePlan::FromEntries(coupling->entries, mu.size(), nu.size()).ToDense(), 0.0};
   EXPECT_LT(plan.MarginalError(mu.weights(), nu.weights()), 1e-12);
 }
 
@@ -119,7 +121,6 @@ TEST_P(SinkhornApproachesExactTest, GapShrinksWithEpsilon) {
   loose.epsilon = 0.5;
   SinkhornOptions tight;
   tight.epsilon = 0.02;
-  tight.log_domain = true;
   tight.max_iterations = 100000;
   auto coarse = SolveSinkhorn(w, v, cost, loose);
   auto fine = SolveSinkhorn(w, v, cost, tight);

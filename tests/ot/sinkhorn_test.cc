@@ -66,7 +66,6 @@ TEST(SinkhornTest, CostApproachesExactAsEpsilonShrinks) {
   for (double eps : {0.5, 0.1, 0.02}) {
     SinkhornOptions options;
     options.epsilon = eps;
-    options.log_domain = true;
     options.max_iterations = 50000;
     auto reg = SolveSinkhorn(p.a, p.b, p.cost, options);
     ASSERT_TRUE(reg.ok()) << "eps=" << eps;
@@ -78,25 +77,13 @@ TEST(SinkhornTest, CostApproachesExactAsEpsilonShrinks) {
   EXPECT_LT(prev_gap, 0.01);
 }
 
-TEST(SinkhornTest, LogDomainMatchesStandardDomain) {
-  Problem p = RandomProblem(14, 9, 17);
-  SinkhornOptions standard;
-  standard.epsilon = 0.2;
-  SinkhornOptions log_domain = standard;
-  log_domain.log_domain = true;
-  auto a = SolveSinkhorn(p.a, p.b, p.cost, standard);
-  auto b = SolveSinkhorn(p.a, p.b, p.cost, log_domain);
-  ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_LT(a->plan.coupling.MaxAbsDiff(b->plan.coupling), 1e-6);
-}
-
 TEST(SinkhornTest, LogDomainSurvivesTinyEpsilon) {
-  // Standard domain underflows here; log domain must not produce NaN.
+  // exp(-C/eps) underflows to zero here; the log-scaled potentials must
+  // not produce NaN.
   Problem p = RandomProblem(8, 8, 23);
   p.cost.Scale(50.0);  // make -C/eps extreme
   SinkhornOptions options;
   options.epsilon = 0.01;
-  options.log_domain = true;
   options.max_iterations = 200000;
   auto result = SolveSinkhorn(p.a, p.b, p.cost, options);
   ASSERT_TRUE(result.ok());
@@ -129,7 +116,6 @@ TEST(SinkhornTest, IterationCapReportedAsNotConvergedFlag) {
   SinkhornOptions options;
   options.epsilon = 0.01;
   options.max_iterations = 3;  // deliberately starved
-  options.log_domain = true;
   auto result = SolveSinkhorn(p.a, p.b, p.cost, options);
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(result->converged);

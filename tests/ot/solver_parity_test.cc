@@ -49,21 +49,15 @@ Instance RandomInstance(size_t n, size_t m, uint64_t seed) {
   return Instance{RandomMeasure(n, 2.0, rng), RandomMeasure(m, 3.0, rng)};
 }
 
-double PlanCost(const std::vector<PlanEntry>& entries, const Instance& inst) {
-  const common::Matrix cost =
-      SquaredEuclideanCost(inst.mu.support(), inst.nu.support());
-  return SparsePlanCost(entries, cost);
+double PlanCost(const SparsePlan& plan, const Instance& inst) {
+  return plan.Cost(SquaredEuclideanCost(inst.mu.support(), inst.nu.support()));
 }
 
 /// Largest marginal violation of a sparse plan against the two weight
 /// vectors.
-double MarginalError(const std::vector<PlanEntry>& entries, const Instance& inst) {
-  std::vector<double> row(inst.mu.size(), 0.0);
-  std::vector<double> col(inst.nu.size(), 0.0);
-  for (const PlanEntry& e : entries) {
-    row[e.i] += e.mass;
-    col[e.j] += e.mass;
-  }
+double MarginalError(const SparsePlan& plan, const Instance& inst) {
+  const std::vector<double> row = plan.RowSums();
+  const std::vector<double> col = plan.ColSums();
   double worst = 0.0;
   for (size_t i = 0; i < row.size(); ++i)
     worst = std::max(worst, std::fabs(row[i] - inst.mu.weight_at(i)));
@@ -74,7 +68,12 @@ double MarginalError(const std::vector<PlanEntry>& entries, const Instance& inst
 
 /// A coupling is monotone (non-crossing) when no two mass-bearing entries
 /// move in opposite index directions.
-bool IsMonotoneCoupling(const std::vector<PlanEntry>& entries, double mass_floor) {
+bool IsMonotoneCoupling(const SparsePlan& plan, double mass_floor) {
+  std::vector<PlanEntry> entries;
+  for (size_t i = 0; i < plan.rows(); ++i) {
+    const SparsePlan::RowView row = plan.Row(i);
+    for (size_t t = 0; t < row.nnz; ++t) entries.push_back({i, row.cols[t], row.values[t]});
+  }
   for (size_t a = 0; a < entries.size(); ++a) {
     if (entries[a].mass <= mass_floor) continue;
     for (size_t b = a + 1; b < entries.size(); ++b) {
@@ -96,8 +95,8 @@ TEST_P(SolverParityTest, ExactBackendsAgreeAndSinkhornApproaches) {
   const auto [n, m, seed] = GetParam();
   const Instance inst = RandomInstance(n, m, seed);
 
-  auto monotone = (*MakeSolver("monotone"))->Solve1D(inst.mu, inst.nu);
-  auto exact = (*MakeSolver("exact"))->Solve1D(inst.mu, inst.nu);
+  auto monotone = (*MakeSolver("monotone"))->Solve1DSparse(inst.mu, inst.nu);
+  auto exact = (*MakeSolver("exact"))->Solve1DSparse(inst.mu, inst.nu);
   ASSERT_TRUE(monotone.ok()) << monotone.status().ToString();
   ASSERT_TRUE(exact.ok()) << exact.status().ToString();
 
@@ -118,9 +117,8 @@ TEST_P(SolverParityTest, ExactBackendsAgreeAndSinkhornApproaches) {
   // ranges, so epsilon = 0.01 puts the entropy gap well under 5%.
   SolverOptions options;
   options.sinkhorn.epsilon = 0.01;
-  options.sinkhorn.log_domain = true;
   options.sinkhorn.max_iterations = 20000;
-  auto sinkhorn = (*MakeSolver("sinkhorn", options))->Solve1D(inst.mu, inst.nu);
+  auto sinkhorn = (*MakeSolver("sinkhorn", options))->Solve1DSparse(inst.mu, inst.nu);
   ASSERT_TRUE(sinkhorn.ok()) << sinkhorn.status().ToString();
   const double cost_sinkhorn = PlanCost(*sinkhorn, inst);
   EXPECT_GT(cost_sinkhorn, cost_exact - 1e-9);

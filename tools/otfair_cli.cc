@@ -112,7 +112,7 @@ otfair::common::Result<int> ResolveThreadsFlag(const FlagParser& flags) {
 
 std::string SolverNames() {
   std::string solvers;
-  for (const std::string& name : otfair::ot::SolverRegistry::Global().Names()) {
+  for (const std::string& name : otfair::ot::SolverNames()) {
     if (!solvers.empty()) solvers += "|";
     solvers += name;
   }
@@ -257,7 +257,7 @@ void PrintInspectUsage(std::FILE* out) {
                "  serve checkpoint's contents (after full header/CRC/payload\n"
                "  validation — a corrupt file fails with the rejection reason).\n"
                "  JSON output includes \"simd_isa\" (the vector instruction set the\n"
-               "  process dispatched to: avx2|neon|scalar), \"trace_available\"\n"
+               "  process dispatched to: avx2|scalar), \"trace_available\"\n"
                "  (whether --trace span collection is compiled in),\n"
                "  \"net_available\"/\"net_listen\" (TCP serving support and its\n"
                "  default listen config), and \"metric_names\" (every metric the\n"
@@ -362,8 +362,8 @@ int RunDesign(const FlagParser& flags) {
   auto research = otfair::data::ReadCsv(research_path);
   if (!research.ok()) return Fail(research.status());
 
-  // The OT backend is resolved by name through the registry and carried in
-  // PipelineOptions, so any registered solver is reachable from here.
+  // The OT backend is created by name (ot::MakeSolver) and carried in
+  // PipelineOptions, so every built-in solver is reachable from here.
   otfair::core::PipelineOptions options;
   options.design.n_q = static_cast<size_t>(flags.GetInt("n_q", 50));
   options.design.target_t = flags.GetDouble("target_t", 0.5);
@@ -388,7 +388,6 @@ int RunDesign(const FlagParser& flags) {
   const std::string solver_name = flags.GetString("solver", "monotone");
   otfair::ot::SolverOptions solver_options;
   solver_options.sinkhorn.epsilon = flags.GetDouble("epsilon", 0.05);
-  solver_options.sinkhorn.log_domain = true;
   auto solver = otfair::ot::MakeSolver(solver_name, solver_options);
   if (!solver.ok()) return Fail(solver.status());
   options.design.solver = std::move(*solver);

@@ -26,14 +26,14 @@
 #     estimate of the true cost of the code.
 #   * Same build type for every snapshot: Release, default flags — no
 #     -march=native — so committed trajectories compare codegen the
-#     repo actually ships. The SIMD kernels select AVX2/NEON at runtime
+#     repo actually ships. The SIMD kernels select AVX2 at runtime
 #     regardless of flags; pass --no_simd to measure the scalar
 #     baseline, and check the "simd_isa" field in the JSON meta to see
 #     what actually dispatched.
 #   * Compare like against like: the same row name and thread count
-#     across snapshots (e.g. sinkhorn_standard for kernel
-#     vectorization). repair_throughput_soa keeps the name it had when
-#     a row-by-row repair_throughput row sat beside it.
+#     across snapshots (e.g. sinkhorn_log for kernel vectorization).
+#     repair_throughput_soa keeps the name it had when a row-by-row
+#     repair_throughput row sat beside it.
 #   * serve_net_* rows run real TCP loadgen client threads against the
 #     in-process epoll server, so they contend with the server for this
 #     machine's cores. On a many-core host the 64/256-connection rows
