@@ -98,6 +98,24 @@ TEST(SolverTest, Solve1DSparseMatchesDenseForEveryBackend) {
   }
 }
 
+TEST(SolverTest, Solve1DRequiresSortedSupports) {
+  // The one 1-D entry point reports an unsorted support on either side as
+  // an invalid argument, and accepts the same measure once it is sorted.
+  const DiscreteMeasure unsorted = MakeMeasure({1.0, 0.0}, {0.25, 0.75});
+  const DiscreteMeasure sorted = MakeMeasure({0.0, 1.0}, {0.5, 0.5});
+  for (const char* name : {"monotone", "exact", "sinkhorn"}) {
+    auto solver = *MakeSolver(name);
+    auto source_unsorted = solver->Solve1DSparse(unsorted, sorted);
+    auto target_unsorted = solver->Solve1DSparse(sorted, unsorted);
+    ASSERT_FALSE(source_unsorted.ok()) << name;
+    ASSERT_FALSE(target_unsorted.ok()) << name;
+    EXPECT_EQ(source_unsorted.status().code(), common::StatusCode::kInvalidArgument) << name;
+    EXPECT_EQ(target_unsorted.status().code(), common::StatusCode::kInvalidArgument) << name;
+    EXPECT_TRUE(solver->Solve1DSparse(unsorted.SortedBySupport(), sorted).ok()) << name;
+    EXPECT_TRUE(solver->Solve1DSparse(sorted, unsorted.SortedBySupport()).ok()) << name;
+  }
+}
+
 TEST(SolverTest, Solve1DSparseRequiresSortedSupports) {
   const DiscreteMeasure unsorted = MakeMeasure({1.0, 0.0}, {0.5, 0.5});
   const DiscreteMeasure sorted = MakeMeasure({0.0, 1.0}, {0.5, 0.5});
