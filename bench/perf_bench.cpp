@@ -12,6 +12,12 @@
 //                      the transport kernel). The name predates the
 //                      removal of the row-by-row path and is kept so
 //                      earlier snapshots stay comparable.
+//   design_breakdown   the design pipeline at one lane (design, validate,
+//                      serialize, repair tables), its stages timed one
+//                      call at a time: grid, kde, barycenter, solve,
+//                      validate, serialize, table_build. wall_ms is the
+//                      untraced pipeline; the stages should sum to it
+//                      within 10 %.
 //   design_step_s4     the same stages on a 4-level protected attribute
 //   repair_throughput_s4_soa  (|S| = 4): the multi-group K-scaling rows —
 //                      design does |S| solves per channel, repair carries
@@ -77,13 +83,16 @@
 #include "common/simd.h"
 #include "common/timer.h"
 #include "core/designer.h"
+#include "core/marginals.h"
 #include "core/repairer.h"
 #include "net/loadgen.h"
 #include "net/server.h"
 #include "obs/trace.h"
+#include "ot/barycenter.h"
 #include "ot/cost.h"
 #include "ot/exact.h"
 #include "ot/sinkhorn.h"
+#include "ot/solver.h"
 #include "serve/batcher.h"
 #include "serve/checkpointer.h"
 #include "serve/redesigner.h"
@@ -114,6 +123,7 @@ struct BenchCase {
   double latency_p50_us = 0.0;        // serve latency only
   double latency_p99_us = 0.0;        // serve latency only
   double ns_per_op = 0.0;             // sketch_update only
+  std::vector<std::pair<std::string, double>> stages_ms;  // design_breakdown only
 };
 
 /// Paper-style mixture generalized to `dim` features: the +/-1 mean
@@ -171,6 +181,78 @@ void Die(const std::string& what) {
   std::exit(1);
 }
 
+/// The design pipeline's stages, named as perfbench's trace names them.
+constexpr const char* kDesignStages[] = {"grid",     "kde",       "barycenter", "solve",
+                                         "validate", "serialize", "table_build"};
+enum DesignStage { kGrid, kKde, kBarycenter, kSolve, kValidate, kSerialize, kTableBuild };
+
+template <typename T>
+T OrDie(otfair::common::Result<T> result) {
+  if (!result.ok()) Die(result.status().ToString());
+  return std::move(*result);
+}
+
+/// The one-lane design pipeline with every stage call timed on its own:
+/// Algorithm 1 replayed channel by channel through the functions the
+/// designer calls (binary |S|, default options but n_q), then plan
+/// validation, serialization and the repair-table build. Adds each
+/// stage's time to `stage_ms` and returns the serialized plan.
+std::string TimedDesignStages(const otfair::data::Dataset& research, size_t n_q,
+                              double* stage_ms) {
+  const size_t dim = research.dim();
+  const size_t s_levels = research.s_levels();
+  if (s_levels != 2) Die("design_breakdown covers binary |S| only");
+  const double t = 0.5;
+  otfair::core::RepairPlanSet plans(dim, research.feature_names(), s_levels,
+                                    research.u_levels());
+  if (!plans.set_lambdas(OrDie(otfair::core::ResolveLambdas({}, t, s_levels))).ok())
+    Die("design_breakdown lambdas");
+  plans.set_target_t(t);
+  const std::shared_ptr<const otfair::ot::Solver> solver = otfair::ot::DefaultSolver();
+  const std::vector<std::vector<size_t>> groups = research.GroupIndexBuckets();
+  Timer timer;
+  for (size_t u = 0; u < research.u_levels(); ++u) {
+    for (size_t k = 0; k < dim; ++k) {
+      otfair::core::ChannelPlan& channel = plans.At(static_cast<int>(u), k);
+      std::vector<std::vector<double>> samples(s_levels);
+      std::vector<double> stratum;
+      for (size_t s = 0; s < s_levels; ++s) {
+        samples[s] = research.FeatureColumn(k, groups[u * s_levels + s]);
+        stratum.insert(stratum.end(), samples[s].begin(), samples[s].end());
+      }
+      timer.Restart();
+      channel.grid = OrDie(otfair::core::SupportGrid::FromSamples(stratum, n_q));
+      stage_ms[kGrid] += timer.ElapsedMillis();
+      for (size_t s = 0; s < s_levels; ++s) {
+        timer.Restart();
+        channel.marginal[s] = OrDie(otfair::core::InterpolateMarginal(samples[s], channel.grid));
+        stage_ms[kKde] += timer.ElapsedMillis();
+      }
+      timer.Restart();
+      channel.barycenter = OrDie(otfair::ot::QuantileBarycenterOnGrid(
+          channel.marginal[0], channel.marginal[1], t, channel.grid.points()));
+      stage_ms[kBarycenter] += timer.ElapsedMillis();
+      for (size_t s = 0; s < s_levels; ++s) {
+        timer.Restart();
+        channel.plan[s] = OrDie(solver->Solve1DSparse(channel.marginal[s], channel.barycenter));
+        stage_ms[kSolve] += timer.ElapsedMillis();
+      }
+    }
+  }
+  timer.Restart();
+  if (!plans.Validate(1e-5).ok()) Die("design_breakdown plan fails validation");
+  stage_ms[kValidate] += timer.ElapsedMillis();
+  timer.Restart();
+  std::string bytes = plans.SerializeToString();
+  stage_ms[kSerialize] += timer.ElapsedMillis();
+  otfair::core::RepairOptions repair_options;
+  repair_options.threads = 1;
+  timer.Restart();
+  OrDie(otfair::core::OffSampleRepairer::Create(std::move(plans), repair_options));
+  stage_ms[kTableBuild] += timer.ElapsedMillis();
+  return bytes;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -226,6 +308,52 @@ int main(int argc, char** argv) {
     c.wall_ms = ms;
     cases.push_back(c);
     std::fprintf(stderr, "design_step       threads=%d  %10.2f ms\n", t, ms);
+  }
+
+  // --- design_breakdown: the one-lane pipeline, stage by stage -------------
+  // Each repeat runs the untraced pipeline, then the staged replay, which
+  // must serialize to the same bytes. wall_ms is the fastest pipeline and
+  // each stage its fastest replay: host noise only adds time, so the
+  // minima estimate the costs, as for every other row.
+  {
+    otfair::core::DesignOptions options;
+    options.n_q = design_nq;
+    options.threads = 1;
+    otfair::core::RepairOptions repair_options;
+    repair_options.threads = 1;
+    double pipeline_ms = 0.0;
+    std::vector<double> stage_ms(std::size(kDesignStages), 0.0);
+    for (int r = 0; r < repeats; ++r) {
+      Timer timer;
+      auto plans = OrDie(otfair::core::DesignDistributionalRepair(*research, options));
+      if (!plans.Validate(1e-5).ok()) Die("design_breakdown plan fails validation");
+      const std::string bytes = plans.SerializeToString();
+      OrDie(otfair::core::OffSampleRepairer::Create(std::move(plans), repair_options));
+      const double ms = timer.ElapsedMillis();
+      if (r == 0 || ms < pipeline_ms) pipeline_ms = ms;
+
+      std::vector<double> stages(stage_ms.size(), 0.0);
+      if (TimedDesignStages(*research, design_nq, stages.data()) != bytes)
+        Die("design_breakdown replay differs from the designer's plan");
+      for (size_t i = 0; i < stages.size(); ++i)
+        if (r == 0 || stages[i] < stage_ms[i]) stage_ms[i] = stages[i];
+    }
+    BenchCase c;
+    c.name = "design_breakdown";
+    c.threads = 1;
+    std::snprintf(params, sizeof(params), "{\"dim\": %zu, \"n_research\": %zu, \"n_q\": %zu}",
+                  dim, n_research, design_nq);
+    c.params_json = params;
+    c.repeats = repeats;
+    c.wall_ms = pipeline_ms;
+    double stage_sum = 0.0;
+    for (size_t i = 0; i < stage_ms.size(); ++i) {
+      c.stages_ms.emplace_back(kDesignStages[i], stage_ms[i]);
+      stage_sum += stage_ms[i];
+    }
+    cases.push_back(c);
+    std::fprintf(stderr, "design_breakdown  threads=1  %10.2f ms  (stages sum to %.2f ms, %.1f %%)\n",
+                 pipeline_ms, stage_sum, 100.0 * stage_sum / pipeline_ms);
   }
 
   // --- repair_throughput_soa: thread scaling ------------------------------
@@ -910,6 +1038,13 @@ int main(int argc, char** argv) {
       std::fprintf(out, ", \"latency_p50_us\": %.1f, \"latency_p99_us\": %.1f",
                    c.latency_p50_us, c.latency_p99_us);
     if (c.ns_per_op > 0.0) std::fprintf(out, ", \"ns_per_op\": %.2f", c.ns_per_op);
+    if (!c.stages_ms.empty()) {
+      std::fprintf(out, ", \"stages_ms\": {");
+      for (size_t s = 0; s < c.stages_ms.size(); ++s)
+        std::fprintf(out, "%s\"%s\": %.3f", s > 0 ? ", " : "", c.stages_ms[s].first.c_str(),
+                     c.stages_ms[s].second);
+      std::fprintf(out, "}");
+    }
     std::fprintf(out, "}%s\n", i + 1 < cases.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");

@@ -1,6 +1,7 @@
 #include "core/designer.h"
 
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -131,9 +132,12 @@ Result<RepairPlanSet> DesignFromChannelSamples(
   // plans (and a deterministic first error). Task order is u-major,
   // k-minor.
   const ot::Solver& solver = options.solver ? *options.solver : *ot::DefaultSolver();
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<char> on_worker(u_levels * dim, 0);
   Status status = common::parallel::ParallelForStatus(
       0, u_levels * dim,
       [&](size_t task) {
+        on_worker[task] = std::this_thread::get_id() != caller;
         const size_t u = task / dim;
         const size_t k = task % dim;
         std::vector<const std::vector<double>*> samples_by_s;
@@ -144,6 +148,18 @@ Result<RepairPlanSet> DesignFromChannelSamples(
       },
       static_cast<size_t>(options.threads));
   if (!status.ok()) return status;
+  // A channel designed on a pool worker lives in that worker's malloc
+  // arena. A caller that keeps the previous plan alive while it designs
+  // the next (a repairer, a serving reload) would leave each worker arena
+  // holding parts of two plan generations, split as the schedule fell.
+  // Such channels are copied here, on the calling thread, and the worker
+  // blocks are freed for the next design (as OffSampleRepairer::
+  // BuildTables allocates its tables on the calling thread).
+  for (size_t task = 0; task < on_worker.size(); ++task) {
+    if (!on_worker[task]) continue;
+    ChannelPlan& channel = plans.At(static_cast<int>(task / dim), task % dim);
+    channel = ChannelPlan(channel);
+  }
   return plans;
 }
 

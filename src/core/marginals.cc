@@ -1,5 +1,7 @@
 #include "core/marginals.h"
 
+#include <cmath>
+
 #include "common/status.h"
 #include "obs/trace.h"
 #include "stats/bandwidth.h"
@@ -15,6 +17,9 @@ Result<ot::DiscreteMeasure> InterpolateMarginal(const std::vector<double>& sampl
                                                 const MarginalOptions& options) {
   OTFAIR_TRACE_SPAN("marginal_kde");
   if (samples.empty()) return Status::InvalidArgument("empty channel sample");
+  if (!(options.bandwidth == 0.0 ||
+        (options.bandwidth > 0.0 && std::isfinite(options.bandwidth))))
+    return Status::InvalidArgument("KDE bandwidth must be 0 (Silverman) or finite and positive");
   // A constant channel's +-0.5-widened grid at even n_Q <= 12 puts its
   // point mass >= 45 bandwidths of 1e-3 from the two middle points; the
   // grid step keeps the zero-spread bandwidth wide enough.

@@ -13,7 +13,8 @@ namespace otfair::core {
 struct MarginalOptions {
   /// KDE bandwidth; 0 selects Silverman's rule (the paper's choice, Eq. 12),
   /// with a zero-spread channel's bandwidth at least an eighth of the grid
-  /// step.
+  /// step. Any other value must be finite and positive: a negative, NaN or
+  /// infinite bandwidth is InvalidArgument.
   double bandwidth = 0.0;
 };
 

@@ -19,6 +19,11 @@ Result<DiscreteMeasure> ProjectToGrid(const DiscreteMeasure& measure,
   }
 
   std::vector<double> weights(grid.size(), 0.0);
+  // Cursor over the cells [grid[hi - 1], grid[hi]). A barycentre's atoms
+  // ascend, so one forward sweep finds every cell; an atom below the
+  // cursor's cell restarts with a binary search. Either way hi is the
+  // first grid point above x, as upper_bound gives it.
+  size_t hi = 1;
   for (size_t a = 0; a < measure.size(); ++a) {
     const double x = measure.support_at(a);
     const double m = measure.weight_at(a);
@@ -31,9 +36,11 @@ Result<DiscreteMeasure> ProjectToGrid(const DiscreteMeasure& measure,
       weights.back() += m;
       continue;
     }
-    // Locate the cell [grid[j], grid[j+1]) containing x.
-    const auto it = std::upper_bound(grid.begin(), grid.end(), x);
-    const size_t hi = static_cast<size_t>(it - grid.begin());
+    if (x < grid[hi - 1]) {
+      hi = static_cast<size_t>(std::upper_bound(grid.begin(), grid.end(), x) - grid.begin());
+    } else {
+      while (grid[hi] <= x) ++hi;
+    }
     const size_t lo = hi - 1;
     const double frac = (x - grid[lo]) / (grid[hi] - grid[lo]);
     weights[lo] += m * (1.0 - frac);

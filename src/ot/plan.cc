@@ -144,8 +144,12 @@ SparsePlan::RowView SparsePlan::Row(size_t r) const {
 
 double SparsePlan::RowSum(size_t r) const {
   OTFAIR_DCHECK(r < rows_);
-  const size_t begin = row_offsets_[r];
-  return common::simd::Sum(values_.data() + begin, row_offsets_[r + 1] - begin);
+  // The row's values added in order: plan rows hold a handful of values,
+  // too few for a vector reduction to pay for its dispatch, and a
+  // sequential sum is the same under either kernel table.
+  double sum = 0.0;
+  for (size_t t = row_offsets_[r]; t < row_offsets_[r + 1]; ++t) sum += values_[t];
+  return sum;
 }
 
 std::vector<double> SparsePlan::RowSums() const {

@@ -90,9 +90,11 @@ class SparsePlan {
   bool columns_sorted() const { return columns_sorted_; }
 
   RowView Row(size_t r) const;
+  /// Mass of row r, its values added in order: no vector reduction, so the
+  /// sum does not depend on the kernel table.
   double RowSum(size_t r) const;
 
-  /// Per-row mass (length rows()); O(nnz).
+  /// Per-row mass (length rows()), each row summed as RowSum does; O(nnz).
   std::vector<double> RowSums() const;
   /// Per-column mass (length cols()); O(nnz). Rows with sorted, bounds-
   /// checked-at-construction columns take a short-circuit scatter with no

@@ -149,6 +149,20 @@ TEST(DesignerTest, RejectsBadOptions) {
   EXPECT_FALSE(DesignDistributionalRepair(research, bad_t).ok());
 }
 
+TEST(DesignerTest, RejectsMalformedBandwidth) {
+  data::Dataset research = PaperResearchData(9, 200);
+  for (int threads : {1, 4}) {
+    DesignOptions options;
+    options.n_q = 16;
+    options.threads = threads;
+    options.marginal.bandwidth = -1.0;
+    auto plans = DesignDistributionalRepair(research, options);
+    ASSERT_FALSE(plans.ok());
+    EXPECT_EQ(plans.status().code(), common::StatusCode::kInvalidArgument);
+    EXPECT_NE(plans.status().message().find("bandwidth"), std::string::npos);
+  }
+}
+
 TEST(DesignerTest, RejectsMissingGroup) {
   // All rows are s = 1: no s = 0 conditional to estimate.
   common::Matrix features = common::Matrix::FromRows({{0.0}, {1.0}, {2.0}, {3.0}});

@@ -1,5 +1,8 @@
 #include "core/marginals.h"
 
+#include <cmath>
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -52,6 +55,25 @@ TEST(MarginalsTest, ExplicitBandwidthUsed) {
   // Narrow bandwidth concentrates more mass at the atom's grid point.
   const size_t centre = 20;  // grid point 0.0
   EXPECT_GT(sharp->weight_at(centre), broad->weight_at(centre));
+}
+
+TEST(MarginalsTest, RejectsMalformedBandwidth) {
+  const std::vector<double> samples = {0.1, 0.4, 0.9};
+  auto grid = SupportGrid::Create(0.0, 1.0, 11);
+  ASSERT_TRUE(grid.ok());
+  for (double bandwidth : {-1.0, std::nan(""), std::numeric_limits<double>::infinity()}) {
+    MarginalOptions options;
+    options.bandwidth = bandwidth;
+    auto marginal = InterpolateMarginal(samples, *grid, options);
+    ASSERT_FALSE(marginal.ok()) << "bandwidth " << bandwidth;
+    EXPECT_EQ(marginal.status().code(), common::StatusCode::kInvalidArgument);
+  }
+  // 0 still selects Silverman's rule, and a finite positive value is used.
+  for (double bandwidth : {0.0, 0.25}) {
+    MarginalOptions options;
+    options.bandwidth = bandwidth;
+    EXPECT_TRUE(InterpolateMarginal(samples, *grid, options).ok()) << "bandwidth " << bandwidth;
+  }
 }
 
 TEST(MarginalsTest, SmallSampleStillWellFormed) {

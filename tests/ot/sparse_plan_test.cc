@@ -5,12 +5,17 @@
 
 #include "ot/plan.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/matrix.h"
+#include "common/rng.h"
+#include "common/simd.h"
+#include "ot/solver.h"
 
 namespace otfair::ot {
 namespace {
@@ -79,6 +84,85 @@ TEST(SparsePlanTest, RowViewAndSums) {
   for (size_t c = 0; c < 4; ++c) EXPECT_NEAR(cols[c], dense_cols[c], 1e-15);
 
   EXPECT_NEAR(plan.Sum(), 1.0, 1e-12);
+}
+
+/// Row sums as a plain loop over each row's CSR values, and as the
+/// dispatched vector sum that RowSum called before; the two agree for rows
+/// of up to three values under either kernel table.
+void ExpectRowSumsMatchOracle(const SparsePlan& plan) {
+  const std::vector<double> sums = plan.RowSums();
+  ASSERT_EQ(sums.size(), plan.rows());
+  const bool forced = common::simd::ForcedScalar();
+  for (size_t r = 0; r < plan.rows(); ++r) {
+    const SparsePlan::RowView row = plan.Row(r);
+    double want = 0.0;
+    for (size_t t = 0; t < row.nnz; ++t) want += row.values[t];
+    EXPECT_EQ(std::bit_cast<uint64_t>(sums[r]), std::bit_cast<uint64_t>(want)) << "row " << r;
+    EXPECT_EQ(std::bit_cast<uint64_t>(plan.RowSum(r)), std::bit_cast<uint64_t>(want))
+        << "row " << r;
+    common::simd::SetForceScalar(true);
+    EXPECT_EQ(std::bit_cast<uint64_t>(common::simd::Sum(row.values, row.nnz)),
+              std::bit_cast<uint64_t>(want))
+        << "row " << r;
+    common::simd::SetForceScalar(forced);
+    if (row.nnz <= 3) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(common::simd::Sum(row.values, row.nnz)),
+                std::bit_cast<uint64_t>(want))
+          << "row " << r;
+    }
+  }
+}
+
+DiscreteMeasure NoisyMeasure(const std::vector<double>& support, common::Rng& rng) {
+  std::vector<double> weights(support.size());
+  for (double& w : weights) w = rng.Uniform(0.05, 1.0);
+  return *DiscreteMeasure::Create(support, std::move(weights));
+}
+
+TEST(SparsePlanTest, RowSumsMatchPlainLoopOnSolverPlans) {
+  common::Rng rng(31);
+  std::vector<double> fine(64);
+  for (size_t i = 0; i < fine.size(); ++i) fine[i] = -2.0 + 4.0 * i / 63.0;
+  std::vector<double> coarse(8);
+  for (size_t i = 0; i < coarse.size(); ++i) coarse[i] = -2.0 + 4.0 * i / 7.0;
+  for (const char* backend : {"monotone", "exact"}) {
+    SCOPED_TRACE(backend);
+    auto solver = MakeSolver(backend);
+    ASSERT_TRUE(solver.ok());
+    // A staircase between two measures on one grid, and a coarse source
+    // onto a fine target, whose rows hold about eight values each.
+    for (const auto& [mu_support, nu_support] :
+         {std::pair{fine, fine}, std::pair{coarse, fine}, std::pair{fine, coarse}}) {
+      auto plan = (*solver)->Solve1DSparse(NoisyMeasure(mu_support, rng),
+                                           NoisyMeasure(nu_support, rng));
+      ASSERT_TRUE(plan.ok());
+      ExpectRowSumsMatchOracle(*plan);
+    }
+  }
+}
+
+TEST(SparsePlanTest, RowSumsMatchPlainLoopOnRandomCsr) {
+  common::Rng rng(32);
+  for (int trial = 0; trial < 20; ++trial) {
+    const size_t rows = 1 + rng.UniformInt(30);
+    const size_t cols = 40;
+    std::vector<size_t> offsets = {0};
+    std::vector<uint32_t> col_indices;
+    std::vector<double> values;
+    for (size_t r = 0; r < rows; ++r) {
+      // Empty rows, short rows and rows past the 16-value vector stride.
+      const size_t nnz = rng.UniformInt(4) == 0 ? rng.UniformInt(cols) : rng.UniformInt(4);
+      for (size_t t = 0; t < nnz; ++t) {
+        col_indices.push_back(static_cast<uint32_t>(t));
+        values.push_back(rng.Uniform() * std::pow(10.0, rng.Uniform(-8.0, 0.0)));
+      }
+      offsets.push_back(values.size());
+    }
+    auto plan = SparsePlan::FromCsr(rows, cols, std::move(offsets), std::move(col_indices),
+                                    std::move(values));
+    ASSERT_TRUE(plan.ok());
+    ExpectRowSumsMatchOracle(*plan);
+  }
 }
 
 TEST(SparsePlanTest, TransposeMatchesDenseTranspose) {
