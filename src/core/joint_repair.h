@@ -2,7 +2,6 @@
 #define OTFAIR_CORE_JOINT_REPAIR_H_
 
 #include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -10,7 +9,6 @@
 #include "common/rng.h"
 #include "core/support_grid.h"
 #include "data/dataset.h"
-#include "ot/plan.h"
 #include "ot/solver.h"
 #include "stats/sampling.h"
 
@@ -89,16 +87,10 @@ class JointPairRepairer {
   struct StratumPlan {
     SupportGrid grid_x;
     SupportGrid grid_y;
-    /// Joint plans per s over flattened states (row = source state
-    /// a * n_qy + b, column = target state), stored CSR: the entropic
-    /// coupling concentrates on a band, so truncated extraction cuts the
-    /// n_q^2 x n_q^2 artifact to its effective support.
-    std::vector<ot::SparsePlan> plan;  // indexed by s
-    /// Alias tables per plan row over the row's CSR support (empty
-    /// optional = massless row); sampled local indices map to flattened
-    /// states through the row's column indices.
-    std::vector<std::vector<std::optional<stats::AliasTable>>> alias;
-    std::vector<std::vector<size_t>> fallback_row;
+    /// Per s, one alias row per joint-plan row (row = source state
+    /// a * n_qy + b) over its truncated CSR support; slot payloads are the
+    /// flattened target states.
+    std::vector<stats::AliasArena> alias;  // indexed by s
   };
 
   JointPairRepairer() = default;

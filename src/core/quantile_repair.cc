@@ -122,20 +122,7 @@ Result<data::Dataset> QuantileMapRepairer::RepairDataset(const data::Dataset& da
 
 Result<data::Dataset> QuantileMapRepairer::RepairDatasetWithLabels(
     const data::Dataset& dataset, const std::vector<int>& s_labels) const {
-  if (dataset.dim() != plans_.dim())
-    return Status::InvalidArgument("dataset dimensionality does not match the plan set");
-  if (s_labels.size() != dataset.size())
-    return Status::InvalidArgument("s_labels length must match dataset size");
-  for (int s : s_labels) {
-    if (s < 0 || static_cast<size_t>(s) >= plans_.s_levels())
-      return Status::InvalidArgument("s_labels must lie in [0, " +
-                                     std::to_string(plans_.s_levels()) + ")");
-  }
-  for (int u : dataset.u_labels()) {
-    if (u < 0 || static_cast<size_t>(u) >= plans_.u_levels())
-      return Status::InvalidArgument("dataset u labels exceed the plan's u levels");
-  }
-  OTFAIR_RETURN_IF_ERROR(dataset.CheckFinite());
+  OTFAIR_RETURN_IF_ERROR(plans_.CheckRepairInput(dataset, s_labels));
   data::Dataset repaired = dataset.Clone();
   for (size_t i = 0; i < dataset.size(); ++i) {
     for (size_t k = 0; k < dataset.dim(); ++k) {
@@ -148,18 +135,7 @@ Result<data::Dataset> QuantileMapRepairer::RepairDatasetWithLabels(
 
 Result<data::Dataset> QuantileMapRepairer::RepairDatasetSoft(
     const data::Dataset& dataset, const std::vector<double>& pr_s1) const {
-  if (dataset.dim() != plans_.dim())
-    return Status::InvalidArgument("dataset dimensionality does not match the plan set");
-  if (pr_s1.size() != dataset.size())
-    return Status::InvalidArgument("pr_s1 length must match dataset size");
-  if (plans_.s_levels() != 2)
-    return Status::InvalidArgument(
-        "soft (probabilistic) repair is defined for binary s only");
-  for (double p : pr_s1) {
-    if (!(p >= 0.0 && p <= 1.0))
-      return Status::InvalidArgument("posteriors must lie in [0, 1]");
-  }
-  OTFAIR_RETURN_IF_ERROR(dataset.CheckFinite());
+  OTFAIR_RETURN_IF_ERROR(plans_.CheckRepairInput(dataset, pr_s1));
   data::Dataset repaired = dataset.Clone();
   for (size_t i = 0; i < dataset.size(); ++i) {
     for (size_t k = 0; k < dataset.dim(); ++k) {

@@ -171,6 +171,50 @@ Status RepairPlanSet::Validate(double tolerance) const {
   return Status::Ok();
 }
 
+namespace {
+/// The checks every batch repair input shares, around its label check.
+template <typename CheckLabels>
+Status CheckRepairRows(const RepairPlanSet& plans, const data::Dataset& dataset,
+                       const CheckLabels& check_labels) {
+  if (dataset.dim() != plans.dim())
+    return Status::InvalidArgument("dataset dimensionality does not match the plan set");
+  OTFAIR_RETURN_IF_ERROR(check_labels());
+  for (int u : dataset.u_labels()) {
+    if (u < 0 || static_cast<size_t>(u) >= plans.u_levels())
+      return Status::InvalidArgument("dataset u labels exceed the plan's u levels");
+  }
+  return dataset.CheckFinite();
+}
+}  // namespace
+
+Status RepairPlanSet::CheckRepairInput(const data::Dataset& dataset,
+                                       const std::vector<int>& s_labels) const {
+  return CheckRepairRows(*this, dataset, [&]() -> Status {
+    if (s_labels.size() != dataset.size())
+      return Status::InvalidArgument("s_labels length must match dataset size");
+    for (int s : s_labels) {
+      if (s < 0 || static_cast<size_t>(s) >= s_levels_)
+        return Status::InvalidArgument("s_labels must lie in [0, " +
+                                       std::to_string(s_levels_) + ")");
+    }
+    return Status::Ok();
+  });
+}
+
+Status RepairPlanSet::CheckRepairInput(const data::Dataset& dataset,
+                                       const std::vector<double>& pr_s1) const {
+  return CheckRepairRows(*this, dataset, [&]() -> Status {
+    if (pr_s1.size() != dataset.size())
+      return Status::InvalidArgument("pr_s1 length must match dataset size");
+    if (s_levels_ != 2)
+      return Status::InvalidArgument("soft (probabilistic) repair is defined for binary s only");
+    for (double p : pr_s1) {
+      if (!(p >= 0.0 && p <= 1.0)) return Status::InvalidArgument("posteriors must lie in [0, 1]");
+    }
+    return Status::Ok();
+  });
+}
+
 size_t RepairPlanSet::SerializedSize() const {
   // Mirrors SerializeToString field by field.
   size_t size = 2 * sizeof(uint32_t) + sizeof(uint64_t) + sizeof(double) +

@@ -10,6 +10,10 @@
 #include "ot/measure.h"
 #include "ot/plan.h"
 
+namespace otfair::data {
+class Dataset;
+}  // namespace otfair::data
+
 namespace otfair::core {
 
 /// Everything Algorithm 1 produces for one (u, k) channel: the interpolated
@@ -81,6 +85,16 @@ class RepairPlanSet {
 
   /// Validates every channel (see ChannelPlan::Validate).
   common::Status Validate(double tolerance = 1e-6) const;
+
+  /// The input checks of the 1-D repairers' batch RepairDataset* entry
+  /// points: `dataset` has dim() features, all finite, and u labels below
+  /// u_levels(); `s_labels` holds one label below s_levels() per row.
+  common::Status CheckRepairInput(const data::Dataset& dataset,
+                                  const std::vector<int>& s_labels) const;
+  /// As above for soft repair: `pr_s1` holds one posterior Pr[s = 1] in
+  /// [0, 1] per row, and the plan set must have binary s.
+  common::Status CheckRepairInput(const data::Dataset& dataset,
+                                  const std::vector<double>& pr_s1) const;
 
   /// Binary persistence: a designed plan is a deployable artifact — design
   /// once on the research data, then ship the file to the systems that

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -17,9 +16,6 @@ using common::Result;
 using common::Status;
 
 namespace {
-// Row mass below this is treated as empty (KDE tails can underflow).
-constexpr double kRowMassFloor = 1e-300;
-
 /// RepairRows' accessor over a dataset with separately supplied s-labels:
 /// row i is repaired in place in `out` from `Rng::ForStream(seed, i)`.
 struct DatasetRows {
@@ -82,7 +78,6 @@ Status OffSampleRepairer::BuildTables() {
     const size_t nq = channel_of(i).grid.size();
     tables_[i].alias.Reserve(nq, plan_of(i).nnz());
     tables_[i].conditional_mean.assign(nq, 0.0);
-    tables_[i].fallback_row.assign(nq, 0);
   }
   // Each task fills only its own slot, and the first failure in slot
   // order is returned, so neither depends on the schedule.
@@ -94,54 +89,23 @@ Status OffSampleRepairer::BuildTables() {
         ChannelTables& tables = tables_[i];
         const size_t nq = channel.grid.size();
 
-        // One pass over the CSR support per row — O(nnz) for the whole
-        // channel instead of the dense O(n_Q^2) scan. Each massive row
-        // becomes one slot-major arena row over its support only (the
-        // builder reads the CSR value span in place), with the grid
-        // columns stored as slot payloads so a draw never touches the
-        // plan again.
+        // One arena row per CSR row, over that row's support only (O(nnz)
+        // for the whole channel; AppendRow reads the CSR value span in
+        // place), with the grid columns stored as slot payloads so a draw
+        // never touches the plan again.
         for (size_t q = 0; q < nq; ++q) {
           const ot::SparsePlan::RowView row = pi.Row(q);
+          OTFAIR_RETURN_IF_ERROR(tables.alias.AppendRow(row.values, row.cols, row.nnz));
+          if (!tables.alias.RowHasMass(q)) continue;
           double mass = 0.0;
           double mean = 0.0;
           for (size_t t = 0; t < row.nnz; ++t) {
             mass += row.values[t];
             mean += row.values[t] * channel.grid.point(row.cols[t]);
           }
-          if (mass > kRowMassFloor) {
-            tables.conditional_mean[q] = mean / mass;
-            Status alias = tables.alias.AppendRow(row.values, row.cols, row.nnz);
-            if (!alias.ok())
-              return Status::Internal("alias build failed on massive row: " +
-                                      alias.message());
-          } else {
-            tables.alias.AppendEmptyRow();
-          }
+          tables.conditional_mean[q] = mean / mass;
         }
-
-        // Nearest massive row for each empty row (outward scan).
-        const stats::AliasArena& arena = tables.alias;
-        bool any_mass = false;
-        for (size_t q = 0; q < nq; ++q) any_mass = any_mass || arena.RowHasMass(q);
-        if (!any_mass)
-          return Status::FailedPrecondition("plan channel has no transportable mass");
-        for (size_t q = 0; q < nq; ++q) {
-          if (arena.RowHasMass(q)) {
-            tables.fallback_row[q] = static_cast<uint32_t>(q);
-            continue;
-          }
-          for (size_t delta = 1; delta < nq; ++delta) {
-            if (q >= delta && arena.RowHasMass(q - delta)) {
-              tables.fallback_row[q] = static_cast<uint32_t>(q - delta);
-              break;
-            }
-            if (q + delta < nq && arena.RowHasMass(q + delta)) {
-              tables.fallback_row[q] = static_cast<uint32_t>(q + delta);
-              break;
-            }
-          }
-        }
-        return Status::Ok();
+        return tables.alias.Finish();
       },
       static_cast<size_t>(options_.threads));
 }
@@ -184,7 +148,7 @@ common::simd::TransportChannel OffSampleRepairer::TransportView(
   return {.points = channel.grid.points().data(),
           .rows = channel.grid.size(),
           .offsets = tables.alias.offsets(),
-          .fallback = tables.fallback_row.data(),
+          .fallback = tables.alias.fallback(),
           .slots = tables.alias.slots(),
           .strength = options_.strength};
 }
@@ -209,11 +173,11 @@ void OffSampleRepairer::Transport(const ChannelPlan& channel, const ChannelTable
     size_t q1 = std::min(q0 + 1, nq - 1);
     if (!tables.alias.RowHasMass(q0)) {
       ++stats.empty_row_fallbacks;
-      q0 = tables.fallback_row[q0];
+      q0 = tables.alias.fallback()[q0];
     }
     if (!tables.alias.RowHasMass(q1)) {
       ++stats.empty_row_fallbacks;
-      q1 = tables.fallback_row[q1];
+      q1 = tables.alias.fallback()[q1];
     }
     const double transported =
         (1.0 - tau[t]) * tables.conditional_mean[q0] + tau[t] * tables.conditional_mean[q1];
@@ -267,20 +231,7 @@ Result<data::Dataset> OffSampleRepairer::RepairDataset(const data::Dataset& data
 
 Result<data::Dataset> OffSampleRepairer::RepairDatasetWithLabels(
     const data::Dataset& dataset, const std::vector<int>& s_labels) {
-  if (dataset.dim() != plans_.dim())
-    return Status::InvalidArgument("dataset dimensionality does not match the plan set");
-  if (s_labels.size() != dataset.size())
-    return Status::InvalidArgument("s_labels length must match dataset size");
-  for (int s : s_labels) {
-    if (s < 0 || static_cast<size_t>(s) >= plans_.s_levels())
-      return Status::InvalidArgument("s_labels must lie in [0, " +
-                                     std::to_string(plans_.s_levels()) + ")");
-  }
-  for (int u : dataset.u_labels()) {
-    if (u < 0 || static_cast<size_t>(u) >= plans_.u_levels())
-      return Status::InvalidArgument("dataset u labels exceed the plan's u levels");
-  }
-  OTFAIR_RETURN_IF_ERROR(dataset.CheckFinite());
+  OTFAIR_RETURN_IF_ERROR(plans_.CheckRepairInput(dataset, s_labels));
   data::Dataset repaired = dataset.Clone();
   stats_ += RepairRows(dataset.size(), DatasetRows{dataset, s_labels, repaired, options_.seed});
   return repaired;
@@ -288,18 +239,7 @@ Result<data::Dataset> OffSampleRepairer::RepairDatasetWithLabels(
 
 Result<data::Dataset> OffSampleRepairer::RepairDatasetSoft(const data::Dataset& dataset,
                                                            const std::vector<double>& pr_s1) {
-  if (dataset.dim() != plans_.dim())
-    return Status::InvalidArgument("dataset dimensionality does not match the plan set");
-  if (pr_s1.size() != dataset.size())
-    return Status::InvalidArgument("pr_s1 length must match dataset size");
-  if (plans_.s_levels() != 2)
-    return Status::InvalidArgument(
-        "soft (probabilistic) repair is defined for binary s only");
-  for (double p : pr_s1) {
-    if (!(p >= 0.0 && p <= 1.0))
-      return Status::InvalidArgument("posteriors must lie in [0, 1]");
-  }
-  OTFAIR_RETURN_IF_ERROR(dataset.CheckFinite());
+  OTFAIR_RETURN_IF_ERROR(plans_.CheckRepairInput(dataset, pr_s1));
   // One class draw per row, shared by all channels: a record is repaired
   // coherently under a single imputed protected label.
   std::vector<int> s_labels(dataset.size());

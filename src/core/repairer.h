@@ -148,16 +148,13 @@ class OffSampleRepairer {
 
   /// Per-(u, s, k) sampling structures: a slot-major alias arena (one
   /// packed row per grid row, covering only that row's CSR support — the
-  /// whole channel builds in O(nnz)), plus a conditional mean and the
-  /// nearest massive row for empty rows. Arena slots carry the grid
+  /// whole channel builds in O(nnz)) with its fallback rows, plus a
+  /// conditional mean per row with mass. Arena slots carry the grid
   /// column payloads directly, so a draw needs no detour through the
-  /// plan's column indices. The arena replaced a
-  /// vector<optional<AliasTable>> (three heap vectors per grid row)
-  /// whose pointer chasing cost ~22% of repair throughput at K = 4.
+  /// plan's column indices.
   struct ChannelTables {
     stats::AliasArena alias;               // slot-major, per grid row
     std::vector<double> conditional_mean;  // per grid row
-    std::vector<uint32_t> fallback_row;    // per grid row
   };
 
   /// Locate-pass scratch for RepairSpan, reused across a chunk's channels.

@@ -1,89 +1,22 @@
 #include "stats/sampling.h"
 
 #include <cmath>
-
-#include "common/status.h"
+#include <limits>
 
 namespace otfair::stats {
 
-using common::Result;
 using common::Rng;
 using common::Status;
 
-Result<AliasTable> AliasTable::Build(const std::vector<double>& weights) {
-  return Build(weights.data(), weights.size());
-}
-
-Result<AliasTable> AliasTable::Build(const double* weights, size_t count) {
-  if (count == 0) return Status::InvalidArgument("empty weight vector");
-  const size_t n = count;
-  double total = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    const double w = weights[i];
-    if (!(w >= 0.0) || !std::isfinite(w))
-      return Status::InvalidArgument("weights must be non-negative and finite");
-    total += w;
-  }
-  if (!(total > 0.0)) return Status::InvalidArgument("weights must not all be zero");
-
-  std::vector<double> pmf(n);
-  for (size_t i = 0; i < n; ++i) pmf[i] = weights[i] / total;
-
-  // Vose's stable construction: partition scaled probabilities into
-  // "small" (< 1) and "large" (>= 1) worklists and pair them off.
-  std::vector<double> scaled(n);
-  for (size_t i = 0; i < n; ++i) scaled[i] = pmf[i] * static_cast<double>(n);
-  std::vector<size_t> small;
-  std::vector<size_t> large;
-  small.reserve(n);
-  large.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    (scaled[i] < 1.0 ? small : large).push_back(i);
-  }
-
-  std::vector<double> prob(n, 1.0);
-  std::vector<size_t> alias(n, 0);
-  for (size_t i = 0; i < n; ++i) alias[i] = i;
-
-  while (!small.empty() && !large.empty()) {
-    const size_t s = small.back();
-    small.pop_back();
-    const size_t l = large.back();
-    large.pop_back();
-    prob[s] = scaled[s];
-    alias[s] = l;
-    scaled[l] = (scaled[l] + scaled[s]) - 1.0;
-    (scaled[l] < 1.0 ? small : large).push_back(l);
-  }
-  // Leftovers are numerically 1.
-  for (size_t s : small) prob[s] = 1.0;
-  for (size_t l : large) prob[l] = 1.0;
-
-  return AliasTable(std::move(prob), std::move(alias), std::move(pmf));
-}
-
-size_t AliasTable::Sample(Rng& rng) const {
-  const size_t bucket = static_cast<size_t>(rng.UniformInt(prob_.size()));
-  return rng.Bernoulli(prob_[bucket]) ? bucket : alias_[bucket];
-}
-
-double AliasTable::Probability(size_t i) const { return i < pmf_.size() ? pmf_[i] : 0.0; }
-
 void AliasArena::Reserve(size_t rows, size_t total_slots) {
   offsets_.reserve(rows + 1);
+  fallback_.reserve(rows);
   slots_.reserve(total_slots);
 }
 
-void AliasArena::AppendEmptyRow() { offsets_.push_back(slots_.size()); }
-
 Status AliasArena::AppendRow(const double* weights, const uint32_t* cols,
                              size_t count) {
-  if (count == 0) return Status::InvalidArgument("empty weight vector");
   const size_t n = count;
-  // The arithmetic below must stay term-for-term identical to
-  // AliasTable::Build: the resulting acceptance probabilities feed
-  // Rng::Bernoulli, whose draw *count* depends on degenerate values, so
-  // any bit drift here would desynchronize downstream random streams.
   double total = 0.0;
   for (size_t i = 0; i < n; ++i) {
     const double w = weights[i];
@@ -91,8 +24,16 @@ Status AliasArena::AppendRow(const double* weights, const uint32_t* cols,
       return Status::InvalidArgument("weights must be non-negative and finite");
     total += w;
   }
-  if (!(total > 0.0)) return Status::InvalidArgument("weights must not all be zero");
+  if (total <= kMassFloor) {
+    offsets_.push_back(slots_.size());
+    return Status::Ok();
+  }
 
+  // Vose's stable construction: partition scaled probabilities into
+  // "small" (< 1) and "large" (>= 1) worklists and pair them off. The
+  // acceptance probabilities feed Rng::Bernoulli, whose draw *count*
+  // depends on degenerate values, so any bit drift here would
+  // desynchronize downstream random streams.
   scaled_.resize(n);
   for (size_t i = 0; i < n; ++i)
     scaled_[i] = (weights[i] / total) * static_cast<double>(n);
@@ -124,6 +65,30 @@ Status AliasArena::AppendRow(const double* weights, const uint32_t* cols,
     slots_[begin + i] = Slot{prob_scratch_[i], cols[i], cols[alias_scratch_[i]]};
   }
   offsets_.push_back(slots_.size());
+  return Status::Ok();
+}
+
+Status AliasArena::Finish() {
+  constexpr uint32_t kNone = std::numeric_limits<uint32_t>::max();
+  const size_t n = rows();
+  // Upward sweep: the nearest row with mass at or below each row.
+  fallback_.resize(n);
+  uint32_t below = kNone;
+  for (size_t q = 0; q < n; ++q) {
+    if (RowHasMass(q)) below = static_cast<uint32_t>(q);
+    fallback_[q] = below;
+  }
+  if (below == kNone) return Status::FailedPrecondition("no plan row has transportable mass");
+  // Downward sweep: an empty row moves to the nearest row with mass above
+  // it only when that one is strictly closer.
+  uint32_t above = kNone;
+  for (size_t q = n; q-- > 0;) {
+    if (RowHasMass(q)) {
+      above = static_cast<uint32_t>(q);
+    } else if (above != kNone && (fallback_[q] == kNone || above - q < q - fallback_[q])) {
+      fallback_[q] = above;
+    }
+  }
   return Status::Ok();
 }
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/crc32.h"
 #include "common/rng.h"
 #include "core/designer.h"
 #include "core/repairer.h"
@@ -203,6 +204,35 @@ TEST(JointRepairTest, DeterministicGivenSeed) {
     EXPECT_DOUBLE_EQ(a->feature(i, 0), b->feature(i, 0));
     EXPECT_DOUBLE_EQ(a->feature(i, 1), b->feature(i, 1));
   }
+}
+
+/// CRC-32 of the repaired feature matrix (row-major doubles).
+uint32_t FeatureCrc(const data::Dataset& dataset) {
+  const common::Matrix& features = dataset.features();
+  return common::Crc32(features.data(), features.size() * sizeof(double));
+}
+
+// Pins the repaired bytes, not just their self-consistency: the plan-row
+// draw (the alias arena's bucket and Bernoulli per record) and the
+// fallback rows fix every output bit, so any change to table
+// construction or RNG consumption moves these CRCs.
+TEST(JointRepairTest, RepairedBytesPinned) {
+  Fixture fx = MakeFixture(sim::GaussianSimConfig::PaperDefault(), 12, 1000, 500);
+  JointDesignOptions options;
+  options.n_q = 10;
+  auto entropic = JointPairRepairer::Design(fx.research, 0, 1, options);
+  ASSERT_TRUE(entropic.ok()) << entropic.status().ToString();
+  auto repaired = entropic->RepairDataset(fx.archive, 21);
+  ASSERT_TRUE(repaired.ok());
+  EXPECT_EQ(FeatureCrc(*repaired), 0xAE6A3025u);
+
+  options.n_q = 5;
+  options.solver = *ot::MakeSolver("exact");
+  auto exact = JointPairRepairer::Design(fx.research, 0, 1, options);
+  ASSERT_TRUE(exact.ok()) << exact.status().ToString();
+  repaired = exact->RepairDataset(fx.archive, 22);
+  ASSERT_TRUE(repaired.ok());
+  EXPECT_EQ(FeatureCrc(*repaired), 0x50EF1BDCu);
 }
 
 TEST(JointRepairTest, LabelsPreserved) {

@@ -6,6 +6,7 @@
 #include "common/rng.h"
 #include "core/designer.h"
 #include "core/label_estimator.h"
+#include "core/quantile_repair.h"
 #include "core/repairer.h"
 #include "fairness/emetric.h"
 #include "sim/gaussian_mixture.h"
@@ -127,6 +128,33 @@ TEST(SoftRepairTest, RejectsBadPosteriors) {
                    ->RepairDatasetSoft(fx.archive,
                                        std::vector<double>(fx.archive.size(), 1.5))
                    .ok());
+}
+
+// An archive whose u labels run past the plan's strata is refused by every
+// batch entry point of both 1-D repairers, soft or hard, before any row
+// is repaired.
+TEST(SoftRepairTest, OutOfStrataULabelsRejectedByEveryEntryPoint) {
+  Fixture fx = MakeFixture(8, 500, 300);
+  ASSERT_EQ(fx.plans.u_levels(), 2u);
+  std::vector<int> u(fx.archive.size());
+  for (size_t i = 0; i < u.size(); ++i) u[i] = static_cast<int>(i % 3);
+  auto archive = data::Dataset::Create(fx.archive.features(), fx.archive.s_labels(),
+                                       std::move(u), fx.archive.feature_names());
+  ASSERT_TRUE(archive.ok());
+  const std::vector<double> pr_s1(archive->size(), 0.5);
+
+  auto stochastic = OffSampleRepairer::Create(fx.plans, {});
+  ASSERT_TRUE(stochastic.ok());
+  auto quantile = QuantileMapRepairer::Create(fx.plans);
+  ASSERT_TRUE(quantile.ok());
+  for (const common::Status& status :
+       {stochastic->RepairDataset(*archive).status(),
+        stochastic->RepairDatasetSoft(*archive, pr_s1).status(),
+        quantile->RepairDataset(*archive).status(),
+        quantile->RepairDatasetSoft(*archive, pr_s1).status()}) {
+    EXPECT_EQ(status.code(), common::StatusCode::kInvalidArgument) << status.ToString();
+  }
+  EXPECT_EQ(stochastic->stats().values_repaired, 0u);
 }
 
 }  // namespace
