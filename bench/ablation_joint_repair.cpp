@@ -13,7 +13,6 @@
 //           [--n_archive=8000] [--rho=0.85] [--seed=13]
 
 #include <cstdio>
-#include <cstdlib>
 #include <utility>
 
 #include "common/flags.h"
@@ -28,6 +27,7 @@
 #include "sim/gaussian_mixture.h"
 
 using otfair::common::FlagParser;
+using otfair::common::OrExit;
 using otfair::common::Rng;
 using otfair::common::Timer;
 
@@ -74,16 +74,6 @@ otfair::data::Dataset BuildCopulaDataset(size_t n, double rho, Rng& rng) {
   }
   return *otfair::data::Dataset::Create(std::move(features), std::move(s), std::move(u),
                                         {"x1", "x2"});
-}
-
-/// The value of `result`, or (printing what failed and why) exit status 1.
-template <typename T>
-T OrExit(otfair::common::Result<T> result, const char* what) {
-  if (!result.ok()) {
-    std::fprintf(stderr, "%s failed: %s\n", what, result.status().ToString().c_str());
-    std::exit(1);
-  }
-  return std::move(*result);
 }
 
 void PrintRow(const char* tag, const otfair::data::Dataset& dataset, double design_ms) {

@@ -12,6 +12,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <utility>
 
 #include "common/flags.h"
 #include "common/rng.h"
@@ -24,6 +25,7 @@
 #include "sim/gaussian_mixture.h"
 
 using otfair::common::FlagParser;
+using otfair::common::OrExit;
 using otfair::common::Rng;
 using otfair::common::Timer;
 
@@ -69,12 +71,13 @@ int main(int argc, char** argv) {
 
   Rng rng(seed);
   const auto config = otfair::sim::GaussianSimConfig::PaperDefault();
-  auto research = otfair::sim::SimulateGaussianMixture(800, config, rng);
-  auto archive = otfair::sim::SimulateGaussianMixture(n_archive, config, rng);
-  if (!research.ok() || !archive.ok()) return 1;
-  auto e_raw = otfair::fairness::AggregateE(*archive);
+  const auto research =
+      OrExit(otfair::sim::SimulateGaussianMixture(800, config, rng), "research simulation");
+  const auto archive =
+      OrExit(otfair::sim::SimulateGaussianMixture(n_archive, config, rng), "archive simulation");
+  auto e_raw = otfair::fairness::AggregateE(archive);
   std::printf("ABLATIONS (unrepaired archive E = %.4f, n_A = %zu)\n\n", *e_raw,
-              archive->size());
+              archive.size());
 
   // --- A: barycentre position t. ---
   std::printf("[A] barycentre position t (who absorbs the damage)\n");
@@ -82,15 +85,13 @@ int main(int argc, char** argv) {
   for (const double t : {0.0, 0.25, 0.5, 0.75, 1.0}) {
     otfair::core::DesignOptions design;
     design.target_t = t;
-    auto plans = otfair::core::DesignDistributionalRepair(*research, design);
-    if (!plans.ok()) return 1;
+    auto plans = OrExit(otfair::core::DesignDistributionalRepair(research, design), "[A] design");
     otfair::core::RepairOptions repair;
     repair.seed = seed;
-    auto repairer = otfair::core::OffSampleRepairer::Create(*plans, repair);
-    if (!repairer.ok()) return 1;
-    auto repaired = repairer->RepairDataset(*archive);
-    if (!repaired.ok()) return 1;
-    const Measured m = Measure(*archive, *repaired);
+    auto repairer =
+        OrExit(otfair::core::OffSampleRepairer::Create(std::move(plans), repair), "[A] repairer");
+    const auto repaired = OrExit(repairer.RepairDataset(archive), "[A] repair");
+    const Measured m = Measure(archive, repaired);
     std::printf("%8.2f  %12.4f  %16.4f  %16.4f\n", t, m.e, m.damage_s0, m.damage_s1);
   }
   std::printf("expected: E roughly flat in t; damage shifts monotonically from the\n"
@@ -101,17 +102,15 @@ int main(int argc, char** argv) {
   std::printf("%-18s  %12s  %16s\n", "mode", "E (archive)", "mean damage");
   for (const auto mode : {otfair::core::TransportMode::kStochastic,
                           otfair::core::TransportMode::kConditionalMean}) {
-    auto plans = otfair::core::DesignDistributionalRepair(*research, {});
-    if (!plans.ok()) return 1;
+    auto plans = OrExit(otfair::core::DesignDistributionalRepair(research, {}), "[B] design");
     otfair::core::RepairOptions repair;
     repair.mode = mode;
     repair.seed = seed;
-    auto repairer = otfair::core::OffSampleRepairer::Create(*plans, repair);
-    if (!repairer.ok()) return 1;
-    auto repaired = repairer->RepairDataset(*archive);
-    if (!repaired.ok()) return 1;
-    auto damage = otfair::fairness::ComputeDamage(*archive, *repaired);
-    const Measured m = Measure(*archive, *repaired);
+    auto repairer =
+        OrExit(otfair::core::OffSampleRepairer::Create(std::move(plans), repair), "[B] repairer");
+    const auto repaired = OrExit(repairer.RepairDataset(archive), "[B] repair");
+    auto damage = otfair::fairness::ComputeDamage(archive, repaired);
+    const Measured m = Measure(archive, repaired);
     std::printf("%-18s  %12.4f  %16.4f\n",
                 mode == otfair::core::TransportMode::kStochastic ? "stochastic"
                                                                  : "conditional-mean",
@@ -141,7 +140,7 @@ int main(int argc, char** argv) {
     if (c.epsilon > 0.0) solver_options.sinkhorn.epsilon = c.epsilon;
     design.solver = *otfair::ot::MakeSolver(c.backend, solver_options);
     Timer timer;
-    auto plans = otfair::core::DesignDistributionalRepair(*research, design);
+    auto plans = otfair::core::DesignDistributionalRepair(research, design);
     const double ms = timer.ElapsedMillis();
     if (!plans.ok()) {
       std::printf("%-22s  failed: %s\n", c.name, plans.status().ToString().c_str());
@@ -149,12 +148,11 @@ int main(int argc, char** argv) {
     }
     otfair::core::RepairOptions repair;
     repair.seed = seed;
-    auto repairer = otfair::core::OffSampleRepairer::Create(*plans, repair);
-    if (!repairer.ok()) return 1;
-    auto repaired = repairer->RepairDataset(*archive);
-    if (!repaired.ok()) return 1;
-    auto damage = otfair::fairness::ComputeDamage(*archive, *repaired);
-    const Measured m = Measure(*archive, *repaired);
+    auto repairer =
+        OrExit(otfair::core::OffSampleRepairer::Create(std::move(*plans), repair), "[C] repairer");
+    const auto repaired = OrExit(repairer.RepairDataset(archive), "[C] repair");
+    auto damage = otfair::fairness::ComputeDamage(archive, repaired);
+    const Measured m = Measure(archive, repaired);
     std::printf("%-22s  %12.4f  %14.4f  %14.2f\n", c.name, m.e,
                 damage.ok() ? damage->mean_l2_displacement : -1.0, ms);
   }

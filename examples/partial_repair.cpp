@@ -22,6 +22,7 @@
 #include "sim/gaussian_mixture.h"
 
 using otfair::common::FlagParser;
+using otfair::common::OrExit;
 using otfair::common::Rng;
 
 int main(int argc, char** argv) {
@@ -35,18 +36,14 @@ int main(int argc, char** argv) {
 
   Rng rng(seed);
   const auto config = otfair::sim::GaussianSimConfig::PaperDefault();
-  auto research = otfair::sim::SimulateGaussianMixture(800, config, rng);
-  auto archive = otfair::sim::SimulateGaussianMixture(n_archive, config, rng);
-  if (!research.ok() || !archive.ok()) return 1;
+  const auto research =
+      OrExit(otfair::sim::SimulateGaussianMixture(800, config, rng), "research simulation");
+  const auto archive =
+      OrExit(otfair::sim::SimulateGaussianMixture(n_archive, config, rng), "archive simulation");
+  const auto plans = OrExit(otfair::core::DesignDistributionalRepair(research, {}), "design");
 
-  auto plans = otfair::core::DesignDistributionalRepair(*research, {});
-  if (!plans.ok()) {
-    std::fprintf(stderr, "design failed: %s\n", plans.status().ToString().c_str());
-    return 1;
-  }
-
-  auto e_unrepaired = otfair::fairness::AggregateE(*archive);
-  std::printf("unrepaired archive: E = %.4f (n = %zu)\n\n", *e_unrepaired, archive->size());
+  auto e_unrepaired = otfair::fairness::AggregateE(archive);
+  std::printf("unrepaired archive: E = %.4f (n = %zu)\n\n", *e_unrepaired, archive.size());
   std::printf("%-18s %-10s %-12s %-16s\n", "mode", "lambda", "E (archive)", "mean |x'-x| (L2)");
 
   for (const auto mode : {otfair::core::TransportMode::kStochastic,
@@ -56,12 +53,11 @@ int main(int argc, char** argv) {
       options.mode = mode;
       options.strength = lambda;
       options.seed = seed;
-      auto repairer = otfair::core::OffSampleRepairer::Create(*plans, options);
-      if (!repairer.ok()) return 1;
-      auto repaired = repairer->RepairDataset(*archive);
-      if (!repaired.ok()) return 1;
-      auto e = otfair::fairness::AggregateE(*repaired);
-      auto damage = otfair::fairness::ComputeDamage(*archive, *repaired);
+      auto repairer =
+          OrExit(otfair::core::OffSampleRepairer::Create(plans, options), "repairer");
+      const auto repaired = OrExit(repairer.RepairDataset(archive), "repair");
+      auto e = otfair::fairness::AggregateE(repaired);
+      auto damage = otfair::fairness::ComputeDamage(archive, repaired);
       std::printf("%-18s %-10.2f %-12.4f %-16.4f\n",
                   mode == otfair::core::TransportMode::kStochastic ? "stochastic"
                                                                    : "conditional-mean",

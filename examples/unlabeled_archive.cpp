@@ -29,6 +29,7 @@
 #include "stats/quantile_sketch.h"
 
 using otfair::common::FlagParser;
+using otfair::common::OrExit;
 using otfair::common::Rng;
 
 namespace {
@@ -52,41 +53,35 @@ int main(int argc, char** argv) {
 
   Rng rng(seed);
   const auto config = otfair::sim::GaussianSimConfig::PaperDefault();
-  auto research = otfair::sim::SimulateGaussianMixture(n_research, config, rng);
-  auto archive = otfair::sim::SimulateGaussianMixture(n_archive, config, rng);
-  if (!research.ok() || !archive.ok()) return 1;
+  const auto research =
+      OrExit(otfair::sim::SimulateGaussianMixture(n_research, config, rng), "research simulation");
+  const auto archive =
+      OrExit(otfair::sim::SimulateGaussianMixture(n_archive, config, rng), "archive simulation");
 
-  auto plans = otfair::core::DesignDistributionalRepair(*research, {});
-  if (!plans.ok()) {
-    std::fprintf(stderr, "design failed: %s\n", plans.status().ToString().c_str());
-    return 1;
-  }
-  auto estimator = otfair::core::LabelEstimator::Fit(*research);
-  if (!estimator.ok()) return 1;
-  auto map_labels = estimator->EstimateS(*archive);
-  auto posteriors = estimator->PosteriorsS1(*archive);
-  if (!map_labels.ok() || !posteriors.ok()) return 1;
-  auto label_accuracy = estimator->AccuracyOn(*archive);
+  const auto plans = OrExit(otfair::core::DesignDistributionalRepair(research, {}), "design");
+  const auto estimator = OrExit(otfair::core::LabelEstimator::Fit(research), "label estimator");
+  const auto map_labels = OrExit(estimator.EstimateS(archive), "MAP label estimates");
+  const auto posteriors = OrExit(estimator.PosteriorsS1(archive), "label posteriors");
+  auto label_accuracy = estimator.AccuracyOn(archive);
   std::printf("archive S-labels withheld; GMM MAP label accuracy vs truth: %.3f\n\n",
               label_accuracy.ok() ? *label_accuracy : -1.0);
 
   std::printf("-- residual conditional dependence after repair --\n");
-  PrintE("unrepaired archive", *archive);
+  PrintE("unrepaired archive", archive);
 
   otfair::core::RepairOptions options;
   options.seed = seed;
-  auto oracle = otfair::core::OffSampleRepairer::Create(*plans, options);
-  auto hard = otfair::core::OffSampleRepairer::Create(*plans, options);
-  auto monge = otfair::core::QuantileMapRepairer::Create(*plans);
-  if (!oracle.ok() || !hard.ok() || !monge.ok()) return 1;
+  auto oracle =
+      OrExit(otfair::core::OffSampleRepairer::Create(plans, options), "oracle repairer");
+  auto hard = OrExit(otfair::core::OffSampleRepairer::Create(plans, options), "MAP repairer");
+  auto monge = OrExit(otfair::core::QuantileMapRepairer::Create(plans), "Monge repairer");
 
-  auto repaired_oracle = oracle->RepairDataset(*archive);
-  auto repaired_hard = hard->RepairDatasetWithLabels(*archive, *map_labels);
-  auto repaired_soft = monge->RepairDatasetSoft(*archive, *posteriors);
-  if (!repaired_oracle.ok() || !repaired_hard.ok() || !repaired_soft.ok()) return 1;
-  PrintE("repaired with true labels (oracle)", *repaired_oracle);
-  PrintE("repaired with MAP label estimates", *repaired_hard);
-  PrintE("repaired with posterior-soft Monge map", *repaired_soft);
+  PrintE("repaired with true labels (oracle)",
+         OrExit(oracle.RepairDataset(archive), "oracle repair"));
+  PrintE("repaired with MAP label estimates",
+         OrExit(hard.RepairDatasetWithLabels(archive, map_labels), "MAP-label repair"));
+  PrintE("repaired with posterior-soft Monge map",
+         OrExit(monge.RepairDatasetSoft(archive, posteriors), "soft Monge repair"));
 
   // Drift monitoring on a later batch drawn from a shifted population:
   // one quantile sketch per (u, s, k) channel, judged against the design.
@@ -97,14 +92,14 @@ int main(int argc, char** argv) {
       const size_t base = static_cast<size_t>(batch.u(i) * 2 + batch.s(i)) * 2;
       for (size_t k = 0; k < 2; ++k) sketches[base + k].Add(batch.feature(i, k));
     }
-    return otfair::core::JudgeDrift(*plans, sketches);
+    return otfair::core::JudgeDrift(plans, sketches);
   };
 
   Rng stream_rng(seed + 1);
-  auto same = otfair::sim::SimulateGaussianMixture(5000, config, stream_rng);
-  const auto stationary = judge(*same);
-  if (!stationary.ok()) return 1;
-  std::printf("batch 1 (stationary): %s", stationary->drifted ? "DRIFT\n" : "ok\n");
+  const auto same = OrExit(otfair::sim::SimulateGaussianMixture(5000, config, stream_rng),
+                           "stationary batch simulation");
+  const auto stationary = OrExit(judge(same), "stationary drift check");
+  std::printf("batch 1 (stationary): %s", stationary.drifted ? "DRIFT\n" : "ok\n");
 
   otfair::sim::GaussianSimConfig drifted = config;
   for (int u = 0; u <= 1; ++u) {
@@ -112,10 +107,9 @@ int main(int argc, char** argv) {
       drifted.mean[u][s][0] += 1.2;  // population shifted in channel 0
     }
   }
-  auto later = otfair::sim::SimulateGaussianMixture(5000, drifted, stream_rng);
-  const auto judged = judge(*later);
-  if (!judged.ok()) return 1;
-  const otfair::core::DriftReport& report = *judged;
+  const auto later = OrExit(otfair::sim::SimulateGaussianMixture(5000, drifted, stream_rng),
+                            "shifted batch simulation");
+  const otfair::core::DriftReport report = OrExit(judge(later), "shifted drift check");
   std::printf("batch 2 (mean-shifted): %s", report.drifted ? "DRIFT DETECTED\n" : "ok\n");
   std::printf("  worst normalized W1 = %.3f, worst out-of-range rate = %.3f\n",
               report.worst_w1, report.worst_out_of_range);

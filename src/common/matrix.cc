@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <iomanip>
+#include <numeric>
 #include <sstream>
-
-#include "common/simd.h"
 
 namespace otfair::common {
 
@@ -46,18 +45,21 @@ double Matrix::Sum() const {
   return total;
 }
 
+// Both sums add in index order (a row left to right, a column top to
+// bottom), so they do not depend on the build or the kernel table.
 std::vector<double> Matrix::RowSums() const {
-  std::vector<double> sums(rows_, 0.0);
-  for (size_t r = 0; r < rows_; ++r) sums[r] = simd::Sum(row(r), cols_);
+  std::vector<double> sums(rows_);
+  for (size_t r = 0; r < rows_; ++r) sums[r] = std::accumulate(row(r), row(r) + cols_, 0.0);
   return sums;
 }
 
 std::vector<double> Matrix::ColSums() const {
-  // Row-major streaming accumulation; the element-wise vector add keeps
-  // the per-column summation order (row 0, row 1, ...) bit-identical to
-  // the scalar loop.
+  // Row-major streaming: each row adds into every column's running sum.
   std::vector<double> sums(cols_, 0.0);
-  for (size_t r = 0; r < rows_; ++r) simd::AddInPlace(sums.data(), row(r), cols_);
+  for (size_t r = 0; r < rows_; ++r) {
+    const double* values = row(r);
+    for (size_t c = 0; c < cols_; ++c) sums[c] += values[c];
+  }
   return sums;
 }
 

@@ -1,6 +1,8 @@
 #ifndef OTFAIR_COMMON_RESULT_H_
 #define OTFAIR_COMMON_RESULT_H_
 
+#include <cstdio>
+#include <cstdlib>
 #include <optional>
 #include <utility>
 
@@ -58,6 +60,17 @@ class Result {
   Status status_;
   std::optional<T> value_;
 };
+
+/// For a program's main: the value of `result`, or, after printing
+/// "<what> failed: <status>" to stderr, exit status 1.
+template <typename T>
+T OrExit(Result<T> result, const char* what) {
+  if (!result.ok()) {
+    std::fprintf(stderr, "%s failed: %s\n", what, result.status().ToString().c_str());
+    std::exit(1);
+  }
+  return std::move(result).value();
+}
 
 /// Early-return helper: assigns the value of a Result expression to `lhs`, or
 /// propagates its error status. `lhs` must be a declaration or assignable

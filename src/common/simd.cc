@@ -2,6 +2,7 @@
 
 #include <array>
 #include <atomic>
+#include <bit>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
@@ -19,49 +20,79 @@ namespace otfair::common::simd {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Scalar reference kernels. These mirror the loop idioms the hot paths used
-// before this layer existed, so forcing the scalar table reproduces the
-// pre-SIMD numerics exactly.
+// Scalar reference kernels. Each vector kernel below computes exactly what
+// its scalar entry here computes, so forcing the scalar table changes no
+// output bit.
 // ---------------------------------------------------------------------------
 
-double ScalarSum(const double* x, size_t n) {
-  double acc = 0.0;
-  for (size_t i = 0; i < n; ++i) acc += x[i];
-  return acc;
+// The Cephes-style exp(x) both log-sum-exp kernels use (< 2 ulp over the
+// finite range; clamps to 0 / +inf at the double exp under/overflow
+// bounds). Range reduction: x = n*ln2 + r, exp(x) = 2^n * exp(r) with
+// exp(r) approximated by the classic P/Q rational form.
+constexpr double kExpLog2E = 1.4426950408889634073599;
+constexpr double kExpLn2Hi = 6.93145751953125e-1;
+constexpr double kExpLn2Lo = 1.42860682030941723212e-6;
+constexpr double kExpP0 = 1.26177193074810590878e-4;
+constexpr double kExpP1 = 3.02994407707441961300e-2;
+constexpr double kExpP2 = 9.99999999999999999910e-1;
+constexpr double kExpQ0 = 3.00198505138664455042e-6;
+constexpr double kExpQ1 = 2.52448340349684104192e-3;
+constexpr double kExpQ2 = 2.27265548208155028766e-1;
+constexpr double kExpQ3 = 2.00000000000000000005e0;
+constexpr double kExpMaxArg = 709.4;
+constexpr double kExpMinArg = -708.39;
+
+// One lane of _mm256_max_pd / _mm256_min_pd: the second operand unless the
+// first compares greater (less), so the second on NaN or a tie.
+inline double LaneMax(double a, double b) { return a > b ? a : b; }
+inline double LaneMin(double a, double b) { return a < b ? a : b; }
+
+// One lane of Avx2Exp, operation for operation.
+double LaneExp(double x) {
+  const bool too_hi = x > kExpMaxArg;
+  const bool too_lo = x < kExpMinArg;
+  x = LaneMin(LaneMax(x, kExpMinArg), kExpMaxArg);
+  const double n = std::nearbyint(x * kExpLog2E);  // half to even, as _mm256_round_pd
+  double r = std::fma(-n, kExpLn2Hi, x);
+  r = std::fma(-n, kExpLn2Lo, r);
+  const double r2 = r * r;
+  double p = std::fma(kExpP0, r2, kExpP1);
+  p = std::fma(p, r2, kExpP2);
+  p = p * r;
+  double q = std::fma(kExpQ0, r2, kExpQ1);
+  q = std::fma(q, r2, kExpQ2);
+  q = std::fma(q, r2, kExpQ3);
+  const double e = 1.0 + (p + p) / (q - p);
+  // 2^n through the exponent field; the clamps keep n in [-1022, 1023].
+  const double pow2 = std::bit_cast<double>(static_cast<uint64_t>(static_cast<int64_t>(n) + 1023)
+                                            << 52);
+  if (too_lo) return 0.0;
+  if (too_hi) return std::numeric_limits<double>::infinity();
+  return e * pow2;
 }
 
-double ScalarMax(const double* x, size_t n) {
-  double hi = -std::numeric_limits<double>::infinity();
-  for (size_t i = 0; i < n; ++i) {
-    if (x[i] > hi) hi = x[i];
-  }
-  return hi;
-}
-
-double ScalarMaxAbsDiff(const double* x, const double* y, size_t n) {
-  double hi = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    const double d = std::abs(x[i] - y[i]);
-    if (d > hi) hi = d;
-  }
-  return hi;
-}
-
-void ScalarAddInPlace(double* dst, const double* x, size_t n) {
-  for (size_t i = 0; i < n; ++i) dst[i] += x[i];
-}
-
-// Two-pass fused log-sum-exp over a difference, matching the former
-// ot::RowLogSumExp: subtract the running max so every exp argument is <= 0.
+// Two-pass log-sum-exp over a difference, Avx2LseDiff a lane at a time:
+// the max is subtracted first, so no exp argument exceeds 0.
 double ScalarLseDiff(const double* x, const double* y, size_t n) {
   double hi = -std::numeric_limits<double>::infinity();
-  for (size_t i = 0; i < n; ++i) {
+  size_t i = 0;
+  if (n >= 4) {
+    double lanes[4];
+    for (size_t k = 0; k < 4; ++k) lanes[k] = x[k] - y[k];
+    for (i = 4; i + 4 <= n; i += 4)
+      for (size_t k = 0; k < 4; ++k) lanes[k] = LaneMax(lanes[k], x[i + k] - y[i + k]);
+    hi = LaneMax(LaneMax(lanes[0], lanes[2]), LaneMax(lanes[1], lanes[3]));  // HMax
+  }
+  for (; i < n; ++i) {
     const double d = x[i] - y[i];
     if (d > hi) hi = d;
   }
   if (!std::isfinite(hi)) return hi;  // all -inf (or empty): LSE is -inf
-  double acc = 0.0;
-  for (size_t i = 0; i < n; ++i) acc += std::exp((x[i] - y[i]) - hi);
+  double sums[4] = {0.0, 0.0, 0.0, 0.0};
+  for (i = 0; i + 4 <= n; i += 4)
+    for (size_t k = 0; k < 4; ++k) sums[k] += LaneExp((x[i + k] - y[i + k]) - hi);
+  double acc = (sums[0] + sums[2]) + (sums[1] + sums[3]);  // HAdd
+  for (; i < n; ++i) acc += std::exp((x[i] - y[i]) - hi);
   return hi + std::log(acc);
 }
 
@@ -163,9 +194,8 @@ size_t ScalarTransport(const TransportChannel& channel, const TransportRecords& 
 }
 
 constexpr Ops kScalarOps = {
-    "scalar",           ScalarSum,       ScalarMax,      ScalarMaxAbsDiff,
-    ScalarAddInPlace,   ScalarLseDiff,   ScalarKdeWalks, ScalarCrc32Update,
-    ScalarParseDecimal, ScalarTransport,
+    "scalar",          ScalarLseDiff,      ScalarKdeWalks,
+    ScalarCrc32Update, ScalarParseDecimal, ScalarTransport,
 };
 
 #if defined(OTFAIR_SIMD_X86)
@@ -174,9 +204,6 @@ constexpr Ops kScalarOps = {
 // AVX2 + FMA kernels. Compiled with per-function target attributes so the
 // default (no -mavx2) build still contains them; dispatch checks
 // __builtin_cpu_supports("avx2") before installing this table.
-// Reductions keep 4 independent accumulators to break the dependency chain,
-// then fold lanes in a fixed order so results are deterministic run-to-run
-// (though not bit-equal to the scalar single-accumulator order).
 // ---------------------------------------------------------------------------
 
 #define OTFAIR_AVX2 __attribute__((target("avx2,fma")))
@@ -197,101 +224,27 @@ OTFAIR_AVX2 inline double HMax(__m256d v) {
   return a > b ? a : b;
 }
 
-OTFAIR_AVX2 double Avx2Sum(const double* x, size_t n) {
-  __m256d a0 = _mm256_setzero_pd(), a1 = _mm256_setzero_pd();
-  __m256d a2 = _mm256_setzero_pd(), a3 = _mm256_setzero_pd();
-  size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    a0 = _mm256_add_pd(a0, _mm256_loadu_pd(x + i));
-    a1 = _mm256_add_pd(a1, _mm256_loadu_pd(x + i + 4));
-    a2 = _mm256_add_pd(a2, _mm256_loadu_pd(x + i + 8));
-    a3 = _mm256_add_pd(a3, _mm256_loadu_pd(x + i + 12));
-  }
-  for (; i + 4 <= n; i += 4) a0 = _mm256_add_pd(a0, _mm256_loadu_pd(x + i));
-  double acc = HAdd(_mm256_add_pd(_mm256_add_pd(a0, a1), _mm256_add_pd(a2, a3)));
-  for (; i < n; ++i) acc += x[i];
-  return acc;
-}
-
-OTFAIR_AVX2 double Avx2Max(const double* x, size_t n) {
-  double hi = -std::numeric_limits<double>::infinity();
-  size_t i = 0;
-  if (n >= 4) {
-    __m256d m = _mm256_loadu_pd(x);
-    for (i = 4; i + 4 <= n; i += 4) {
-      m = _mm256_max_pd(m, _mm256_loadu_pd(x + i));
-    }
-    hi = HMax(m);
-  }
-  for (; i < n; ++i) {
-    if (x[i] > hi) hi = x[i];
-  }
-  return hi;
-}
-
-OTFAIR_AVX2 double Avx2MaxAbsDiff(const double* x, const double* y, size_t n) {
-  const __m256d sign_mask = _mm256_set1_pd(-0.0);
-  __m256d m = _mm256_setzero_pd();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d d =
-        _mm256_sub_pd(_mm256_loadu_pd(x + i), _mm256_loadu_pd(y + i));
-    m = _mm256_max_pd(m, _mm256_andnot_pd(sign_mask, d));
-  }
-  double hi = HMax(m);
-  if (hi < 0.0) hi = 0.0;  // n < 4: HMax of the zero vector is 0 already
-  for (; i < n; ++i) {
-    const double d = std::abs(x[i] - y[i]);
-    if (d > hi) hi = d;
-  }
-  return hi;
-}
-
-OTFAIR_AVX2 void Avx2AddInPlace(double* dst, const double* x, size_t n) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(dst + i,
-                     _mm256_add_pd(_mm256_loadu_pd(dst + i),
-                                   _mm256_loadu_pd(x + i)));
-  }
-  for (; i < n; ++i) dst[i] += x[i];
-}
-
-// Cephes-style vectorized exp(x) for doubles (accurate to < 2 ulp over the
-// finite range; clamps to 0 / +inf at the double exp under/overflow bounds).
-// Range reduction: x = n*ln2 + r, exp(x) = 2^n * exp(r) with exp(r)
-// approximated by the classic P/Q rational form.
+// LaneExp four lanes wide; its std::fma calls are the fused intrinsics.
 OTFAIR_AVX2 inline __m256d Avx2Exp(__m256d x) {
-  const __m256d kLog2E = _mm256_set1_pd(1.4426950408889634073599);
-  const __m256d kLn2Hi = _mm256_set1_pd(6.93145751953125e-1);
-  const __m256d kLn2Lo = _mm256_set1_pd(1.42860682030941723212e-6);
-  const __m256d kP0 = _mm256_set1_pd(1.26177193074810590878e-4);
-  const __m256d kP1 = _mm256_set1_pd(3.02994407707441961300e-2);
-  const __m256d kP2 = _mm256_set1_pd(9.99999999999999999910e-1);
-  const __m256d kQ0 = _mm256_set1_pd(3.00198505138664455042e-6);
-  const __m256d kQ1 = _mm256_set1_pd(2.52448340349684104192e-3);
-  const __m256d kQ2 = _mm256_set1_pd(2.27265548208155028766e-1);
-  const __m256d kQ3 = _mm256_set1_pd(2.00000000000000000005e0);
-  const __m256d kMaxArg = _mm256_set1_pd(709.4);
-  const __m256d kMinArg = _mm256_set1_pd(-708.39);
-
-  const __m256d too_hi = _mm256_cmp_pd(x, kMaxArg, _CMP_GT_OQ);
-  const __m256d too_lo = _mm256_cmp_pd(x, kMinArg, _CMP_LT_OQ);
-  x = _mm256_min_pd(_mm256_max_pd(x, kMinArg), kMaxArg);
+  const __m256d max_arg = _mm256_set1_pd(kExpMaxArg);
+  const __m256d min_arg = _mm256_set1_pd(kExpMinArg);
+  const __m256d too_hi = _mm256_cmp_pd(x, max_arg, _CMP_GT_OQ);
+  const __m256d too_lo = _mm256_cmp_pd(x, min_arg, _CMP_LT_OQ);
+  x = _mm256_min_pd(_mm256_max_pd(x, min_arg), max_arg);
 
   // n = round(x * log2(e)); r = x - n*ln2 in two pieces for accuracy.
-  const __m256d n = _mm256_round_pd(
-      _mm256_mul_pd(x, kLog2E), _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
-  __m256d r = _mm256_fnmadd_pd(n, kLn2Hi, x);
-  r = _mm256_fnmadd_pd(n, kLn2Lo, r);
+  const __m256d n = _mm256_round_pd(_mm256_mul_pd(x, _mm256_set1_pd(kExpLog2E)),
+                                    _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+  __m256d r = _mm256_fnmadd_pd(n, _mm256_set1_pd(kExpLn2Hi), x);
+  r = _mm256_fnmadd_pd(n, _mm256_set1_pd(kExpLn2Lo), r);
 
   const __m256d r2 = _mm256_mul_pd(r, r);
-  __m256d p = _mm256_fmadd_pd(kP0, r2, kP1);
-  p = _mm256_fmadd_pd(p, r2, kP2);
+  __m256d p = _mm256_fmadd_pd(_mm256_set1_pd(kExpP0), r2, _mm256_set1_pd(kExpP1));
+  p = _mm256_fmadd_pd(p, r2, _mm256_set1_pd(kExpP2));
   p = _mm256_mul_pd(p, r);
-  __m256d q = _mm256_fmadd_pd(kQ0, r2, kQ1);
-  q = _mm256_fmadd_pd(q, r2, kQ2);
-  q = _mm256_fmadd_pd(q, r2, kQ3);
+  __m256d q = _mm256_fmadd_pd(_mm256_set1_pd(kExpQ0), r2, _mm256_set1_pd(kExpQ1));
+  q = _mm256_fmadd_pd(q, r2, _mm256_set1_pd(kExpQ2));
+  q = _mm256_fmadd_pd(q, r2, _mm256_set1_pd(kExpQ3));
   // exp(r) = 1 + 2p/(q - p)
   __m256d e = _mm256_add_pd(
       _mm256_set1_pd(1.0),
@@ -794,9 +747,8 @@ OTFAIR_AVX2_NO_FMA size_t Avx2Transport(const TransportChannel& channel,
 #undef OTFAIR_AVX2_NO_FMA
 
 constexpr Ops kAvx2Ops = {
-    "avx2",           Avx2Sum,       Avx2Max,      Avx2MaxAbsDiff,
-    Avx2AddInPlace,   Avx2LseDiff,   Avx2KdeWalks, PclmulCrc32Update,
-    Avx2ParseDecimal, Avx2Transport,
+    "avx2",            Avx2LseDiff,      Avx2KdeWalks,
+    PclmulCrc32Update, Avx2ParseDecimal, Avx2Transport,
 };
 
 #endif  // OTFAIR_SIMD_X86

@@ -91,37 +91,28 @@ struct TransportRecords {
 /// so no global `-march` flag is needed — the default build dispatches
 /// to AVX2 on supporting hardware and to scalar elsewhere.
 ///
-/// Numerical contract: every kernel computes the same mathematical
-/// quantity as its scalar reference, but the vector reductions (Sum,
-/// LseDiff) accumulate in lane-parallel partials, so their results
-/// may differ from the scalar path in the last bits — they are only
-/// used in tolerance-checked contexts (Sinkhorn iterations, plan
-/// validation). The element-wise kernel (AddInPlace), the KDE
-/// grid walks (`kde_walks`), the CRC-32 (`crc32_update`), the decimal
-/// reader (`parse_decimal`) and the exact comparisons (Max) are
-/// bit-identical to scalar, so plan bytes, their CRC and the values read
-/// from a CSV file do not depend on the table. The repair draw
-/// (`transport`) advances each record's stream exactly as common::Rng
-/// does: the same draws in the same order, and none where a probability
-/// is 0 or 1. Its comparisons see the same exactly converted uniforms and
-/// its blend rounds the same two products, so repair output is
-/// bit-identical across scalar/SIMD — the determinism suite asserts
-/// exactly that.
+/// Numerical contract: every kernel is bit-identical to its scalar
+/// reference, so plan bytes, their CRC, the values read from a CSV file and
+/// repair output do not depend on the table; the determinism suite asserts
+/// exactly that. The scalar log-sum-exp (`lse_diff`) is the vector one a
+/// lane at a time: the same Cephes exp, four lane sums folded as the
+/// vector fold adds them, std::exp on the tail. The KDE walks run the same
+/// two rounded multiplies per term, the CRC and the decimal reader are
+/// exact integer arithmetic, and the repair draw (`transport`) advances
+/// each record's stream exactly as common::Rng does: the same draws in the
+/// same order, and none where a probability is 0 or 1, compared against
+/// the same exactly converted uniforms and blended by the same two
+/// rounded products.
 struct Ops {
   /// Short ISA tag: "avx2" or "scalar".
   const char* isa;
-  /// sum_i x[i]
-  double (*sum)(const double* x, size_t n);
-  /// max_i x[i]; -inf for n == 0. NaN inputs are not propagated
-  /// (comparisons ignore them), matching the scalar `if (v > hi)` idiom.
-  double (*max)(const double* x, size_t n);
-  /// max_i |x[i] - y[i]|; 0 for n == 0.
-  double (*max_abs_diff)(const double* x, const double* y, size_t n);
-  /// dst[i] += x[i] (element-wise, bit-identical to scalar)
-  void (*add_in_place)(double* dst, const double* x, size_t n);
   /// log sum_i exp(x[i] - y[i]), the fused two-pass (max, then exp-sum)
   /// log-sum-exp over a difference; -inf when n == 0 or every term is
-  /// -inf. The AVX2 path uses a Cephes-style vector exp (< 2 ulp).
+  /// -inf. Both tables run four lanes: the max pass keeps four lane maxima,
+  /// the sum pass adds a Cephes-style exp (< 2 ulp) into four lane sums,
+  /// folded as (l0 + l2) + (l1 + l3), and the n % 4 tail takes std::exp.
+  /// AVX2 table: one vector, FMA in the exp. Scalar: the same operations
+  /// a lane at a time (std::fma where the vector code fuses).
   double (*lse_diff)(const double* x, const double* y, size_t n);
   /// One sample's two KDE grid walks (stats::GaussianKde::PmfOnGrid):
   /// right.out[m] += c_m * G[m] for m in [0, right.count) and
@@ -192,15 +183,7 @@ bool ForcedScalar();
 /// ISA tag of the table Active() dispatches to right now.
 const char* ActiveIsa();
 
-// Convenience forwarders through the dispatched table.
-inline double Sum(const double* x, size_t n) { return Active().sum(x, n); }
-inline double Max(const double* x, size_t n) { return Active().max(x, n); }
-inline double MaxAbsDiff(const double* x, const double* y, size_t n) {
-  return Active().max_abs_diff(x, y, n);
-}
-inline void AddInPlace(double* dst, const double* x, size_t n) {
-  Active().add_in_place(dst, x, n);
-}
+/// Ops::lse_diff through the dispatched table.
 inline double LseDiff(const double* x, const double* y, size_t n) {
   return Active().lse_diff(x, y, n);
 }

@@ -346,11 +346,14 @@ void Server::ProcessLines(Worker& w, Conn* c) {
 }
 
 void Server::HandleLine(Worker& w, Conn* c, const std::string& line) {
+  serve::RowResponse refused;
   auto request = serve::ParseRequestLine(line, service_->dim(), service_->u_levels(),
-                                         service_->s_levels());
+                                         service_->s_levels(), &refused);
   if (!request.ok()) {
     protocol_errors_->Add(1);
-    Output(w, c, serve::FormatErrorLine(request.status()));
+    Output(w, c,
+           refused.status.ok() ? serve::FormatErrorLine(request.status())
+                               : serve::FormatRowResponse(refused));
     if (!KnownVerb(line)) {
       // Garbage (unknown verb / binary junk): sanitized error line, then
       // disconnect — this stream is not speaking the protocol.

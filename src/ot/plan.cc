@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <utility>
 
 #include "common/check.h"
-#include "common/simd.h"
 #include "common/status.h"
 
 namespace otfair::ot {
@@ -144,9 +144,7 @@ SparsePlan::RowView SparsePlan::Row(size_t r) const {
 
 double SparsePlan::RowSum(size_t r) const {
   OTFAIR_DCHECK(r < rows_);
-  // The row's values added in order: plan rows hold a handful of values,
-  // too few for a vector reduction to pay for its dispatch, and a
-  // sequential sum is the same under either kernel table.
+  // The row's values added in order.
   double sum = 0.0;
   for (size_t t = row_offsets_[r]; t < row_offsets_[r + 1]; ++t) sum += values_[t];
   return sum;
@@ -176,9 +174,8 @@ std::vector<double> SparsePlan::ColSums() const {
 }
 
 double SparsePlan::Sum() const {
-  // The SIMD reduction reassociates across lanes; every caller compares
-  // the total against 1 (or a mass floor) under a tolerance.
-  return common::simd::Sum(values_.data(), values_.size());
+  // In storage order, like RowSum.
+  return std::accumulate(values_.begin(), values_.end(), 0.0);
 }
 
 SparsePlan SparsePlan::Transposed() const {

@@ -42,19 +42,6 @@ size_t RowUpdateThreads(size_t n, size_t m) { return n * m < 16384 ? 1 : 0; }
 /// clears tolerance (or the iteration cap is hit) is the actual plan
 /// rebuilt and measured — `converged == true` always refers to the
 /// returned plan.
-
-/// Worst marginal violation of the plan itself (the certifying check).
-/// Both the marginal sums and the |sums - target| reductions run through
-/// the SIMD layer; this feeds a tolerance comparison, so the lane
-/// reassociation in the sums is harmless.
-double MarginalViolation(const Matrix& plan, const std::vector<double>& a,
-                         const std::vector<double>& b) {
-  const std::vector<double> rows = plan.RowSums();
-  const std::vector<double> cols = plan.ColSums();
-  return std::max(common::simd::MaxAbsDiff(rows.data(), a.data(), a.size()),
-                  common::simd::MaxAbsDiff(cols.data(), b.data(), b.size()));
-}
-
 Result<SinkhornResult> SolveLogDomain(const std::vector<double>& a, const std::vector<double>& b,
                                       const Matrix& cost, const SinkhornOptions& opt) {
   const size_t n = a.size();
@@ -86,7 +73,8 @@ Result<SinkhornResult> SolveLogDomain(const std::vector<double>& a, const std::v
   std::vector<double> gs(m, 0.0);
   std::vector<double> col_err(m, 0.0);
   SinkhornResult out;
-  Matrix plan(n, m);
+  Matrix& plan = out.plan.coupling;
+  plan = Matrix(n, m);
   bool plan_current = false;
   auto rebuild_plan = [&] {
     ParallelFor(0, n, [&](size_t i) {
@@ -104,7 +92,7 @@ Result<SinkhornResult> SolveLogDomain(const std::vector<double>& a, const std::v
     OTFAIR_TRACE_SPAN("sinkhorn_iter");
     // fs_i = log a_i - LSE_j(gs_j - C_ij/eps). The fused two-pass LSE
     // (max, then exp-sum, no scratch buffer) lives in the SIMD layer:
-    // the AVX2 table runs both passes 4 lanes wide with a vectorized exp.
+    // both tables run it four lanes wide to the same bits.
     ParallelFor(0, n, [&](size_t i) {
       if (log_a[i] == kNegInf) {
         fs[i] = kNegInf;
@@ -129,12 +117,14 @@ Result<SinkhornResult> SolveLogDomain(const std::vector<double>& a, const std::v
       gs[j] = log_b[j] - lse;
     }, row_threads);
     out.iterations = iter;
-    const double err = common::simd::Max(col_err.data(), m);
+    double err = 0.0;
+    for (const double e : col_err) err = std::max(err, e);
     if (err < opt.tolerance || iter == opt.max_iterations) {
-      // Candidate convergence: certify on the plan actually returned.
+      // Candidate convergence: certify on the plan actually returned, by
+      // its worst row or column violation.
       rebuild_plan();
       plan_current = true;
-      if (MarginalViolation(plan, a, b) < opt.tolerance) {
+      if (out.plan.MarginalError(a, b) < opt.tolerance) {
         out.converged = true;
         break;
       }
@@ -144,7 +134,6 @@ Result<SinkhornResult> SolveLogDomain(const std::vector<double>& a, const std::v
 
   if (!plan_current) rebuild_plan();
   out.plan.cost = plan.Dot(cost);
-  out.plan.coupling = std::move(plan);
   return out;
 }
 

@@ -77,7 +77,7 @@ std::string SanitizeToken(std::string_view token) {
 }  // namespace
 
 Result<ProtocolRequest> ParseRequestLine(const std::string& line, size_t dim, size_t u_levels,
-                                         size_t s_levels) {
+                                         size_t s_levels, RowResponse* refused_row) {
   if (line.size() > kMaxRequestLineBytes)
     return Status::InvalidArgument("request line exceeds " +
                                    std::to_string(kMaxRequestLineBytes) + " bytes");
@@ -106,21 +106,31 @@ Result<ProtocolRequest> ParseRequestLine(const std::string& line, size_t dim, si
     return Status::InvalidArgument(
         "usage: repair <session> <row> <u> <s> <x_1..x_" + std::to_string(dim) + "> (got " +
         std::to_string(tokens.size() - 1) + " fields)");
+  RowRequest& row = request.row;
+  if (!ParseU64(tokens[1], &row.session_id) || !ParseU64(tokens[2], &row.row_index))
+    return Status::InvalidArgument("bad session/row fields");
+  // From here on the line names its row, so a failure is that row's.
+  auto refuse = [&](Status status) {
+    if (refused_row != nullptr) *refused_row = {row.session_id, row.row_index, {}, status};
+    return status;
+  };
+  // Bounded before the int cast, so no huge label wraps into range.
   uint64_t u = 0;
   uint64_t s = 0;
-  if (!ParseU64(tokens[1], &request.row.session_id) ||
-      !ParseU64(tokens[2], &request.row.row_index) || !ParseU64(tokens[3], &u) ||
-      !ParseU64(tokens[4], &s) || u >= u_levels || s >= s_levels)
-    return Status::InvalidArgument("bad session/row/u/s fields");
-  request.row.u = static_cast<int>(u);
-  request.row.s = static_cast<int>(s);
-  request.row.features.resize(dim);
+  if (!ParseU64(tokens[3], &u) || !ParseU64(tokens[4], &s) || u >= u_levels || s >= s_levels)
+    return refuse(Status::InvalidArgument("u and s must be labels in [0, " +
+                                          std::to_string(u_levels) + ") x [0, " +
+                                          std::to_string(s_levels) + ")"));
+  row.u = static_cast<int>(u);
+  row.s = static_cast<int>(s);
+  row.features.resize(dim);
   // A non-finite feature would poison the repair tables and the
   // channel sketches, so the protocol rejects it at the boundary.
   for (size_t k = 0; k < dim; ++k) {
-    if (!common::ParseFiniteDecimal(tokens[5 + k], &request.row.features[k]))
-      return Status::InvalidArgument("bad feature value '" + SanitizeToken(tokens[5 + k]) +
-                                     "' (must be a finite number)");
+    if (!common::ParseFiniteDecimal(tokens[5 + k], &row.features[k]))
+      return refuse(Status::InvalidArgument("bad feature value '" +
+                                            SanitizeToken(tokens[5 + k]) +
+                                            "' (must be a finite number)"));
   }
   return request;
 }

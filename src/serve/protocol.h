@@ -67,11 +67,18 @@ bool IsProtocolVerb(std::string_view token);
 /// Hardened against garbage input: any malformed line — truncated
 /// commands, out-of-range labels, non-numeric or non-finite (nan/inf)
 /// feature payloads, oversized lines (> kMaxRequestLineBytes), binary
-/// junk — comes back as an InvalidArgument status (rendered by
-/// FormatErrorLine into a structured `err` line). Parsing never throws,
+/// junk — comes back as an InvalidArgument status. Parsing never throws,
 /// crashes, or silently coerces a bad field.
+///
+/// A repair line with the right field count whose session and row parse
+/// names its row even when its u, s or a feature fails: that failure also
+/// goes to `*refused_row` (when given) with the row's identity, and the
+/// front end answers it through FormatRowResponse as
+/// `err <session> <row> <CODE> <message>`. Every other failure leaves
+/// `*refused_row` untouched and is answered through FormatErrorLine.
 common::Result<ProtocolRequest> ParseRequestLine(const std::string& line, size_t dim,
-                                                 size_t u_levels = 2, size_t s_levels = 2);
+                                                 size_t u_levels = 2, size_t s_levels = 2,
+                                                 RowResponse* refused_row = nullptr);
 
 /// The `checkpoint` verb's hook: persist now and return the generation
 /// written. An empty hook means checkpointing is disabled.

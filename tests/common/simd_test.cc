@@ -1,6 +1,7 @@
 #include "common/simd.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -17,11 +18,11 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// The widest compiled lane count is 4 (AVX2 doubles); the issue's parity
-// sweep asks for every unaligned length up to 4*lanes + 3, and the unrolled
-// reduction kernels consume 16 at a time, so sweep well past that too.
+// The widest compiled lane count is 4 (AVX2 doubles); the parity sweep
+// takes every unaligned length up to 4*lanes + 3, and longer rows run the
+// four-lane loops many times over.
 constexpr size_t kMaxLen = 4 * 4 + 3;
-constexpr size_t kUnrollLen = 67;  // > 4 * 16, hits the unrolled main loops
+constexpr size_t kUnrollLen = 67;
 
 std::vector<double> RandomVec(Rng& rng, size_t n, double lo, double hi) {
   std::vector<double> v(n);
@@ -29,83 +30,119 @@ std::vector<double> RandomVec(Rng& rng, size_t n, double lo, double hi) {
   return v;
 }
 
-// Reductions re-associate across lanes, so parity with the scalar table is
-// checked to a tight relative tolerance, not bit equality.
-void ExpectClose(double expected, double actual) {
-  if (std::isinf(expected)) {
-    EXPECT_EQ(expected, actual);
-    return;
-  }
-  const double scale = std::max(1.0, std::abs(expected));
-  EXPECT_NEAR(expected, actual, 1e-12 * scale);
+// Every kernel matches its scalar entry bit for bit.
+void ExpectSameBits(double expected, double actual) {
+  EXPECT_EQ(std::bit_cast<uint64_t>(expected), std::bit_cast<uint64_t>(actual))
+      << expected << " vs " << actual;
+}
+
+double ScalarLse(const std::vector<double>& x, const std::vector<double>& y) {
+  return ScalarOps().lse_diff(x.data(), y.data(), x.size());
+}
+
+double BestLse(const std::vector<double>& x, const std::vector<double>& y) {
+  return BestOps().lse_diff(x.data(), y.data(), x.size());
 }
 
 class SimdParityTest : public ::testing::TestWithParam<size_t> {};
 
-// The name predates the removal of the dot kernel and is kept so the test
-// ids stay comparable across runs.
+// lse_diff is the one reduction left in the tables. The names
+// SumDotMatchScalar, MaxKernelsBitExact and ElementwiseKernelsBitExact
+// predate the removal of the sum, dot, max, max-abs-diff and element-wise
+// kernels and are kept so the test ids stay comparable across runs; each
+// now checks one part of lse_diff.
+
+// The exp-sum: both tables stay within 1e-12 of a long-double two-pass
+// log-sum-exp over std::exp terms.
 TEST_P(SimdParityTest, SumDotMatchScalar) {
   const size_t n = GetParam();
   Rng rng(1234 + n);
-  const auto x = RandomVec(rng, n, -3.0, 3.0);
-  const Ops& best = BestOps();
-  ExpectClose(ScalarOps().sum(x.data(), n), best.sum(x.data(), n));
+  const auto x = RandomVec(rng, n, -50.0, 50.0);
+  const auto y = RandomVec(rng, n, -30.0, 30.0);
+  long double hi = -kInf;
+  for (size_t i = 0; i < n; ++i) hi = std::max(hi, static_cast<long double>(x[i] - y[i]));
+  long double acc = 0.0L;
+  for (size_t i = 0; i < n; ++i) acc += std::exp(static_cast<long double>(x[i] - y[i]) - hi);
+  const auto expected = static_cast<double>(hi + std::log(acc));
+  const double tolerance = 1e-12 * std::max(1.0, std::abs(expected));
+  EXPECT_NEAR(expected, ScalarLse(x, y), tolerance);
+  EXPECT_NEAR(expected, BestLse(x, y), tolerance);
 }
 
+// The max pass: a term that tops every other by more than 40 leaves an
+// exp-sum of exactly 1, so the LSE is that term's difference, bit for bit,
+// wherever it sits (each lane, each tail slot). The other terms lie 600 to
+// 800 below it, across the exp's -708.39 underflow clamp.
 TEST_P(SimdParityTest, MaxKernelsBitExact) {
   const size_t n = GetParam();
   Rng rng(99 + n);
-  const auto x = RandomVec(rng, n, -10.0, 10.0);
-  const auto y = RandomVec(rng, n, -10.0, 10.0);
-  const Ops& best = BestOps();
-  // Max and MaxAbsDiff only compare/subtract element-wise: bit-exact.
-  EXPECT_EQ(ScalarOps().max(x.data(), n), best.max(x.data(), n));
-  EXPECT_EQ(ScalarOps().max_abs_diff(x.data(), y.data(), n),
-            best.max_abs_diff(x.data(), y.data(), n));
+  for (size_t top = 0; top < n; ++top) {
+    const auto y = RandomVec(rng, n, -10.0, 10.0);
+    auto x = RandomVec(rng, n, -800.0, -600.0);
+    for (size_t i = 0; i < n; ++i) x[i] += y[i];
+    x[top] = rng.Uniform(-5.0, 5.0);
+    SCOPED_TRACE("top " + std::to_string(top));
+    ExpectSameBits(x[top] - y[top], ScalarLse(x, y));
+    ExpectSameBits(x[top] - y[top], BestLse(x, y));
+  }
 }
 
+// The exp of each term: a row of -inf terms but one at 0 and one at
+// v in [-3, 0) puts exp(v) alone beside the 1, in every lane and tail
+// slot. Both tables give the same bits, within 1e-14 of log(exp(v) + 1).
 TEST_P(SimdParityTest, ElementwiseKernelsBitExact) {
   const size_t n = GetParam();
+  if (n < 2) return;  // a 1-term row is its own max
   Rng rng(7 + n);
-  const auto x = RandomVec(rng, n, -4.0, 4.0);
-  auto dst_scalar = RandomVec(rng, n, 0.0, 1.0);
-  auto dst_vector = dst_scalar;
-  const Ops& best = BestOps();
-
-  ScalarOps().add_in_place(dst_scalar.data(), x.data(), n);
-  best.add_in_place(dst_vector.data(), x.data(), n);
-  for (size_t i = 0; i < n; ++i) EXPECT_EQ(dst_scalar[i], dst_vector[i]);
+  const std::vector<double> y(n, 0.0);
+  for (size_t at = 0; at < n; ++at) {
+    std::vector<double> x(n, -kInf);
+    x[(at + 1) % n] = 0.0;
+    x[at] = rng.Uniform(-3.0, 0.0);
+    SCOPED_TRACE("at " + std::to_string(at) + " v " + std::to_string(x[at]));
+    ExpectSameBits(ScalarLse(x, y), BestLse(x, y));
+    EXPECT_NEAR(std::log(std::exp(x[at]) + 1.0), BestLse(x, y), 1e-14);
+  }
 }
+
+// A last-bit difference in the exp-sum survives the final log only in a
+// share of rows (the more so the narrower the spread), so each parity test
+// below checks many rows per length.
+constexpr int kRowsPerSpread = 32;
 
 TEST_P(SimdParityTest, LseDiffMatchesScalar) {
   const size_t n = GetParam();
   Rng rng(4242 + n);
   // Sinkhorn feeds log-potential minus scaled-cost differences that span a
-  // wide dynamic range; exercise both moderate and extreme spreads.
-  const auto x = RandomVec(rng, n, -50.0, 50.0);
-  const auto y = RandomVec(rng, n, -30.0, 30.0);
-  const Ops& best = BestOps();
-  const double expected = ScalarOps().lse_diff(x.data(), y.data(), n);
-  const double actual = best.lse_diff(x.data(), y.data(), n);
-  ExpectClose(expected, actual);
+  // wide dynamic range: narrow and moderate spreads, and differences past
+  // both exp clamps (-708.39 and 709.4), whose terms flush to 0 in lanes
+  // and tail.
+  for (const double spread : {1.0, 5.0, 50.0, 800.0}) {
+    SCOPED_TRACE("spread " + std::to_string(spread));
+    for (int row = 0; row < kRowsPerSpread; ++row) {
+      const auto x = RandomVec(rng, n, -spread, spread);
+      const auto y = RandomVec(rng, n, -spread / 2, spread / 2);
+      ExpectSameBits(ScalarLse(x, y), BestLse(x, y));
+    }
+  }
 }
 
 TEST_P(SimdParityTest, LseDiffHandlesNegInfTerms) {
   const size_t n = GetParam();
   Rng rng(5 + n);
-  auto x = RandomVec(rng, n, -5.0, 5.0);
-  const auto y = RandomVec(rng, n, -5.0, 5.0);
-  // Zero-mass atoms enter the log-domain solver as -inf log-weights.
-  for (size_t i = 0; i < n; i += 2) x[i] = -kInf;
-  const Ops& best = BestOps();
-  const double expected = ScalarOps().lse_diff(x.data(), y.data(), n);
-  const double actual = best.lse_diff(x.data(), y.data(), n);
-  ExpectClose(expected, actual);
+  for (int row = 0; row < kRowsPerSpread; ++row) {
+    auto x = RandomVec(rng, n, -5.0, 5.0);
+    const auto y = RandomVec(rng, n, -5.0, 5.0);
+    // Zero-mass atoms enter the log-domain solver as -inf log-weights.
+    for (size_t i = row % 2; i < n; i += 2) x[i] = -kInf;
+    ExpectSameBits(ScalarLse(x, y), BestLse(x, y));
+  }
 
   // All terms -inf: the LSE is -inf in both paths.
-  std::vector<double> all_ninf(n, -kInf);
-  EXPECT_EQ(-kInf, ScalarOps().lse_diff(all_ninf.data(), y.data(), n));
-  EXPECT_EQ(-kInf, best.lse_diff(all_ninf.data(), y.data(), n));
+  const std::vector<double> all_ninf(n, -kInf);
+  const std::vector<double> y(n, 0.0);
+  EXPECT_EQ(-kInf, ScalarLse(all_ninf, y));
+  EXPECT_EQ(-kInf, BestLse(all_ninf, y));
 }
 
 INSTANTIATE_TEST_SUITE_P(UnalignedLengths, SimdParityTest,
@@ -271,25 +308,22 @@ TEST(SimdTest, TransportBitIdenticalToScalar) {
 }
 
 TEST(SimdTest, EmptyInputs) {
-  const Ops& best = BestOps();
-  EXPECT_EQ(0.0, best.sum(nullptr, 0));
-  EXPECT_EQ(-kInf, best.max(nullptr, 0));
-  EXPECT_EQ(0.0, best.max_abs_diff(nullptr, nullptr, 0));
-  EXPECT_EQ(-kInf, best.lse_diff(nullptr, nullptr, 0));
+  EXPECT_EQ(-kInf, ScalarOps().lse_diff(nullptr, nullptr, 0));
+  EXPECT_EQ(-kInf, BestOps().lse_diff(nullptr, nullptr, 0));
 }
 
 TEST(SimdTest, VectorExpAccuracyAcrossRange) {
-  // LseDiff with y = 0 and a single dominant term isolates the vector exp:
-  // lse([v, hi]) = hi + log(exp(v - hi) + 1). Instead probe exp directly
-  // through a 4-lane lse where three lanes are -inf.
-  const Ops& best = BestOps();
-  for (double v = -700.0; v <= 0.0; v += 0.37) {
-    const double x[4] = {v, -kInf, -kInf, 0.0};
-    const double y[4] = {0.0, 0.0, 0.0, 0.0};
-    const double expected = std::log(std::exp(v) + 1.0);
-    const double actual = best.lse_diff(x, y, 4);
-    EXPECT_NEAR(expected, actual, 1e-14 * std::max(1.0, std::abs(expected)))
-        << "v=" << v;
+  // A 4-lane lse with two -inf lanes isolates one lane's exp:
+  // lse([v, -inf, -inf, 0]) = log(exp(v) + 1), on both tables.
+  for (const Ops* ops : {&ScalarOps(), &BestOps()}) {
+    for (double v = -700.0; v <= 0.0; v += 0.37) {
+      const double x[4] = {v, -kInf, -kInf, 0.0};
+      const double y[4] = {0.0, 0.0, 0.0, 0.0};
+      const double expected = std::log(std::exp(v) + 1.0);
+      const double actual = ops->lse_diff(x, y, 4);
+      EXPECT_NEAR(expected, actual, 1e-14 * std::max(1.0, std::abs(expected)))
+          << ops->isa << " v=" << v;
+    }
   }
 }
 

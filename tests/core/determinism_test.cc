@@ -117,6 +117,37 @@ TEST(DeterminismTest, DesignBitIdenticalAcrossSimdAndThreadConfigs) {
   }
 }
 
+// Sinkhorn plans do not depend on the kernel table either: both tables'
+// log-sum-exp kernels return the same bits, so a Sinkhorn design
+// serializes to the same bytes under either table and thread count.
+TEST(DeterminismTest, SinkhornDesignBitIdenticalAcrossSimdAndThreadConfigs) {
+  Fixture fx = MakeFixture(32, 600, 1);
+  ot::SolverOptions solver_options;
+  solver_options.sinkhorn.epsilon = 0.1;
+  auto solver = ot::MakeSolver("sinkhorn", solver_options);
+  ASSERT_TRUE(solver.ok());
+  const bool was_forced = common::simd::ForcedScalar();
+  auto design_bytes = [&](bool force_scalar, int threads) {
+    common::simd::SetForceScalar(force_scalar);
+    DesignOptions options;
+    options.n_q = 64;
+    options.threads = threads;
+    options.solver = *solver;
+    auto plans = DesignDistributionalRepair(fx.research, options);
+    common::simd::SetForceScalar(was_forced);
+    EXPECT_TRUE(plans.ok()) << plans.status().ToString();
+    return plans.ok() ? plans->SerializeToString() : std::string();
+  };
+  const std::string reference = design_bytes(/*force_scalar=*/true, /*threads=*/1);
+  ASSERT_FALSE(reference.empty());
+  for (bool force_scalar : {true, false}) {
+    for (int threads : {1, 4}) {
+      EXPECT_TRUE(design_bytes(force_scalar, threads) == reference)
+          << "scalar=" << force_scalar << " threads=" << threads;
+    }
+  }
+}
+
 TEST(DeterminismTest, RepairDatasetBitIdenticalAcrossThreadCounts) {
   Fixture fx = MakeFixture(22);
   DesignOptions design;

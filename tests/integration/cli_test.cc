@@ -225,14 +225,13 @@ TEST_F(CliTest, FullWorkflow) {
 TEST_F(CliTest, EverySolverBackendReachable) {
   // Each built-in backend designs a working plan through --solver, and
   // the repaired archive comes out fairer regardless of the backend.
-  // Plan bytes are pinned by each file's trailing CRC32. Monotone and
-  // exact plans do not depend on the kernel table; Sinkhorn's do (the
-  // AVX2 log-sum-exp uses a vector exp), so it has one pin per table.
+  // Plan bytes are pinned by each file's trailing CRC32, one pin per
+  // backend: no plan depends on the kernel table.
   const std::string isa = common::simd::ActiveIsa();
   const std::map<std::string, uint32_t> pinned_crc = {
       {"monotone", 0x5e9c4eb9u},
       {"exact", 0x4f1c1764u},
-      {"sinkhorn", isa == "avx2" ? 0xa21a619bu : 0x0858c48au},
+      {"sinkhorn", 0xa21a619bu},
   };
   for (const std::string solver : {"monotone", "exact", "sinkhorn"}) {
     const std::string plan = dir_ + "/plan_" + solver + ".bin";
@@ -570,6 +569,34 @@ TEST_F(CliTest, ServeStdioProtocolRoundTrip) {
   EXPECT_NE(output.find("ok 0 0 "), std::string::npos) << output;
   EXPECT_NE(output.find("\"plan_version\":1"), std::string::npos) << output;
   EXPECT_NE(output.find("err - - INVALID_ARGUMENT"), std::string::npos) << output;
+}
+
+TEST_F(CliTest, ServeStdioRefusedRowsKeepTheirIdentity) {
+  // A repair line whose session and row parse is answered as that row even
+  // when its u or a feature is refused (|U| = 2 here), so a client matching
+  // responses by (session, row) knows which request failed; a line with the
+  // wrong field count names no row.
+  ASSERT_EQ(Run("design --research=" + research_path_ + " --plan=" + plan_path_ +
+                " --n_q=40"),
+            0);
+  const std::string input_path = dir_ + "/serve_refused.txt";
+  std::FILE* f = std::fopen(input_path.c_str(), "w");
+  ASSERT_NE(f, nullptr);
+  std::fputs(
+      "repair 1 1 5 0 0.1 0.2\n"
+      "repair 1 5 0 0 nan 0.2\n"
+      "repair 1 6 0 0 0.1\n",
+      f);
+  std::fclose(f);
+  int exit_code = -1;
+  const std::string output =
+      RunCapture("serve --plan=" + plan_path_ + " < " + input_path, &exit_code);
+  EXPECT_EQ(exit_code, 0);
+  const std::vector<std::string> lines = SortedNonJsonLines(output);
+  ASSERT_EQ(lines.size(), 3u) << output;
+  EXPECT_EQ(lines[0].rfind("err - - INVALID_ARGUMENT ", 0), 0u) << lines[0];
+  EXPECT_EQ(lines[1].rfind("err 1 1 INVALID_ARGUMENT ", 0), 0u) << lines[1];
+  EXPECT_EQ(lines[2].rfind("err 1 5 INVALID_ARGUMENT ", 0), 0u) << lines[2];
 }
 
 TEST_F(CliTest, ServeListenAndReplayAreMutuallyExclusive) {

@@ -290,16 +290,19 @@ TEST(NetServerTest, GarbageInputTable) {
     const char* name;
     std::string input;
     bool closes;  // unknown verb / junk closes; known verb with bad args stays open
+    const char* prefix;  // a repair line whose session and row parse keeps them
   };
   const std::vector<GarbageCase> cases = {
-      {"unknown verb", "frobnicate 1 2\n", true},
-      {"binary junk", std::string("\x01\x02\xfe\xff stuff\n"), true},
-      {"http request", "GET / HTTP/1.1\n", true},
-      {"repair with non-numeric row", "repair 0 zero 0 0 1.0 2.0\n", false},
-      {"repair with missing features", "repair 0 0 0 0 1.0\n", false},
-      {"repair with out-of-range label", "repair 0 0 9 0 1.0 2.0\n", false},
-      {"repair with non-finite feature", "repair 0 0 0 0 nan 2.0\n", false},
-      {"reload without a path", "reload\n", false},
+      {"unknown verb", "frobnicate 1 2\n", true, "err - - "},
+      {"binary junk", std::string("\x01\x02\xfe\xff stuff\n"), true, "err - - "},
+      {"http request", "GET / HTTP/1.1\n", true, "err - - "},
+      {"repair with non-numeric row", "repair 0 zero 0 0 1.0 2.0\n", false, "err - - "},
+      {"repair with missing features", "repair 0 0 0 0 1.0\n", false, "err - - "},
+      {"repair with out-of-range label", "repair 1 1 5 0 0.1 0.2\n", false,
+       "err 1 1 INVALID_ARGUMENT "},
+      {"repair with non-finite feature", "repair 1 5 0 0 nan 0.2\n", false,
+       "err 1 5 INVALID_ARGUMENT "},
+      {"reload without a path", "reload\n", false, "err - - "},
   };
   for (const GarbageCase& c : cases) {
     SCOPED_TRACE(c.name);
@@ -308,7 +311,7 @@ TEST(NetServerTest, GarbageInputTable) {
     ASSERT_TRUE(client.SendAll(c.input));
     std::string line;
     ASSERT_TRUE(client.ReadLine(&line));
-    EXPECT_EQ(line.rfind("err - - ", 0), 0u) << line;
+    EXPECT_EQ(line.rfind(c.prefix, 0), 0u) << line;
     // Sanitized: whatever came in, the error line is printable ASCII.
     for (const char ch : line)
       EXPECT_TRUE(ch >= 0x20 && ch < 0x7f) << c.name << ": raw byte in error line";

@@ -14,7 +14,6 @@
 
 #include "common/matrix.h"
 #include "common/rng.h"
-#include "common/simd.h"
 #include "ot/solver.h"
 
 namespace otfair::ot {
@@ -86,13 +85,10 @@ TEST(SparsePlanTest, RowViewAndSums) {
   EXPECT_NEAR(plan.Sum(), 1.0, 1e-12);
 }
 
-/// Row sums as a plain loop over each row's CSR values, and as the
-/// dispatched vector sum that RowSum called before; the two agree for rows
-/// of up to three values under either kernel table.
+/// Row sums against a plain loop over each row's CSR values, bit for bit.
 void ExpectRowSumsMatchOracle(const SparsePlan& plan) {
   const std::vector<double> sums = plan.RowSums();
   ASSERT_EQ(sums.size(), plan.rows());
-  const bool forced = common::simd::ForcedScalar();
   for (size_t r = 0; r < plan.rows(); ++r) {
     const SparsePlan::RowView row = plan.Row(r);
     double want = 0.0;
@@ -100,16 +96,6 @@ void ExpectRowSumsMatchOracle(const SparsePlan& plan) {
     EXPECT_EQ(std::bit_cast<uint64_t>(sums[r]), std::bit_cast<uint64_t>(want)) << "row " << r;
     EXPECT_EQ(std::bit_cast<uint64_t>(plan.RowSum(r)), std::bit_cast<uint64_t>(want))
         << "row " << r;
-    common::simd::SetForceScalar(true);
-    EXPECT_EQ(std::bit_cast<uint64_t>(common::simd::Sum(row.values, row.nnz)),
-              std::bit_cast<uint64_t>(want))
-        << "row " << r;
-    common::simd::SetForceScalar(forced);
-    if (row.nnz <= 3) {
-      EXPECT_EQ(std::bit_cast<uint64_t>(common::simd::Sum(row.values, row.nnz)),
-                std::bit_cast<uint64_t>(want))
-          << "row " << r;
-    }
   }
 }
 

@@ -665,10 +665,12 @@ int RunServeStdio(otfair::serve::RepairService& service, size_t max_batch,
                                  });
   // Answers one request line; false on `quit`.
   auto serve_line = [&](const std::string& line) {
+    otfair::serve::RowResponse refused;
     auto request = otfair::serve::ParseRequestLine(line, service.dim(), service.u_levels(),
-                                                   service.s_levels());
+                                                   service.s_levels(), &refused);
     if (!request.ok()) {
-      respond(otfair::serve::FormatErrorLine(request.status()));
+      respond(refused.status.ok() ? otfair::serve::FormatErrorLine(request.status())
+                                  : otfair::serve::FormatRowResponse(refused));
       return true;
     }
     using otfair::serve::RequestKind;
