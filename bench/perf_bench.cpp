@@ -230,7 +230,7 @@ std::string TimedDesignStages(const otfair::data::Dataset& research, size_t n_q,
       }
       timer.Restart();
       channel.barycenter = OrDie(otfair::ot::QuantileBarycenterOnGrid(
-          channel.marginal[0], channel.marginal[1], t, channel.grid.points()));
+          channel.marginal, plans.lambdas(), channel.grid.points()));
       stage_ms[kBarycenter] += timer.ElapsedMillis();
       for (size_t s = 0; s < s_levels; ++s) {
         timer.Restart();

@@ -13,6 +13,7 @@
 #include <string>
 
 #include "common/flags.h"
+#include "common/result.h"
 #include "common/rng.h"
 #include "core/geometric.h"
 #include "core/pipeline.h"
@@ -21,6 +22,7 @@
 #include "fairness/emetric.h"
 
 using otfair::common::FlagParser;
+using otfair::common::OrExit;
 using otfair::common::Rng;
 
 namespace {
@@ -55,17 +57,16 @@ int main(int argc, char** argv) {
                    full.status().ToString().c_str());
       return 1;
     }
-    auto split = otfair::data::SplitResearchArchive(
-        *full, std::min(n_research, full->size() - 1), rng);
-    if (!split.ok()) return 1;
-    research = std::move(split->first);
-    archive = std::move(split->second);
+    auto split = OrExit(otfair::data::SplitResearchArchive(
+                            *full, std::min(n_research, full->size() - 1), rng),
+                        "research/archive split");
+    research = std::move(split.first);
+    archive = std::move(split.second);
   } else {
-    auto r = otfair::data::GenerateAdultLike(n_research, rng, {.drift = 0.0});
-    auto a = otfair::data::GenerateAdultLike(n_archive, rng, {.drift = 0.15});
-    if (!r.ok() || !a.ok()) return 1;
-    research = std::move(*r);
-    archive = std::move(*a);
+    research = OrExit(otfair::data::GenerateAdultLike(n_research, rng, {.drift = 0.0}),
+                      "research generation");
+    archive = OrExit(otfair::data::GenerateAdultLike(n_archive, rng, {.drift = 0.15}),
+                     "archive generation");
   }
 
   otfair::core::PipelineOptions options;

@@ -1,6 +1,8 @@
 #include "common/flags.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cstdio>
 #include <cstdlib>
 
 #include "common/string_util.h"
@@ -13,6 +15,23 @@ namespace {
 std::string Canonical(std::string name) {
   std::replace(name.begin(), name.end(), '-', '_');
   return name;
+}
+
+/// A malformed value is a usage error: reported and exit 2, like a
+/// missing required flag, before the command does any work.
+[[noreturn]] void BadValue(const std::string& name, const std::string& value, const char* kind) {
+  std::fprintf(stderr, "error: --%s: '%s' is not a valid %s\n", name.c_str(), value.c_str(),
+               kind);
+  std::exit(2);
+}
+
+/// Reads all of `text` as a decimal integer in T's range (a '-' only for
+/// signed T; no '+', no whitespace).
+template <typename T>
+bool ParseWholeInteger(const std::string& text, T* value) {
+  const char* const last = text.data() + text.size();
+  const auto [end, error] = std::from_chars(text.data(), last, *value);
+  return error == std::errc() && end == last;
 }
 
 }  // namespace
@@ -54,25 +73,35 @@ std::string FlagParser::GetString(const std::string& name,
 
 int FlagParser::GetInt(const std::string& name, int default_value) const {
   const std::string* value = Find(name);
-  return value == nullptr ? default_value : std::atoi(value->c_str());
+  if (value == nullptr) return default_value;
+  int parsed = 0;
+  if (!ParseWholeInteger(*value, &parsed)) BadValue(name, *value, "integer");
+  return parsed;
 }
 
 uint64_t FlagParser::GetUint64(const std::string& name, uint64_t default_value) const {
   const std::string* value = Find(name);
-  return value == nullptr ? default_value
-                          : static_cast<uint64_t>(std::strtoull(value->c_str(), nullptr, 10));
+  if (value == nullptr) return default_value;
+  uint64_t parsed = 0;
+  if (!ParseWholeInteger(*value, &parsed)) BadValue(name, *value, "unsigned integer");
+  return parsed;
 }
 
 double FlagParser::GetDouble(const std::string& name, double default_value) const {
   const std::string* value = Find(name);
-  return value == nullptr ? default_value : std::atof(value->c_str());
+  if (value == nullptr) return default_value;
+  double parsed = 0.0;
+  if (!ParseFiniteDecimal(*value, &parsed)) BadValue(name, *value, "finite decimal");
+  return parsed;
 }
 
 bool FlagParser::GetBool(const std::string& name, bool default_value) const {
   const std::string* value = Find(name);
   if (value == nullptr) return default_value;
   const std::string& v = *value;
-  return v == "true" || v == "1" || v == "yes" || v == "on";
+  if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
+  if (v == "false" || v == "0" || v == "no" || v == "off") return false;
+  BadValue(name, v, "boolean");
 }
 
 std::vector<int> FlagParser::GetIntList(const std::string& name,
@@ -81,7 +110,9 @@ std::vector<int> FlagParser::GetIntList(const std::string& name,
   if (value == nullptr) return default_value;
   std::vector<int> out;
   for (const std::string& tok : Split(*value, ',')) {
-    if (!tok.empty()) out.push_back(std::atoi(tok.c_str()));
+    int parsed = 0;
+    if (!ParseWholeInteger(tok, &parsed)) BadValue(name, *value, "integer list");
+    out.push_back(parsed);
   }
   return out;
 }

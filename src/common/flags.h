@@ -17,8 +17,16 @@ namespace otfair::common {
 /// not starting with `--` is collected as a positional argument. `-` and
 /// `_` spell the same flag (`--net-threads` is `--net_threads`), both on
 /// the command line and in the names passed to the getters and Validate;
-/// when a command line gives one flag twice, the later value wins. Typical
-/// use:
+/// when a command line gives one flag twice, the later value wins.
+///
+/// Values parse strictly: a value must be the whole token. GetInt and
+/// GetUint64 take a decimal integer in their type's range (GetUint64 no
+/// sign), GetIntList a comma list of such ints, GetDouble a finite decimal
+/// in ParseFiniteDecimal's grammar, and GetBool one of
+/// true/false/1/0/yes/no/on/off. On a malformed value a getter prints
+/// `error: --<name>: '<value>' is not a valid <kind>` and exits 2, the
+/// usage-error status, so a program reads its flags before any work.
+/// Typical use:
 ///
 ///     FlagParser flags(argc, argv);
 ///     int trials = flags.GetInt("trials", 50);

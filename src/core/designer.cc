@@ -23,7 +23,7 @@ namespace {
 /// columns and sketch pseudo-samples both arrive here, so plan geometry is
 /// independent of where the samples came from.
 Status DesignChannel(const DesignOptions& options, const ot::Solver& solver,
-                     const std::vector<double>& lam, double pairwise_t,
+                     const std::vector<double>& lam,
                      const std::vector<const std::vector<double>*>& samples_by_s,
                      ChannelPlan* channel) {
   OTFAIR_TRACE_SPAN("design_channel");
@@ -44,15 +44,11 @@ Status DesignChannel(const DesignOptions& options, const ot::Solver& solver,
     channel->marginal[s] = std::move(*marginal);
   }
 
-  // (iii) Barycentric repair target on the same support (line 9, Eq. 7).
-  // |S| = 2 takes the paper's pairwise t-geodesic path (bit-identical to
-  // the binary-era pipeline); |S| > 2 the N-measure weighted-quantile
-  // barycenter F^{-1} = sum_s lambda_s F_s^{-1}.
-  Result<ot::DiscreteMeasure> barycenter =
-      s_levels == 2
-          ? ot::QuantileBarycenterOnGrid(channel->marginal[0], channel->marginal[1],
-                                         pairwise_t, channel->grid.points())
-          : ot::QuantileBarycenterOnGrid(channel->marginal, lam, channel->grid.points());
+  // (iii) Barycentric repair target on the same support (line 9, Eq. 7):
+  // the weighted-quantile barycenter F^{-1} = sum_s lambda_s F_s^{-1}, one
+  // sweep for every |S|. At |S| = 2 the weights are {1 - t, t} and the
+  // sweep is the paper's t-geodesic point, bit for bit.
+  auto barycenter = ot::QuantileBarycenterOnGrid(channel->marginal, lam, channel->grid.points());
   if (!barycenter.ok()) return barycenter.status();
   channel->barycenter = std::move(*barycenter);
 
@@ -103,18 +99,16 @@ Result<RepairPlanSet> DesignFromChannelSamples(
 
   // Resolve the barycentric weights (see ResolveLambdas: the binary
   // default {1 - t, t} keeps the paper's single-knob geodesic
-  // parameterization and its exact arithmetic).
+  // parameterization; normalization leaves it unchanged). The normalized
+  // weights drive the barycenters below.
   auto lambdas = ResolveLambdas(options.lambdas, options.target_t, s_levels);
   if (!lambdas.ok()) return lambdas.status();
   RepairPlanSet plans(dim, std::move(feature_names), s_levels, u_levels);
   if (Status status = plans.set_lambdas(std::move(*lambdas)); !status.ok()) return status;
-  // Post-normalization weights drive the barycenters below. In the
-  // default binary case the raw target_t is used directly, so the paper's
-  // t-parameterized path is untouched by the normalization roundoff.
-  const double pairwise_t = options.lambdas.empty() ? options.target_t : plans.lambdas()[1];
-  // The persisted t metadata reflects the geodesic position actually
-  // designed at: explicit binary lambdas override options.target_t.
-  plans.set_target_t(s_levels == 2 ? pairwise_t : options.target_t);
+  // The persisted t metadata is the geodesic position designed at, which
+  // only |S| = 2 has: the weight of s = 1, so explicit binary lambdas
+  // override options.target_t.
+  plans.set_target_t(s_levels == 2 ? plans.lambdas()[1] : options.target_t);
 
   // A thin channel cannot estimate its conditional marginal; it is
   // rejected before any solver work.
@@ -143,7 +137,7 @@ Result<RepairPlanSet> DesignFromChannelSamples(
         std::vector<const std::vector<double>*> samples_by_s;
         for (size_t s = 0; s < s_levels; ++s)
           samples_by_s.push_back(&channels[(u * s_levels + s) * dim + k]);
-        return DesignChannel(options, solver, plans.lambdas(), pairwise_t, samples_by_s,
+        return DesignChannel(options, solver, plans.lambdas(), samples_by_s,
                              &plans.At(static_cast<int>(u), k));
       },
       static_cast<size_t>(options.threads));

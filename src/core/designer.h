@@ -54,8 +54,9 @@ struct DesignOptions {
 /// For every u-stratum and feature k it (i) builds the uniform interpolated
 /// support Q_{u,k} over the stratum's research range, (ii) KDE-interpolates
 /// the |S| s-conditional marginals onto Q (Eq. 11), (iii) computes the
-/// lambda-weighted N-measure quantile barycentre nu on Q (Eq. 7; for
-/// |S| = 2 the paper's t-geodesic point), and (iv) solves the |S| OT
+/// lambda-weighted quantile barycentre nu on Q by one sweep for every |S|
+/// (Eq. 7; at |S| = 2 with lambdas {1 - t, t} the paper's t-geodesic
+/// point, bit for bit), and (iv) solves the |S| OT
 /// problems mu_s -> nu (Eq. 13). Complexity is dominated by the
 /// d*|U|*|S| OT solves on n_Q states — independent of the archive size,
 /// which is the point of the method.

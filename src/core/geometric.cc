@@ -55,9 +55,6 @@ Result<data::Dataset> GeometricRepairDataset(const data::Dataset& research,
   auto resolved = ResolveLambdas(options.lambdas, options.t, s_levels);
   if (!resolved.ok()) return resolved.status();
   const std::vector<double> lam = std::move(*resolved);
-  // The binary path below consumes t directly (Eqs. 8-9, kept verbatim);
-  // honour explicit lambdas by re-deriving it.
-  const double t = options.lambdas.empty() ? options.t : lam[1];
 
   data::Dataset repaired = research.Clone();
 
@@ -78,108 +75,58 @@ Result<data::Dataset> GeometricRepairDataset(const data::Dataset& research,
     }
   }
 
-  // The paper's binary channel repair (Eqs. 8-9), preserved bit-for-bit.
-  auto repair_channel_binary = [&](size_t u, size_t k) -> Status {
-    const std::vector<size_t>& idx0 = strata[u].idx_by_s[0];
-    const std::vector<size_t>& idx1 = strata[u].idx_by_s[1];
-    const double n0 = static_cast<double>(idx0.size());
-    const double n1 = static_cast<double>(idx1.size());
-
-    const std::vector<double> x0 = research.FeatureColumn(k, idx0);
-    const std::vector<double> x1 = research.FeatureColumn(k, idx1);
-
-    // Sort each class; the monotone coupling is expressed in sorted
-    // order, so keep the permutation to write results back to rows.
-    std::vector<size_t> order0(x0.size());
-    std::vector<size_t> order1(x1.size());
-    std::iota(order0.begin(), order0.end(), 0);
-    std::iota(order1.begin(), order1.end(), 0);
-    std::stable_sort(order0.begin(), order0.end(),
-                     [&](size_t a, size_t b) { return x0[a] < x0[b]; });
-    std::stable_sort(order1.begin(), order1.end(),
-                     [&](size_t a, size_t b) { return x1[a] < x1[b]; });
-    std::vector<double> sorted0(x0.size());
-    std::vector<double> sorted1(x1.size());
-    for (size_t i = 0; i < x0.size(); ++i) sorted0[i] = x0[order0[i]];
-    for (size_t j = 0; j < x1.size(); ++j) sorted1[j] = x1[order1[j]];
-
-    auto mu0 = ot::DiscreteMeasure::FromSamples(sorted0);
-    if (!mu0.ok()) return mu0.status();
-    auto mu1 = ot::DiscreteMeasure::FromSamples(sorted1);
-    if (!mu1.ok()) return mu1.status();
-    // Both measures are sorted, so the backend's CSR rows index the
-    // sorted sample orders directly.
-    auto coupling = solver.Solve1DSparse(*mu0, *mu1);
-    if (!coupling.ok()) return coupling.status();
-
-    // Conditional transports: sum_j pi_ij x1_j (and transpose), one
-    // O(nnz) sweep over the CSR rows. Row mass of pi is 1/n0 and column
-    // mass 1/n1, so the n0/n1 factors in Eqs. 8-9 turn these sums into
-    // conditional means.
-    std::vector<double> transport0(sorted0.size(), 0.0);
-    std::vector<double> transport1(sorted1.size(), 0.0);
-    for (size_t i = 0; i < coupling->rows(); ++i) {
-      const ot::SparsePlan::RowView row = coupling->Row(i);
-      for (size_t e = 0; e < row.nnz; ++e) {
-        transport0[i] += row.values[e] * sorted1[row.cols[e]];
-        transport1[row.cols[e]] += row.values[e] * sorted0[i];
-      }
-    }
-
-    for (size_t i = 0; i < sorted0.size(); ++i) {
-      const double value = (1.0 - t) * sorted0[i] + n0 * t * transport0[i];
-      repaired.set_feature(idx0[order0[i]], k, value);
-    }
-    for (size_t j = 0; j < sorted1.size(); ++j) {
-      const double value = n1 * (1.0 - t) * transport1[j] + t * sorted1[j];
-      repaired.set_feature(idx1[order1[j]], k, value);
-    }
-    return Status::Ok();
-  };
-
-  // Multi-group channel repair: every class moves to the lambda-weighted
-  // barycenter of all classes, accumulating one coupled conditional mean
-  // per foreign class. Couplings are solved once per unordered pair and
-  // swept in both directions.
-  auto repair_channel_multi = [&](size_t u, size_t k) -> Status {
+  // One channel repair for every |S|: each class moves to the
+  // lambda-weighted barycenter of all classes,
+  //
+  //     out_s = lambda_s x + sum_{s' != s, ascending} (n_s lambda_{s'}) T_{s<-s'},
+  //
+  // where T_{s<-s'} are the conditional sums of the (s, s') coupling. At
+  // |S| = 2 this is Eqs. 8-9 term for term. Couplings are solved once per
+  // pair a < b; visiting the pairs in that order adds each class's foreign
+  // terms in ascending s'.
+  auto repair_channel = [&](size_t u, size_t k) -> Status {
     std::vector<SortedClass> classes(s_levels);
     std::vector<ot::DiscreteMeasure> mu(s_levels);
+    std::vector<std::vector<double>> out(s_levels);
     for (size_t s = 0; s < s_levels; ++s) {
       classes[s] = SortClass(research, strata[u].idx_by_s[s], k);
       auto m = ot::DiscreteMeasure::FromSamples(classes[s].sorted);
       if (!m.ok()) return m.status();
       mu[s] = std::move(*m);
+      for (double x : classes[s].sorted) out[s].push_back(lam[s] * x);
     }
-
-    // accum[s][i]: sum over foreign classes s' of
-    // lambda_{s'} * n_s * sum_j pi^{s->s'}_{ij} x_{s',j}.
-    std::vector<std::vector<double>> accum(s_levels);
-    for (size_t s = 0; s < s_levels; ++s) accum[s].assign(classes[s].sorted.size(), 0.0);
     for (size_t a = 0; a < s_levels; ++a) {
-      const double na = static_cast<double>(classes[a].sorted.size());
+      const std::vector<double>& xa = classes[a].sorted;
       for (size_t b = a + 1; b < s_levels; ++b) {
-        const double nb = static_cast<double>(classes[b].sorted.size());
+        const std::vector<double>& xb = classes[b].sorted;
+        // Both measures are sorted, so the backend's CSR rows index the
+        // sorted sample orders directly.
         auto coupling = solver.Solve1DSparse(mu[a], mu[b]);
         if (!coupling.ok()) return coupling.status();
+        // T_{a<-b}[i] = sum_j pi_ij x_{b,j} and T_{b<-a}[j] = sum_i pi_ij
+        // x_{a,i}, one O(nnz) sweep over the CSR rows. Rows of pi sum to
+        // 1/n_a and columns to 1/n_b, so n_a T_{a<-b} and n_b T_{b<-a} are
+        // the conditional means.
+        std::vector<double> ta(xa.size(), 0.0);
+        std::vector<double> tb(xb.size(), 0.0);
         for (size_t i = 0; i < coupling->rows(); ++i) {
           const ot::SparsePlan::RowView row = coupling->Row(i);
           for (size_t e = 0; e < row.nnz; ++e) {
-            const size_t j = row.cols[e];
-            // pi rows sum to 1/n_a, columns to 1/n_b: scaling turns the
-            // sweeps into the two conditional means.
-            accum[a][i] += lam[b] * na * row.values[e] * classes[b].sorted[j];
-            accum[b][j] += lam[a] * nb * row.values[e] * classes[a].sorted[i];
+            ta[i] += row.values[e] * xb[row.cols[e]];
+            tb[row.cols[e]] += row.values[e] * xa[i];
           }
         }
+        const double wa = static_cast<double>(xa.size()) * lam[b];
+        const double wb = static_cast<double>(xb.size()) * lam[a];
+        for (size_t i = 0; i < ta.size(); ++i) out[a][i] += wa * ta[i];
+        for (size_t j = 0; j < tb.size(); ++j) out[b][j] += wb * tb[j];
       }
     }
 
     for (size_t s = 0; s < s_levels; ++s) {
       const SortedClass& cls = classes[s];
-      for (size_t i = 0; i < cls.sorted.size(); ++i) {
-        const double value = lam[s] * cls.sorted[i] + accum[s][i];
-        repaired.set_feature(cls.rows[cls.order[i]], k, value);
-      }
+      for (size_t i = 0; i < cls.sorted.size(); ++i)
+        repaired.set_feature(cls.rows[cls.order[i]], k, out[s][i]);
     }
     return Status::Ok();
   };
@@ -188,11 +135,8 @@ Result<data::Dataset> GeometricRepairDataset(const data::Dataset& research,
   // the writes are disjoint and any schedule yields bit-identical output
   // (and a deterministic first error).
   const size_t dim = research.dim();
-  Status status = common::parallel::ParallelForStatus(0, u_levels * dim, [&](size_t task) {
-    const size_t u = task / dim;
-    const size_t k = task % dim;
-    return s_levels == 2 ? repair_channel_binary(u, k) : repair_channel_multi(u, k);
-  });
+  Status status = common::parallel::ParallelForStatus(
+      0, u_levels * dim, [&](size_t task) { return repair_channel(task / dim, task % dim); });
   if (!status.ok()) return status;
   return repaired;
 }

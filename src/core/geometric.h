@@ -38,15 +38,16 @@ struct GeometricOptions {
 ///
 /// with pi* the optimal coupling between the *empirical* s-conditional
 /// measures of the research data (computed here by the 1-D monotone
-/// solver, which is exact for the squared-Euclidean cost). For |S| > 2
-/// classes the same construction moves every record toward the
+/// solver, which is exact for the squared-Euclidean cost). For any number
+/// of classes the same construction moves every record toward the
 /// lambda-weighted empirical barycenter:
 ///
 ///     x'_{s,i} = lambda_s x_{s,i}
-///              + sum_{s' != s} lambda_{s'} n_s sum_j pi*^{s->s'}_{ij} x_{s',j}
+///              + sum_{s' != s} (n_s lambda_{s'}) sum_j pi*^{s->s'}_{ij} x_{s',j}
 ///
-/// which reduces to Eqs. 8-9 at |S| = 2 (that binary path is preserved
-/// bit-for-bit).
+/// with the foreign classes s' added in ascending order. At |S| = 2 with
+/// lambdas {1 - t, t} this is Eqs. 8-9 term for term: the same code at
+/// every |S|.
 ///
 /// This repair is defined point-wise on the research sample, so — as the
 /// paper stresses — it cannot repair off-sample (archival) points; it only

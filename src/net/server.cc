@@ -328,10 +328,7 @@ void Server::ProcessLines(Worker& w, Conn* c) {
       // The cap holds across split reads: a newline-less line is rejected
       // as soon as the buffered prefix alone exceeds it.
       oversize_closed_->Add(1);
-      Output(w, c,
-             serve::FormatErrorLine(Status::InvalidArgument(
-                 "request line exceeds " + std::to_string(serve::kMaxRequestLineBytes) +
-                 " bytes")));
+      Output(w, c, serve::FormatErrorLine(serve::OversizeLineError()));
       c->close_after_flush = true;
       break;
     }

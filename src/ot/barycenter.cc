@@ -8,7 +8,6 @@
 #include "common/status.h"
 #include "ot/cost.h"
 #include "ot/geodesic.h"
-#include "ot/monotone.h"
 
 namespace otfair::ot {
 
@@ -16,39 +15,21 @@ using common::Matrix;
 using common::Result;
 using common::Status;
 
+namespace {
+
+/// The monotone solver's roundoff floor (SolveMonotone1D): mass at or
+/// below it is neither emitted nor kept in a cursor.
+constexpr double kMassTol = 1e-15;
+
+}  // namespace
+
 Result<DiscreteMeasure> QuantileBarycenter1D(const DiscreteMeasure& mu0,
                                              const DiscreteMeasure& mu1, double t) {
   if (!(t >= 0.0 && t <= 1.0)) return Status::InvalidArgument("t must lie in [0, 1]");
-  auto coupling = SolveMonotone1D(mu0, mu1);
-  if (!coupling.ok()) return coupling.status();
-  const std::vector<double>& xs = coupling->sorted_source.support();
-  const std::vector<double>& ys = coupling->sorted_target.support();
-
-  // The staircase goes straight into CSR (it is already row-major) and
-  // the interpolation walks its row views — the same sparse plan shape
-  // every other consumer of a coupling now iterates.
-  const SparsePlan plan =
-      SparsePlan::FromEntries(std::move(coupling->entries), xs.size(), ys.size());
-
-  // Along the monotone coupling both endpoints are non-decreasing, so the
-  // interpolated atoms come out already sorted; merge coincident positions.
-  std::vector<double> support;
-  std::vector<double> weights;
-  support.reserve(plan.nnz());
-  weights.reserve(plan.nnz());
-  for (size_t i = 0; i < plan.rows(); ++i) {
-    const SparsePlan::RowView row = plan.Row(i);
-    for (size_t k = 0; k < row.nnz; ++k) {
-      const double pos = (1.0 - t) * xs[i] + t * ys[row.cols[k]];
-      if (!support.empty() && pos == support.back()) {
-        weights.back() += row.values[k];
-      } else {
-        support.push_back(pos);
-        weights.push_back(row.values[k]);
-      }
-    }
-  }
-  return DiscreteMeasure::Create(std::move(support), std::move(weights));
+  // (1 - t) + t rounds to exactly 1, so normalization keeps {1 - t, t}.
+  return QuantileBarycenter1D({mu0.IsSorted() ? mu0 : mu0.SortedBySupport(),
+                               mu1.IsSorted() ? mu1 : mu1.SortedBySupport()},
+                              {1.0 - t, t});
 }
 
 Result<DiscreteMeasure> QuantileBarycenterOnGrid(const DiscreteMeasure& mu0,
@@ -73,47 +54,33 @@ Result<DiscreteMeasure> QuantileBarycenter1D(const std::vector<DiscreteMeasure>&
   std::vector<double> lam(lambdas);
   for (double& l : lam) l /= lambda_total;
   const size_t num = measures.size();
+  size_t total_atoms = 0;
   for (const DiscreteMeasure& m : measures) {
     if (m.empty()) return Status::InvalidArgument("empty measure");
     if (!m.IsSorted())
       return Status::InvalidArgument("quantile barycenter requires sorted measures");
+    total_atoms += m.size();
   }
 
   // Simultaneous sweep over the common refinement of the N quantile
-  // functions: every measure holds a cursor (atom index + mass left in
-  // that atom); each step consumes the smallest remaining chunk from all
-  // cursors at once and emits one barycenter atom at the lambda-weighted
-  // position. A measure whose mass runs out early (inputs are normalized
-  // only to roundoff) pins to its last atom.
-  struct Cursor {
-    size_t idx = 0;
-    double remaining = 0.0;
-    bool exhausted = false;
-  };
-  std::vector<Cursor> cursors(num);
-  size_t total_atoms = 0;
-  for (size_t s = 0; s < num; ++s) {
-    cursors[s].remaining = measures[s].weight_at(0);
-    total_atoms += measures[s].size();
-  }
-
+  // functions: measure s sits at atom idx[s] with remaining[s] of its mass
+  // left; each step consumes the smallest remainder from every cursor at
+  // once and emits one barycenter atom at the lambda-weighted position.
+  std::vector<size_t> idx(num, 0);
+  std::vector<double> remaining(num);
+  for (size_t s = 0; s < num; ++s) remaining[s] = measures[s].weight_at(0);
   std::vector<double> support;
   std::vector<double> weights;
   support.reserve(total_atoms);
   weights.reserve(total_atoms);
-  while (true) {
-    bool all_exhausted = true;
-    double delta = 0.0;
-    for (const Cursor& c : cursors) {
-      if (c.exhausted) continue;
-      delta = all_exhausted ? c.remaining : std::min(delta, c.remaining);
-      all_exhausted = false;
-    }
-    if (all_exhausted) break;
-    double pos = 0.0;
-    for (size_t s = 0; s < num; ++s)
-      pos += lam[s] * measures[s].support_at(cursors[s].idx);
-    if (delta > 0.0) {
+  bool exhausted = false;
+  while (!exhausted) {
+    double delta = remaining[0];
+    for (size_t s = 1; s < num; ++s) delta = std::min(delta, remaining[s]);
+    if (delta > kMassTol) {
+      double pos = lam[0] * measures[0].support_at(idx[0]);
+      for (size_t s = 1; s < num; ++s) pos += lam[s] * measures[s].support_at(idx[s]);
+      // Positions are non-decreasing along the sweep; merge coincident ones.
       if (!support.empty() && pos == support.back()) {
         weights.back() += delta;
       } else {
@@ -121,17 +88,13 @@ Result<DiscreteMeasure> QuantileBarycenter1D(const std::vector<DiscreteMeasure>&
         weights.push_back(delta);
       }
     }
-    for (Cursor& c : cursors) {
-      if (c.exhausted) continue;
-      c.remaining -= delta;
-      if (c.remaining <= 0.0) {
-        const size_t n = measures[&c - cursors.data()].size();
-        if (c.idx + 1 < n) {
-          ++c.idx;
-          c.remaining = measures[&c - cursors.data()].weight_at(c.idx);
-        } else {
-          c.exhausted = true;  // pinned to the last atom for any residual
-        }
+    for (size_t s = 0; s < num; ++s) {
+      remaining[s] -= delta;
+      if (remaining[s] > kMassTol) continue;
+      if (++idx[s] == measures[s].size()) {
+        exhausted = true;
+      } else {
+        remaining[s] = measures[s].weight_at(idx[s]);
       }
     }
   }

@@ -76,11 +76,14 @@ std::string SanitizeToken(std::string_view token) {
 
 }  // namespace
 
+Status OversizeLineError() {
+  return Status::InvalidArgument("request line exceeds " + std::to_string(kMaxRequestLineBytes) +
+                                 " bytes");
+}
+
 Result<ProtocolRequest> ParseRequestLine(const std::string& line, size_t dim, size_t u_levels,
                                          size_t s_levels, RowResponse* refused_row) {
-  if (line.size() > kMaxRequestLineBytes)
-    return Status::InvalidArgument("request line exceeds " +
-                                   std::to_string(kMaxRequestLineBytes) + " bytes");
+  if (line.size() > kMaxRequestLineBytes) return OversizeLineError();
   const std::vector<std::string_view> tokens = Tokenize(line, 5 + dim);
   if (tokens.empty()) return Status::InvalidArgument("empty request line");
   const Verb* verb = FindVerb(tokens[0]);

@@ -47,6 +47,11 @@ enum class RequestKind { kRepair, kMetrics, kMetricsProm, kHealth, kReload, kChe
 /// rejected with a structured error before tokenization touches it.
 inline constexpr size_t kMaxRequestLineBytes = 64 * 1024;
 
+/// The refusal of a line longer than kMaxRequestLineBytes, the same for
+/// the parser and for the stdio and TCP front ends, which refuse a line as
+/// soon as its buffered bytes pass the cap.
+common::Status OversizeLineError();
+
 struct ProtocolRequest {
   RequestKind kind = RequestKind::kRepair;
   RowRequest row;         // kRepair

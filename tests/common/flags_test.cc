@@ -31,8 +31,11 @@ TEST(FlagsTest, BoolParsesCommonSpellings) {
   EXPECT_TRUE(MakeParser({"--x=true"}).GetBool("x", false));
   EXPECT_TRUE(MakeParser({"--x=1"}).GetBool("x", false));
   EXPECT_TRUE(MakeParser({"--x=yes"}).GetBool("x", false));
+  EXPECT_TRUE(MakeParser({"--x=on"}).GetBool("x", false));
   EXPECT_FALSE(MakeParser({"--x=false"}).GetBool("x", true));
   EXPECT_FALSE(MakeParser({"--x=0"}).GetBool("x", true));
+  EXPECT_FALSE(MakeParser({"--x=no"}).GetBool("x", true));
+  EXPECT_FALSE(MakeParser({"--x=off"}).GetBool("x", true));
 }
 
 TEST(FlagsTest, DefaultsWhenAbsent) {
@@ -46,6 +49,9 @@ TEST(FlagsTest, DefaultsWhenAbsent) {
 TEST(FlagsTest, DoubleParsing) {
   FlagParser flags = MakeParser({"--t=0.75"});
   EXPECT_DOUBLE_EQ(flags.GetDouble("t", 0.0), 0.75);
+  EXPECT_EQ(MakeParser({"--eps=1e-5"}).GetDouble("eps", 0.0), 1e-5);
+  EXPECT_EQ(MakeParser({"--eps=-0.25"}).GetDouble("eps", 0.0), -0.25);
+  EXPECT_EQ(MakeParser({"--eps=3"}).GetDouble("eps", 0.0), 3.0);
 }
 
 TEST(FlagsTest, IntListParsing) {
@@ -109,6 +115,75 @@ TEST(FlagsTest, ValidateMatchesAcrossSpellings) {
   Status status = MakeParser({"--no-such-flag"}).Validate({"no_such"});
   EXPECT_FALSE(status.ok());
   EXPECT_NE(status.message().find("--no-such-flag"), std::string::npos) << status.message();
+}
+
+TEST(FlagsTest, IntegersTakeTheirTypesWholeRange) {
+  EXPECT_EQ(MakeParser({"--n=-7"}).GetInt("n", 0), -7);
+  EXPECT_EQ(MakeParser({"--n=2147483647"}).GetInt("n", 0), 2147483647);
+  EXPECT_EQ(MakeParser({"--n=-2147483648"}).GetInt("n", 0), -2147483647 - 1);
+  EXPECT_EQ(MakeParser({"--seed=18446744073709551615"}).GetUint64("seed", 0),
+            18446744073709551615u);
+  EXPECT_EQ(MakeParser({"--sizes=-1,0,7"}).GetIntList("sizes", {}),
+            (std::vector<int>{-1, 0, 7}));
+}
+
+/// The regex for `error: --<name>: '<value>' is not a valid <kind>`.
+std::string BadValueMessage(const std::string& name, const std::string& value,
+                            const std::string& kind) {
+  std::string escaped;
+  for (char c : value) {
+    if (std::string(".[]{}()*+?^$|\\").find(c) != std::string::npos) escaped += '\\';
+    escaped += c;
+  }
+  return "error: --" + name + ": '" + escaped + "' is not a valid " + kind;
+}
+
+// A malformed value is a usage error: the getter names the flag and the
+// value, and exits 2.
+TEST(FlagsTest, MalformedIntExits) {
+  for (const char* value : {"abc", "1e3", "12x", "", " 5", "+5", "1.5", "2147483648"}) {
+    const std::string arg = std::string("--n=") + value;
+    EXPECT_EXIT(MakeParser({arg.c_str()}).GetInt("n", 0), ::testing::ExitedWithCode(2),
+                BadValueMessage("n", value, "integer"))
+        << arg;
+  }
+}
+
+TEST(FlagsTest, MalformedUint64Exits) {
+  for (const char* value : {"-1", "abc", "18446744073709551616", "0x10"}) {
+    const std::string arg = std::string("--seed=") + value;
+    EXPECT_EXIT(MakeParser({arg.c_str()}).GetUint64("seed", 0), ::testing::ExitedWithCode(2),
+                BadValueMessage("seed", value, "unsigned integer"))
+        << arg;
+  }
+}
+
+TEST(FlagsTest, MalformedDoubleExits) {
+  for (const char* value : {"abc", "nan", "inf", "0x1p3", "1.5x", "1e400", ""}) {
+    const std::string arg = std::string("--strength=") + value;
+    EXPECT_EXIT(MakeParser({arg.c_str()}).GetDouble("strength", 1.0),
+                ::testing::ExitedWithCode(2),
+                BadValueMessage("strength", value, "finite decimal"))
+        << arg;
+  }
+}
+
+TEST(FlagsTest, MalformedBoolExits) {
+  for (const char* value : {"maybe", "TRUE", "2", ""}) {
+    const std::string arg = std::string("--json=") + value;
+    EXPECT_EXIT(MakeParser({arg.c_str()}).GetBool("json", false), ::testing::ExitedWithCode(2),
+                BadValueMessage("json", value, "boolean"))
+        << arg;
+  }
+}
+
+TEST(FlagsTest, MalformedIntListExits) {
+  for (const char* value : {"25,abc", "25,,50", "1e3", ""}) {
+    const std::string arg = std::string("--sizes=") + value;
+    EXPECT_EXIT(MakeParser({arg.c_str()}).GetIntList("sizes", {}), ::testing::ExitedWithCode(2),
+                BadValueMessage("sizes", value, "integer list"))
+        << arg;
+  }
 }
 
 TEST(FlagsTest, ProgramNameCaptured) {

@@ -1,10 +1,15 @@
 #include "core/geometric.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <numeric>
 
 #include <gtest/gtest.h>
 
+#include "common/crc32.h"
 #include "common/rng.h"
+#include "data/adult_like.h"
 #include "fairness/emetric.h"
 #include "ot/solver.h"
 #include "sim/gaussian_mixture.h"
@@ -18,6 +23,183 @@ data::Dataset PaperResearchData(uint64_t seed, size_t n = 600) {
   auto d = sim::SimulateGaussianMixture(n, sim::GaussianSimConfig::PaperDefault(), rng);
   EXPECT_TRUE(d.ok());
   return *d;
+}
+
+/// Reference binary repair: Eqs. 8-9 written out channel by channel,
+///
+///     x'_0 = (1 - t) x_0 + n_0 t T_0,   x'_1 = n_1 (1 - t) T_1 + t x_1,
+///
+/// with T_0[i] = sum_j pi_ij x_1[j] and T_1[j] = sum_i pi_ij x_0[i] on the
+/// monotone coupling of the sorted classes.
+data::Dataset Eqs8And9Repair(const data::Dataset& research, double t) {
+  data::Dataset repaired = research.Clone();
+  const ot::Solver& solver = *ot::DefaultSolver();
+  for (int u = 0; u < static_cast<int>(research.u_levels()); ++u) {
+    const std::vector<size_t> idx0 = research.GroupIndices({u, 0});
+    const std::vector<size_t> idx1 = research.GroupIndices({u, 1});
+    const double n0 = static_cast<double>(idx0.size());
+    const double n1 = static_cast<double>(idx1.size());
+    for (size_t k = 0; k < research.dim(); ++k) {
+      const std::vector<double> x0 = research.FeatureColumn(k, idx0);
+      const std::vector<double> x1 = research.FeatureColumn(k, idx1);
+      std::vector<size_t> order0(x0.size());
+      std::vector<size_t> order1(x1.size());
+      std::iota(order0.begin(), order0.end(), 0);
+      std::iota(order1.begin(), order1.end(), 0);
+      std::stable_sort(order0.begin(), order0.end(),
+                       [&](size_t a, size_t b) { return x0[a] < x0[b]; });
+      std::stable_sort(order1.begin(), order1.end(),
+                       [&](size_t a, size_t b) { return x1[a] < x1[b]; });
+      std::vector<double> sorted0(x0.size());
+      std::vector<double> sorted1(x1.size());
+      for (size_t i = 0; i < x0.size(); ++i) sorted0[i] = x0[order0[i]];
+      for (size_t j = 0; j < x1.size(); ++j) sorted1[j] = x1[order1[j]];
+      auto coupling = solver.Solve1DSparse(*ot::DiscreteMeasure::FromSamples(sorted0),
+                                           *ot::DiscreteMeasure::FromSamples(sorted1));
+      EXPECT_TRUE(coupling.ok());
+      std::vector<double> transport0(sorted0.size(), 0.0);
+      std::vector<double> transport1(sorted1.size(), 0.0);
+      for (size_t i = 0; i < coupling->rows(); ++i) {
+        const ot::SparsePlan::RowView row = coupling->Row(i);
+        for (size_t e = 0; e < row.nnz; ++e) {
+          transport0[i] += row.values[e] * sorted1[row.cols[e]];
+          transport1[row.cols[e]] += row.values[e] * sorted0[i];
+        }
+      }
+      for (size_t i = 0; i < sorted0.size(); ++i)
+        repaired.set_feature(idx0[order0[i]], k,
+                             (1.0 - t) * sorted0[i] + n0 * t * transport0[i]);
+      for (size_t j = 0; j < sorted1.size(); ++j)
+        repaired.set_feature(idx1[order1[j]], k,
+                             n1 * (1.0 - t) * transport1[j] + t * sorted1[j]);
+    }
+  }
+  return repaired;
+}
+
+/// Reference multi-group repair that adds every coupling entry's term
+/// lambda_{s'} n_s pi_ij x_{s',j} to its record as it sweeps the entries.
+data::Dataset PerEntryRepair(const data::Dataset& research, const std::vector<double>& lam) {
+  data::Dataset repaired = research.Clone();
+  const ot::Solver& solver = *ot::DefaultSolver();
+  const size_t s_levels = research.s_levels();
+  for (int u = 0; u < static_cast<int>(research.u_levels()); ++u) {
+    for (size_t k = 0; k < research.dim(); ++k) {
+      std::vector<std::vector<size_t>> rows(s_levels);
+      std::vector<std::vector<size_t>> order(s_levels);
+      std::vector<std::vector<double>> sorted(s_levels);
+      std::vector<std::vector<double>> accum(s_levels);
+      for (size_t s = 0; s < s_levels; ++s) {
+        rows[s] = research.GroupIndices({u, static_cast<int>(s)});
+        const std::vector<double> x = research.FeatureColumn(k, rows[s]);
+        order[s].resize(x.size());
+        std::iota(order[s].begin(), order[s].end(), 0);
+        std::stable_sort(order[s].begin(), order[s].end(),
+                         [&](size_t a, size_t b) { return x[a] < x[b]; });
+        for (size_t i : order[s]) sorted[s].push_back(x[i]);
+        accum[s].assign(x.size(), 0.0);
+      }
+      for (size_t a = 0; a < s_levels; ++a) {
+        for (size_t b = a + 1; b < s_levels; ++b) {
+          const double na = static_cast<double>(sorted[a].size());
+          const double nb = static_cast<double>(sorted[b].size());
+          auto coupling = solver.Solve1DSparse(*ot::DiscreteMeasure::FromSamples(sorted[a]),
+                                               *ot::DiscreteMeasure::FromSamples(sorted[b]));
+          EXPECT_TRUE(coupling.ok());
+          for (size_t i = 0; i < coupling->rows(); ++i) {
+            const ot::SparsePlan::RowView row = coupling->Row(i);
+            for (size_t e = 0; e < row.nnz; ++e) {
+              const size_t j = row.cols[e];
+              accum[a][i] += lam[b] * na * row.values[e] * sorted[b][j];
+              accum[b][j] += lam[a] * nb * row.values[e] * sorted[a][i];
+            }
+          }
+        }
+      }
+      for (size_t s = 0; s < s_levels; ++s)
+        for (size_t i = 0; i < sorted[s].size(); ++i)
+          repaired.set_feature(rows[s][order[s][i]], k, lam[s] * sorted[s][i] + accum[s][i]);
+    }
+  }
+  return repaired;
+}
+
+void ExpectWithin(const data::Dataset& got, const data::Dataset& want, double bound) {
+  for (size_t i = 0; i < want.size(); ++i)
+    for (size_t k = 0; k < want.dim(); ++k)
+      ASSERT_NEAR(got.feature(i, k), want.feature(i, k), bound) << "i=" << i << " k=" << k;
+}
+
+/// Adult-like research data: integer-valued features with many ties.
+data::Dataset AdultLikeResearchData(uint64_t seed, size_t n = 3000) {
+  common::Rng rng(seed);
+  auto d = data::GenerateAdultLike(n, rng);
+  EXPECT_TRUE(d.ok());
+  return *d;
+}
+
+uint32_t FeatureCrc(const data::Dataset& d) {
+  const common::Matrix& x = d.features();
+  return common::Crc32(x.data(), x.rows() * x.cols() * sizeof(double));
+}
+
+TEST(GeometricTest, BinaryRepairIsEqs8And9BitForBit) {
+  for (const bool adult : {false, true}) {
+    const data::Dataset research =
+        adult ? AdultLikeResearchData(31) : PaperResearchData(30, 2000);
+    for (double t : {0.3, 0.5}) {
+      SCOPED_TRACE(std::string(adult ? "adult-like" : "paper mixture") +
+                   " t=" + std::to_string(t));
+      GeometricOptions options;
+      options.t = t;
+      auto repaired = GeometricRepairDataset(research, options);
+      ASSERT_TRUE(repaired.ok());
+      const data::Dataset want = Eqs8And9Repair(research, t);
+      for (size_t i = 0; i < research.size(); ++i) {
+        for (size_t k = 0; k < research.dim(); ++k) {
+          const double got = repaired->feature(i, k);
+          const double ref = want.feature(i, k);
+          ASSERT_EQ(std::memcmp(&got, &ref, sizeof(double)), 0)
+              << "i=" << i << " k=" << k << ": " << got << " vs " << ref;
+        }
+      }
+    }
+  }
+}
+
+TEST(GeometricTest, BinaryRepairBytesPinned) {
+  // The Adult-like repair at t = 0.3, pinned by the CRC-32 of its feature
+  // matrix as Eqs8And9Repair writes it.
+  GeometricOptions options;
+  options.t = 0.3;
+  auto repaired = GeometricRepairDataset(AdultLikeResearchData(31), options);
+  ASSERT_TRUE(repaired.ok());
+  EXPECT_EQ(FeatureCrc(*repaired), 0x06a8bb77u)
+      << "0x" << std::hex << FeatureCrc(*repaired);
+}
+
+TEST(GeometricTest, ConditionalSumsMoveRepairsByLessThan1e14) {
+  // Scaling each pair's two conditional sums once, not every coupling
+  // entry, moves repairs only by roundoff: at |S| = 3 and 4, and at |S| = 2
+  // with explicit weights, which the repair uses as stored, not as
+  // {1 - l1, l1}.
+  for (size_t s_levels : {3, 4}) {
+    SCOPED_TRACE("|S|=" + std::to_string(s_levels));
+    common::Rng rng(40 + s_levels);
+    auto research = sim::SimulateMultiGroupGaussian(
+        3000, sim::MultiGroupSimConfig::Default(s_levels, 2, 2), rng);
+    ASSERT_TRUE(research.ok());
+    auto repaired = GeometricRepairDataset(*research, {});
+    ASSERT_TRUE(repaired.ok());
+    const std::vector<double> uniform(s_levels, 1.0 / static_cast<double>(s_levels));
+    ExpectWithin(*repaired, PerEntryRepair(*research, uniform), 1e-14);
+  }
+  const data::Dataset research = PaperResearchData(32, 3000);
+  GeometricOptions options;
+  options.lambdas = {1.0, 2.0};
+  auto repaired = GeometricRepairDataset(research, options);
+  ASSERT_TRUE(repaired.ok());
+  ExpectWithin(*repaired, Eqs8And9Repair(research, 2.0 / 3.0), 1e-14);
 }
 
 TEST(GeometricTest, QuenchesConditionalDependence) {

@@ -318,6 +318,45 @@ TEST_F(CliTest, BadInvocationsFailCleanly) {
   EXPECT_EQ(Run("repair --plan=" + plan_path_ + " --input=" + archive_path_ +
                 " --output=" + repaired_path_ + " --mode=bogus"),
             2);
+  // --lambdas cells are finite decimals: hex and overflowing cells are
+  // refused, not read as 2 and inf.
+  for (const std::string cell : {"0x1p1", "1e400", "nan"})
+    EXPECT_EQ(Run("design --research=" + research_path_ + " --plan=" + plan_path_ +
+                  " --lambdas=" + cell + ",1"),
+              1)
+        << cell;
+}
+
+TEST_F(CliTest, MalformedFlagValueExitsTwoBeforeAnyWork) {
+  ASSERT_EQ(Run("design --research=" + research_path_ + " --plan=" + plan_path_), 0);
+  std::remove(repaired_path_.c_str());
+  int exit_code = -1;
+  const std::string err =
+      RunCaptureStderr("repair --plan=" + plan_path_ + " --input=" + archive_path_ +
+                           " --output=" + repaired_path_ + " --strength=abc",
+                       &exit_code);
+  EXPECT_EQ(exit_code, 2);
+  EXPECT_EQ(err, "error: --strength: 'abc' is not a valid finite decimal\n");
+  struct stat st;
+  EXPECT_NE(::stat(repaired_path_.c_str(), &st), 0) << "repair wrote " << repaired_path_;
+  // Values atoi/strtoull used to misread: 1e3 rows was 1 row, and seed -1
+  // wrapped to 2^64 - 1.
+  const std::string sim_path = dir_ + "/malformed_sim.csv";
+  EXPECT_EQ(Run("simulate --out=" + sim_path + " --rows=1e3"), 2);
+  EXPECT_EQ(Run("simulate --out=" + sim_path + " --rows=10 --seed=-1"), 2);
+  EXPECT_NE(::stat(sim_path.c_str(), &st), 0) << "simulate wrote " << sim_path;
+  EXPECT_EQ(Run("serve --plan=" + plan_path_ + " --listen=port"), 2);
+}
+
+TEST_F(CliTest, DesignSummaryReportsThePlansT) {
+  // Explicit binary lambdas set the geodesic position the plan records
+  // (lambda_1 = 2/3), and the summary line reports that, not --target_t.
+  int exit_code = -1;
+  const std::string out = RunCapture("design --research=" + research_path_ + " --plan=" +
+                                         plan_path_ + " --n_q=16 --lambdas=1,2",
+                                     &exit_code);
+  EXPECT_EQ(exit_code, 0);
+  EXPECT_NE(out.find(", t=0.67,"), std::string::npos) << out;
 }
 
 TEST_F(CliTest, RepairRejectsNonFiniteArchiveCells) {
@@ -546,6 +585,70 @@ TEST_F(CliTest, ServeStdioAnswersBeforeEof) {
   ASSERT_EQ(::waitpid(pid, &status, 0), pid);
   EXPECT_TRUE(WIFEXITED(status));
   EXPECT_EQ(WEXITSTATUS(status), 0);
+}
+
+TEST_F(CliTest, ServeStdioRefusesAnOversizeLineBeforeItsNewline) {
+  ASSERT_EQ(Run("design --research=" + research_path_ + " --plan=" + plan_path_ +
+                " --n_q=40"),
+            0);
+  // stdin is a FIFO the test keeps open. A 1 MiB line is refused once its
+  // buffered bytes pass the 64 KiB cap, before its newline arrives; the
+  // rest of it is dropped through the newline and serving goes on.
+  const std::string fifo_path = dir_ + "/serve_oversize.fifo";
+  ASSERT_EQ(::mkfifo(fifo_path.c_str(), 0600), 0) << std::strerror(errno);
+  int out_pipe[2];
+  ASSERT_EQ(::pipe(out_pipe), 0);
+  const std::string plan_flag = "--plan=" + plan_path_;
+  const char* const argv[] = {OTFAIR_CLI_PATH, "serve", plan_flag.c_str(), nullptr};
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    const int in = ::open(fifo_path.c_str(), O_RDONLY);
+    const int null = ::open("/dev/null", O_WRONLY);
+    if (in < 0 || null < 0) ::_exit(127);
+    ::dup2(in, STDIN_FILENO);
+    ::dup2(out_pipe[1], STDOUT_FILENO);
+    ::dup2(null, STDERR_FILENO);
+    ::close(out_pipe[0]);
+    ::execv(argv[0], const_cast<char* const*>(argv));
+    ::_exit(127);
+  }
+  ::close(out_pipe[1]);
+  const int fifo = ::open(fifo_path.c_str(), O_WRONLY);
+  ASSERT_GE(fifo, 0) << std::strerror(errno);
+  auto send = [&](const std::string& text) {
+    ASSERT_EQ(::write(fifo, text.data(), text.size()), static_cast<ssize_t>(text.size()));
+  };
+  send(std::string(1 << 20, '7'));
+
+  const std::string refusal = "err - - INVALID_ARGUMENT request line exceeds 65536 bytes\n";
+  std::string output;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (output.size() < refusal.size() && std::chrono::steady_clock::now() < deadline) {
+    pollfd readable{out_pipe[0], POLLIN, 0};
+    if (::poll(&readable, 1, 100) <= 0) continue;
+    char buf[4096];
+    const ssize_t n = ::read(out_pipe[0], buf, sizeof(buf));
+    if (n <= 0) break;
+    output.append(buf, static_cast<size_t>(n));
+  }
+  EXPECT_EQ(output, refusal);
+
+  send("\nhealth\nquit\n");
+  ::close(fifo);
+  char buf[4096];
+  ssize_t n = 0;
+  while ((n = ::read(out_pipe[0], buf, sizeof(buf))) > 0) output.append(buf, static_cast<size_t>(n));
+  ::close(out_pipe[0]);
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  EXPECT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+  // One refusal, then the health answer: nothing of the long line is
+  // served as a request of its own.
+  EXPECT_EQ(output.rfind(refusal, 0), 0u) << output;
+  EXPECT_EQ(output.find("err", refusal.size()), std::string::npos) << output;
+  EXPECT_NE(output.find("\"plan_version\":1"), std::string::npos) << output;
 }
 
 TEST_F(CliTest, ServeStdioProtocolRoundTrip) {

@@ -1,11 +1,17 @@
 #include "ot/barycenter.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "core/marginals.h"
+#include "core/support_grid.h"
+#include "ot/geodesic.h"
 #include "ot/monotone.h"
+#include "ot/plan.h"
 
 namespace otfair::ot {
 namespace {
@@ -15,6 +21,123 @@ std::vector<double> Grid(double lo, double hi, size_t n) {
   for (size_t i = 0; i < n; ++i)
     g[i] = lo + (hi - lo) * static_cast<double>(i) / static_cast<double>(n - 1);
   return g;
+}
+
+/// Reference two-measure barycenter: the monotone staircase (with its
+/// 1e-15 rule) stored as a CSR plan, each coupled chunk (x0, x1, m)
+/// interpolated to an atom at (1 - t) x0 + t x1, coincident positions
+/// merged. The sweep must reproduce it bit for bit.
+DiscreteMeasure StaircaseBarycenter(const DiscreteMeasure& mu0, const DiscreteMeasure& mu1,
+                                    double t) {
+  auto coupling = SolveMonotone1D(mu0, mu1);
+  EXPECT_TRUE(coupling.ok());
+  const std::vector<double>& xs = coupling->sorted_source.support();
+  const std::vector<double>& ys = coupling->sorted_target.support();
+  const SparsePlan plan =
+      SparsePlan::FromEntries(std::move(coupling->entries), xs.size(), ys.size());
+  std::vector<double> support;
+  std::vector<double> weights;
+  for (size_t i = 0; i < plan.rows(); ++i) {
+    const SparsePlan::RowView row = plan.Row(i);
+    for (size_t k = 0; k < row.nnz; ++k) {
+      const double pos = (1.0 - t) * xs[i] + t * ys[row.cols[k]];
+      if (!support.empty() && pos == support.back()) {
+        weights.back() += row.values[k];
+      } else {
+        support.push_back(pos);
+        weights.push_back(row.values[k]);
+      }
+    }
+  }
+  auto out = DiscreteMeasure::Create(std::move(support), std::move(weights));
+  EXPECT_TRUE(out.ok());
+  return *out;
+}
+
+/// Reference N-measure sweep without a roundoff floor: every positive
+/// chunk is emitted at a position accumulated from 0, and a measure that
+/// runs out pins to its last atom until all have run out.
+DiscreteMeasure UnflooredSweepBarycenter(const std::vector<DiscreteMeasure>& measures,
+                                         std::vector<double> lam) {
+  double total = 0.0;
+  for (double l : lam) total += l;
+  for (double& l : lam) l /= total;
+  const size_t num = measures.size();
+  std::vector<size_t> idx(num, 0);
+  std::vector<double> remaining(num);
+  std::vector<bool> exhausted(num, false);
+  for (size_t s = 0; s < num; ++s) remaining[s] = measures[s].weight_at(0);
+  std::vector<double> support;
+  std::vector<double> weights;
+  while (true) {
+    bool all_exhausted = true;
+    double delta = 0.0;
+    for (size_t s = 0; s < num; ++s) {
+      if (exhausted[s]) continue;
+      delta = all_exhausted ? remaining[s] : std::min(delta, remaining[s]);
+      all_exhausted = false;
+    }
+    if (all_exhausted) break;
+    double pos = 0.0;
+    for (size_t s = 0; s < num; ++s) pos += lam[s] * measures[s].support_at(idx[s]);
+    if (delta > 0.0) {
+      if (!support.empty() && pos == support.back()) {
+        weights.back() += delta;
+      } else {
+        support.push_back(pos);
+        weights.push_back(delta);
+      }
+    }
+    for (size_t s = 0; s < num; ++s) {
+      if (exhausted[s]) continue;
+      remaining[s] -= delta;
+      if (remaining[s] > 0.0) continue;
+      if (idx[s] + 1 < measures[s].size()) {
+        remaining[s] = measures[s].weight_at(++idx[s]);
+      } else {
+        exhausted[s] = true;
+      }
+    }
+  }
+  auto out = DiscreteMeasure::Create(std::move(support), std::move(weights));
+  EXPECT_TRUE(out.ok());
+  return *out;
+}
+
+/// KDE marginals of `s_levels` normal classes on their shared n_q grid,
+/// as the designer builds them: tails far below 1e-15 included.
+std::vector<DiscreteMeasure> DesignMarginals(size_t s_levels, size_t n_q, uint64_t seed,
+                                             std::vector<double>* grid) {
+  common::Rng rng(seed);
+  std::vector<std::vector<double>> samples(s_levels);
+  std::vector<double> stratum;
+  for (size_t s = 0; s < s_levels; ++s) {
+    const double mean = 1.5 * static_cast<double>(s);
+    const double sd = 0.6 + 0.3 * static_cast<double>(s % 3);
+    for (int i = 0; i < 150 + 70 * static_cast<int>(s); ++i)
+      samples[s].push_back(rng.Normal(mean, sd));
+    stratum.insert(stratum.end(), samples[s].begin(), samples[s].end());
+  }
+  auto support = core::SupportGrid::FromSamples(stratum, n_q);
+  EXPECT_TRUE(support.ok());
+  *grid = support->points();
+  std::vector<DiscreteMeasure> marginals;
+  for (const std::vector<double>& x : samples) {
+    auto marginal = core::InterpolateMarginal(x, *support);
+    EXPECT_TRUE(marginal.ok());
+    marginals.push_back(*marginal);
+  }
+  return marginals;
+}
+
+void ExpectSameBits(const DiscreteMeasure& got, const DiscreteMeasure& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(std::memcmp(&got.support()[i], &want.support()[i], sizeof(double)), 0)
+        << "support " << i << ": " << got.support_at(i) << " vs " << want.support_at(i);
+    EXPECT_EQ(std::memcmp(&got.weights()[i], &want.weights()[i], sizeof(double)), 0)
+        << "weight " << i << ": " << got.weight_at(i) << " vs " << want.weight_at(i);
+  }
 }
 
 TEST(QuantileBarycenterTest, EndpointsRecoverInputs) {
@@ -171,11 +294,66 @@ TEST(QuantileBarycenterNTest, TwoMeasureCaseMatchesPairwise) {
     auto pairwise = QuantileBarycenter1D(*mu0, *mu1, t);
     auto n_measure = QuantileBarycenter1D({*mu0, *mu1}, {1.0 - t, t});
     ASSERT_TRUE(pairwise.ok() && n_measure.ok());
-    EXPECT_NEAR(pairwise->Mean(), n_measure->Mean(), 1e-12);
-    EXPECT_NEAR(pairwise->Variance(), n_measure->Variance(), 1e-12);
+    EXPECT_EQ(pairwise->Mean(), n_measure->Mean());
+    EXPECT_EQ(pairwise->Variance(), n_measure->Variance());
     // Same quantile function everywhere, not just matching moments.
     for (double q : {0.05, 0.3, 0.5, 0.8, 0.95})
-      EXPECT_NEAR(pairwise->Quantile(q), n_measure->Quantile(q), 1e-12) << "t=" << t;
+      EXPECT_EQ(pairwise->Quantile(q), n_measure->Quantile(q)) << "t=" << t;
+  }
+}
+
+TEST(QuantileBarycenterNTest, TwoMeasureSweepMatchesStaircaseBitForBit) {
+  // The designer's |S| = 2 barycenter is the sweep with {1 - t, t}; on the
+  // KDE marginals it designs from, it must give the staircase's atoms.
+  for (size_t n_q : {16, 64, 512}) {
+    std::vector<double> grid;
+    const std::vector<DiscreteMeasure> marginals = DesignMarginals(2, n_q, 7 + n_q, &grid);
+    for (double t : {0.0, 0.1, 0.3, 0.5, 0.9, 1.0}) {
+      SCOPED_TRACE("n_q=" + std::to_string(n_q) + " t=" + std::to_string(t));
+      const DiscreteMeasure want = StaircaseBarycenter(marginals[0], marginals[1], t);
+      auto sweep = QuantileBarycenter1D(marginals, {1.0 - t, t});
+      auto pairwise = QuantileBarycenter1D(marginals[0], marginals[1], t);
+      ASSERT_TRUE(sweep.ok() && pairwise.ok());
+      ExpectSameBits(*sweep, want);
+      ExpectSameBits(*pairwise, want);
+      auto on_grid = QuantileBarycenterOnGrid(marginals, {1.0 - t, t}, grid);
+      auto want_on_grid = ProjectToGrid(want, grid);
+      ASSERT_TRUE(on_grid.ok() && want_on_grid.ok());
+      ExpectSameBits(*on_grid, *want_on_grid);
+    }
+  }
+}
+
+TEST(QuantileBarycenterNTest, RoundoffFloorMovesWeightsByLessThan1e14) {
+  // Against a sweep that emits every positive chunk and pins exhausted
+  // measures, the 1e-15 floor moves the on-grid weights only by roundoff:
+  // at |S| = 3 and 4 with uniform weights, and at |S| = 2 with explicit
+  // weights, which the sweep uses as stored rather than as {1 - l1, l1}.
+  for (size_t n_q : {64, 512}) {
+    for (size_t s_levels : {3, 4}) {
+      SCOPED_TRACE("n_q=" + std::to_string(n_q) + " |S|=" + std::to_string(s_levels));
+      std::vector<double> grid;
+      const std::vector<DiscreteMeasure> marginals =
+          DesignMarginals(s_levels, n_q, 11 + n_q, &grid);
+      const std::vector<double> lam(s_levels, 1.0 / static_cast<double>(s_levels));
+      auto got = QuantileBarycenterOnGrid(marginals, lam, grid);
+      auto want = ProjectToGrid(UnflooredSweepBarycenter(marginals, lam), grid);
+      ASSERT_TRUE(got.ok() && want.ok());
+      for (size_t q = 0; q < grid.size(); ++q)
+        EXPECT_NEAR(got->weight_at(q), want->weight_at(q), 1e-14) << "q=" << q;
+    }
+    std::vector<double> grid;
+    const std::vector<DiscreteMeasure> marginals = DesignMarginals(2, n_q, 13 + n_q, &grid);
+    for (const std::vector<double>& raw :
+         {std::vector<double>{0.3, 0.7}, std::vector<double>{1.0, 2.0}}) {
+      const std::vector<double> lam = {raw[0] / (raw[0] + raw[1]), raw[1] / (raw[0] + raw[1])};
+      auto got = QuantileBarycenterOnGrid(marginals, lam, grid);
+      auto want = ProjectToGrid(StaircaseBarycenter(marginals[0], marginals[1], lam[1]), grid);
+      ASSERT_TRUE(got.ok() && want.ok());
+      for (size_t q = 0; q < grid.size(); ++q)
+        EXPECT_NEAR(got->weight_at(q), want->weight_at(q), 1e-14)
+            << "n_q=" << n_q << " lambda1=" << lam[1] << " q=" << q;
+    }
   }
 }
 

@@ -359,9 +359,6 @@ int RunDesign(const FlagParser& flags) {
     PrintDesignUsage(stderr);
     return 2;
   }
-  auto research = otfair::data::ReadCsv(research_path);
-  if (!research.ok()) return Fail(research.status());
-
   // The OT backend is created by name (ot::MakeSolver) and carried in
   // PipelineOptions, so every built-in solver is reachable from here.
   otfair::core::PipelineOptions options;
@@ -372,13 +369,12 @@ int RunDesign(const FlagParser& flags) {
     // against the data's |S| inside the designer.
     for (const std::string& cell :
          otfair::common::Split(flags.GetString("lambdas", ""), ',')) {
-      char* end = nullptr;
       const std::string trimmed(otfair::common::Trim(cell));
-      const double value = std::strtod(trimmed.c_str(), &end);
-      if (trimmed.empty() || end == trimmed.c_str() || *end != '\0')
-        return Fail(Status::InvalidArgument("--lambdas must be a comma-separated list of "
-                                            "numbers (got '" +
-                                            trimmed + "')"));
+      double value = 0.0;
+      if (!otfair::common::ParseFiniteDecimal(trimmed, &value))
+        return Fail(Status::InvalidArgument(
+            "--lambdas must be a comma-separated list of finite decimals (got '" + trimmed +
+            "')"));
       options.design.lambdas.push_back(value);
     }
   }
@@ -392,6 +388,8 @@ int RunDesign(const FlagParser& flags) {
   if (!solver.ok()) return Fail(solver.status());
   options.design.solver = std::move(*solver);
 
+  auto research = otfair::data::ReadCsv(research_path);
+  if (!research.ok()) return Fail(research.status());
   const std::string trace_path = MaybeEnableTrace(flags);
   auto plans = otfair::core::DesignDistributionalRepair(*research, options.design);
   WriteTraceFile(trace_path);
@@ -407,8 +405,8 @@ int RunDesign(const FlagParser& flags) {
       "designed %zu channels (|U|=%zu, |S|=%zu, n_Q=%zu, t=%.2f, solver=%s) from %zu "
       "research rows -> %s\n",
       plans->u_levels() * plans->dim(), plans->u_levels(), plans->s_levels(),
-      options.design.n_q, options.design.target_t,
-      options.design.solver->name().c_str(), research->size(), plan_path.c_str());
+      options.design.n_q, plans->target_t(), options.design.solver->name().c_str(),
+      research->size(), plan_path.c_str());
   return 0;
 }
 
@@ -423,6 +421,12 @@ int RunRepair(const FlagParser& flags) {
     PrintRepairUsage(stderr);
     return 2;
   }
+  const bool estimate_labels = flags.GetBool("estimate_labels", false);
+  const std::string mode = flags.GetString("mode", "stochastic");
+  const double strength = flags.GetDouble("strength", 1.0);
+  const uint64_t seed = flags.GetUint64("seed", 0x07fa12u);
+  auto threads = ResolveThreadsFlag(flags);
+  if (!threads.ok()) return Fail(threads.status());
   auto plans = otfair::core::RepairPlanSet::LoadFromFile(plan_path);
   if (!plans.ok()) return Fail(plans.status());
   auto archive = otfair::data::ReadCsv(input_path);
@@ -430,7 +434,7 @@ int RunRepair(const FlagParser& flags) {
 
   // Optional s-label estimation from a research CSV.
   std::vector<int> labels = archive->s_labels();
-  if (flags.GetBool("estimate_labels", false)) {
+  if (estimate_labels) {
     const std::string research_path = flags.GetString("research", "");
     if (research_path.empty()) {
       std::fprintf(stderr, "--estimate_labels requires --research\n");
@@ -446,10 +450,6 @@ int RunRepair(const FlagParser& flags) {
     std::printf("estimated archive s-labels from %s\n", research_path.c_str());
   }
 
-  const std::string mode = flags.GetString("mode", "stochastic");
-  const double strength = flags.GetDouble("strength", 1.0);
-  auto threads = ResolveThreadsFlag(flags);
-  if (!threads.ok()) return Fail(threads.status());
   otfair::common::Result<otfair::data::Dataset> repaired(
       Status::Internal("unreachable"));
   if (mode == "quantile") {
@@ -460,7 +460,7 @@ int RunRepair(const FlagParser& flags) {
     repaired = repairer->RepairDatasetWithLabels(*archive, labels);
   } else if (mode == "stochastic" || mode == "mean") {
     otfair::core::RepairOptions options;
-    options.seed = flags.GetUint64("seed", 0x07fa12u);
+    options.seed = seed;
     options.strength = strength;
     options.threads = *threads;
     options.mode = mode == "mean" ? otfair::core::TransportMode::kConditionalMean
@@ -688,6 +688,9 @@ int RunServeStdio(otfair::serve::RepairService& service, size_t max_batch,
   char buf[1 << 16];
   bool eof = false;
   bool quit = false;
+  // Inside a line already refused as oversize: its bytes are dropped
+  // through the next newline.
+  bool oversize = false;
   while (!eof && !quit && g_drain_signal == 0) {
     const ssize_t n = ::read(STDIN_FILENO, buf, sizeof(buf));
     if (n < 0 && errno == EINTR) continue;  // a drain signal ends the loop
@@ -698,13 +701,26 @@ int RunServeStdio(otfair::serve::RepairService& service, size_t max_batch,
       if (!pending.empty()) pending += '\n';
     }
     size_t start = 0;
-    size_t nl = 0;
-    while (!quit && g_drain_signal == 0 &&
-           (nl = pending.find('\n', start)) != std::string::npos) {
-      line.assign(pending, start, nl - start);
+    while (!quit && g_drain_signal == 0) {
+      const size_t nl = pending.find('\n', start);
+      const size_t end = nl == std::string::npos ? pending.size() : nl;
+      // The cap holds across reads, as on TCP (net::Server::ProcessLines):
+      // a line is refused once its buffered bytes alone exceed it.
+      if (!oversize && end - start > otfair::serve::kMaxRequestLineBytes) {
+        respond(otfair::serve::FormatErrorLine(otfair::serve::OversizeLineError()));
+        oversize = true;
+      }
+      if (nl == std::string::npos) {
+        if (oversize) start = end;
+        break;
+      }
+      if (!oversize) {
+        line.assign(pending, start, nl - start);
+        while (!line.empty() && line.back() == '\r') line.pop_back();
+        if (!line.empty()) quit = !serve_line(line);
+      }
+      oversize = false;
       start = nl + 1;
-      while (!line.empty() && line.back() == '\r') line.pop_back();
-      if (!line.empty()) quit = !serve_line(line);
     }
     pending.erase(0, start);
     batcher.Flush();
@@ -716,30 +732,36 @@ int RunServeStdio(otfair::serve::RepairService& service, size_t max_batch,
   return FinishDrain(checkpointer);
 }
 
-/// Network mode: the same protocol and drain semantics as stdio, served
-/// over TCP by `net::Server`. The main thread just parks until a drain
-/// signal; the workers own all socket I/O.
-int RunServeNet(otfair::serve::RepairService& service, const FlagParser& flags,
-                size_t max_batch, const otfair::serve::CheckpointHook& checkpoint,
-                otfair::serve::Checkpointer* checkpointer) {
+/// Builds the TCP server options from the `--listen` flags.
+otfair::common::Result<otfair::net::ServerOptions> ServeNetOptions(const FlagParser& flags,
+                                                                   size_t max_batch) {
   otfair::net::ServerOptions options;
   const int listen_port = flags.GetInt("listen", 0);
   if (listen_port < 0 || listen_port > 65535)
-    return Fail(Status::InvalidArgument("--listen must be a port in [0, 65535]"));
+    return Status::InvalidArgument("--listen must be a port in [0, 65535]");
   options.port = static_cast<uint16_t>(listen_port);
   options.host = flags.GetString("listen-host", "127.0.0.1");
   const int net_threads = flags.GetInt("net-threads", 1);
-  if (net_threads < 1) return Fail(Status::InvalidArgument("--net-threads must be >= 1"));
+  if (net_threads < 1) return Status::InvalidArgument("--net-threads must be >= 1");
   options.net_threads = net_threads;
   const int max_conns = flags.GetInt("max-conns", 4096);
-  if (max_conns < 1) return Fail(Status::InvalidArgument("--max-conns must be >= 1"));
+  if (max_conns < 1) return Status::InvalidArgument("--max-conns must be >= 1");
   options.max_connections = static_cast<size_t>(max_conns);
   options.max_batch = max_batch;
+  return options;
+}
+
+/// Network mode: the same protocol and drain semantics as stdio, served
+/// over TCP by `net::Server`. The main thread just parks until a drain
+/// signal; the workers own all socket I/O.
+int RunServeNet(otfair::serve::RepairService& service,
+                const otfair::net::ServerOptions& options, const std::string& port_file,
+                const otfair::serve::CheckpointHook& checkpoint,
+                otfair::serve::Checkpointer* checkpointer) {
   otfair::net::ServerHooks hooks;
   hooks.checkpoint = checkpoint;
   auto server = otfair::net::Server::Create(&service, options, std::move(hooks));
   if (!server.ok()) return Fail(server.status());
-  const std::string port_file = flags.GetString("port-file", "");
   if (!port_file.empty()) {
     if (Status status = otfair::common::AtomicWriteFile(
             port_file, std::to_string((*server)->port()) + "\n");
@@ -839,6 +861,25 @@ int RunServe(const FlagParser& flags) {
   if (!service_options.ok()) return Fail(service_options.status());
   auto max_batch = ServeMaxBatch(flags);
   if (!max_batch.ok()) return Fail(max_batch.status());
+  // Every other flag is read here as well: a malformed value exits 2
+  // before a plan loads or a background thread starts.
+  const std::string replay_path = flags.GetString("replay", "");
+  const int sessions = flags.GetInt("sessions", 1);
+  const int heal_drain_ms = flags.GetInt("heal_drain_ms", 20000);
+  const bool self_heal = flags.GetBool("self-heal", false);
+  const otfair::serve::RedesignerOptions redesigner_options = ServeRedesignerOptions(flags);
+  otfair::serve::CheckpointerOptions checkpoint_options;
+  checkpoint_options.dir = checkpoint_dir;
+  checkpoint_options.interval_ms =
+      flags.GetInt("checkpoint_interval_ms", checkpoint_options.interval_ms);
+  checkpoint_options.keep = flags.GetInt("checkpoint_keep", checkpoint_options.keep);
+  std::optional<otfair::net::ServerOptions> net_options;
+  if (flags.Has("listen")) {
+    auto options = ServeNetOptions(flags, *max_batch);
+    if (!options.ok()) return Fail(options.status());
+    net_options = std::move(*options);
+  }
+  const std::string port_file = flags.GetString("port-file", "");
 
   std::unique_ptr<otfair::serve::RepairService> service;
   uint64_t recovered_generation = 0;
@@ -869,9 +910,7 @@ int RunServe(const FlagParser& flags) {
   // Replay inputs are read and checked before any background thread
   // (self-heal, checkpoint, Prometheus dump) starts, so a bad archive or
   // session count fails with exit 1 instead of leaving a thread behind.
-  const std::string replay_path = flags.GetString("replay", "");
   std::optional<otfair::data::Dataset> replay_archive;
-  const int sessions = flags.GetInt("sessions", 1);
   if (!replay_path.empty()) {
     auto archive = otfair::data::ReadCsv(replay_path);
     if (!archive.ok()) return Fail(archive.status());
@@ -887,9 +926,8 @@ int RunServe(const FlagParser& flags) {
   // restored sketches still trip the drift verdict, so the loop re-opens
   // the episode on its own — no episode state needs replaying.
   std::unique_ptr<otfair::serve::Redesigner> redesigner;
-  if (flags.GetBool("self-heal", false)) {
-    auto created =
-        otfair::serve::Redesigner::Create(service.get(), ServeRedesignerOptions(flags));
+  if (self_heal) {
+    auto created = otfair::serve::Redesigner::Create(service.get(), redesigner_options);
     if (!created.ok()) return Fail(created.status());
     redesigner = std::move(*created);
   }
@@ -898,11 +936,6 @@ int RunServe(const FlagParser& flags) {
   // past every pre-crash generation (new files sort strictly newer).
   std::unique_ptr<otfair::serve::Checkpointer> checkpointer;
   if (!checkpoint_dir.empty()) {
-    otfair::serve::CheckpointerOptions checkpoint_options;
-    checkpoint_options.dir = checkpoint_dir;
-    checkpoint_options.interval_ms =
-        flags.GetInt("checkpoint_interval_ms", checkpoint_options.interval_ms);
-    checkpoint_options.keep = flags.GetInt("checkpoint_keep", checkpoint_options.keep);
     auto created = otfair::serve::Checkpointer::Create(
         service.get(), checkpoint_options, redesigner.get(), recovered_generation);
     if (!created.ok()) return Fail(created.status());
@@ -949,10 +982,10 @@ int RunServe(const FlagParser& flags) {
   int ret = 0;
   if (replay_archive) {
     ret = RunServeReplay(*service, *max_batch, *replay_archive,
-                         static_cast<size_t>(sessions), redesigner.get(),
-                         flags.GetInt("heal_drain_ms", 20000), checkpointer.get());
-  } else if (flags.Has("listen")) {
-    ret = RunServeNet(*service, flags, *max_batch, checkpoint_hook, checkpointer.get());
+                         static_cast<size_t>(sessions), redesigner.get(), heal_drain_ms,
+                         checkpointer.get());
+  } else if (net_options) {
+    ret = RunServeNet(*service, *net_options, port_file, checkpoint_hook, checkpointer.get());
   } else {
     ret = RunServeStdio(*service, *max_batch, checkpoint_hook, checkpointer.get());
   }
@@ -1246,6 +1279,7 @@ int RunDrift(const FlagParser& flags) {
     PrintDriftUsage(stderr);
     return 2;
   }
+  const bool json = flags.GetBool("json", false);
   auto plans = otfair::core::RepairPlanSet::LoadFromFile(plan_path);
   if (!plans.ok()) return Fail(plans.status());
   auto archive = otfair::data::ReadCsv(input_path);
@@ -1276,7 +1310,7 @@ int RunDrift(const FlagParser& flags) {
   auto judged = otfair::core::JudgeDrift(*plans, sketches);
   if (!judged.ok()) return Fail(judged.status());
   const otfair::core::DriftReport& report = *judged;
-  if (flags.GetBool("json", false)) {
+  if (json) {
     JsonWriter w;
     w.BeginObject()
         .Key("drifted").Bool(report.drifted)
